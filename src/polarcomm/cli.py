@@ -1,7 +1,6 @@
 """Command-line front end.
 
-    polarcomm <command> --config <path> [--out <dir>] [--seed <u64>]
-              [--workers <k>] [--print-schema]
+    polarcomm <command> --config <path> [--out <dir>] [--seed <u64>] [--print-schema]
 
 Commands: profile | plan | simulate | verify | rates | sweep. The config is a
 flat JSON object; --print-schema lists every key with its default. Outputs
@@ -11,8 +10,9 @@ formatting via repr). On any failure a machine-readable error record goes to
 stderr, partial outputs are removed, and the exit status is 2 for config
 errors or 3 when the anomaly limit is exceeded.
 
-The --workers knob is accepted for symmetry with the concurrency model but
-never affects numeric output; all reductions are deterministic.
+simulate and verify draw the sources, the common randomness and the
+terminals' private streams from shared_seed; Monte Carlo profiles from
+profile_seed.
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from .models import (
     AndModelParams,
@@ -34,9 +33,9 @@ from .models import (
     build_collocated_chain,
     sum_rates,
 )
-from .probability import AuxChainModel, mutual_information
+from .probability import AuxChainModel
 from .reliability import PartitionPolicy
-from .protocol import plan_protocol
+from .protocol import Transcript, plan_protocol, round_roles
 from .verification import (
     AGREEMENT_EXACT_CAP,
     TV_EXACT_CAP,
@@ -76,14 +75,12 @@ CONFIG_SCHEMA = {
     "profile_method": ("auto", "'auto' (exact when N <= 8), 'exact', or 'monte_carlo'"),
     "profile_samples": (2000, "Monte Carlo profile samples per conditioning"),
     "profile_seed": (0, "Monte Carlo profile seed"),
-    "shared_seed": (1, "seed of the common-randomness streams (F_r bits)"),
-    "private_seed": (2, "seed of the terminals' private sampling streams"),
+    "shared_seed": (1, "seed of the sources, the common randomness (F_r bits) and the private streams"),
     "trials": (200, "protocol trials for simulate / Monte Carlo verify"),
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
     "verify_rounds": (1, "rounds compared by exact TV: 1 or null for the full chain"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this"),
-    "workers": (1, "accepted for compatibility; never affects numeric output"),
 }
 
 COMMANDS = ("profile", "plan", "simulate", "verify", "rates", "sweep")
@@ -107,7 +104,6 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         cfg.update(user)
     if seed_override is not None:
         cfg["shared_seed"] = seed_override
-        cfg["private_seed"] = seed_override + 1
         cfg["profile_seed"] = seed_override
     return cfg
 
@@ -212,21 +208,14 @@ def cmd_simulate(model, cfg, out: OutputSet) -> None:
         "agreement_frequency": float(result.agreement.all(axis=0).mean()),
         "anomalies": result.anomalies,
         "errors": {k: v for k, v in report.items() if k != "trials"},
-        "first_trial_transcript": json.loads(_first_trial_transcript(result)),
+        "first_trial_transcript": json.loads(_first_trial(result.transcript).to_json()),
     }
     out.write_json("simulate.json", summary)
 
 
-def _first_trial_transcript(result) -> str:
-    rounds = [
-        {
-            "direction": r.direction,
-            "bits": r.bit_count,
-            "message_hex": [np.packbits(np.atleast_2d(r.messages)[0]).tobytes().hex()],
-        }
-        for r in result.transcript.rounds
-    ]
-    return json.dumps({"rounds": rounds, "rates": list(result.transcript.rates)}, sort_keys=True)
+def _first_trial(transcript: Transcript) -> Transcript:
+    rounds = tuple(replace(r, messages=r.messages[:1]) for r in transcript.rounds)
+    return Transcript(transcript.n_len, rounds)
 
 
 def cmd_verify(model, cfg, out: OutputSet) -> None:
@@ -284,15 +273,8 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
 def _theory_rates(model: AuxChainModel) -> list:
     rows = []
     for i in range(1, model.rounds + 1):
-        bit_var = f"u{i}"
-        past = tuple(f"u{j}" for j in range(1, i))
-        tx_src = model.round_sources[i - 1]
-        if model.network == "two-terminal":
-            rx_src = "y" if tx_src == "x" else "x"
-            target = mutual_information(model.joint, (tx_src,), (bit_var,), (rx_src,) + past)
-        else:
-            target = mutual_information(model.joint, (tx_src,), (bit_var,), past)
-        rows.append({"round": i, "source": tx_src, "rate": target})
+        roles = round_roles(model, i)
+        rows.append({"round": i, "source": roles.tx_source, "rate": roles.target_rate})
     return rows
 
 
@@ -349,8 +331,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="flat JSON config file")
     parser.add_argument("--out", default="out", help="output directory (default ./out)")
     parser.add_argument("--seed", type=int, default=None, help="override every seed in the config")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker hint; never affects numeric output")
     parser.add_argument("--print-schema", action="store_true",
                         help="print the config schema with defaults and exit")
     args = parser.parse_args(argv)
@@ -368,8 +348,6 @@ def main(argv=None) -> int:
     out = OutputSet(Path(args.out))
     try:
         cfg = load_config(args.config, args.seed)
-        if args.workers is not None:
-            cfg["workers"] = args.workers
         model = build_model(cfg)
         handler = {
             "profile": cmd_profile,

@@ -9,11 +9,11 @@ observation conditional. In the collocated network every non-broadcasting
 terminal (including the sink) reconstructs with conditioning on the past
 rounds only.
 
-Randomness is organized as one stream per (role, round), derived from two
-user seeds via SeedSequence spawn keys:
+Randomness is organized as one shared stream per round and one private
+stream per party, derived from two user seeds via SeedSequence spawn keys:
 
-    shared stream, round r:     spawn key (0, r)   from shared_seed
-    private stream of role k:   spawn key (1, k, r) from private_seed
+    shared stream, round r:     spawn key (0, r) from shared_seed
+    private stream of party k:  spawn key (1, k) from private_seed
 
 PCG64 streams are platform-stable, and samplers consume whole (trials, N)
 uniform blocks, so runs are reproducible bit for bit.
@@ -41,7 +41,7 @@ from .reliability import (
     profile_monte_carlo,
     with_fractions,
 )
-from .sc import AnomalyLog, SamplingPolicy, SymbolChannel, sample_sequential
+from .sc import AnomalyLog, SamplingPolicy, SymbolChannel, derive_rng, sample_sequential
 from .transform import apply_transform
 
 
@@ -49,9 +49,42 @@ class ModelError(ValueError):
     """The model fails a precondition of the protocol (e.g. Markov check)."""
 
 
-def derive_rng(seed: int, *key: int) -> np.random.Generator:
-    """Deterministic, platform-stable stream for a given role key."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
+@dataclass(frozen=True)
+class RoundRoles:
+    """Who broadcasts round i, what each side observes, and the rate target."""
+
+    transmitter: str  # "A" / "B", or the broadcasting source "x<j>"
+    tx_source: str
+    bit_var: str
+    tx_obs_vars: tuple
+    rx_obs_vars: tuple
+    target_rate: float  # I(tx source; U^i | rx observations), no margin
+
+
+def round_roles(model: AuxChainModel, i: int) -> RoundRoles:
+    """Roles of round i (1-based); raises ModelError if turns do not alternate.
+
+    Two-terminal rounds alternate x, y, x, ... and the receiver observes the
+    other source plus the past u-blocks. Collocated rounds go round-robin over
+    x1..xm and receivers observe the past u-blocks only.
+    """
+    bit_var = f"u{i}"
+    past = tuple(f"u{j}" for j in range(1, i))
+    tx_src = model.round_sources[i - 1]
+    if model.network == "two-terminal":
+        expected = "x" if i % 2 else "y"
+        if tx_src != expected:
+            raise ModelError(f"round {i} must be sourced by {expected!r} (alternating turns)")
+        transmitter = "A" if tx_src == "x" else "B"
+        rx_obs_vars = ("y" if tx_src == "x" else "x",) + past
+    else:
+        j = (i - 1) % len(model.source_vars) + 1
+        if tx_src != f"x{j}":
+            raise ModelError(f"round {i} must be sourced by terminal {j}")
+        transmitter = tx_src
+        rx_obs_vars = past
+    target = mutual_information(model.joint, (tx_src,), (bit_var,), rx_obs_vars)
+    return RoundRoles(transmitter, tx_src, bit_var, (tx_src,) + past, rx_obs_vars, target)
 
 
 @dataclass(frozen=True)
@@ -183,6 +216,8 @@ def plan_protocol(
     """
     if n_len <= 0 or n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
+    if not rate_margin >= 0.0:
+        raise ValueError(f"rate_margin must be nonnegative, got {rate_margin}")
     report = validate_markov(model, markov_tol)
     if not report.passed:
         raise ModelError(
@@ -195,67 +230,34 @@ def plan_protocol(
         profile_method == "auto" and n_len <= exhaustive_cap
     )
 
-    two_terminal = model.network == "two-terminal"
     plans = []
     for i in range(1, model.rounds + 1):
-        bit_var = f"u{i}"
-        past = tuple(f"u{j}" for j in range(1, i))
-        tx_src = model.round_sources[i - 1]
-        if two_terminal:
-            expected = "x" if i % 2 else "y"
-            if tx_src != expected:
-                raise ModelError(
-                    f"round {i} must be sourced by {expected!r} (alternating turns)"
-                )
-            rx_src = "y" if tx_src == "x" else "x"
-            transmitter = "A" if tx_src == "x" else "B"
-            rx_obs_vars = (rx_src,) + past
-        else:
-            j = (i - 1) % len(model.source_vars) + 1
-            if tx_src != f"x{j}":
-                raise ModelError(f"round {i} must be sourced by terminal {j}")
-            transmitter = tx_src
-            rx_obs_vars = past
-        tx_obs_vars = (tx_src,) + past
-
+        roles = round_roles(model, i)
+        bit_var, tx_obs_vars, rx_obs_vars = roles.bit_var, roles.tx_obs_vars, roles.rx_obs_vars
         tx_channel = SymbolChannel.from_joint(model.joint, bit_var, tx_obs_vars)
         rx_channel = SymbolChannel.from_joint(model.joint, bit_var, rx_obs_vars)
-        prior_channel = tx_channel.prior()
-        if use_exact:
-            prof = {
-                "uncond": profile_exact(prior_channel, n_len, "none", cap=max(n_len, exhaustive_cap)),
-                "tx": profile_exact(tx_channel, n_len, "tx", cap=max(n_len, exhaustive_cap)),
-                "rx": profile_exact(rx_channel, n_len, "rx", cap=max(n_len, exhaustive_cap)),
-            }
-        else:
-            prof = {
-                "uncond": profile_monte_carlo(
-                    prior_channel, n_len, profile_samples, profile_seed * 31 + 3 * i, "none"
-                ),
-                "tx": profile_monte_carlo(
-                    tx_channel, n_len, profile_samples, profile_seed * 31 + 3 * i + 1, "tx"
-                ),
-                "rx": profile_monte_carlo(
-                    rx_channel, n_len, profile_samples, profile_seed * 31 + 3 * i + 2, "rx"
-                ),
-            }
-
-        if two_terminal:
-            target = mutual_information(model.joint, (tx_src,), (bit_var,), (rx_src,) + past)
-        else:
-            target = mutual_information(model.joint, (tx_src,), (bit_var,), past)
+        conditionings = (("uncond", "none", tx_channel.prior()), ("tx", "tx", tx_channel),
+                         ("rx", "rx", rx_channel))
+        prof = {}
+        for k, (key, cond, ch) in enumerate(conditionings):
+            if use_exact:
+                prof[key] = profile_exact(ch, n_len, cond, cap=max(n_len, exhaustive_cap))
+            else:
+                prof[key] = profile_monte_carlo(
+                    ch, n_len, profile_samples, profile_seed * 31 + 3 * i + k, cond
+                )
         round_policy = policy
         if policy.mode == "target_rate" and policy.fractions is None:
             f_d = 1.0 - entropy_bits(model.joint, (bit_var,))
             f_r = entropy_bits(model.joint, (bit_var,) + tx_obs_vars) - entropy_bits(
                 model.joint, tx_obs_vars
             )
-            round_policy = with_fractions(policy, (f_d, f_r, target + rate_margin))
+            round_policy = with_fractions(policy, (f_d, f_r, roles.target_rate + rate_margin))
         partition = build_partition(prof["uncond"], prof["tx"], prof["rx"], round_policy)
         plans.append(
             RoundPlan(
                 round_index=i,
-                transmitter=transmitter,
+                transmitter=roles.transmitter,
                 bit_var=bit_var,
                 tx_obs_vars=tx_obs_vars,
                 rx_obs_vars=rx_obs_vars,
@@ -265,7 +267,7 @@ def plan_protocol(
                 rx_channel=rx_channel,
                 partition=partition,
                 profiles=prof,
-                target_rate=target,
+                target_rate=roles.target_rate,
             )
         )
     return plans
@@ -280,55 +282,46 @@ def run_round(
     fd_policy: str = "sample",
     anomalies: AnomalyLog | None = None,
 ) -> tuple:
-    """Execute one round; returns (message bits, per-receiver u-blocks).
+    """Execute one round; returns (message bits, tx u-block, receivers' u-blocks).
 
+    Every state's observations are (B, N), and so is every returned block.
     shared_rngs supplies one identically-seeded generator per party
     (transmitter first), so the F_r draws coincide. Appends the new u-block
     to every state's history.
     """
     part = plan.partition
-    tx_obs = tx_state.flat_obs(plan.tx_obs_vars, plan.tx_obs_sizes)
-    if tx_obs is None:
-        tx_obs = np.zeros((1, part.n_len), dtype=np.intp)
-    tx_policy = SamplingPolicy(part.tags_for_transmitter())
     v_tx = sample_sequential(
         plan.tx_channel,
-        tx_obs,
-        tx_policy,
+        tx_state.flat_obs(plan.tx_obs_vars, plan.tx_obs_sizes),
+        SamplingPolicy(part.tags_for_transmitter()),
         tx_state.private_rng,
         shared_rng=shared_rngs[0],
         fd_mode=fd_policy,
         anomalies=anomalies,
     )
-    v_tx2 = np.atleast_2d(v_tx)
-    message = v_tx2[:, part.i_prime]
+    message = v_tx[:, part.i_prime]
     u_tx = apply_transform(v_tx)
-    tx_state.u_history.append(np.atleast_2d(u_tx))
+    tx_state.u_history.append(u_tx)
 
-    rx_tags = part.tags_for_receiver()
+    pinned = np.zeros_like(v_tx)
+    pinned[:, part.i_prime] = message
+    rx_policy = SamplingPolicy(part.tags_for_receiver(), pinned)
     u_rx_all = []
     for k, rx_state in enumerate(rx_states):
-        pinned = np.zeros_like(v_tx2)
-        pinned[:, part.i_prime] = message
-        rx_policy = SamplingPolicy(rx_tags, pinned if v_tx.ndim == 2 else pinned[0])
-        rx_obs = rx_state.flat_obs(plan.rx_obs_vars, plan.rx_obs_sizes)
-        if rx_obs is None:
-            # no side observation (collocated round 1): the "conditional" is the prior
-            rx_obs = np.zeros_like(v_tx2, dtype=np.intp)
+        # with no side observation (collocated round 1) the "conditional" is the prior
         v_rx = sample_sequential(
             plan.rx_channel,
-            rx_obs,
+            rx_state.flat_obs(plan.rx_obs_vars, plan.rx_obs_sizes),
             rx_policy,
             rx_state.private_rng,
             shared_rng=shared_rngs[1 + k],
             fd_mode=fd_policy,
-            batch=v_tx2.shape[0] if v_tx.ndim == 2 else None,
             anomalies=anomalies,
         )
         u_rx = apply_transform(v_rx)
-        rx_state.u_history.append(np.atleast_2d(u_rx))
-        u_rx_all.append(np.atleast_2d(u_rx))
-    return message, np.atleast_2d(u_tx), u_rx_all
+        rx_state.u_history.append(u_rx)
+        u_rx_all.append(u_rx)
+    return message, u_tx, u_rx_all
 
 
 def compute_function(
@@ -374,7 +367,7 @@ def sample_sources(
     return out
 
 
-def _check_blocks(n_len: int, *blocks: np.ndarray) -> int:
+def _check_blocks(n_len: int, *blocks: np.ndarray) -> None:
     batch = None
     for b in blocks:
         b2 = np.atleast_2d(b)
@@ -383,7 +376,67 @@ def _check_blocks(n_len: int, *blocks: np.ndarray) -> int:
         batch = b2.shape[0] if batch is None else batch
         if b2.shape[0] != batch:
             raise ValueError("observation blocks disagree on the trial count")
-    return batch
+
+
+def _run_rounds(
+    model: AuxChainModel,
+    parties: Sequence[tuple],
+    evaluators: Mapping[str, tuple],
+    plans: Sequence[RoundPlan],
+    *,
+    shared_seed: int,
+    private_seed: int,
+    fd_policy: str,
+) -> ProtocolResult:
+    """The round loop of both networks.
+
+    `parties` lists (role, {variable: block}) in private-stream order, with
+    (N,) or (B, N) blocks: they are lifted to (B, N) here and the results
+    squeezed back on the way out. Each round the plan's transmitter
+    broadcasts and every other party reconstructs, in party order; agreement
+    compares the transmitter with the last receiver. `evaluators` maps each
+    function to (role, observed variable or None) of the party computing it.
+    """
+    blocks = [np.atleast_1d(b) for _, obs in parties for b in obs.values()]
+    n_len = plans[0].n_len if plans else blocks[0].shape[-1]
+    _check_blocks(n_len, *blocks)
+    batched = blocks[0].ndim == 2
+    states = {
+        role: TerminalState(role, {v: np.atleast_2d(b) for v, b in obs.items()},
+                            derive_rng(private_seed, 1, k))
+        for k, (role, obs) in enumerate(parties)
+    }
+    anomalies = AnomalyLog()
+    rounds = []
+    agreement = []
+    for plan in plans:
+        receivers = [st for role, st in states.items() if role != plan.transmitter]
+        shared = [derive_rng(shared_seed, 0, plan.round_index) for _ in states]
+        message, u_tx, u_rx = run_round(
+            plan, states[plan.transmitter], receivers, shared,
+            fd_policy=fd_policy, anomalies=anomalies,
+        )
+        rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message))
+        agreement.append((u_tx == u_rx[-1]).all(axis=1))
+
+    def out(arr):
+        return arr if batched else arr[0]
+
+    outputs, erasures = {}, {}
+    for which, (role, var) in evaluators.items():
+        st = states[role]
+        obs = None if var is None else st.observations[var]
+        z, er = compute_function(obs, st.u_history, model, which)
+        outputs[which], erasures[which] = out(z), out(er)
+    return ProtocolResult(
+        network=model.network,
+        u_blocks={role: tuple(out(u) for u in st.u_history) for role, st in states.items()},
+        agreement=np.array(agreement),
+        transcript=Transcript(n_len, tuple(rounds)),
+        outputs=outputs,
+        erasures=erasures,
+        anomalies=anomalies.count,
+    )
 
 
 def run_two_terminal(
@@ -403,43 +456,10 @@ def run_two_terminal(
     """
     if model.network != "two-terminal":
         raise ValueError("model is not a two-terminal model")
-    batched = np.asarray(x_block).ndim == 2
-    _check_blocks(plans[0].n_len if plans else np.atleast_2d(x_block).shape[1],
-                  x_block, y_block)
-    x2, y2 = np.atleast_2d(x_block), np.atleast_2d(y_block)
-    anomalies = AnomalyLog()
-    state_a = TerminalState("A", {"x": x2}, derive_rng(private_seed, 1, 0))
-    state_b = TerminalState("B", {"y": y2}, derive_rng(private_seed, 1, 1))
-
-    rounds = []
-    agreement = []
-    for plan in plans:
-        tx, rx = (state_a, state_b) if plan.transmitter == "A" else (state_b, state_a)
-        shared = [derive_rng(shared_seed, 0, plan.round_index) for _ in range(2)]
-        message, u_tx, u_rx = run_round(
-            plan, tx, [rx], shared, fd_policy=fd_policy, anomalies=anomalies
-        )
-        rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message))
-        agreement.append((u_tx == u_rx[0]).all(axis=1))
-
-    z_a, er_a = compute_function(x2, state_a.u_history, model, "f_A")
-    z_b, er_b = compute_function(y2, state_b.u_history, model, "f_B")
-    n_len = x2.shape[1]
-
-    def out(arr):
-        return arr if batched else arr[0]
-
-    return ProtocolResult(
-        network="two-terminal",
-        u_blocks={
-            "A": tuple(out(u) for u in state_a.u_history),
-            "B": tuple(out(u) for u in state_b.u_history),
-        },
-        agreement=np.array(agreement),
-        transcript=Transcript(n_len, tuple(rounds)),
-        outputs={"f_A": out(z_a), "f_B": out(z_b)},
-        erasures={"f_A": out(er_a), "f_B": out(er_b)},
-        anomalies=anomalies.count,
+    return _run_rounds(
+        model, [("A", {"x": x_block}), ("B", {"y": y_block})],
+        {"f_A": ("A", "x"), "f_B": ("B", "y")}, plans,
+        shared_seed=shared_seed, private_seed=private_seed, fd_policy=fd_policy,
     )
 
 
@@ -459,43 +479,8 @@ def run_collocated(
     """
     if model.network != "collocated":
         raise ValueError("model is not a collocated model")
-    sources = model.source_vars
-    sample_any = observations[sources[0]]
-    batched = np.asarray(sample_any).ndim == 2
-    _check_blocks(np.atleast_2d(sample_any).shape[1], *[observations[s] for s in sources])
-    anomalies = AnomalyLog()
-    states = {
-        s: TerminalState(s, {s: np.atleast_2d(observations[s])}, derive_rng(private_seed, 1, k))
-        for k, s in enumerate(sources)
-    }
-    states["sink"] = TerminalState("sink", {}, derive_rng(private_seed, 1, len(sources)))
-
-    order = [s for s in sources] + ["sink"]
-    rounds = []
-    agreement = []
-    for plan in plans:
-        tx = states[plan.transmitter]
-        receivers = [states[r] for r in order if r != plan.transmitter]
-        shared = [derive_rng(shared_seed, 0, plan.round_index) for _ in range(1 + len(receivers))]
-        message, u_tx, u_rx = run_round(
-            plan, tx, receivers, shared, fd_policy=fd_policy, anomalies=anomalies
-        )
-        rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message))
-        sink_pos = [r.role for r in receivers].index("sink")
-        agreement.append((u_tx == u_rx[sink_pos]).all(axis=1))
-
-    z, er = compute_function(None, states["sink"].u_history, model, "f")
-    n_len = np.atleast_2d(sample_any).shape[1]
-
-    def out(arr):
-        return arr if batched else arr[0]
-
-    return ProtocolResult(
-        network="collocated",
-        u_blocks={role: tuple(out(u) for u in st.u_history) for role, st in states.items()},
-        agreement=np.array(agreement),
-        transcript=Transcript(n_len, tuple(rounds)),
-        outputs={"f": out(z)},
-        erasures={"f": out(er)},
-        anomalies=anomalies.count,
+    parties = [(s, {s: observations[s]}) for s in model.source_vars] + [("sink", {})]
+    return _run_rounds(
+        model, parties, {"f": ("sink", None)}, plans,
+        shared_seed=shared_seed, private_seed=private_seed, fd_policy=fd_policy,
     )

@@ -39,6 +39,14 @@ OBSERVATION_CONDITIONAL = 2
 PINNED = 3
 
 
+def derive_rng(seed: int, *key: int) -> np.random.Generator:
+    """Deterministic, platform-stable stream for a seed and a spawn key.
+
+    With no key this is the plain `SeedSequence(seed)` stream.
+    """
+    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
+
+
 @dataclass
 class AnomalyLog:
     """Mutable counter for null-conditioning (decode anomaly) events."""
@@ -295,6 +303,31 @@ def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarra
     return obs
 
 
+def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
+    """Lift (N,) inputs to (B, N) once, at a public entry point.
+
+    B is the leading size of every batched array among obs, the pinned bits
+    and `blocks` (1 if none is batched). A missing observation is symbol 0 at
+    every position, i.e. the prior of an observation-free channel. Returns
+    (batched, obs, policy) with (B, N) arrays; `batched` tells the caller
+    whether to keep the batch axis on the way out.
+    """
+    n_len = policy.size
+    sizes = {np.shape(a)[0] for a in (obs, policy.pinned, *blocks)
+             if a is not None and np.ndim(a) == 2}
+    if len(sizes) > 1:
+        raise ValueError("inconsistent batch sizes")
+    batch = min(sizes, default=1)
+    if obs is None:
+        if ch.obs_size > 1 and np.any(policy.tags == OBSERVATION_CONDITIONAL):
+            raise ValueError("the policy samples the observation conditional but obs is None")
+        obs = np.zeros(n_len, dtype=np.intp)
+    pinned = policy.pinned
+    if pinned is not None:
+        pinned = np.broadcast_to(pinned, (batch, n_len))
+    return bool(sizes), _as_batched_obs(ch, obs, n_len, batch), SamplingPolicy(policy.tags, pinned)
+
+
 def sc_conditional(
     ch: SymbolChannel,
     obs: np.ndarray,
@@ -340,6 +373,7 @@ def _policy_pass(
 ):
     """Shared driver for sampling and chain-probability evaluation.
 
+    obs and the policy's pinned bits are (B, N), as `_lift` returns them.
     `decide(phi, tag, pair)` returns the (B,) bit vector for index phi; pair
     is None for PINNED/UNIFORM tags (PINNED values are the caller's job).
     Advances an observation-conditioned stack and a prior-chain stack in
@@ -347,26 +381,16 @@ def _policy_pass(
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
-    n_len = policy.size
+    batch, n_len = obs.shape
     if n_len & (n_len - 1):
         raise ValueError(f"block length must be a power of two, got {n_len}")
-    batch = 1
-    for arr in (np.asarray(obs) if obs is not None else None, policy.pinned):
-        if arr is not None and arr.ndim == 2:
-            batch = max(batch, arr.shape[0])
     tags = policy.tags
-    needs_obs = bool(np.any(tags == OBSERVATION_CONDITIONAL))
-    needs_prior = bool(np.any(tags == PRIOR_CONDITIONAL))
     obs_stack = prior_stack = None
-    if needs_obs:
-        obs_b = _as_batched_obs(ch, obs, n_len, batch)
-        obs_stack = PairStack(_leaf_pairs(ch, obs_b))
-    if needs_prior:
-        prior_ch = ch.prior()
-        prior_stack = PairStack(_leaf_pairs(prior_ch, np.zeros((batch, n_len), dtype=np.intp)))
+    if np.any(tags == OBSERVATION_CONDITIONAL):
+        obs_stack = PairStack(_leaf_pairs(ch, obs))
+    if np.any(tags == PRIOR_CONDITIONAL):
+        prior_stack = PairStack(_leaf_pairs(ch.prior(), np.zeros_like(obs)))
     pinned = policy.pinned
-    if pinned is not None and pinned.ndim == 1:
-        pinned = np.broadcast_to(pinned, (batch, n_len))
 
     v_block = np.empty((batch, n_len), dtype=np.uint8)
     chain = np.ones(batch) if want_chain else None
@@ -413,7 +437,6 @@ def sample_sequential(
     *,
     shared_rng: np.random.Generator | None = None,
     fd_mode: str = "sample",
-    batch: int | None = None,
     anomalies: AnomalyLog | None = None,
 ) -> np.ndarray:
     """Draw v-blocks index by index under the per-index sampling rules.
@@ -429,19 +452,10 @@ def sample_sequential(
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
     """
-    n_len = policy.size
-    arrs = [a for a in (np.asarray(obs) if obs is not None else None, policy.pinned)
-            if a is not None and a.ndim == 2]
-    batched_input = bool(arrs) or batch is not None
-    b = batch or (arrs[0].shape[0] if arrs else 1)
-    for a in arrs:
-        if a.shape[0] != b:
-            raise ValueError("inconsistent batch sizes")
-    private_u = rng.random((b, n_len))
-    shared_u = (shared_rng or rng).random((b, n_len))
+    batched, obs, policy = _lift(ch, obs, policy)
+    private_u = rng.random(obs.shape)
+    shared_u = (shared_rng or rng).random(obs.shape)
     pinned = policy.pinned
-    if pinned is not None and pinned.ndim == 1:
-        pinned = np.broadcast_to(pinned, (b, n_len))
 
     def decide(phi, tag, pair):
         if tag == PINNED:
@@ -452,13 +466,8 @@ def sample_sequential(
             return (pair[:, 1] > pair[:, 0]).astype(np.uint8)
         return (private_u[:, phi] < pair[:, 1]).astype(np.uint8)
 
-    obs_in = obs
-    if obs_in is not None and np.asarray(obs_in).ndim == 1 and b > 1:
-        obs_in = np.broadcast_to(np.asarray(obs_in, dtype=np.intp), (b, n_len))
-    v_block, _ = _policy_pass(
-        ch, obs_in, policy, decide, fd_mode=fd_mode, anomalies=anomalies
-    )
-    return v_block if batched_input else v_block[0]
+    v_block, _ = _policy_pass(ch, obs, policy, decide, fd_mode=fd_mode, anomalies=anomalies)
+    return v_block if batched else v_block[0]
 
 
 def chain_probability(
@@ -477,24 +486,14 @@ def chain_probability(
     (B, N) blocks and returns a scalar or (B,) vector accordingly.
     """
     v_block = np.asarray(v_block, dtype=np.uint8)
-    batched = v_block.ndim == 2
-    v2 = np.atleast_2d(v_block)
-    b = v2.shape[0]
-    obs_in = obs
-    if obs_in is not None:
-        obs_in = np.asarray(obs_in, dtype=np.intp)
-        if obs_in.ndim == 1:
-            obs_in = np.broadcast_to(obs_in, (b, policy.size))
-    pinned = policy.pinned
-    if pinned is not None and pinned.ndim == 1:
-        pinned = np.broadcast_to(pinned, (b, policy.size))
-    policy_b = SamplingPolicy(policy.tags, pinned)
+    batched, obs, policy = _lift(ch, obs, policy, v_block)
+    v2 = np.broadcast_to(v_block, obs.shape)
 
     def decide(phi, tag, pair):
         return v2[:, phi]
 
     _, chain = _policy_pass(
-        ch, obs_in, policy_b, decide, fd_mode=fd_mode,
+        ch, obs, policy, decide, fd_mode=fd_mode,
         anomalies=anomalies, want_chain=True,
     )
     return chain if batched else float(chain[0])

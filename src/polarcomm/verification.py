@@ -133,7 +133,6 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
                      method: str) -> float:
     """|| Q_{U^1-side, sources} - P ||_1 by full enumeration (N <= 8)."""
     src, sizes, _ = _source_axes(model, n_len)
-    perm = transform_permutation(n_len)
     joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
 
     c_tx = sampled_chain_table(plan.tx_channel, _tx_tags(plan), n_len)
@@ -149,7 +148,6 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
 
     tx_var = plan.tx_obs_vars[0]
     rx_var = plan.rx_obs_vars[0] if side == "rx" else None
-    del perm  # u/v relabeling is a bijection; the L1 sum is coordinate-free
     tv = 0.0
     for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
         digits = ints_to_digits(obs_ints, n_len, int(np.prod(sizes)))

@@ -350,7 +350,7 @@ def test_criterion_10_cli_determinism(tmp_path):
     cfg.write_text(json.dumps({
         "model": "and", "p": 0.3, "q": 0.6, "n": 4,
         "partition_mode": "threshold", "delta": 0.2,
-        "trials": 25, "shared_seed": 11, "private_seed": 12,
+        "trials": 25, "shared_seed": 11,
     }))
     outputs = []
     for name in ("one", "two"):

@@ -7,7 +7,8 @@ from pathlib import Path
 
 
 import polarcomm
-from polarcomm.cli import CONFIG_SCHEMA, main
+import polarcomm.cli
+from polarcomm.cli import COMMANDS, CONFIG_SCHEMA, main
 
 # Directory holding the imported package, so the child process runs the same
 # code as the in-process tests, whatever its cwd and whether or not it is
@@ -53,7 +54,7 @@ def test_verify_and_simulate_byte_identical(tmp_path):
         tmp_path / "cfg.json",
         model="and", p=0.3, q=0.6, n=4,
         partition_mode="threshold", delta=0.2,
-        trials=20, shared_seed=5, private_seed=6,
+        trials=20, shared_seed=5,
     )
     blobs = {}
     for name in ("a", "b"):
@@ -123,6 +124,11 @@ def test_config_errors_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert not (tmp_path / "o3").exists() or not list((tmp_path / "o3").iterdir())
 
+    negative = write_config(tmp_path / "negative.json", model="and", n=8, rate_margin=-5)
+    proc = run_cli(["plan", "--config", negative, "--out", str(tmp_path / "o4")], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
+
 
 def test_anomaly_limit_exit_3(tmp_path):
     # margin 0 at N=64 leaves receiver-sampled indices that hit null prefixes
@@ -160,3 +166,22 @@ def test_seed_override(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out_c), "--seed", "100"]) == 0
     assert (out_a / "simulate.json").read_bytes() == (out_b / "simulate.json").read_bytes()
     assert (out_a / "simulate.json").read_bytes() != (out_c / "simulate.json").read_bytes()
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    read = set()
+
+    class RecordingConfig(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+    load = polarcomm.cli.load_config
+    monkeypatch.setattr(polarcomm.cli, "load_config",
+                        lambda *args: RecordingConfig(load(*args)))
+    for model in ("and", "bsc", "collocated"):
+        cfg = write_config(tmp_path / f"{model}.json", model=model, n=4, n_list=[4], trials=4)
+        for command in COMMANDS:
+            out = tmp_path / model / command
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    assert set(CONFIG_SCHEMA) - read == set()

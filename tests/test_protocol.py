@@ -120,6 +120,20 @@ def test_golden_transcript_reproduced():
     assert res.transcript.to_json() == golden
 
 
+def test_collocated_golden_transcript_reproduced():
+    """m = 2, N = 4, exact profiles, half of I sent: receivers sample the rest."""
+    c = build_collocated_chain(2, [0.3, 0.6])
+    plans = plan_protocol(c, 4, PartitionPolicy(mode="target_rate", fractions=(0.0, 0.0, 0.5)),
+                          profile_method="exact")
+    x1 = np.array([[1, 0, 1, 1], [0, 0, 1, 0], [1, 1, 0, 1]], dtype=np.uint8)
+    x2 = np.array([[0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]], dtype=np.uint8)
+    res = run_collocated(c, {"x1": x1, "x2": x2}, plans, shared_seed=2024, private_seed=7)
+    golden = (DATA / "golden_collocated_transcript.json").read_text().strip()
+    assert res.transcript.to_json() == golden
+    assert res.outputs["f"].tolist() == [[0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 1, 0]]
+    assert res.agreement.tolist() == [[False, True, False], [True, False, True]]
+
+
 def test_message_bits_count_and_framing():
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
     plans = plan_protocol(m, 8, PartitionPolicy(mode="threshold", delta=0.2))
