@@ -15,6 +15,11 @@ stream per party, derived from two user seeds via SeedSequence spawn keys:
     shared stream, round r:     spawn key (0, r) from shared_seed
     private stream of party k:  spawn key (1, k) from private_seed
 
+sample_sources draws from spawn key (2,), and Monte Carlo planning draws the
+profile of round r under conditioning k (0 unconditioned, 1 transmitter,
+2 receiver) from spawn key (3, r, k) of profile_seed. The leading domain
+digit keeps the streams apart when callers pass one seed for all of them.
+
 PCG64 streams are platform-stable, and samplers consume whole (trials, N)
 uniform blocks, so runs are reproducible bit for bit.
 
@@ -244,7 +249,7 @@ def plan_protocol(
                 prof[key] = profile_exact(ch, n_len, cond, cap=max(n_len, exhaustive_cap))
             else:
                 prof[key] = profile_monte_carlo(
-                    ch, n_len, profile_samples, profile_seed * 31 + 3 * i + k, cond
+                    ch, n_len, profile_samples, (profile_seed, 3, i, k), cond
                 )
         round_policy = policy
         if policy.mode == "target_rate" and policy.fractions is None:
@@ -397,7 +402,7 @@ def _run_rounds(
     compares the transmitter with the last receiver. `evaluators` maps each
     function to (role, observed variable or None) of the party computing it.
     """
-    blocks = [np.atleast_1d(b) for _, obs in parties for b in obs.values()]
+    blocks = [np.asarray(b) for _, obs in parties for b in obs.values()]
     n_len = plans[0].n_len if plans else blocks[0].shape[-1]
     _check_blocks(n_len, *blocks)
     batched = blocks[0].ndim == 2

@@ -31,6 +31,7 @@ from .sc import (
     PairStack,
     SymbolChannel,
     _leaf_pairs,
+    derive_rng,
 )
 from .transform import apply_transform
 
@@ -46,7 +47,7 @@ class ReliabilityProfile:
     z: np.ndarray
     method: str  # "exact" | "monte_carlo"
     samples: int | None = None
-    seed: int | None = None
+    seed: int | tuple | None = None  # Monte Carlo: seed or (seed, *spawn key)
     stderr: np.ndarray | None = None
 
     def __post_init__(self):
@@ -76,8 +77,9 @@ class ReliabilityProfile:
     @classmethod
     def from_json(cls, text: str) -> "ReliabilityProfile":
         p = json.loads(text)
+        seed = tuple(p["seed"]) if isinstance(p["seed"], list) else p["seed"]
         return cls(p["N"], p["conditioning"], np.asarray(p["z"]), p["method"],
-                   p["samples"], p["seed"],
+                   p["samples"], seed,
                    None if p["stderr"] is None else np.asarray(p["stderr"]))
 
 
@@ -212,7 +214,7 @@ def profile_monte_carlo(
     ch: SymbolChannel,
     n_len: int,
     samples: int,
-    seed: int,
+    seed: int | tuple,
     conditioning: str = "none",
     chunk: int = 512,
 ) -> ReliabilityProfile:
@@ -221,13 +223,14 @@ def profile_monte_carlo(
     Draws (u-block, obs block) i.i.d. from the model, pins the SC walk to the
     realized v = u G_N, and averages 2 sqrt(p0 p1) of the exact conditional
     pair at every index. All sample cells are drawn up front from one stream,
+    derive_rng(*seed) for a tuple (seed, *spawn key), else derive_rng(seed),
     so the result depends only on (seed, samples), never on the SC chunking.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
     cum = np.cumsum(ch.table.reshape(-1))
     cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
     u_bits = (cells // ch.obs_size).astype(np.uint8)

@@ -134,6 +134,28 @@ def test_collocated_golden_transcript_reproduced():
     assert res.agreement.tolist() == [[False, True, False], [True, False, True]]
 
 
+def test_profile_and_protocol_streams_never_collide():
+    """t = 12 at profile seeds 0 and 1: every Monte Carlo profile, and every
+    protocol stream of the same seeds, draws from its own stream."""
+    from polarcomm.protocol import derive_rng
+
+    def stream(seed):
+        key = seed if isinstance(seed, tuple) else (seed,)
+        return derive_rng(*key).random(4).tobytes()
+
+    m = build_and_chain(AndModelParams(0.5, 0.5, 12))
+    streams = []
+    for seed in (0, 1):
+        plans = plan_protocol(m, 4, ALL_TRANSMIT, profile_method="monte_carlo",
+                              profile_samples=8, profile_seed=seed)
+        streams += [stream(prof.seed) for plan in plans for prof in plan.profiles.values()]
+        streams += [stream((seed, 0, r)) for r in range(1, 13)]  # shared, per round
+        streams += [stream((seed, 1, k)) for k in range(3)]  # private, per party
+        streams.append(stream((seed, 2)))  # sources
+    assert len(streams) == 2 * (36 + 16)
+    assert len(set(streams)) == len(streams)
+
+
 def test_message_bits_count_and_framing():
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
     plans = plan_protocol(m, 8, PartitionPolicy(mode="threshold", delta=0.2))
