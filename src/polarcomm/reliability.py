@@ -222,9 +222,9 @@ def profile_monte_carlo(
 
     Draws (u-block, obs block) i.i.d. from the model, pins the SC walk to the
     realized v = u G_N, and averages 2 sqrt(p0 p1) of the exact conditional
-    pair at every index. All sample cells are drawn up front from one stream,
-    derive_rng(*seed) for a tuple (seed, *spawn key), else derive_rng(seed),
-    so the result depends only on (seed, samples), never on the SC chunking.
+    pair at every index. All sample cells are drawn up front from one stream
+    (`derive_rng(*seed)` for a tuple seed (seed, *spawn key)), so the result
+    depends only on (seed, samples), never on the SC chunking.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")

@@ -148,6 +148,7 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
 
     tx_var = plan.tx_obs_vars[0]
     rx_var = plan.rx_obs_vars[0] if side == "rx" else None
+    # no u/v relabeling: it is a bijection and the L1 sum is coordinate-free
     tv = 0.0
     for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
         digits = ints_to_digits(obs_ints, n_len, int(np.prod(sizes)))
