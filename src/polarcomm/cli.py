@@ -72,14 +72,17 @@ CONFIG_SCHEMA = {
     "delta": (None, "explicit threshold override in (0, 1/2); null uses 2^(-N^beta)"),
     "fractions": (None, "explicit target fractions [f_d, f_r, i_prime]; null derives them from the model"),
     "rate_margin": (0.0, "extra transmitted bits/symbol added to each round's I' target"),
-    "profile_method": ("auto", "'auto' (exact when N <= 8), 'exact', or 'monte_carlo'"),
+    "profile_method": ("auto", "'auto' (exact profiles for each round whose channels can be "
+                               "enumerated at N, Monte Carlo for the others), 'exact', or "
+                               "'monte_carlo'"),
     "profile_samples": (2000, "Monte Carlo profile samples per conditioning"),
     "profile_seed": (0, "Monte Carlo profile seed"),
     "shared_seed": (1, "seed of the sources, the common randomness (F_r bits) and the private streams"),
     "trials": (200, "protocol trials for simulate / Monte Carlo verify"),
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
-    "verify_rounds": (1, "rounds compared by exact TV: 1 or null for the full chain"),
+    "verify_rounds": (1, "rounds compared by exact TV: 1..t (1 is the round-1 law, N <= 8; "
+                         "more compare the chain, N <= 4 and t <= 2) or null for all t"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this"),
 }
 
@@ -192,22 +195,30 @@ def cmd_plan(model, cfg, out: OutputSet) -> None:
     out.write_json("plans_summary.json", {"rates": measured_rates(plans)})
 
 
-def cmd_simulate(model, cfg, out: OutputSet) -> None:
-    n_len, trials = int(cfg["n"]), int(cfg["trials"])
-    plans = make_plans(model, cfg, n_len)
-    report = function_error_rate(
-        model, plans, n_len, trials, int(cfg["shared_seed"]), fd_policy=cfg["fd_policy"]
+def _run_trials(model, cfg, plans, n_len) -> tuple:
+    """Run the protocol trials: (ProtocolResult, {output: error rates})."""
+    errors = function_error_rate(
+        model, plans, n_len, int(cfg["trials"]), int(cfg["shared_seed"]),
+        fd_policy=cfg["fd_policy"],
     )
-    result = report.pop("result")
+    result = errors.pop("result")
+    del errors["trials"]
     _check_anomalies(cfg, result.anomalies)
+    return result, errors
+
+
+def cmd_simulate(model, cfg, out: OutputSet) -> None:
+    n_len = int(cfg["n"])
+    plans = make_plans(model, cfg, n_len)
+    result, errors = _run_trials(model, cfg, plans, n_len)
     summary = {
         "model": cfg["model"],
         "N": n_len,
-        "trials": trials,
+        "trials": int(cfg["trials"]),
         "rates": list(result.rates),
         "agreement_frequency": float(result.agreement.all(axis=0).mean()),
         "anomalies": result.anomalies,
-        "errors": {k: v for k, v in report.items() if k != "trials"},
+        "errors": errors,
         "first_trial_transcript": json.loads(_first_trial(result.transcript).to_json()),
     }
     out.write_json("simulate.json", summary)
@@ -219,13 +230,16 @@ def _first_trial(transcript: Transcript) -> Transcript:
 
 
 def cmd_verify(model, cfg, out: OutputSet) -> None:
-    n_len, trials = int(cfg["n"]), int(cfg["trials"])
+    mode, rounds = cfg["verify_mode"], cfg["verify_rounds"]
+    if mode not in ("exact", "monte_carlo"):
+        raise ConfigError(f"verify_mode must be 'exact' or 'monte_carlo', got {mode!r}")
+    rounds = None if rounds is None else int(rounds)
+    if rounds is not None and not 1 <= rounds <= model.rounds:
+        raise ConfigError(f"verify_rounds must be null or lie in 1..{model.rounds}, got {rounds}")
+    n_len = int(cfg["n"])
     plans = make_plans(model, cfg, n_len)
     rates = measured_rates(plans)
-    seed = int(cfg["shared_seed"])
-    if cfg["verify_mode"] == "exact":
-        rounds = cfg["verify_rounds"]
-        rounds = None if rounds is None else int(rounds)
+    if mode == "exact":
         tv = agree = None
         if model.network == "two-terminal" and n_len <= TV_EXACT_CAP:
             effective = len(plans) if rounds is None else rounds
@@ -248,25 +262,22 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
         payload["rate_table"] = rates
         out.write_json("verify.json", payload)
         return
-    report = function_error_rate(model, plans, n_len, trials, seed, fd_policy=cfg["fd_policy"])
-    result = report.pop("result")
-    _check_anomalies(cfg, result.anomalies)
-    agree = float(result.agreement.all(axis=0).mean())
+    result, errors = _run_trials(model, cfg, plans, n_len)
     vr = VerificationReport(
         n_len=n_len,
         mode="monte_carlo",
-        agreement_probability=agree,
+        agreement_probability=float(result.agreement.all(axis=0).mean()),
         rates=tuple(r["measured"] for r in rates),
-        block_error=max(v["block_error"] for k, v in report.items() if k != "trials"),
-        symbol_error=max(v["symbol_error"] for k, v in report.items() if k != "trials"),
-        erasure_rate=max(v["erasure"] for k, v in report.items() if k != "trials"),
-        trials=trials,
-        seed=seed,
-        confidence_radius=max(v["radius_95"] for k, v in report.items() if k != "trials"),
+        block_error=max(v["block_error"] for v in errors.values()),
+        symbol_error=max(v["symbol_error"] for v in errors.values()),
+        erasure_rate=max(v["erasure"] for v in errors.values()),
+        trials=int(cfg["trials"]),
+        seed=int(cfg["shared_seed"]),
+        confidence_radius=max(v["radius_95"] for v in errors.values()),
     )
     payload = json.loads(vr.to_json())
     payload["rate_table"] = rates
-    payload["errors"] = {k: v for k, v in report.items() if k != "trials"}
+    payload["errors"] = errors
     out.write_json("verify.json", payload)
 
 
@@ -291,28 +302,11 @@ def cmd_sweep(model, cfg, out: OutputSet) -> None:
         n_len = int(n_len)
         plans = make_plans(model, cfg, n_len)
         for entry in measured_rates(plans):
-            for metric in ("measured", "target"):
-                rows.append(
-                    {
-                        "model": cfg["model"],
-                        "N": n_len,
-                        "round": entry["round"],
-                        "metric": f"rate_{metric}",
-                        "value": repr(entry[metric]),
-                        "stderr": "",
-                    }
-                )
-            gap = abs(entry["measured"] - entry["target"])
-            rows.append(
-                {
-                    "model": cfg["model"],
-                    "N": n_len,
-                    "round": entry["round"],
-                    "metric": "rate_gap",
-                    "value": repr(gap),
-                    "stderr": "",
-                }
-            )
+            values = {"rate_measured": entry["measured"], "rate_target": entry["target"],
+                      "rate_gap": abs(entry["measured"] - entry["target"])}
+            for metric, value in values.items():
+                rows.append({"model": cfg["model"], "N": n_len, "round": entry["round"],
+                             "metric": metric, "value": repr(value), "stderr": ""})
     fields = ["model", "N", "round", "metric", "value", "stderr"]
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")

@@ -46,6 +46,11 @@ def transform_permutation(n_len: int) -> np.ndarray:
     return digits_to_ints(apply_transform(bits.astype(np.uint8)), 2)
 
 
+def enumerable(ch: SymbolChannel, n_len: int) -> bool:
+    """Whether the exact paths can enumerate every (v-block, obs block) at N."""
+    return ch.obs_size**n_len * (1 << n_len) <= MAX_ENUM
+
+
 def block_joint_chunks(ch: SymbolChannel, n_len: int, chunk: int = 4096):
     """Yield (obs_ints, Jv) chunks with Jv[c, w] = P(v-block w, obs block c).
 
@@ -54,7 +59,7 @@ def block_joint_chunks(ch: SymbolChannel, n_len: int, chunk: int = 4096):
     """
     m = ch.obs_size
     total = m**n_len
-    if total * (1 << n_len) > MAX_ENUM:
+    if not enumerable(ch, n_len):
         raise ValueError(f"enumeration too large: {total} obs blocks at N={n_len}")
     perm = transform_permutation(n_len)
     for start in range(0, total, chunk):

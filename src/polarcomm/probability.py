@@ -105,9 +105,6 @@ class JointPmf:
         table = np.transpose(table, [remaining.index(k) for k in keep])
         return JointPmf(tuple((n, self.size_of(n)) for n in names), table)
 
-    def to_pmf(self, name: str) -> Pmf:
-        return Pmf(self.marginal((name,)).mass)
-
     def to_json(self) -> str:
         payload = {
             "variables": [{"name": n, "size": s} for n, s in self.variables],
@@ -339,16 +336,16 @@ class AuxChainModel:
             return ("y",) + self.u_vars
         raise ValueError(f"unknown function {which!r}")
 
-    def decode_table(self, which: str, atol: float = 1e-14) -> np.ndarray:
+    def decode_table(self, which: str) -> np.ndarray:
         """Per-symbol lookup (args) -> unique function value, -1 on erasure.
 
-        -1 marks argument tuples with zero probability under the per-symbol
-        joint. A positive-probability tuple mapping to more than one function
-        value violates the zero-conditional-entropy invariant and raises.
+        -1 marks argument tuples with zero probability (mass <= 1e-14) under
+        the per-symbol joint. A positive-probability tuple mapping to more
+        than one function value violates the zero-conditional-entropy
+        invariant and raises.
         """
-        cache_key = (which, atol)
-        if cache_key in self._decode_tables:
-            return self._decode_tables[cache_key]
+        if which in self._decode_tables:
+            return self._decode_tables[which]
         if which not in self.functions:
             raise ValueError(f"model carries no function {which!r}")
         args = self.function_args(which)
@@ -359,7 +356,7 @@ class AuxChainModel:
         table_shape = tuple(self.joint.size_of(a) for a in args)
         out = np.full(table_shape, -1, dtype=np.int64)
         for idx in np.ndindex(*full.shape):
-            if full[idx] <= atol:
+            if full[idx] <= 1e-14:
                 continue
             z = int(f_vals[idx[:n_src]])
             key = tuple(idx[k] for k in arg_axes)
@@ -370,7 +367,7 @@ class AuxChainModel:
                     f"function {which} is not determined by {args} at {key}: "
                     f"values {out[key]} and {z} both have positive probability"
                 )
-        self._decode_tables[cache_key] = out
+        self._decode_tables[which] = out
         return out
 
     def validate_functions(self) -> None:

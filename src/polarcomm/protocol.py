@@ -35,9 +35,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .exact import enumerable
 from .probability import AuxChainModel, entropy_bits, mutual_information, validate_markov
 from .reliability import (
-    EXHAUSTIVE_CAP,
     IndexPartition,
     PartitionPolicy,
     ReliabilityProfile,
@@ -58,6 +58,7 @@ class ModelError(ValueError):
 class RoundRoles:
     """Who broadcasts round i, what each side observes, and the rate target."""
 
+    round_index: int  # 1-based
     transmitter: str  # "A" / "B", or the broadcasting source "x<j>"
     tx_source: str
     bit_var: str
@@ -89,25 +90,17 @@ def round_roles(model: AuxChainModel, i: int) -> RoundRoles:
         transmitter = tx_src
         rx_obs_vars = past
     target = mutual_information(model.joint, (tx_src,), (bit_var,), rx_obs_vars)
-    return RoundRoles(transmitter, tx_src, bit_var, (tx_src,) + past, rx_obs_vars, target)
+    return RoundRoles(i, transmitter, tx_src, bit_var, (tx_src,) + past, rx_obs_vars, target)
 
 
 @dataclass(frozen=True)
-class RoundPlan:
-    """Everything one round needs: direction, channels, partition, profiles."""
+class RoundPlan(RoundRoles):
+    """A round's roles plus its channels, partition and profiles."""
 
-    round_index: int  # 1-based
-    transmitter: str  # "A" / "B", or the broadcasting source "x<j>"
-    bit_var: str
-    tx_obs_vars: tuple
-    rx_obs_vars: tuple
-    tx_obs_sizes: tuple
-    rx_obs_sizes: tuple
     tx_channel: SymbolChannel
     rx_channel: SymbolChannel
     partition: IndexPartition
     profiles: Mapping[str, ReliabilityProfile]
-    target_rate: float  # closed-form I' density (no margin)
 
     @property
     def n_len(self) -> int:
@@ -133,16 +126,14 @@ class TerminalState:
     private_rng: np.random.Generator
     u_history: list = field(default_factory=list)
 
-    def flat_obs(self, obs_vars: Sequence[str], sizes: Sequence[int]) -> np.ndarray | None:
+    def flat_obs(self, obs_vars: Sequence[str], channel: SymbolChannel) -> np.ndarray | None:
+        """This terminal's observation of `obs_vars` in the channel's alphabet."""
         if not obs_vars:
             return None
-        values = []
-        for var in obs_vars:
-            if var.startswith("u"):
-                values.append(self.u_history[int(var[1:]) - 1])
-            else:
-                values.append(self.observations[var])
-        return SymbolChannel.flatten_obs(values, sizes)
+        return channel.flatten_obs([
+            self.u_history[int(var[1:]) - 1] if var.startswith("u") else self.observations[var]
+            for var in obs_vars
+        ])
 
 
 @dataclass(frozen=True)
@@ -208,73 +199,58 @@ def plan_protocol(
     profile_method: str = "auto",
     profile_samples: int = 4096,
     profile_seed: int = 0,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
-    markov_tol: float = 1e-9,
 ) -> list:
     """Build one RoundPlan per round from the model's per-symbol joints.
 
-    Profiles are exact when N fits under the exhaustive cap (or when forced),
-    Monte Carlo otherwise. In target_rate mode the per-round fractions come
-    from the model's closed-form entropies: |F_d| ~ 1 - H(U^i),
-    |F_r| ~ H(U^i | tx obs), |I'| ~ the round's rate target plus
-    `rate_margin` bits per symbol.
+    Under "auto" a round's profiles are exact when both of its channels can
+    be enumerated at N (`exact.enumerable`), Monte Carlo otherwise; "exact"
+    and "monte_carlo" force one method for every round. In target_rate mode
+    the per-round fractions come from the model's closed-form entropies:
+    |F_d| ~ 1 - H(U^i), |F_r| ~ H(U^i | tx obs), |I'| ~ the round's rate
+    target plus `rate_margin` bits per symbol.
     """
     if n_len <= 0 or n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
     if not rate_margin >= 0.0:
         raise ValueError(f"rate_margin must be nonnegative, got {rate_margin}")
-    report = validate_markov(model, markov_tol)
+    report = validate_markov(model)
     if not report.passed:
         raise ModelError(
-            f"model Markov chains violate tolerance {markov_tol}: "
+            f"model Markov chains violate tolerance {report.tol}: "
             f"max violation {report.max_violation:.3e}"
         )
     if profile_method not in ("auto", "exact", "monte_carlo"):
         raise ValueError(f"unknown profile_method {profile_method!r}")
-    use_exact = profile_method == "exact" or (
-        profile_method == "auto" and n_len <= exhaustive_cap
-    )
 
     plans = []
     for i in range(1, model.rounds + 1):
         roles = round_roles(model, i)
-        bit_var, tx_obs_vars, rx_obs_vars = roles.bit_var, roles.tx_obs_vars, roles.rx_obs_vars
-        tx_channel = SymbolChannel.from_joint(model.joint, bit_var, tx_obs_vars)
-        rx_channel = SymbolChannel.from_joint(model.joint, bit_var, rx_obs_vars)
+        tx_channel = SymbolChannel.from_joint(model.joint, roles.bit_var, roles.tx_obs_vars)
+        rx_channel = SymbolChannel.from_joint(model.joint, roles.bit_var, roles.rx_obs_vars)
+        use_exact = profile_method == "exact" or (
+            profile_method == "auto"
+            and enumerable(tx_channel, n_len) and enumerable(rx_channel, n_len)
+        )
         conditionings = (("uncond", "none", tx_channel.prior()), ("tx", "tx", tx_channel),
                          ("rx", "rx", rx_channel))
         prof = {}
         for k, (key, cond, ch) in enumerate(conditionings):
             if use_exact:
-                prof[key] = profile_exact(ch, n_len, cond, cap=max(n_len, exhaustive_cap))
+                prof[key] = profile_exact(ch, n_len, cond, cap=n_len)
             else:
                 prof[key] = profile_monte_carlo(
                     ch, n_len, profile_samples, (profile_seed, 3, i, k), cond
                 )
         round_policy = policy
         if policy.mode == "target_rate" and policy.fractions is None:
-            f_d = 1.0 - entropy_bits(model.joint, (bit_var,))
-            f_r = entropy_bits(model.joint, (bit_var,) + tx_obs_vars) - entropy_bits(
-                model.joint, tx_obs_vars
+            f_d = 1.0 - entropy_bits(model.joint, (roles.bit_var,))
+            f_r = entropy_bits(model.joint, (roles.bit_var,) + roles.tx_obs_vars) - entropy_bits(
+                model.joint, roles.tx_obs_vars
             )
             round_policy = with_fractions(policy, (f_d, f_r, roles.target_rate + rate_margin))
         partition = build_partition(prof["uncond"], prof["tx"], prof["rx"], round_policy)
-        plans.append(
-            RoundPlan(
-                round_index=i,
-                transmitter=roles.transmitter,
-                bit_var=bit_var,
-                tx_obs_vars=tx_obs_vars,
-                rx_obs_vars=rx_obs_vars,
-                tx_obs_sizes=tuple(model.joint.size_of(v) for v in tx_obs_vars),
-                rx_obs_sizes=tuple(model.joint.size_of(v) for v in rx_obs_vars),
-                tx_channel=tx_channel,
-                rx_channel=rx_channel,
-                partition=partition,
-                profiles=prof,
-                target_rate=roles.target_rate,
-            )
-        )
+        plans.append(RoundPlan(**vars(roles), tx_channel=tx_channel, rx_channel=rx_channel,
+                               partition=partition, profiles=prof))
     return plans
 
 
@@ -297,7 +273,7 @@ def run_round(
     part = plan.partition
     v_tx = sample_sequential(
         plan.tx_channel,
-        tx_state.flat_obs(plan.tx_obs_vars, plan.tx_obs_sizes),
+        tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel),
         SamplingPolicy(part.tags_for_transmitter()),
         tx_state.private_rng,
         shared_rng=shared_rngs[0],
@@ -316,7 +292,7 @@ def run_round(
         # with no side observation (collocated round 1) the "conditional" is the prior
         v_rx = sample_sequential(
             plan.rx_channel,
-            rx_state.flat_obs(plan.rx_obs_vars, plan.rx_obs_sizes),
+            rx_state.flat_obs(plan.rx_obs_vars, plan.rx_channel),
             rx_policy,
             rx_state.private_rng,
             shared_rng=shared_rngs[1 + k],

@@ -21,7 +21,8 @@ probabilities treat the fallback as part of the sampling law, which keeps
 every induced distribution properly normalized.
 
 Observation alphabets for multi-variable conditionings are flattened to one
-finite alphabet with the first-listed variable fastest-varying (x fastest).
+finite alphabet with the first-listed variable fastest-varying (x fastest);
+SymbolChannel owns that layout.
 """
 from __future__ import annotations
 
@@ -63,9 +64,15 @@ class SymbolChannel:
 
     table[u, o] is the joint probability of bit u and observation symbol o.
     A table with a single observation column is the prior-only chain.
+
+    The channel owns the observation layout: o flattens one symbol per
+    observed variable, the first variable fastest-varying, and obs_sizes
+    lists the variables' alphabet sizes in that order (one variable of the
+    table's width when not given).
     """
 
     table: np.ndarray
+    obs_sizes: tuple | None = None
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=np.float64)
@@ -75,7 +82,11 @@ class SymbolChannel:
             raise ValueError("channel table entries must be nonnegative")
         if abs(float(table.sum()) - 1.0) > NORM_TOL:
             raise ValueError("channel table must sum to 1")
+        sizes = (table.shape[1],) if self.obs_sizes is None else tuple(int(s) for s in self.obs_sizes)
+        if int(np.prod(sizes)) != table.shape[1]:
+            raise ValueError(f"observation sizes {sizes} do not multiply to {table.shape[1]}")
         object.__setattr__(self, "table", table)
+        object.__setattr__(self, "obs_sizes", sizes)
 
     @property
     def obs_size(self) -> int:
@@ -83,38 +94,34 @@ class SymbolChannel:
 
     def prior(self) -> "SymbolChannel":
         """Marginalize the observation away: the prior chain P(u)."""
-        return SymbolChannel(self.table.sum(axis=1, keepdims=True))
+        return SymbolChannel(self.table.sum(axis=1, keepdims=True), ())
 
     @classmethod
     def from_joint(cls, j: JointPmf, bit_var: str, obs_vars: Sequence[str] = ()) -> "SymbolChannel":
-        """Slice a per-symbol channel out of a joint PMF.
-
-        The observation alphabet is the product of `obs_vars`, flattened with
-        the first variable fastest-varying.
-        """
+        """Slice a per-symbol channel out of a joint PMF, observing `obs_vars`."""
         obs_vars = tuple(obs_vars)
         marg = j.marginal((bit_var,) + obs_vars).mass
-        if obs_vars:
-            # reverse obs axes so the first listed variable varies fastest
-            marg = marg.transpose((0,) + tuple(range(marg.ndim - 1, 0, -1)))
-            table = marg.reshape(2, -1)
-        else:
-            table = marg.reshape(2, 1)
-        return cls(table)
+        # reverse obs axes so the first listed variable varies fastest
+        marg = marg.transpose((0,) + tuple(range(marg.ndim - 1, 0, -1)))
+        return cls(marg.reshape(2, -1), tuple(j.size_of(v) for v in obs_vars))
 
-    @staticmethod
-    def flatten_obs(values: Sequence[np.ndarray], sizes: Sequence[int]) -> np.ndarray:
-        """Combine per-variable observation blocks into flat symbol indices.
-
-        values[k] ranges over [0, sizes[k]); variable 0 is fastest-varying.
-        """
-        if len(values) != len(sizes):
-            raise ValueError("values and sizes must align")
-        out = np.zeros_like(np.asarray(values[0], dtype=np.int64))
-        stride = 1
-        for vals, size in zip(values, sizes):
+    def flatten_obs(self, values: Sequence[np.ndarray]) -> np.ndarray:
+        """Flat symbols of per-variable symbol arrays (broadcast together)."""
+        if len(values) != len(self.obs_sizes):
+            raise ValueError(f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
+        out, stride = 0, 1
+        for vals, size in zip(values, self.obs_sizes):
             out = out + stride * np.asarray(vals, dtype=np.int64)
-            stride *= int(size)
+            stride *= size
+        return out
+
+    def split_obs(self, symbols: np.ndarray) -> list:
+        """Inverse of flatten_obs: one symbol array per observed variable."""
+        rem = np.asarray(symbols, dtype=np.int64)
+        out = []
+        for size in self.obs_sizes:
+            out.append(rem % size)
+            rem = rem // size
         return out
 
 
@@ -363,21 +370,26 @@ def sc_conditional(
 
 def _policy_pass(
     ch: SymbolChannel,
-    obs,
+    obs: np.ndarray,
     policy: SamplingPolicy,
-    decide,
+    fd_mode: str,
+    anomalies: AnomalyLog | None,
     *,
-    fd_mode: str = "sample",
-    anomalies: AnomalyLog | None = None,
-    want_chain: bool = False,
+    uniforms: tuple | None = None,
+    v_block: np.ndarray | None = None,
 ):
-    """Shared driver for sampling and chain-probability evaluation.
+    """The SC walk: each index's sampling law, drawn from or followed.
 
-    obs and the policy's pinned bits are (B, N), as `_lift` returns them.
-    `decide(phi, tag, pair)` returns the (B,) bit vector for index phi; pair
-    is None for PINNED/UNIFORM tags (PINNED values are the caller's job).
-    Advances an observation-conditioned stack and a prior-chain stack in
-    lockstep, but only those the policy actually consults.
+    obs, the policy's pinned bits and v_block are (B, N), as `_lift` returns
+    them. At every index the walk forms the law (q0, q1) of the policy's tag:
+    the observation stack's pair on OBSERVATION_CONDITIONAL, the prior
+    stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of
+    its more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
+    bit on PINNED. Given `uniforms` = (private, shared) (B, N) blocks it draws
+    bit = u < q1, with the shared block on UNIFORM_HALF; given `v_block` it
+    follows those bits and multiplies the chain probability by q[bit].
+    Returns (v_block, chain), chain None when drawing. The observation and
+    prior stacks advance in lockstep, each only if the policy consults it.
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
@@ -385,47 +397,44 @@ def _policy_pass(
     if n_len & (n_len - 1):
         raise ValueError(f"block length must be a power of two, got {n_len}")
     tags = policy.tags
-    obs_stack = prior_stack = None
+    stacks = {}
     if np.any(tags == OBSERVATION_CONDITIONAL):
-        obs_stack = PairStack(_leaf_pairs(ch, obs))
+        stacks[OBSERVATION_CONDITIONAL] = PairStack(_leaf_pairs(ch, obs))
     if np.any(tags == PRIOR_CONDITIONAL):
-        prior_stack = PairStack(_leaf_pairs(ch.prior(), np.zeros_like(obs)))
+        stacks[PRIOR_CONDITIONAL] = PairStack(_leaf_pairs(ch.prior(), np.zeros_like(obs)))
     pinned = policy.pinned
 
-    v_block = np.empty((batch, n_len), dtype=np.uint8)
-    chain = np.ones(batch) if want_chain else None
+    chain = None
+    if v_block is None:
+        private_u, shared_u = uniforms
+        v_block = np.empty((batch, n_len), dtype=np.uint8)
+    else:
+        chain = np.ones(batch)
     for phi in range(n_len):
-        pair_obs = pair_prior = None
-        if obs_stack is not None:
-            pair_obs, null_obs = obs_stack.pair_at(phi)
-        if prior_stack is not None:
-            pair_prior, null_prior = prior_stack.pair_at(phi)
+        pairs = {tag: stack.pair_at(phi) for tag, stack in stacks.items()}
         tag = int(tags[phi])
-        if tag == OBSERVATION_CONDITIONAL:
-            pair = pair_obs
+        if tag in pairs:
+            pair, null = pairs[tag]
             if anomalies is not None:
-                anomalies.add(null_obs.sum())
-        elif tag == PRIOR_CONDITIONAL:
-            pair = pair_prior
-            if anomalies is not None:
-                anomalies.add(null_prior.sum())
+                anomalies.add(null.sum())
+            q0, q1 = pair[:, 0], pair[:, 1]
+            if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
+                q1 = (q1 > q0).astype(np.float64)
+                q0 = 1.0 - q1
+        elif tag == UNIFORM_HALF:
+            q0 = q1 = 0.5
         else:
-            pair = None
-        bits = decide(phi, tag, pair)
-        v_block[:, phi] = bits
-        if chain is not None:
-            if tag == UNIFORM_HALF:
-                chain *= 0.5
-            elif tag == PINNED:
-                chain *= (bits == pinned[:, phi]).astype(np.float64)
-            elif fd_mode == "argmax" and tag == PRIOR_CONDITIONAL:
-                chain *= (bits == (pair[:, 1] > pair[:, 0])).astype(np.float64)
-            else:
-                chain *= np.take_along_axis(pair, bits[:, None].astype(np.intp), axis=1)[:, 0]
-        if obs_stack is not None:
-            obs_stack.push(phi, bits)
-        if prior_stack is not None:
-            prior_stack.push(phi, bits)
+            q1 = pinned[:, phi]
+            q0 = 1 - q1
+        if chain is None:
+            u = shared_u if tag == UNIFORM_HALF else private_u
+            bits = (u[:, phi] < q1).astype(np.uint8)
+            v_block[:, phi] = bits
+        else:
+            bits = v_block[:, phi]
+            chain *= np.where(bits == 1, q1, q0)
+        for stack in stacks.values():
+            stack.push(phi, bits)
     return v_block, chain
 
 
@@ -455,18 +464,7 @@ def sample_sequential(
     batched, obs, policy = _lift(ch, obs, policy)
     private_u = rng.random(obs.shape)
     shared_u = (shared_rng or rng).random(obs.shape)
-    pinned = policy.pinned
-
-    def decide(phi, tag, pair):
-        if tag == PINNED:
-            return pinned[:, phi]
-        if tag == UNIFORM_HALF:
-            return (shared_u[:, phi] < 0.5).astype(np.uint8)
-        if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
-            return (pair[:, 1] > pair[:, 0]).astype(np.uint8)
-        return (private_u[:, phi] < pair[:, 1]).astype(np.uint8)
-
-    v_block, _ = _policy_pass(ch, obs, policy, decide, fd_mode=fd_mode, anomalies=anomalies)
+    v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
     return v_block if batched else v_block[0]
 
 
@@ -483,17 +481,13 @@ def chain_probability(
 
     prod_i q_i(v^i | v^{1:i-1}, obs) with the policy's branch at each index;
     PINNED indices contribute 1 on a match and 0 otherwise. Accepts (N,) or
-    (B, N) blocks and returns a scalar or (B,) vector accordingly.
+    (B, N) binary blocks and returns a scalar or (B,) vector accordingly.
     """
-    v_block = np.asarray(v_block, dtype=np.uint8)
+    v_block = np.asarray(v_block)
+    if np.any((v_block != 0) & (v_block != 1)):
+        raise ValueError("v_block must hold bits 0 and 1 only")
+    v_block = v_block.astype(np.uint8)
     batched, obs, policy = _lift(ch, obs, policy, v_block)
-    v2 = np.broadcast_to(v_block, obs.shape)
-
-    def decide(phi, tag, pair):
-        return v2[:, phi]
-
-    _, chain = _policy_pass(
-        ch, obs, policy, decide, fd_mode=fd_mode,
-        anomalies=anomalies, want_chain=True,
-    )
+    _, chain = _policy_pass(ch, obs, policy, fd_mode, anomalies,
+                            v_block=np.broadcast_to(v_block, obs.shape))
     return chain if batched else float(chain[0])

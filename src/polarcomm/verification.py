@@ -86,17 +86,6 @@ class VerificationReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _combine_obs_ints(var_ints: Sequence[np.ndarray], sizes: Sequence[int], n_len: int) -> np.ndarray:
-    """Block-int of the flattened observation, first variable fastest."""
-    arrays = np.broadcast_arrays(*var_ints)
-    digits = np.zeros(arrays[0].shape + (n_len,), dtype=np.int64)
-    stride = 1
-    for arr, size in zip(arrays, sizes):
-        digits += stride * ints_to_digits(arr, n_len, int(size))
-        stride *= int(size)
-    return digits_to_ints(digits, stride)
-
-
 def _pin_patterns(n_len: int, pins: np.ndarray) -> np.ndarray:
     """pat[v] = the bits of block v at the pinned indices, as an integer."""
     if pins.size == 0:
@@ -132,7 +121,7 @@ def _source_axes(model: AuxChainModel, n_len: int):
 def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: str,
                      method: str) -> float:
     """|| Q_{U^1-side, sources} - P ||_1 by full enumeration (N <= 8)."""
-    src, sizes, _ = _source_axes(model, n_len)
+    src = model.source_vars
     joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
 
     c_tx = sampled_chain_table(plan.tx_channel, _tx_tags(plan), n_len)
@@ -151,12 +140,9 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
     # no u/v relabeling: it is a bijection and the L1 sum is coordinate-free
     tv = 0.0
     for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
-        digits = ints_to_digits(obs_ints, n_len, int(np.prod(sizes)))
-        per_var = {}
-        rem = digits
-        for var, size in zip(src, sizes):  # first source fastest in the flat alphabet
-            per_var[var] = digits_to_ints(rem % size, int(size))
-            rem = rem // size
+        digits = joint_ch.split_obs(ints_to_digits(obs_ints, n_len, joint_ch.obs_size))
+        per_var = {var: digits_to_ints(d, size)
+                   for var, d, size in zip(src, digits, joint_ch.obs_sizes)}
         p_obs = p_joint.sum(axis=1)
         if side == "tx":
             q_cond = c_tx[per_var[tx_var]]
@@ -172,20 +158,26 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
     return float(tv)
 
 
-def _round_gather(model, plan, n_len, side_tags, source_ints, hist_ints, obs_vars, sizes,
-                  channel):
-    """C[obs(source, history), v] gathered over grid axes of block ints."""
-    table = sampled_chain_table(channel, side_tags, n_len)
+def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
+    """C[obs(source, history), v] of one side, over grid axes of block ints.
+
+    source_ints holds the side's own source block and hist_ints the u-blocks
+    of the past rounds, each as block integers broadcast over the grid.
+    """
+    n_len = plan.n_len
+    if side == "tx":
+        tags, obs_vars, channel = _tx_tags(plan), plan.tx_obs_vars, plan.tx_channel
+    else:
+        tags, obs_vars, channel = _rx_sampled_tags(plan), plan.rx_obs_vars, plan.rx_channel
+    table = sampled_chain_table(channel, tags, n_len)
     if not obs_vars:
         return np.broadcast_to(table[0], source_ints.shape + (table.shape[1],))
-    var_arrays = []
-    for var in obs_vars:
-        if var.startswith("u"):
-            var_arrays.append(hist_ints[int(var[1:]) - 1])
-        else:
-            var_arrays.append(source_ints)
-    obs = _combine_obs_ints(var_arrays, sizes, n_len)
-    return table[obs]
+    digits = channel.flatten_obs([
+        ints_to_digits(hist_ints[int(var[1:]) - 1] if var.startswith("u") else source_ints,
+                       n_len, size)
+        for var, size in zip(obs_vars, channel.obs_sizes)
+    ])
+    return table[digits_to_ints(digits, channel.obs_size)]
 
 
 def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
@@ -212,10 +204,8 @@ def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
     p_ideal = split_block_joint(per_sym, sizes + (2,) * t, n_len)
 
     def round_pieces(plan, tx_src_ints, rx_src_ints, tx_hist, rx_hist):
-        g_tx = _round_gather(model, plan, n_len, _tx_tags(plan), tx_src_ints, tx_hist,
-                             plan.tx_obs_vars, plan.tx_obs_sizes, plan.tx_channel)
-        g_rx = _round_gather(model, plan, n_len, _rx_sampled_tags(plan), rx_src_ints, rx_hist,
-                             plan.rx_obs_vars, plan.rx_obs_sizes, plan.rx_channel)
+        g_tx = _round_gather(plan, "tx", tx_src_ints, tx_hist)
+        g_rx = _round_gather(plan, "rx", rx_src_ints, rx_hist)
         pat = _pin_patterns(n_len, _rx_pins(plan))
         match = (pat[:, None] == pat[None, :]).astype(np.float64)
         # reindex the block axes from v-ints to u-ints
@@ -270,8 +260,9 @@ def exact_q_tv(
 ) -> float:
     """Exact || Q - P ||_1 between the protocol-induced law and the ideal.
 
-    rounds=1 compares the round-1 law (cap N <= 8); rounds=None or t compares
-    the full chain (cap N <= 4, t <= 2). side="tx" takes the transmitting
+    rounds=1 compares the round-1 law (cap N <= 8); rounds=r in 2..t compares
+    the chain of the first r rounds and rounds=None all t of them (cap
+    N <= 4, r <= 2); other values raise. side="tx" takes the transmitting
     terminal's blocks, side="rx" the receiving terminal's (for the full chain:
     terminal A vs terminal B histories). `method` picks between the direct
     enumeration and the observation-conditioned form; both must agree.
@@ -280,9 +271,11 @@ def exact_q_tv(
         raise ValueError("side must be 'tx' or 'rx'")
     if method not in ("direct", "conditional"):
         raise ValueError("method must be 'direct' or 'conditional'")
+    r = len(plans) if rounds is None else rounds
+    if not 1 <= r <= len(plans):
+        raise ValueError(f"rounds must lie in 1..{len(plans)}, got {rounds}")
     if plans[0].n_len != n_len:
         raise ValueError("plans were built for a different blocklength")
-    r = len(plans) if rounds is None else rounds
     if r == 1:
         if n_len > TV_EXACT_CAP:
             raise ValueError(f"exact TV caps at N <= {TV_EXACT_CAP}")
@@ -335,10 +328,8 @@ def agreement_probability(
             y_ints = grid_y.reshape((1, -1) + (1,) * (lead - 2))
             tx_src_ints = x_ints if tx_is_a else y_ints
             rx_src_ints = y_ints if tx_is_a else x_ints
-            g_tx = _round_gather(model, plan, n_len, _tx_tags(plan), tx_src_ints, hist,
-                                 plan.tx_obs_vars, plan.tx_obs_sizes, plan.tx_channel)
-            g_rx = _round_gather(model, plan, n_len, _rx_sampled_tags(plan), rx_src_ints, hist,
-                                 plan.rx_obs_vars, plan.rx_obs_sizes, plan.rx_channel)
+            g_tx = _round_gather(plan, "tx", tx_src_ints, hist)
+            g_rx = _round_gather(plan, "rx", rx_src_ints, hist)
             both = (g_tx * g_rx)[..., perm]  # common block, u-indexed
             w = w[..., None] * np.broadcast_to(both, w.shape + (both.shape[-1],))
             hist.append(np.arange(1 << n_len).reshape((1,) * lead + (-1,)))

@@ -129,6 +129,13 @@ def test_config_errors_exit_2(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
 
+    for k, bad_verify in enumerate(({"verify_mode": "exactt"}, {"verify_rounds": 0},
+                                    {"verify_rounds": 5})):
+        cfg = write_config(tmp_path / f"verify{k}.json", model="and", t=2, n=4, **bad_verify)
+        proc = run_cli(["verify", "--config", cfg, "--out", str(tmp_path / f"v{k}")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
+
 
 def test_anomaly_limit_exit_3(tmp_path):
     # margin 0 at N=64 leaves receiver-sampled indices that hit null prefixes

@@ -281,3 +281,15 @@ def test_batched_and_unbatched_agree():
     single = run_two_terminal(m, x, y, plans, shared_seed=4, private_seed=5)
     assert single.outputs["f_A"].shape == (4,)
     assert np.array_equal(single.outputs["f_A"], x & y)
+
+
+def test_auto_profiles_are_exact_only_where_enumerable():
+    """At N = 8 rounds 1-2 observe at most 4 symbols and get exact profiles;
+    round 3 observes 8 symbols, too many to enumerate, and gets Monte Carlo."""
+    for model in (build_and_chain(AndModelParams(0.5, 0.5, 4)),
+                  build_collocated_chain(3, [0.5, 0.5, 0.5])):
+        plans = plan_protocol(model, 8, PartitionPolicy(mode="threshold", delta=0.2),
+                              profile_samples=64)
+        methods = [{p.method for p in plan.profiles.values()} for plan in plans]
+        assert methods[:2] == [{"exact"}, {"exact"}]
+        assert all(m == {"monte_carlo"} for m in methods[2:])

@@ -5,6 +5,8 @@ helpers: it builds the block joint with an explicit Kronecker-product
 transform matrix and plain loops over integer-encoded blocks.
 """
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,8 @@ from polarcomm.sc import (
     sc_conditional,
 )
 from polarcomm.transform import bit_reversal_perm
+
+DATA = Path(__file__).parent / "data"
 
 
 def naive_matrix(n):
@@ -248,3 +252,43 @@ def test_policy_validation():
         SamplingPolicy(np.array([PINNED], dtype=np.uint8))  # pins missing
     with pytest.raises(ValueError):
         SamplingPolicy.from_sets(2, uniform=[0], prior=[0], observation=[1])
+
+
+def test_walk_golden_values():
+    """sample_sequential and chain_probability on a policy with all four tags
+    and pins that contradict the slice, under both F_d modes, batched and
+    (N,): blocks, chain probabilities and anomaly counts as recorded."""
+    golden = json.loads((DATA / "golden_sc_walk.json").read_text())
+    ch = and_round2_channel(0.4, 0.7)
+    tags = np.array(golden["tags"], dtype=np.uint8)
+    assert set(tags.tolist()) == {UNIFORM_HALF, PRIOR_CONDITIONAL, OBSERVATION_CONDITIONAL, PINNED}
+    obs = np.array(golden["obs"])
+    pinned = np.array(golden["pinned"], dtype=np.uint8)
+    blocks = np.array(golden["blocks"], dtype=np.uint8)
+    private_seed, shared_seed = golden["seeds"]
+    for fd in ("sample", "argmax"):
+        for shape, sl in (("batched", slice(None)), ("single", 0)):
+            want = golden[f"{fd}/{shape}"]
+            policy = SamplingPolicy(tags, pinned[sl])
+            log = AnomalyLog()
+            v = sample_sequential(ch, obs[sl], policy, np.random.default_rng(private_seed),
+                                  shared_rng=np.random.default_rng(shared_seed),
+                                  fd_mode=fd, anomalies=log)
+            assert v.tolist() == want["v"]
+            assert log.count == want["anomalies_sample"]
+            chain = chain_probability(ch, obs[sl], policy, v, fd_mode=fd, anomalies=log)
+            assert log.count == want["anomalies_sample"] + want["anomalies_chain"]
+            other = chain_probability(ch, obs[sl], policy, blocks[sl], fd_mode=fd)
+            np.testing.assert_allclose(chain, want["chain"], rtol=1e-12, atol=0)
+            np.testing.assert_allclose(other, want["chain_of_blocks"], rtol=1e-12, atol=0)
+
+
+def test_chain_probability_rejects_non_binary_blocks():
+    ch = and_round1_channel()
+    policy = SamplingPolicy.observation_only(4)
+    obs = np.array([0, 1, 1, 0])
+    with pytest.raises(ValueError):
+        chain_probability(ch, obs, policy, np.array([0, 2, 1, 0]))
+    with pytest.raises(ValueError):
+        chain_probability(ch, np.broadcast_to(obs, (2, 4)), policy,
+                          np.array([[0, 1, 1, 0], [1, 0, 0, 2]]))

@@ -7,12 +7,18 @@ from polarcomm.exact import (
     sampled_chain_table,
     transform_permutation,
 )
-from polarcomm.models import AndModelParams, build_and_chain, build_collocated_chain
+from polarcomm.models import (
+    AndModelParams,
+    build_and_chain,
+    build_bsc_chain,
+    build_collocated_chain,
+)
 from polarcomm.probability import AuxChainModel, JointPmf
 from polarcomm.protocol import plan_protocol
 from polarcomm.reliability import PartitionPolicy
 from polarcomm.sc import SamplingPolicy, SymbolChannel, chain_probability
 from polarcomm.verification import (
+    _exact_tv_full,
     agreement_probability,
     exact_q_tv,
     function_error_rate,
@@ -99,9 +105,21 @@ def test_tv_full_chain_caps_and_values():
 
 
 def test_round1_tv_equals_full_chain_for_t1():
-    model = uniform_independent_model(0.6)
-    plans = plan_protocol(model, 2, PartitionPolicy(mode="threshold", delta=0.2))
-    assert exact_q_tv(model, plans, 2, "tx") == exact_q_tv(model, plans, 2, "tx", rounds=1)
+    """At t = 1 the full-chain enumeration and the round-1 route agree."""
+    for model, n_len in ((uniform_independent_model(0.6), 2), (build_bsc_chain(0.11, 0.2), 4)):
+        plans = plan_protocol(model, n_len, PartitionPolicy(mode="threshold", delta=0.2))
+        for side in ("tx", "rx"):
+            full = _exact_tv_full(model, plans, n_len, side)
+            assert full > 0.1
+            assert abs(full - exact_q_tv(model, plans, n_len, side, rounds=1)) <= 1e-15
+
+
+def test_exact_tv_rejects_rounds_out_of_range():
+    m = build_and_chain(AndModelParams(0.3, 0.6, 2))
+    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
+    for rounds in (0, 3, -1):
+        with pytest.raises(ValueError):
+            exact_q_tv(m, plans, 4, "tx", rounds=rounds)
 
 
 def test_agreement_all_transmit_is_one():

@@ -1,0 +1,184 @@
+"""Print one sha256 per output case of polarcomm, and their total.
+
+    python tools/output_digest.py [SRC]
+
+SRC is the directory holding the `polarcomm` package to import (default: the
+`src` directory next to this script). Run it on two trees: equal totals mean
+byte-identical outputs on every case, and the per-case lines show which case
+moved. The cases are
+
+  * protocol/...  ProtocolResults (transcript, outputs, erasures, u-blocks,
+                  agreement, anomaly count) of both networks: t = 1 (BSC),
+                  t = 2, 4 (AND), m = 2, 3 (collocated); exact and Monte
+                  Carlo plans under both partition modes; `sample` and
+                  `argmax` F_d decisions; batched and (N,) source blocks;
+  * walk/...      the SC walk on every round's transmitter and receiver
+                  policy: `sample_sequential` blocks, their
+                  `chain_probability`, and the anomaly counts, under both F_d
+                  modes, batched and (N,);
+  * cli/...       every file and the exit code of all six commands on six
+                  configs.
+
+Every case runs at N <= 32 and the whole script takes well under a minute.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+
+def _digest(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part)
+            part = repr((part.dtype.str, part.shape)).encode() + part.tobytes()
+        elif not isinstance(part, bytes):
+            part = repr(part).encode()
+        h.update(len(part).to_bytes(8, "little") + part)
+    return h.hexdigest()
+
+
+def _models(pc):
+    return {
+        "bsc-t1": pc.build_bsc_chain(0.11, 0.2),
+        "and-t2": pc.build_and_chain(pc.AndModelParams(0.3, 0.6, 2)),
+        "and-t4": pc.build_and_chain(pc.AndModelParams(0.4, 0.5, 4)),
+        "col-m2": pc.build_collocated_chain(2, [0.3, 0.6]),
+        "col-m3": pc.build_collocated_chain(3, [0.5, 0.4, 0.7]),
+    }
+
+
+def _plan_sets(pc, model):
+    """(label, n_len, plans): exact plans at N = 4 (and 8 up to two rounds),
+    Monte Carlo plans at N = 32, under both partition modes."""
+    threshold = pc.PartitionPolicy(mode="threshold", delta=0.2)
+    target = pc.PartitionPolicy(mode="target_rate")
+    out = [("exact-n4-threshold", 4, pc.plan_protocol(model, 4, threshold, profile_method="exact")),
+           ("exact-n4-target", 4, pc.plan_protocol(model, 4, target, rate_margin=0.1,
+                                                   profile_method="exact"))]
+    if model.rounds <= 2:
+        out.append(("exact-n8-threshold", 8,
+                    pc.plan_protocol(model, 8, threshold, profile_method="exact")))
+    out.append(("mc-n32-target", 32, pc.plan_protocol(
+        model, 32, target, rate_margin=0.1, profile_method="monte_carlo",
+        profile_samples=64, profile_seed=5)))
+    return out
+
+
+def protocol_cases(pc, model_name, model, label, n_len, plans):
+    sources = pc.sample_sources(model, n_len, 6, 11)
+    for fd in ("sample", "argmax"):
+        for shape in ("batched", "single"):
+            blocks = {k: (v if shape == "batched" else v[0]) for k, v in sources.items()}
+            if model.network == "two-terminal":
+                res = pc.run_two_terminal(model, blocks["x"], blocks["y"], plans,
+                                          shared_seed=3, private_seed=4, fd_policy=fd)
+            else:
+                res = pc.run_collocated(model, blocks, plans, shared_seed=3, private_seed=4,
+                                        fd_policy=fd)
+            parts = [res.network, res.transcript.to_json(), res.agreement, res.anomalies]
+            for key in sorted(res.outputs):
+                parts += [key, res.outputs[key], res.erasures[key]]
+            for role in sorted(res.u_blocks):
+                parts += [role, *res.u_blocks[role]]
+            yield f"protocol/{model_name}/{label}/{fd}/{shape}", _digest(*parts)
+
+
+def walk_cases(pc, model_name, label, n_len, plans):
+    rng = np.random.default_rng(21)
+    for plan in plans:
+        part = plan.partition
+        pinned = rng.integers(0, 2, (5, n_len)).astype(np.uint8)
+        sides = (("tx", plan.tx_channel, pc.SamplingPolicy(part.tags_for_transmitter())),
+                 ("rx", plan.rx_channel, pc.SamplingPolicy(part.tags_for_receiver(), pinned)))
+        for side, ch, policy in sides:
+            obs = rng.integers(0, ch.obs_size, (5, n_len))
+            for fd in ("sample", "argmax"):
+                for shape in ("batched", "single"):
+                    pol, ob = policy, obs
+                    if shape == "single":
+                        ob = obs[0]
+                        if policy.pinned is not None:
+                            pol = pc.SamplingPolicy(policy.tags, policy.pinned[0])
+                    log = pc.AnomalyLog()
+                    v = pc.sample_sequential(ch, ob, pol, np.random.default_rng(7),
+                                             shared_rng=np.random.default_rng(8),
+                                             fd_mode=fd, anomalies=log)
+                    chain = pc.chain_probability(ch, ob, pol, v, fd_mode=fd, anomalies=log)
+                    name = f"walk/{model_name}/{label}/round{plan.round_index}/{side}/{fd}/{shape}"
+                    yield name, _digest(v, np.asarray(chain), log.count)
+
+
+CLI_CONFIGS = {
+    "and-t2-n8": {"model": "and", "p": 0.3, "q": 0.6, "n": 8, "partition_mode": "threshold",
+                  "delta": 0.2, "trials": 20, "n_list": [4, 8]},
+    "and-t4-n4": {"model": "and", "p": 0.4, "q": 0.5, "t": 4, "n": 4, "trials": 20,
+                  "rate_margin": 0.1, "verify_rounds": 2, "n_list": [4]},
+    "bsc-n8": {"model": "bsc", "n": 8, "partition_mode": "threshold", "trials": 20,
+               "fd_policy": "argmax", "n_list": [4, 8]},
+    "col-m2-n8": {"model": "collocated", "m": 2, "source_probs": [0.3, 0.6], "n": 8,
+                  "trials": 20, "rate_margin": 0.1, "n_list": [8]},
+    "col-m3-n4": {"model": "collocated", "m": 3, "source_probs": [0.5, 0.4, 0.7], "n": 4,
+                  "trials": 20, "n_list": [4]},
+    "and-mc-n16": {"model": "and", "n": 16, "profile_method": "monte_carlo",
+                   "profile_samples": 64, "verify_mode": "monte_carlo", "trials": 20,
+                   "rate_margin": 0.1, "n_list": [16, 32]},
+}
+
+
+def cli_cases(pc_cli):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, cfg in CLI_CONFIGS.items():
+            cfg_path = tmp / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            for command in pc_cli.COMMANDS:
+                out = tmp / name / command
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code = pc_cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+                files = sorted(out.iterdir()) if out.exists() else []
+                parts = [code, err.getvalue()]
+                for path in files:
+                    parts += [path.name, path.read_bytes()]
+                yield f"cli/{name}/{command}", _digest(*parts)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src"
+    sys.path.insert(0, str(src.resolve()))
+    import polarcomm as pc
+    import polarcomm.cli as pc_cli
+
+    total = hashlib.sha256()
+    count = 0
+
+    def emit(name, digest):
+        nonlocal count
+        print(f"{digest}  {name}")
+        total.update(f"{name} {digest}\n".encode())
+        count += 1
+
+    for model_name, model in _models(pc).items():
+        for label, n_len, plans in _plan_sets(pc, model):
+            for case in protocol_cases(pc, model_name, model, label, n_len, plans):
+                emit(*case)
+            for case in walk_cases(pc, model_name, label, n_len, plans):
+                emit(*case)
+    for case in cli_cases(pc_cli):
+        emit(*case)
+    print(f"{total.hexdigest()}  TOTAL ({count} cases)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
