@@ -332,6 +332,8 @@ def agreement_probability(
             g_rx = _round_gather(plan, "rx", rx_src_ints, hist)
             both = (g_tx * g_rx)[..., perm]  # common block, u-indexed
             w = w[..., None] * np.broadcast_to(both, w.shape + (both.shape[-1],))
+            # past u-blocks keep their axes as the grid grows a trailing one
+            hist = [h[..., None] for h in hist]
             hist.append(np.arange(1 << n_len).reshape((1,) * lead + (-1,)))
         return float(min(max(w.sum(), 0.0), 1.0))
     if mode != "monte_carlo":

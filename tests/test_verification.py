@@ -140,6 +140,18 @@ def test_agreement_single_fd_index_two_draw_formula():
     assert abs(got - (1 - 2 * p_u * (1 - p_u))) < 1e-12
 
 
+def test_agreement_exact_vs_monte_carlo_four_rounds():
+    """Past u-blocks index their own axes of the exact agreement grid: at
+    t = 4 the exact value sits within 4.5 sigma of a Monte Carlo estimate."""
+    m = build_and_chain(AndModelParams(0.4, 0.5, 4))
+    plans = plan_protocol(m, 2, PartitionPolicy(mode="threshold", delta=0.3),
+                          profile_method="exact")
+    exact = agreement_probability(m, plans, 2, "exact")
+    trials = 100_000
+    mc = agreement_probability(m, plans, 2, "monte_carlo", trials=trials, seed=17)
+    assert abs(exact - mc) <= 4.5 * np.sqrt(exact * (1 - exact) / trials)
+
+
 def test_agreement_exact_vs_monte_carlo():
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
