@@ -385,9 +385,11 @@ def _policy_pass(
     the observation stack's pair on OBSERVATION_CONDITIONAL, the prior
     stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of
     its more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
-    bit on PINNED. Given `uniforms` = (private, shared) (B, N) blocks it draws
-    bit = u < q1, with the shared block on UNIFORM_HALF; given `v_block` it
-    follows those bits and multiplies the chain probability by q[bit].
+    bit on PINNED. An indicator law is held as its bit. Given `uniforms` =
+    (private, shared) (B, N) blocks the walk draws bit = u < q1, with the
+    shared block on UNIFORM_HALF, and copies the bit of an indicator law;
+    given `v_block` it follows those bits and multiplies the chain
+    probability by q[bit] (1 or 0 for an indicator law).
     Returns (v_block, chain), chain None when drawing. The observation and
     prior stacks advance in lockstep, each only if the policy consults it.
     """
@@ -413,26 +415,26 @@ def _policy_pass(
     for phi in range(n_len):
         pairs = {tag: stack.pair_at(phi) for tag, stack in stacks.items()}
         tag = int(tags[phi])
+        point = None  # the bit of an indicator law
         if tag in pairs:
             pair, null = pairs[tag]
             if anomalies is not None:
                 anomalies.add(null.sum())
             q0, q1 = pair[:, 0], pair[:, 1]
             if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
-                q1 = (q1 > q0).astype(np.float64)
-                q0 = 1.0 - q1
+                point = (q1 > q0).astype(np.uint8)
         elif tag == UNIFORM_HALF:
             q0 = q1 = 0.5
         else:
-            q1 = pinned[:, phi]
-            q0 = 1 - q1
+            point = pinned[:, phi]
         if chain is None:
-            u = shared_u if tag == UNIFORM_HALF else private_u
-            bits = (u[:, phi] < q1).astype(np.uint8)
-            v_block[:, phi] = bits
+            if point is None:
+                u = shared_u if tag == UNIFORM_HALF else private_u
+                point = (u[:, phi] < q1).astype(np.uint8)
+            bits = v_block[:, phi] = point
         else:
             bits = v_block[:, phi]
-            chain *= np.where(bits == 1, q1, q0)
+            chain *= np.where(bits == 1, q1, q0) if point is None else bits == point
         for stack in stacks.values():
             stack.push(phi, bits)
     return v_block, chain
