@@ -81,8 +81,9 @@ CONFIG_SCHEMA = {
     "trials": (200, "protocol trials for simulate / Monte Carlo verify"),
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
-    "verify_rounds": (1, "rounds compared by exact TV: 1..t (1 is the round-1 law, N <= 8; "
-                         "more compare the chain, N <= 4 and t <= 2) or null for all t"),
+    "verify_rounds": (1, "rounds compared by exact TV, in 1..t: 1 compares the round-1 law "
+                         "(N <= 8), 2 the two-round chain (N <= 4); null compares all t "
+                         "rounds (t <= 2)"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this"),
 }
 

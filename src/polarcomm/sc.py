@@ -428,13 +428,14 @@ def _policy_pass(
         else:
             point = pinned[:, phi]
         if chain is None:
-            if point is None:
+            bits = point
+            if bits is None:
                 u = shared_u if tag == UNIFORM_HALF else private_u
-                point = (u[:, phi] < q1).astype(np.uint8)
-            bits = v_block[:, phi] = point
+                bits = (u[:, phi] < q1).astype(np.uint8)
+            v_block[:, phi] = bits
         else:
             bits = v_block[:, phi]
-            chain *= np.where(bits == 1, q1, q0) if point is None else bits == point
+            chain *= np.where(bits == 1, q1, q0) if point is None else (bits == point)
         for stack in stacks.values():
             stack.push(phi, bits)
     return v_block, chain
