@@ -82,7 +82,8 @@ class SymbolChannel:
             raise ValueError("channel table entries must be nonnegative")
         if abs(float(table.sum()) - 1.0) > NORM_TOL:
             raise ValueError("channel table must sum to 1")
-        sizes = (table.shape[1],) if self.obs_sizes is None else tuple(int(s) for s in self.obs_sizes)
+        sizes = self.obs_sizes
+        sizes = (table.shape[1],) if sizes is None else tuple(int(s) for s in sizes)
         if int(np.prod(sizes)) != table.shape[1]:
             raise ValueError(f"observation sizes {sizes} do not multiply to {table.shape[1]}")
         object.__setattr__(self, "table", table)
@@ -108,7 +109,8 @@ class SymbolChannel:
     def flatten_obs(self, values: Sequence[np.ndarray]) -> np.ndarray:
         """Flat symbols of per-variable symbol arrays (broadcast together)."""
         if len(values) != len(self.obs_sizes):
-            raise ValueError(f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
+            raise ValueError(
+                f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
         out, stride = 0, 1
         for vals, size in zip(values, self.obs_sizes):
             out = out + stride * np.asarray(vals, dtype=np.int64)
