@@ -16,6 +16,11 @@ moved. The cases are
                   policy: `sample_sequential` blocks, their
                   `chain_probability`, and the anomaly counts, under both F_d
                   modes, batched and (N,);
+  * oracle/...    the exact oracle on the BSC t = 1 and AND t = 2, 4 exact
+                  plans: every profile's z bytes, `exact_q_tv` on both sides
+                  at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
+                  (N = 4), and exact agreement (N = 4); a call outside the
+                  oracle's domain digests as its exception type;
   * cli/...       every file and the exit code of all six commands on six
                   configs.
 
@@ -117,6 +122,32 @@ def walk_cases(pc, model_name, label, n_len, plans):
                     yield name, _digest(v, np.asarray(chain), log.count)
 
 
+ORACLE_MODELS = ("bsc-t1", "and-t2", "and-t4")
+
+
+def _oracle_value(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        return type(exc).__name__
+
+
+def oracle_cases(pc, model_name, model, label, n_len, plans):
+    v = pc.verification
+    name = f"oracle/{model_name}/{label}"
+    for plan in plans:
+        for cond in sorted(plan.profiles):
+            yield f"{name}/round{plan.round_index}/profile-{cond}", _digest(
+                plan.profiles[cond].z)
+    for rounds in (1, 2, None) if n_len <= 4 else (1,):
+        for side in ("tx", "rx"):
+            tv = _oracle_value(v.exact_q_tv, model, plans, n_len, side, rounds=rounds)
+            yield f"{name}/tv-rounds{rounds}/{side}", _digest(tv)
+    if n_len <= 4:
+        agree = _oracle_value(v.agreement_probability, model, plans, n_len, "exact")
+        yield f"{name}/agreement", _digest(agree)
+
+
 CLI_CONFIGS = {
     "and-t2-n8": {"model": "and", "p": 0.3, "q": 0.6, "n": 8, "partition_mode": "threshold",
                   "delta": 0.2, "trials": 20, "n_list": [4, 8]},
@@ -174,6 +205,9 @@ def main(argv=None) -> int:
                 emit(*case)
             for case in walk_cases(pc, model_name, label, n_len, plans):
                 emit(*case)
+            if model_name in ORACLE_MODELS and label.startswith("exact"):
+                for case in oracle_cases(pc, model_name, model, label, n_len, plans):
+                    emit(*case)
     for case in cli_cases(pc_cli):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
