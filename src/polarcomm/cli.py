@@ -37,11 +37,8 @@ from .probability import AuxChainModel
 from .reliability import PartitionPolicy
 from .protocol import Transcript, plan_protocol, round_roles
 from .verification import (
-    AGREEMENT_EXACT_CAP,
-    TV_EXACT_CAP,
     VerificationReport,
-    agreement_probability,
-    exact_q_tv,
+    exact_metrics,
     function_error_rate,
     measured_rates,
 )
@@ -81,9 +78,10 @@ CONFIG_SCHEMA = {
     "trials": (200, "protocol trials for simulate / Monte Carlo verify"),
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
-    "verify_rounds": (1, "rounds compared by exact TV, in 1..t: 1 compares the round-1 law "
-                         "(N <= 8), 2 the two-round chain (N <= 4); null compares all t "
-                         "rounds (t <= 2)"),
+    "verify_rounds": (1, "rounds compared by exact TV, null (all t) or in 1..t. Exact routes "
+                         "cover two-terminal models only: 1 round at N <= 8, 2 rounds at "
+                         "N <= 4, none for 3 or more; agreement at N <= 4. verify.json holds "
+                         "null for a quantity no route covers"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this"),
 }
 
@@ -241,16 +239,7 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
     plans = make_plans(model, cfg, n_len)
     rates = measured_rates(plans)
     if mode == "exact":
-        tv = agree = None
-        if model.network == "two-terminal" and n_len <= TV_EXACT_CAP:
-            effective = len(plans) if rounds is None else rounds
-            if effective == 1 or n_len <= AGREEMENT_EXACT_CAP:
-                tv = {
-                    side: exact_q_tv(model, plans, n_len, side, rounds=rounds)
-                    for side in ("tx", "rx")
-                }
-        if model.network == "two-terminal" and n_len <= AGREEMENT_EXACT_CAP:
-            agree = agreement_probability(model, plans, n_len, "exact")
+        tv, agree = exact_metrics(model, plans, n_len, rounds)
         report = VerificationReport(
             n_len=n_len,
             mode="exact",

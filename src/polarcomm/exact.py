@@ -135,35 +135,24 @@ def sampled_chain_table(ch: SymbolChannel, tags: np.ndarray, n_len: int,
     return out
 
 
-def split_block_joint(table: np.ndarray, sizes: tuple, n_len: int,
-                      chunk: int = 65536) -> np.ndarray:
+def split_block_joint(table: np.ndarray, sizes: tuple, n_len: int) -> np.ndarray:
     """Blocklength product measure split into one block-int axis per variable.
 
     table is the per-symbol joint over the listed variables (axes in order),
     sizes their alphabet sizes. Returns an array of shape
     (sizes[0]^N, sizes[1]^N, ...) with symbol 0 the most significant digit of
-    every axis.
+    every axis: the N-fold tensor power of the table, its axes regrouped by
+    variable.
     """
     sizes = tuple(int(s) for s in sizes)
-    k_total = int(np.prod(sizes))
-    total = k_total**n_len
+    total = int(np.prod(sizes)) ** n_len
     if total > MAX_ENUM:
         raise ValueError(f"enumeration too large: {total} blocks")
-    flat = np.asarray(table, dtype=np.float64).reshape(-1)
-    out = np.zeros(tuple(s**n_len for s in sizes))
-    out_flat = out.reshape(-1)
-    radices = np.array(tuple(s**n_len for s in sizes), dtype=np.int64)
-    for start in range(0, total, chunk):
-        ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = ints_to_digits(ints, n_len, k_total)
-        prob = flat[digits].prod(axis=-1)
-        idx = np.zeros(ints.size, dtype=np.int64)
-        rem = digits
-        for v in range(len(sizes) - 1, -1, -1):
-            var_digits = rem % sizes[v]
-            rem = rem // sizes[v]
-            axis_int = digits_to_ints(var_digits, sizes[v])
-            stride = int(np.prod(radices[v + 1:])) if v + 1 < len(sizes) else 1
-            idx += axis_int * stride
-        out_flat[idx] = prob
-    return out
+    per_sym = np.asarray(table, dtype=np.float64).reshape(sizes)
+    power = np.ones(())
+    for _ in range(n_len):
+        power = np.multiply.outer(power, per_sym)
+    # power's axes run (symbol 0: every variable, symbol 1: every variable, ...)
+    k = len(sizes)
+    by_var = [pos * k + var for var in range(k) for pos in range(n_len)]
+    return power.transpose(by_var).reshape(tuple(s**n_len for s in sizes))

@@ -236,7 +236,7 @@ def plan_protocol(
         prof = {}
         for k, (key, cond, ch) in enumerate(conditionings):
             if use_exact:
-                prof[key] = profile_exact(ch, n_len, cond, cap=n_len)
+                prof[key] = profile_exact(ch, n_len, cond)
             else:
                 prof[key] = profile_monte_carlo(
                     ch, n_len, profile_samples, (profile_seed, 3, i, k), cond

@@ -35,8 +35,6 @@ from .sc import (
 )
 from .transform import apply_transform
 
-EXHAUSTIVE_CAP = 8
-
 
 @dataclass(frozen=True)
 class ReliabilityProfile:
@@ -187,17 +185,14 @@ def profile_exact(
     ch: SymbolChannel,
     n_len: int,
     conditioning: str = "none",
-    cap: int = EXHAUSTIVE_CAP,
 ) -> ReliabilityProfile:
     """Exact Z(V^i | V^{1:i-1}, obs) by brute-force block enumeration.
 
     Walks the exact joint P(v-block, obs block) and accumulates
-    2 sum sqrt(P(prefix 0, obs) P(prefix 1, obs)) per index.
+    2 sum sqrt(P(prefix 0, obs) P(prefix 1, obs)) per index. Raises
+    ValueError where `exact.enumerable(ch, N)` is false; use
+    profile_monte_carlo there.
     """
-    if n_len > cap:
-        raise ValueError(
-            f"N={n_len} exceeds the exhaustive cap {cap}; use profile_monte_carlo"
-        )
     if n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
     z = np.zeros(n_len)

@@ -7,16 +7,20 @@ oracle stays an independent route; the engine is checked against it
 elsewhere). Reported quantities:
 
   * exact_q_tv      -- || Q_{induced} - P_{ideal} ||_1 (unnormalized L1) for
-                       the transmitter-side or receiver-side law, after one
-                       round (N <= 8) or the full chain (N <= 4, t <= 2);
+                       the transmitter-side or receiver-side law;
   * agreement_probability -- Pr{every round's u-blocks coincide at both
-                       terminals}, exact at N <= 4 or Monte Carlo;
+                       terminals}, exact or Monte Carlo;
+  * exact_metrics   -- both exact quantities, each None where no route
+                       covers the input;
   * function_error_rate -- end-to-end block/symbol/erasure rates by trials;
   * measured_rates  -- per-round |I'|/N next to the closed-form targets.
 
-Exact caps keep runtimes at desk scale: the transmitter-side TV enumerates
-(u-block, x-block, y-block); the receiver side additionally sums over the
-transmitter's randomness through the pinned-pattern contraction.
+The exact routes and their domains (EXACT_MAX_N, applied by
+`_no_exact_route` alone): two-terminal models only; TV of round 1 at N <= 8,
+TV of the first two rounds at N <= 4, no route for three or more rounds;
+agreement at N <= 4. The bounds keep runtimes at desk scale: round-1 TV
+enumerates (u-block, x-block, y-block), the other routes both terminals'
+blocks of every round.
 """
 from __future__ import annotations
 
@@ -39,8 +43,7 @@ from .probability import AuxChainModel
 from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
 from .sc import SymbolChannel
 
-TV_EXACT_CAP = 8
-AGREEMENT_EXACT_CAP = 4
+EXACT_MAX_N = {1: 8, 2: 4, "agreement": 4}  # TV keyed by the rounds it compares
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,7 @@ def _source_axes(model: AuxChainModel, n_len: int):
     return src, sizes, split_block_joint(marg, sizes, n_len)
 
 
-def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: str,
-                     method: str) -> float:
+def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: str) -> float:
     """|| Q_{U^1-side, sources} - P ||_1 by full enumeration (N <= 8)."""
     src = model.source_vars
     joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
@@ -148,13 +150,7 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
             q_cond = c_tx[per_var[tx_var]]
         else:
             q_cond = c_rx[per_var[rx_var]] * a_pat_v[per_var[tx_var]]
-        if method == "direct":
-            tv += np.abs(p_obs[:, None] * q_cond - p_joint).sum()
-        else:
-            p_cond = np.zeros_like(p_joint)
-            good = p_obs > 0
-            p_cond[good] = p_joint[good] / p_obs[good, None]
-            tv += (p_obs * np.abs(q_cond - p_cond).sum(axis=1)).sum()
+        tv += np.abs(p_obs[:, None] * q_cond - p_joint).sum()
     return float(tv)
 
 
@@ -182,18 +178,14 @@ def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
 
 def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
                    side: str) -> float:
-    """Full-chain TV at N <= 4, t <= 2, two-terminal models.
+    """TV of the chain of one or two rounds (`_no_exact_route` admits it).
 
     side="tx" compares terminal A's history law Q_{U_A^{1:t}, X, Y} to the
     ideal, side="rx" terminal B's. Enumerates both terminals' randomness:
     the round-1 state W[x, y, a1, b1] is the joint law of A's and B's
     u1-blocks given the sources, and round 2 (transmitter B) extends it.
     """
-    if model.network != "two-terminal":
-        raise ValueError("full-chain exact TV is implemented for two-terminal models")
     t = len(plans)
-    if t > 2:
-        raise ValueError("full-chain exact TV enumerates both terminals; t <= 2 only")
     src, sizes, p_src = _source_axes(model, n_len)
     n_v = 1 << n_len
     perm = transform_permutation(n_len)
@@ -250,40 +242,52 @@ def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
     return float(np.abs(p_src[:, :, None, None] * q - p_ideal).sum())
 
 
+def _no_exact_route(model: AuxChainModel, n_len: int, route) -> str | None:
+    """Why the exact route (TV of `route` rounds, or "agreement") cannot take
+    the input, or None when it can; the domains are the module docstring's."""
+    if model.network != "two-terminal":
+        return "the exact routes cover two-terminal models only"
+    if route not in EXACT_MAX_N:
+        return f"no exact TV route compares {route} rounds (1 or 2 only)"
+    if n_len > EXACT_MAX_N[route]:
+        return f"the exact {route!r} route needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
+    return None
+
+
+def _tv_rounds(plans: Sequence[RoundPlan], n_len: int, rounds: int | None) -> int:
+    """The number of rounds an exact TV compares, after checking the inputs."""
+    r = len(plans) if rounds is None else rounds
+    if not 1 <= r <= len(plans):
+        raise ValueError(f"rounds must lie in 1..{len(plans)}, got {rounds}")
+    if plans[0].n_len != n_len:
+        raise ValueError("plans were built for a different blocklength")
+    return r
+
+
 def exact_q_tv(
     model: AuxChainModel,
     plans: Sequence[RoundPlan],
     n_len: int,
     side: str = "tx",
     rounds: int | None = None,
-    method: str = "direct",
 ) -> float:
     """Exact || Q - P ||_1 between the protocol-induced law and the ideal.
 
-    rounds=1 compares the round-1 law (cap N <= 8); rounds=r in 2..t compares
-    the chain of the first r rounds and rounds=None all t of them (cap
-    N <= 4, r <= 2); other values raise. side="tx" takes the transmitting
-    terminal's blocks, side="rx" the receiving terminal's (for the full chain:
-    terminal A vs terminal B histories). `method` picks between the direct
-    enumeration and the observation-conditioned form; both must agree.
+    rounds=r in 1..t compares the chain of the first r rounds and
+    rounds=None all t of them; other values raise. side="tx" takes the
+    transmitting terminal's blocks, side="rx" the receiving terminal's (for
+    a chain of two rounds: terminal A vs terminal B histories). Routes exist
+    for two-terminal models only: r = 1 at N <= 8, r = 2 at N <= 4, none for
+    r >= 3; elsewhere ValueError.
     """
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
-    if method not in ("direct", "conditional"):
-        raise ValueError("method must be 'direct' or 'conditional'")
-    r = len(plans) if rounds is None else rounds
-    if not 1 <= r <= len(plans):
-        raise ValueError(f"rounds must lie in 1..{len(plans)}, got {rounds}")
-    if plans[0].n_len != n_len:
-        raise ValueError("plans were built for a different blocklength")
+    r = _tv_rounds(plans, n_len, rounds)
+    reason = _no_exact_route(model, n_len, r)
+    if reason is not None:
+        raise ValueError(reason)
     if r == 1:
-        if n_len > TV_EXACT_CAP:
-            raise ValueError(f"exact TV caps at N <= {TV_EXACT_CAP}")
-        return _exact_tv_round1(model, plans[0], n_len, side, method)
-    if n_len > AGREEMENT_EXACT_CAP:
-        raise ValueError(f"full-chain exact TV caps at N <= {AGREEMENT_EXACT_CAP}")
-    if method == "conditional":
-        raise ValueError("the conditional form is provided for rounds=1 only")
+        return _exact_tv_round1(model, plans[0], n_len, side)
     return _exact_tv_full(model, plans[:r], n_len, side)
 
 
@@ -298,14 +302,15 @@ def agreement_probability(
 ) -> float:
     """Pr{both terminals hold identical u-blocks after every round}.
 
-    Exact mode (N <= 4) sums the common-path law over all source blocks and
-    all shared block histories; Monte Carlo runs the protocol.
+    Exact mode sums the common-path law over all source blocks and all shared
+    block histories; its route covers two-terminal models at N <= 4, under
+    the sampling F_d rule; elsewhere ValueError. Monte Carlo runs the
+    protocol.
     """
     if mode == "exact":
-        if n_len > AGREEMENT_EXACT_CAP:
-            raise ValueError(f"exact agreement caps at N <= {AGREEMENT_EXACT_CAP}")
-        if model.network != "two-terminal":
-            raise ValueError("exact agreement is implemented for two-terminal models")
+        reason = _no_exact_route(model, n_len, "agreement")
+        if reason is not None:
+            raise ValueError(reason)
         if fd_policy != "sample":
             raise ValueError("the exact path models the sampling F_d rule only")
         if all(
@@ -340,6 +345,19 @@ def agreement_probability(
         raise ValueError("mode must be 'exact' or 'monte_carlo'")
     _, result = _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy)
     return float(result.agreement.all(axis=0).mean())
+
+
+def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
+                  rounds: int | None = None) -> tuple:
+    """(TV by side over `rounds` as in exact_q_tv, agreement probability);
+    each None where no exact route covers it."""
+    tv = agree = None
+    r = _tv_rounds(plans, n_len, rounds)
+    if _no_exact_route(model, n_len, r) is None:
+        tv = {side: exact_q_tv(model, plans, n_len, side, rounds=r) for side in ("tx", "rx")}
+    if _no_exact_route(model, n_len, "agreement") is None:
+        agree = agreement_probability(model, plans, n_len, "exact")
+    return tv, agree
 
 
 def _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy):

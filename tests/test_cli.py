@@ -82,6 +82,23 @@ def test_verify_reports_exact_metrics(tmp_path):
     assert payload["rate_table"][0]["round"] == 1
 
 
+def test_verify_without_tv_route_writes_null(tmp_path):
+    """AND t = 4 comparing all rounds has no exact TV route at any N: verify
+    exits 0 with tv_value null, and still reports agreement where N <= 4."""
+    for n_len in (4, 8):
+        cfg = write_config(tmp_path / f"cfg{n_len}.json", model="and", t=4, n=n_len,
+                           verify_rounds=None)
+        out = tmp_path / f"out{n_len}"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "verify.json").read_text())
+        assert payload["tv_value"] is None and payload["tv_by_side"] is None
+        agree = payload["agreement_probability"]
+        if n_len == 4:
+            assert 0.0 <= agree <= 1.0
+        else:
+            assert agree is None
+
+
 def test_profile_and_plan_outputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", model="bsc", n=8,
                        partition_mode="threshold")

@@ -38,9 +38,13 @@ def test_profile_exact_trivial_cases():
     assert np.array_equal(prof2.z, [1.0, 1.0])
 
 
-def test_profile_exact_cap():
+def test_profile_exact_enumeration_bound():
+    """profile_exact enumerates whatever exact.enumerable admits: a
+    prior-only channel at N = 16 (2^16 entries), not a 2-symbol one (2^32)."""
+    prof = profile_exact(SymbolChannel(np.array([[0.5], [0.5]])), 16)
+    assert np.array_equal(prof.z, np.ones(16))
     with pytest.raises(ValueError):
-        profile_exact(SymbolChannel(np.array([[0.5], [0.5]])), 16)
+        profile_exact(SymbolChannel(np.array([[0.25, 0.25], [0.25, 0.25]])), 16)
 
 
 def test_profile_monte_carlo_within_3_sigma_of_exact():

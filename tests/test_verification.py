@@ -63,15 +63,6 @@ def test_single_fr_index_hand_computation():
         assert abs(tv - 0.4) < 1e-12
 
 
-def test_direct_and_conditional_methods_agree():
-    m = build_and_chain(AndModelParams(0.11, 0.4, 2))
-    plans = plan_protocol(m, 8, PartitionPolicy(mode="threshold", beta=0.4))
-    for side in ("tx", "rx"):
-        direct = exact_q_tv(m, plans, 8, side, rounds=1, method="direct")
-        cond = exact_q_tv(m, plans, 8, side, rounds=1, method="conditional")
-        assert abs(direct - cond) < 1e-12
-
-
 def test_tv_transform_invariance():
     """The L1 distance is identical over u-blocks and v-blocks (bijection)."""
     m = build_and_chain(AndModelParams(0.11, 0.4, 2))
@@ -120,6 +111,18 @@ def test_exact_tv_rejects_rounds_out_of_range():
     for rounds in (0, 3, -1):
         with pytest.raises(ValueError):
             exact_q_tv(m, plans, 4, "tx", rounds=rounds)
+
+
+def test_exact_routes_refuse_collocated_models():
+    """The exact routes cover two-terminal models only: every one of them
+    raises ValueError on a collocated model."""
+    c = build_collocated_chain(2, [0.3, 0.6])
+    plans = plan_protocol(c, 4, PartitionPolicy(mode="threshold", delta=0.2))
+    for side in ("tx", "rx"):
+        with pytest.raises(ValueError, match="two-terminal"):
+            exact_q_tv(c, plans, 4, side, rounds=1)
+    with pytest.raises(ValueError, match="two-terminal"):
+        agreement_probability(c, plans, 4, "exact")
 
 
 def test_agreement_all_transmit_is_one():
