@@ -239,7 +239,7 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
     plans = make_plans(model, cfg, n_len)
     rates = measured_rates(plans)
     if mode == "exact":
-        tv, agree = exact_metrics(model, plans, n_len, rounds)
+        tv, agree = exact_metrics(model, plans, n_len, rounds, cfg["fd_policy"])
         report = VerificationReport(
             n_len=n_len,
             mode="exact",

@@ -18,9 +18,10 @@ elsewhere). Reported quantities:
 The exact routes and their domains (EXACT_MAX_N, applied by
 `_no_exact_route` alone): two-terminal models only; TV of round 1 at N <= 8,
 TV of the first two rounds at N <= 4, no route for three or more rounds;
-agreement at N <= 4. The bounds keep runtimes at desk scale: round-1 TV
-enumerates (u-block, x-block, y-block), the other routes both terminals'
-blocks of every round.
+agreement at N <= 4. The routes model the sampling F_d rule, which
+fd_policy="argmax" follows only where no round has an F_d index. The bounds
+keep runtimes at desk scale: round-1 TV enumerates (u-block, x-block,
+y-block), the other routes both terminals' blocks of every round.
 """
 from __future__ import annotations
 
@@ -242,11 +243,16 @@ def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
     return float(np.abs(p_src[:, :, None, None] * q - p_ideal).sum())
 
 
-def _no_exact_route(model: AuxChainModel, n_len: int, route) -> str | None:
+def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int, route,
+                    fd_policy: str = "sample") -> str | None:
     """Why the exact route (TV of `route` rounds, or "agreement") cannot take
     the input, or None when it can; the domains are the module docstring's."""
+    if fd_policy not in ("sample", "argmax"):
+        raise ValueError(f"fd_policy must be 'sample' or 'argmax', got {fd_policy!r}")
     if model.network != "two-terminal":
         return "the exact routes cover two-terminal models only"
+    if fd_policy == "argmax" and any(p.partition.f_d.size for p in plans):
+        return "the exact routes model the sampling F_d rule; under argmax F_d must be empty"
     if route not in EXACT_MAX_N:
         return f"no exact TV route compares {route} rounds (1 or 2 only)"
     if n_len > EXACT_MAX_N[route]:
@@ -283,7 +289,7 @@ def exact_q_tv(
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
     r = _tv_rounds(plans, n_len, rounds)
-    reason = _no_exact_route(model, n_len, r)
+    reason = _no_exact_route(model, plans, n_len, r)
     if reason is not None:
         raise ValueError(reason)
     if r == 1:
@@ -303,16 +309,14 @@ def agreement_probability(
     """Pr{both terminals hold identical u-blocks after every round}.
 
     Exact mode sums the common-path law over all source blocks and all shared
-    block histories; its route covers two-terminal models at N <= 4, under
-    the sampling F_d rule; elsewhere ValueError. Monte Carlo runs the
-    protocol.
+    block histories; its route covers two-terminal models at N <= 4 and, as
+    it models the sampling F_d rule, fd_policy="argmax" only where every
+    round's F_d is empty; elsewhere ValueError. Monte Carlo runs the protocol.
     """
     if mode == "exact":
-        reason = _no_exact_route(model, n_len, "agreement")
+        reason = _no_exact_route(model, plans, n_len, "agreement", fd_policy)
         if reason is not None:
             raise ValueError(reason)
-        if fd_policy != "sample":
-            raise ValueError("the exact path models the sampling F_d rule only")
         if all(
             p.partition.f_d.size == 0
             and p.partition.i_prime.size == p.partition.info.size
@@ -348,15 +352,16 @@ def agreement_probability(
 
 
 def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
-                  rounds: int | None = None) -> tuple:
-    """(TV by side over `rounds` as in exact_q_tv, agreement probability);
-    each None where no exact route covers it."""
+                  rounds: int | None = None, fd_policy: str = "sample") -> tuple:
+    """(TV by side over `rounds` as in exact_q_tv, agreement probability) of
+    the protocol run under `fd_policy`; each None where no exact route
+    covers it."""
     tv = agree = None
     r = _tv_rounds(plans, n_len, rounds)
-    if _no_exact_route(model, n_len, r) is None:
+    if _no_exact_route(model, plans, n_len, r, fd_policy) is None:
         tv = {side: exact_q_tv(model, plans, n_len, side, rounds=r) for side in ("tx", "rx")}
-    if _no_exact_route(model, n_len, "agreement") is None:
-        agree = agreement_probability(model, plans, n_len, "exact")
+    if _no_exact_route(model, plans, n_len, "agreement", fd_policy) is None:
+        agree = agreement_probability(model, plans, n_len, "exact", fd_policy=fd_policy)
     return tv, agree
 
 

@@ -99,6 +99,20 @@ def test_verify_without_tv_route_writes_null(tmp_path):
             assert agree is None
 
 
+def test_exact_verify_under_argmax_fd_is_null(tmp_path):
+    """The exact routes model the sampling F_d rule. Under argmax with
+    F_d = [3] / [2, 3] they do not apply, and verify writes null for TV and
+    agreement rather than the sampling rule's values (0.0768 / 0.8748; a
+    Monte Carlo verify of this config measures agreement 0.974)."""
+    cfg = write_config(tmp_path / "cfg.json", model="and", p=0.11, q=0.4, n=4,
+                       partition_mode="threshold", delta=0.3, fd_policy="argmax")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["tv_value"] is None and payload["tv_by_side"] is None
+    assert payload["agreement_probability"] is None
+
+
 def test_profile_and_plan_outputs(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", model="bsc", n=8,
                        partition_mode="threshold")

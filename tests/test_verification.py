@@ -131,6 +131,20 @@ def test_agreement_all_transmit_is_one():
     assert agreement_probability(m, plans, 4, "exact") == 1.0
 
 
+def test_exact_agreement_under_argmax_needs_empty_fd():
+    """argmax follows the sampling law where F_d is empty; elsewhere the
+    exact route refuses it."""
+    m = build_and_chain(AndModelParams(0.3, 0.6, 2))
+    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
+    assert all(p.partition.f_d.size == 0 for p in plans)
+    sample = agreement_probability(m, plans, 4, "exact")
+    assert agreement_probability(m, plans, 4, "exact", fd_policy="argmax") == sample
+    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.4))
+    assert any(p.partition.f_d.size for p in plans)
+    with pytest.raises(ValueError, match="argmax"):
+        agreement_probability(m, plans, 4, "exact", fd_policy="argmax")
+
+
 def test_agreement_single_fd_index_two_draw_formula():
     """One F_d index with prior Ber(p): both terminals agree w.p. 1 - 2p(1-p)."""
     p_u = 1e-3
