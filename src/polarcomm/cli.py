@@ -157,9 +157,13 @@ class OutputSet:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         target = self.out_dir / name
         fd, tmp = tempfile.mkstemp(dir=self.out_dir, prefix=".tmp-")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, target)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self.written.append(target)
         return target
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 
 import polarcomm
 import polarcomm.cli
@@ -166,6 +167,14 @@ def test_config_errors_exit_2(tmp_path):
         proc = run_cli(["verify", "--config", cfg, "--out", str(tmp_path / f"v{k}")], tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
+
+
+def test_failed_write_leaves_no_temporary_file(tmp_path):
+    out = polarcomm.cli.OutputSet(tmp_path / "out")
+    with pytest.raises(UnicodeEncodeError):
+        out.write_text("a.json", "\ud800")
+    out.rollback()
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_anomaly_limit_exit_3(tmp_path):
