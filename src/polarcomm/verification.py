@@ -256,7 +256,8 @@ def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int
     if route not in EXACT_MAX_N:
         return f"no exact TV route compares {route} rounds (1 or 2 only)"
     if n_len > EXACT_MAX_N[route]:
-        return f"the exact {route!r} route needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
+        what = route if route == "agreement" else f"TV of {route} round(s)"
+        return f"exact {what} needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
     return None
 
 

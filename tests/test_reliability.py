@@ -38,7 +38,7 @@ def test_profile_exact_trivial_cases():
     assert np.array_equal(prof2.z, [1.0, 1.0])
 
 
-def test_profile_exact_enumeration_bound():
+def test_profile_exact_cap():
     """profile_exact enumerates whatever exact.enumerable admits: a
     prior-only channel at N = 16 (2^16 entries), not a 2-symbol one (2^32)."""
     prof = profile_exact(SymbolChannel(np.array([[0.5], [0.5]])), 16)
