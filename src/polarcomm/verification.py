@@ -18,14 +18,15 @@ elsewhere). Reported quantities:
 The exact routes and their domains (EXACT_MAX_N, applied by
 `_no_exact_route` alone): two-terminal models only; TV of round 1 at N <= 8,
 TV of the first two rounds at N <= 4, no route for three or more rounds;
-agreement at N <= 4. The routes model the sampling F_d rule, which
-fd_policy="argmax" follows only where no round has an F_d index. The bounds
-keep runtimes at desk scale: round-1 TV enumerates (u-block, x-block,
-y-block), the other routes both terminals' blocks of every round.
+agreement at N <= 4 where its grid of source blocks and u-block histories,
+|X|^N |Y|^N 2^(N t) cells, fits exact.MAX_ENUM. The routes model the
+sampling F_d rule, which fd_policy="argmax" follows only where no round has
+an F_d index. The bounds keep runtime and memory at desk scale.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -33,6 +34,7 @@ import numpy as np
 
 from .exact import (
     EXCLUDED,
+    MAX_ENUM,
     block_joint_chunks,
     digits_to_ints,
     ints_to_digits,
@@ -98,10 +100,6 @@ def _pin_patterns(n_len: int, pins: np.ndarray) -> np.ndarray:
     return digits_to_ints(bits[:, pins], 2)
 
 
-def _tx_tags(plan: RoundPlan) -> np.ndarray:
-    return plan.partition.tags_for_transmitter()
-
-
 def _rx_sampled_tags(plan: RoundPlan) -> np.ndarray:
     """Receiver tags with the copied indices (F_r and I') excluded."""
     tags = plan.partition.tags_for_transmitter()
@@ -127,7 +125,7 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
     src = model.source_vars
     joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
 
-    c_tx = sampled_chain_table(plan.tx_channel, _tx_tags(plan), n_len)
+    c_tx = sampled_chain_table(plan.tx_channel, plan.partition.tags_for_transmitter(), n_len)
     if side == "rx":
         c_rx = sampled_chain_table(plan.rx_channel, _rx_sampled_tags(plan), n_len)
         pins = _rx_pins(plan)
@@ -138,8 +136,7 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
             a_pat[:, p] = c_tx[:, pat == p].sum(axis=1)
         a_pat_v = a_pat[:, pat]  # (tx-obs blocks, v-blocks)
 
-    tx_var = plan.tx_obs_vars[0]
-    rx_var = plan.rx_obs_vars[0] if side == "rx" else None
+    (tx_var,), (rx_var,) = plan.tx_obs_vars, plan.rx_obs_vars
     # no u/v relabeling: it is a bijection and the L1 sum is coordinate-free
     tv = 0.0
     for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
@@ -163,12 +160,11 @@ def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
     """
     n_len = plan.n_len
     if side == "tx":
-        tags, obs_vars, channel = _tx_tags(plan), plan.tx_obs_vars, plan.tx_channel
+        tags = plan.partition.tags_for_transmitter()
+        obs_vars, channel = plan.tx_obs_vars, plan.tx_channel
     else:
         tags, obs_vars, channel = _rx_sampled_tags(plan), plan.rx_obs_vars, plan.rx_channel
     table = sampled_chain_table(channel, tags, n_len)
-    if not obs_vars:
-        return np.broadcast_to(table[0], source_ints.shape + (table.shape[1],))
     digits = channel.flatten_obs([
         ints_to_digits(hist_ints[int(var[1:]) - 1] if var.startswith("u") else source_ints,
                        n_len, size)
@@ -246,9 +242,14 @@ def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
 def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int, route,
                     fd_policy: str = "sample") -> str | None:
     """Why the exact route (TV of `route` rounds, or "agreement") cannot take
-    the input, or None when it can; the domains are the module docstring's."""
+    the input, or None when it can; the domains are the module docstring's.
+    Raises ValueError on inputs that are invalid for any route."""
     if fd_policy not in ("sample", "argmax"):
         raise ValueError(f"fd_policy must be 'sample' or 'argmax', got {fd_policy!r}")
+    if route != "agreement" and not 1 <= route <= len(plans):
+        raise ValueError(f"rounds must lie in 1..{len(plans)}, got {route}")
+    if plans[0].n_len != n_len:
+        raise ValueError("plans were built for a different blocklength")
     if model.network != "two-terminal":
         return "the exact routes cover two-terminal models only"
     if fd_policy == "argmax" and any(p.partition.f_d.size for p in plans):
@@ -258,17 +259,10 @@ def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int
     if n_len > EXACT_MAX_N[route]:
         what = route if route == "agreement" else f"TV of {route} round(s)"
         return f"exact {what} needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
+    sources = math.prod(model.joint.size_of(s) ** n_len for s in model.source_vars)
+    if route == "agreement" and sources << n_len * len(plans) > MAX_ENUM:
+        return f"exact agreement over {len(plans)} rounds exceeds {MAX_ENUM} cells at N={n_len}"
     return None
-
-
-def _tv_rounds(plans: Sequence[RoundPlan], n_len: int, rounds: int | None) -> int:
-    """The number of rounds an exact TV compares, after checking the inputs."""
-    r = len(plans) if rounds is None else rounds
-    if not 1 <= r <= len(plans):
-        raise ValueError(f"rounds must lie in 1..{len(plans)}, got {rounds}")
-    if plans[0].n_len != n_len:
-        raise ValueError("plans were built for a different blocklength")
-    return r
 
 
 def exact_q_tv(
@@ -289,7 +283,7 @@ def exact_q_tv(
     """
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
-    r = _tv_rounds(plans, n_len, rounds)
+    r = len(plans) if rounds is None else rounds
     reason = _no_exact_route(model, plans, n_len, r)
     if reason is not None:
         raise ValueError(reason)
@@ -310,9 +304,10 @@ def agreement_probability(
     """Pr{both terminals hold identical u-blocks after every round}.
 
     Exact mode sums the common-path law over all source blocks and all shared
-    block histories; its route covers two-terminal models at N <= 4 and, as
-    it models the sampling F_d rule, fd_policy="argmax" only where every
-    round's F_d is empty; elsewhere ValueError. Monte Carlo runs the protocol.
+    block histories; its route covers two-terminal models at N <= 4 with
+    |X|^N |Y|^N 2^(N t) <= exact.MAX_ENUM and, as it models the sampling F_d
+    rule, fd_policy="argmax" only where every round's F_d is empty; elsewhere
+    ValueError. Monte Carlo runs the protocol.
     """
     if mode == "exact":
         reason = _no_exact_route(model, plans, n_len, "agreement", fd_policy)
@@ -358,7 +353,7 @@ def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
     the protocol run under `fd_policy`; each None where no exact route
     covers it."""
     tv = agree = None
-    r = _tv_rounds(plans, n_len, rounds)
+    r = len(plans) if rounds is None else rounds
     if _no_exact_route(model, plans, n_len, r, fd_policy) is None:
         tv = {side: exact_q_tv(model, plans, n_len, side, rounds=r) for side in ("tx", "rx")}
     if _no_exact_route(model, plans, n_len, "agreement", fd_policy) is None:

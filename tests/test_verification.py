@@ -20,6 +20,7 @@ from polarcomm.sc import SamplingPolicy, SymbolChannel, chain_probability
 from polarcomm.verification import (
     _exact_tv_full,
     agreement_probability,
+    exact_metrics,
     exact_q_tv,
     function_error_rate,
     measured_rates,
@@ -143,6 +144,18 @@ def test_exact_agreement_under_argmax_needs_empty_fd():
     assert any(p.partition.f_d.size for p in plans)
     with pytest.raises(ValueError, match="argmax"):
         agreement_probability(m, plans, 4, "exact", fd_policy="argmax")
+
+
+def test_exact_agreement_grid_within_max_enum():
+    """Exact agreement holds a grid of |X|^N |Y|^N 2^(N t) cells. AND t = 6
+    at N = 4 needs 2^32 of them (34 GB) and is refused before any is
+    allocated; t = 4 at N = 4 (2^24) is computed."""
+    m = build_and_chain(AndModelParams(0.4, 0.5, 6))
+    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.3))
+    with pytest.raises(ValueError, match="cells"):
+        agreement_probability(m, plans, 4, "exact")
+    tv, agree = exact_metrics(m, plans, 4, rounds=1)
+    assert tv is not None and agree is None
 
 
 def test_agreement_single_fd_index_two_draw_formula():
