@@ -260,7 +260,7 @@ def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int
         what = route if route == "agreement" else f"TV of {route} round(s)"
         return f"exact {what} needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
     sources = math.prod(model.joint.size_of(s) ** n_len for s in model.source_vars)
-    if route == "agreement" and sources << n_len * len(plans) > MAX_ENUM:
+    if route == "agreement" and (sources << n_len * len(plans)) > MAX_ENUM:
         return f"exact agreement over {len(plans)} rounds exceeds {MAX_ENUM} cells at N={n_len}"
     return None
 

@@ -149,7 +149,7 @@ def test_exact_agreement_under_argmax_needs_empty_fd():
 def test_exact_agreement_grid_within_max_enum():
     """Exact agreement holds a grid of |X|^N |Y|^N 2^(N t) cells. AND t = 6
     at N = 4 needs 2^32 of them (34 GB) and is refused before any is
-    allocated; t = 4 at N = 4 (2^24) is computed."""
+    allocated, while round-1 TV stays available."""
     m = build_and_chain(AndModelParams(0.4, 0.5, 6))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.3))
     with pytest.raises(ValueError, match="cells"):
