@@ -254,11 +254,8 @@ def test_policy_validation():
         SamplingPolicy.from_sets(2, uniform=[0], prior=[0], observation=[1])
 
 
-def test_walk_golden_values():
-    """sample_sequential and chain_probability on a policy with all four tags
-    and pins that contradict the slice, under both F_d modes, batched and
-    (N,): blocks, chain probabilities and anomaly counts as recorded."""
-    golden = json.loads((DATA / "golden_sc_walk.json").read_text())
+def _check_walk_golden(name):
+    golden = json.loads((DATA / name).read_text())
     ch = and_round2_channel(0.4, 0.7)
     tags = np.array(golden["tags"], dtype=np.uint8)
     assert set(tags.tolist()) == {UNIFORM_HALF, PRIOR_CONDITIONAL, OBSERVATION_CONDITIONAL, PINNED}
@@ -281,6 +278,21 @@ def test_walk_golden_values():
             other = chain_probability(ch, obs[sl], policy, blocks[sl], fd_mode=fd)
             np.testing.assert_allclose(chain, want["chain"], rtol=1e-12, atol=0)
             np.testing.assert_allclose(other, want["chain_of_blocks"], rtol=1e-12, atol=0)
+
+
+def test_walk_golden_values():
+    """sample_sequential and chain_probability on a policy with all four tags
+    and pins that contradict the slice, under both F_d modes, batched and
+    (N,): blocks, chain probabilities and anomaly counts as recorded."""
+    _check_walk_golden("golden_sc_walk.json")
+
+
+def test_walk_golden_values_n64():
+    """The same at N = 64 with a receiver-like policy: 40 PINNED, 18
+    OBSERVATION_CONDITIONAL, 4 PRIOR_CONDITIONAL and 2 UNIFORM_HALF indices,
+    so most indices consult neither stack. The pins are v = u G_N of blocks
+    drawn with the observations; rows 3..5 each have one pin flipped."""
+    _check_walk_golden("golden_sc_walk_n64.json")
 
 
 def test_chain_probability_rejects_non_binary_blocks():

@@ -16,6 +16,11 @@ moved. The cases are
                   policy: `sample_sequential` blocks, their
                   `chain_probability`, and the anomaly counts, under both F_d
                   modes, batched and (N,);
+  * profile/...   the z and stderr bytes of every Monte Carlo profile (all
+                  three conditionings) of the N = 32 plans, and direct
+                  `profile_monte_carlo` calls with an uneven last chunk
+                  (100 samples, chunk 64) on an observation-free and an
+                  observed channel;
   * oracle/...    the exact oracle on the BSC t = 1 and AND t = 2, 4 exact
                   plans: every profile's z bytes, `exact_q_tv` on both sides
                   at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
@@ -122,6 +127,22 @@ def walk_cases(pc, model_name, label, n_len, plans):
                     yield name, _digest(v, np.asarray(chain), log.count)
 
 
+def profile_cases(pc, model_name, label, plans):
+    for plan in plans:
+        for cond in sorted(plan.profiles):
+            prof = plan.profiles[cond]
+            yield (f"profile/{model_name}/{label}/round{plan.round_index}/{cond}",
+                   _digest(prof.z, prof.stderr))
+
+
+def direct_profile_cases(pc):
+    joint = pc.build_and_chain(pc.AndModelParams(0.3, 0.6, 2)).joint
+    observed = pc.SymbolChannel.from_joint(joint, "u2", ("y", "u1"))
+    for name, ch in (("prior", observed.prior()), ("observed", observed)):
+        prof = pc.profile_monte_carlo(ch, 32, 100, (9, 1), chunk=64)
+        yield f"profile/direct/{name}-s100-c64", _digest(prof.z, prof.stderr)
+
+
 ORACLE_MODELS = ("bsc-t1", "and-t2", "and-t4")
 
 
@@ -205,9 +226,14 @@ def main(argv=None) -> int:
                 emit(*case)
             for case in walk_cases(pc, model_name, label, n_len, plans):
                 emit(*case)
+            if label.startswith("mc"):
+                for case in profile_cases(pc, model_name, label, plans):
+                    emit(*case)
             if model_name in ORACLE_MODELS and label.startswith("exact"):
                 for case in oracle_cases(pc, model_name, model, label, n_len, plans):
                     emit(*case)
+    for case in direct_profile_cases(pc):
+        emit(*case)
     for case in cli_cases(pc_cli):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
