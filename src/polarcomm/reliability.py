@@ -230,7 +230,7 @@ def profile_monte_carlo(
     cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
     u_bits = (cells // ch.obs_size).astype(np.uint8)
     obs = (cells % ch.obs_size).astype(np.intp)
-    v_bits = apply_transform(u_bits)
+    v_rows = np.ascontiguousarray(apply_transform(u_bits).T)
 
     acc = np.zeros(n_len)
     acc_sq = np.zeros(n_len)
@@ -242,7 +242,7 @@ def profile_monte_carlo(
             stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
             acc[phi] += stat.sum()
             acc_sq[phi] += (stat * stat).sum()
-            stack.push(phi, v_bits[sl, phi])
+            stack.push(phi, v_rows[phi, sl])
     z = acc / samples
     if samples > 1:
         var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)

@@ -14,6 +14,14 @@ pairs push partial sums (v_odd xor v_even, v_even) down the tree. Every node
 pair is renormalized after each combine, so no log domain is needed at the
 target blocklengths.
 
+The tree is stored batch last: level lam holds a (2, 2^lam, B) array, so one
+node's B rows are contiguous. It is evaluated lazily, as in simplified SC
+decoding (Alamdar-Yazdi and Kschischang, IEEE Commun. Lett. 2011): a node
+block is computed only when an index that reads it asks for its root pair,
+so a walk pays for a stack only at the indices whose tag consults it. A
+block that no consulted index reads is never computed, and no other index
+reads it (PairStack states the rule).
+
 Null conditioning (a prefix of probability zero given the observation, only
 reachable through pinned bits inconsistent with the model) yields the uniform
 pair and a diagnostic count instead of an error; samplers and chain
@@ -205,90 +213,108 @@ class SamplingPolicy:
 
 
 class PairStack:
-    """Batched SC tree holding one probability pair per node.
+    """Batched SC tree holding one probability pair per node, batch last.
 
-    Drive with pair_at(i) / push(i, bits) for i = 0..N-1 in order. Level 0 is
-    the root; level n holds the fixed per-position joint pairs. Pairs that
-    condition on a zero-probability event stay (0, 0) and are reported
+    Drive with push(i, bits) for i = 0..N-1 in order; pair_at(i) may be
+    called at any subset of those indices, each before push(i). Level n
+    holds the fixed per-position joint pairs as a (2, N, B) array; level
+    lam < n holds (2, 2^lam, B) node pairs and level 0 is the root. Pairs
+    that condition on a zero-probability event stay (0, 0) and are reported
     through the null mask of pair_at.
+
+    Evaluation is lazy. The level-lam block that index phi reads is the one
+    as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
+    clear, the g op (on the partial sums `low[lam]` pushed at phi_lam - 1)
+    when it is set. Each level keeps the stamp phi_lam of its block, and
+    pair_at(phi) walks lam = n-1 .. 0 recomputing exactly the levels whose
+    stamp differs. `low[lam]` is next written by push(phi_lam - 1 +
+    2^(lam+1)), after every index that reads this block, so a block computed
+    late equals the one computed at phi_lam. A block no consulted index
+    reads is never computed, and nothing else reads it.
     """
 
     def __init__(self, leaf_pairs: np.ndarray):
         leaf_pairs = np.asarray(leaf_pairs, dtype=np.float64)
-        if leaf_pairs.ndim != 3 or leaf_pairs.shape[2] != 2:
-            raise ValueError("leaf pairs must have shape (B, N, 2)")
-        batch, n_len, _ = leaf_pairs.shape
+        if leaf_pairs.ndim != 3 or leaf_pairs.shape[0] != 2:
+            raise ValueError("leaf pairs must have shape (2, N, B)")
+        _, n_len, batch = leaf_pairs.shape
         if n_len <= 0 or n_len & (n_len - 1):
             raise ValueError(f"block length must be a power of two, got {n_len}")
         self.batch = batch
         self.n_len = n_len
         self.n = n_len.bit_length() - 1
-        self.pairs = [np.empty((batch, 1 << lam, 2)) for lam in range(self.n)]
+        self.pairs = [np.empty((2, 1 << lam, batch)) for lam in range(self.n)]
         self.pairs.append(leaf_pairs)
-        self.low = [np.zeros((batch, 1 << lam), dtype=np.uint8) for lam in range(self.n)]
+        self.low = [np.zeros((1 << lam, batch), dtype=np.uint8) for lam in range(self.n)]
+        self.stamps = [-1] * self.n
         self._next = 0
 
     def _normalize(self, lam: int) -> None:
         out = self.pairs[lam]
-        total = out[..., 0] + out[..., 1]
-        good = total > 0.0
-        np.divide(out[..., 0], total, out=out[..., 0], where=good)
-        np.divide(out[..., 1], total, out=out[..., 1], where=good)
-        out[~good] = 0.0
+        total = out[0] + out[1]
+        # a zero total means both entries are +0: dividing by the smallest
+        # subnormal keeps them 0 and leaves every positive total unchanged
+        np.maximum(total, 5e-324, out=total)
+        np.divide(out, total, out=out)
 
     def _fop(self, lam: int) -> None:
         child = self.pairs[lam + 1]
         left, right = child[:, 0::2], child[:, 1::2]
         out = self.pairs[lam]
-        out[..., 0] = left[..., 0] * right[..., 0] + left[..., 1] * right[..., 1]
-        out[..., 1] = left[..., 1] * right[..., 0] + left[..., 0] * right[..., 1]
+        np.multiply(left[0], right[0], out=out[0])
+        out[0] += left[1] * right[1]
+        np.multiply(left[1], right[0], out=out[1])
+        out[1] += left[0] * right[1]
         self._normalize(lam)
 
     def _gop(self, lam: int) -> None:
         child = self.pairs[lam + 1]
         left, right = child[:, 0::2], child[:, 1::2]
-        even_is_zero = self.low[lam] == 0
-        l_same = np.where(even_is_zero, left[..., 0], left[..., 1])
-        l_flip = np.where(even_is_zero, left[..., 1], left[..., 0])
         out = self.pairs[lam]
-        out[..., 0] = l_same * right[..., 0]
-        out[..., 1] = l_flip * right[..., 1]
+        # out = (left[low], left[1 - low]) * right. The swap selects on the
+        # float bit patterns, which is exact and several times faster than
+        # np.where on a mask without pattern.
+        swap = np.negative(self.low[lam], dtype=np.uint64)  # 0 or all ones
+        l0, l1 = left[0].view(np.uint64), left[1].view(np.uint64)
+        diff = np.bitwise_xor(l0, l1)
+        diff &= swap
+        bits = out.view(np.uint64)
+        np.bitwise_xor(l0, diff, out=bits[0])
+        np.bitwise_xor(l1, diff, out=bits[1])
+        out *= right
         self._normalize(lam)
 
     def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Root pair at index phi (uniform where null) and the null mask."""
+        """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
         if phi != self._next:
-            raise ValueError(f"indices must be visited in order; expected {self._next}")
+            raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
         if self.n == 0:
-            pair = self.pairs[0][:, 0, :].copy()
+            pair = self.pairs[0][:, 0, :].T.copy()
             total = pair.sum(axis=-1)
             null = total <= 0.0
             pair[~null] /= total[~null, None]
         else:
-            if phi == 0:
-                for lam in range(self.n - 1, -1, -1):
-                    self._fop(lam)
-            else:
-                low_level = ((phi & -phi).bit_length()) - 1
-                self._gop(low_level)
-                for lam in range(low_level - 1, -1, -1):
-                    self._fop(lam)
-            pair = self.pairs[0][:, 0, :].copy()
-            null = (pair[..., 0] + pair[..., 1]) <= 0.0
+            for lam in range(self.n - 1, -1, -1):
+                stamp = phi & -(1 << lam)
+                if self.stamps[lam] != stamp:
+                    (self._gop if phi >> lam & 1 else self._fop)(lam)
+                    self.stamps[lam] = stamp
+            pair = self.pairs[0][:, 0, :].T.copy()
+            null = (pair[:, 0] + pair[:, 1]) <= 0.0
         pair[null] = 0.5
         return pair, null
 
     def push(self, phi: int, bits: np.ndarray) -> None:
-        """Record the decided bit at index phi and propagate partial sums."""
+        """Record the decided (B,) bits at index phi and propagate partial sums."""
         if phi != self._next:
             raise ValueError(f"indices must be pushed in order; expected {self._next}")
         self._next = phi + 1
-        cur = np.asarray(bits, dtype=np.uint8).reshape(self.batch, 1)
+        cur = np.asarray(bits, dtype=np.uint8).reshape(1, self.batch)
         lam, j = 0, phi
         while (j & 1) and lam < self.n:
-            nxt = np.empty((self.batch, 2 << lam), dtype=np.uint8)
-            nxt[:, 0::2] = self.low[lam] ^ cur
-            nxt[:, 1::2] = cur
+            nxt = np.empty((2 << lam, self.batch), dtype=np.uint8)
+            nxt[0::2] = self.low[lam] ^ cur
+            nxt[1::2] = cur
             cur = nxt
             lam += 1
             j >>= 1
@@ -297,8 +323,14 @@ class PairStack:
 
 
 def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> np.ndarray:
-    """(B, N, 2) joint pairs at the realized observations."""
-    return ch.table.T[obs]
+    """(2, N, B) joint pairs at the realized (B, N) observations.
+
+    An observation-free channel gives a read-only broadcast of its one
+    column; PairStack never writes its leaf level.
+    """
+    if ch.obs_size == 1:
+        return np.broadcast_to(ch.table[:, :, None], (2,) + obs.T.shape)
+    return np.take(ch.table, obs.T, axis=1)
 
 
 def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
@@ -362,7 +394,6 @@ def sc_conditional(
         raise ValueError("prefix must be shorter than the block")
     stack = PairStack(_leaf_pairs(ch, obs[None, :]))
     for phi in range(prefix.size):
-        stack.pair_at(phi)
         stack.push(phi, prefix[phi : phi + 1])
     pair, null = stack.pair_at(prefix.size)
     if anomalies is not None:
@@ -382,18 +413,20 @@ def _policy_pass(
 ):
     """The SC walk: each index's sampling law, drawn from or followed.
 
-    obs, the policy's pinned bits and v_block are (B, N), as `_lift` returns
-    them. At every index the walk forms the law (q0, q1) of the policy's tag:
-    the observation stack's pair on OBSERVATION_CONDITIONAL, the prior
-    stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of
-    its more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
-    bit on PINNED. An indicator law is held as its bit. Given `uniforms` =
-    (private, shared) (B, N) blocks the walk draws bit = u < q1, with the
-    shared block on UNIFORM_HALF, and copies the bit of an indicator law;
-    given `v_block` it follows those bits and multiplies the chain
-    probability by q[bit] (1 or 0 for an indicator law).
-    Returns (v_block, chain), chain None when drawing. The observation and
-    prior stacks advance in lockstep, each only if the policy consults it.
+    obs and the policy's pinned bits are (B, N), as `_lift` returns them;
+    v_block and the `uniforms` = (private, shared) blocks are (N, B). At
+    every index the walk forms the law (q0, q1) of the policy's tag: the
+    observation stack's pair on OBSERVATION_CONDITIONAL, the prior stack's
+    pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of its
+    more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
+    bit on PINNED. An indicator law is held as its bit. Given `uniforms` the
+    walk draws bit = u < q1, with the shared block on UNIFORM_HALF, and
+    copies the bit of an indicator law; given `v_block` it follows those
+    bits and multiplies the chain probability by q[bit] (1 or 0 for an
+    indicator law). Returns ((N, B) v_block, chain), chain None when
+    drawing. A stack exists only if the policy consults it; it is evaluated
+    only at the indices whose tag consults it, and every decided bit is
+    pushed to every stack.
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
@@ -405,21 +438,20 @@ def _policy_pass(
     if np.any(tags == OBSERVATION_CONDITIONAL):
         stacks[OBSERVATION_CONDITIONAL] = PairStack(_leaf_pairs(ch, obs))
     if np.any(tags == PRIOR_CONDITIONAL):
-        stacks[PRIOR_CONDITIONAL] = PairStack(_leaf_pairs(ch.prior(), np.zeros_like(obs)))
-    pinned = policy.pinned
+        stacks[PRIOR_CONDITIONAL] = PairStack(_leaf_pairs(ch.prior(), obs))
+    pinned = None if policy.pinned is None else np.ascontiguousarray(policy.pinned.T)
 
     chain = None
     if v_block is None:
         private_u, shared_u = uniforms
-        v_block = np.empty((batch, n_len), dtype=np.uint8)
+        v_block = np.empty((n_len, batch), dtype=np.uint8)
     else:
         chain = np.ones(batch)
     for phi in range(n_len):
-        pairs = {tag: stack.pair_at(phi) for tag, stack in stacks.items()}
         tag = int(tags[phi])
         point = None  # the bit of an indicator law
-        if tag in pairs:
-            pair, null = pairs[tag]
+        if tag in stacks:
+            pair, null = stacks[tag].pair_at(phi)
             if anomalies is not None:
                 anomalies.add(null.sum())
             q0, q1 = pair[:, 0], pair[:, 1]
@@ -428,15 +460,15 @@ def _policy_pass(
         elif tag == UNIFORM_HALF:
             q0 = q1 = 0.5
         else:
-            point = pinned[:, phi]
+            point = pinned[phi]
         if chain is None:
             bits = point
             if bits is None:
                 u = shared_u if tag == UNIFORM_HALF else private_u
-                bits = (u[:, phi] < q1).astype(np.uint8)
-            v_block[:, phi] = bits
+                bits = (u[phi] < q1).astype(np.uint8)
+            v_block[phi] = bits
         else:
-            bits = v_block[:, phi]
+            bits = v_block[phi]
             chain *= np.where(bits == 1, q1, q0) if point is None else (bits == point)
         for stack in stacks.values():
             stack.push(phi, bits)
@@ -467,10 +499,10 @@ def sample_sequential(
     higher-probability bit (a documented deviation from the sampling rules).
     """
     batched, obs, policy = _lift(ch, obs, policy)
-    private_u = rng.random(obs.shape)
-    shared_u = (shared_rng or rng).random(obs.shape)
+    private_u = np.ascontiguousarray(rng.random(obs.shape).T)
+    shared_u = np.ascontiguousarray((shared_rng or rng).random(obs.shape).T)
     v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
-    return v_block if batched else v_block[0]
+    return np.ascontiguousarray(v_block.T) if batched else v_block[:, 0].copy()
 
 
 def chain_probability(
@@ -494,5 +526,5 @@ def chain_probability(
     v_block = v_block.astype(np.uint8)
     batched, obs, policy = _lift(ch, obs, policy, v_block)
     _, chain = _policy_pass(ch, obs, policy, fd_mode, anomalies,
-                            v_block=np.broadcast_to(v_block, obs.shape))
+                            v_block=np.ascontiguousarray(np.broadcast_to(v_block, obs.shape).T))
     return chain if batched else float(chain[0])

@@ -18,8 +18,10 @@ from polarcomm.sc import (
     PRIOR_CONDITIONAL,
     UNIFORM_HALF,
     AnomalyLog,
+    PairStack,
     SamplingPolicy,
     SymbolChannel,
+    _leaf_pairs,
     chain_probability,
     sample_sequential,
     sc_conditional,
@@ -293,6 +295,29 @@ def test_walk_golden_values_n64():
     so most indices consult neither stack. The pins are v = u G_N of blocks
     drawn with the observations; rows 3..5 each have one pin flipped."""
     _check_walk_golden("golden_sc_walk_n64.json")
+
+
+def test_stack_pairs_independent_of_consulted_set():
+    """A stack consulted only at a sparse set of indices returns the same
+    pairs and null masks there as one consulted at every index."""
+    rng = np.random.default_rng(12)
+    n_len, batch = 64, 5
+    # symbols 0 and 1 fix the bit, so random pushes reach null conditionings
+    ch = SymbolChannel(np.array([[0.3, 0.0, 0.2], [0.0, 0.4, 0.1]]))
+    leaves = _leaf_pairs(ch, rng.integers(0, ch.obs_size, (batch, n_len)))
+    bits = rng.integers(0, 2, (n_len, batch)).astype(np.uint8)
+    sparse = {0, 37, n_len - 1} | set(np.flatnonzero(rng.random(n_len) < 0.1).tolist())
+    dense_stack, sparse_stack = PairStack(leaves), PairStack(leaves)
+    nulls = 0
+    for phi in range(n_len):
+        pair, null = dense_stack.pair_at(phi)
+        if phi in sparse:
+            got, got_null = sparse_stack.pair_at(phi)
+            assert np.array_equal(got, pair) and np.array_equal(got_null, null)
+            nulls += int(null.sum())
+        dense_stack.push(phi, bits[phi])
+        sparse_stack.push(phi, bits[phi])
+    assert nulls > 0
 
 
 def test_chain_probability_rejects_non_binary_blocks():
