@@ -7,8 +7,11 @@ flat JSON object; --print-schema lists every key with its default. Outputs
 are written atomically into the --out directory and are byte-identical for
 identical configs and seeds (no timestamps, sorted keys, fixed float
 formatting via repr). On any failure a machine-readable error record goes to
-stderr, partial outputs are removed, and the exit status is 2 for config
-errors or 3 when the anomaly limit is exceeded.
+stderr as its last line, partial outputs are removed, and the exit status is
+2 for config errors (kind "config": a bad or mistyped value, or inputs the
+library rejects with ValueError), 3 when the anomaly limit is exceeded (kind
+"anomaly_limit"), and 1 for any other fault (kind "internal", after its
+traceback).
 
 simulate and verify draw the sources, the common randomness and the
 terminals' private streams from shared_seed; Monte Carlo profiles from
@@ -23,6 +26,7 @@ import json
 import os
 import sys
 import tempfile
+import traceback
 from dataclasses import replace
 from pathlib import Path
 
@@ -83,8 +87,24 @@ CONFIG_SCHEMA = {
                          "N <= 4, none for 3 or more; agreement at N <= 4 within 2^24 cells "
                          "|X|^N |Y|^N 2^(N t); under argmax fd_policy only where every F_d "
                          "is empty. verify.json holds null for a quantity no route covers"),
-    "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this"),
+    "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this; "
+                            "null for no limit"),
 }
+
+# keys whose help documents null, with the JSON type of their other values
+NULLABLE = {"delta": "number", "fractions": "array", "verify_rounds": "number",
+            "anomaly_limit": "number"}
+
+
+def _json_type(value) -> str:
+    """JSON type name of a decoded value; int and float are both numbers."""
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "boolean"
+    if isinstance(value, (int, float)):
+        return "number"
+    return {str: "string", list: "array", dict: "object"}[type(value)]
 
 COMMANDS = ("profile", "plan", "simulate", "verify", "rates", "sweep")
 
@@ -104,6 +124,14 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
         unknown = sorted(set(user) - set(CONFIG_SCHEMA))
         if unknown:
             raise ConfigError(f"unknown config keys: {unknown}")
+        for key, value in user.items():
+            default = CONFIG_SCHEMA[key][0]
+            allowed = {_json_type(default)}
+            if key in NULLABLE:
+                allowed |= {"null", NULLABLE[key]}
+            if _json_type(value) not in allowed:
+                raise ConfigError(f"config key {key!r} must be {' or '.join(sorted(allowed))}, "
+                                  f"got {_json_type(value)}")
         cfg.update(user)
     if seed_override is not None:
         cfg["shared_seed"] = seed_override
@@ -122,7 +150,10 @@ def build_model(cfg: dict) -> AuxChainModel:
     path = Path(name)
     if not path.exists():
         raise ConfigError(f"model {name!r} is not builtin and no such file exists")
-    return AuxChainModel.from_json(path.read_text(encoding="utf-8"))
+    try:
+        return AuxChainModel.from_json(path.read_text(encoding="utf-8"))
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"model file {name!r} is malformed: {exc!r}") from exc
 
 
 def build_policy(cfg: dict) -> PartitionPolicy:
@@ -351,10 +382,15 @@ def main(argv=None) -> int:
         out.rollback()
         print(json.dumps({"error": "anomaly_limit", "detail": str(exc)}), file=sys.stderr)
         return 3
-    except (ConfigError, ValueError, KeyError, TypeError) as exc:
+    except ValueError as exc:  # ConfigError, ModelError and library input checks
         out.rollback()
         print(json.dumps({"error": "config", "detail": str(exc)}), file=sys.stderr)
         return 2
+    except Exception as exc:
+        out.rollback()
+        traceback.print_exc()
+        print(json.dumps({"error": "internal", "detail": repr(exc)}), file=sys.stderr)
+        return 1
     return 0
 
 

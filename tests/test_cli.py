@@ -169,6 +169,40 @@ def test_config_errors_exit_2(tmp_path):
         assert json.loads(proc.stderr.strip().splitlines()[-1])["error"] == "config"
 
 
+def _last_error(capsys):
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_config_value_types_checked(tmp_path, capsys):
+    """A value whose JSON type differs from its key's default exits 2 (int
+    and float are both numbers; null only where the key documents it)."""
+    for k, bad in enumerate(({"n": "8"}, {"n": None}, {"p": True}, {"n_list": 8},
+                             {"source_probs": "0.5"}, {"fractions": 0.2})):
+        cfg = write_config(tmp_path / f"bad{k}.json", model="and", **bad)
+        code = main(["plan", "--config", cfg, "--out", str(tmp_path / f"o{k}")])
+        assert code == 2, bad
+        record = _last_error(capsys)
+        assert record["error"] == "config" and next(iter(bad)) in record["detail"]
+    cfg = write_config(tmp_path / "ok.json", model="and", n=4.0, rate_margin=0, delta=None,
+                       anomaly_limit=None, verify_rounds=None)
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+
+
+def test_internal_fault_exits_1(tmp_path, capsys, monkeypatch):
+    """An exception that is not a ValueError is an internal fault: exit 1,
+    kind internal, outputs rolled back."""
+    def broken(model, cfg, out):
+        out.write_json("rates.json", {})
+        raise KeyError("missing")
+
+    monkeypatch.setattr(polarcomm.cli, "cmd_rates", broken)
+    cfg = write_config(tmp_path / "cfg.json", model="and")
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    record = _last_error(capsys)
+    assert record["error"] == "internal" and "missing" in record["detail"]
+    assert not (tmp_path / "out" / "rates.json").exists()
+
+
 def test_failed_write_leaves_no_temporary_file(tmp_path):
     out = polarcomm.cli.OutputSet(tmp_path / "out")
     with pytest.raises(UnicodeEncodeError):
