@@ -91,12 +91,14 @@ class PartitionPolicy:
 
     The rank selection additionally honors reliability caps: F_d only admits
     indices with z_uncond <= fd_z_cap and F_r only indices with
-    z_tx >= 1 - fr_z_cap; any shortfall against the target fraction lands in
-    I and gets transmitted, which is the conservative direction. At desk
-    scale the raw closed-form fractions reach well past the polarized sets,
-    and prior-chain samples at such indices contradict deterministic
-    observation conditionals, so uncapped selection poisons whole blocks.
-    Set a cap to None to disable it.
+    z_tx >= 1 - fr_z_cap. Any shortfall against the target fraction lands in
+    I but is not transmitted: I' still takes round(N i_prime) indices, and
+    `with_fractions` clamps i_prime to 1 - f_d - f_r of the *target*
+    fractions, so the receiver samples the extra indices of I from its own
+    observation. At desk scale the raw closed-form fractions reach well past
+    the polarized sets, and prior-chain samples at such indices contradict
+    deterministic observation conditionals, so uncapped selection poisons
+    whole blocks. Set a cap to None to disable it.
     """
 
     mode: str = "target_rate"
