@@ -502,7 +502,8 @@ def sample_sequential(
     private_u = np.ascontiguousarray(rng.random(obs.shape).T)
     shared_u = np.ascontiguousarray((shared_rng or rng).random(obs.shape).T)
     v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
-    return np.ascontiguousarray(v_block.T) if batched else v_block[:, 0].copy()
+    v_block = np.ascontiguousarray(v_block.T)
+    return v_block if batched else v_block[0]
 
 
 def chain_probability(
