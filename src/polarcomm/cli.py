@@ -132,6 +132,9 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             if _json_type(value) not in allowed:
                 raise ConfigError(f"config key {key!r} must be {' or '.join(sorted(allowed))}, "
                                   f"got {_json_type(value)}")
+            # every array-valued key holds numbers
+            if isinstance(value, list) and any(_json_type(v) != "number" for v in value):
+                raise ConfigError(f"config key {key!r} must be an array of numbers")
         cfg.update(user)
     if seed_override is not None:
         cfg["shared_seed"] = seed_override

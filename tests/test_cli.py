@@ -177,7 +177,8 @@ def test_config_value_types_checked(tmp_path, capsys):
     """A value whose JSON type differs from its key's default exits 2 (int
     and float are both numbers; null only where the key documents it)."""
     for k, bad in enumerate(({"n": "8"}, {"n": None}, {"p": True}, {"n_list": 8},
-                             {"source_probs": "0.5"}, {"fractions": 0.2})):
+                             {"source_probs": "0.5"}, {"fractions": 0.2}, {"n_list": [None]},
+                             {"source_probs": [[0.5], [0.5]]})):
         cfg = write_config(tmp_path / f"bad{k}.json", model="and", **bad)
         code = main(["plan", "--config", cfg, "--out", str(tmp_path / f"o{k}")])
         assert code == 2, bad
