@@ -189,6 +189,14 @@ def test_config_value_types_checked(tmp_path, capsys):
     assert main(["plan", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
 
 
+def test_malformed_model_file_exits_2(tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"joint": {"variables": []}}))
+    cfg = write_config(tmp_path / "cfg.json", model=str(model))
+    assert main(["rates", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert _last_error(capsys)["error"] == "config"
+
+
 def test_internal_fault_exits_1(tmp_path, capsys, monkeypatch):
     """An exception that is not a ValueError is an internal fault: exit 1,
     kind internal, outputs rolled back."""
