@@ -127,7 +127,7 @@ def walk_cases(pc, model_name, label, n_len, plans):
                     yield name, _digest(v, np.asarray(chain), log.count)
 
 
-def profile_cases(pc, model_name, label, plans):
+def profile_cases(model_name, label, plans):
     for plan in plans:
         for cond in sorted(plan.profiles):
             prof = plan.profiles[cond]
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
             for case in walk_cases(pc, model_name, label, n_len, plans):
                 emit(*case)
             if label.startswith("mc"):
-                for case in profile_cases(pc, model_name, label, plans):
+                for case in profile_cases(model_name, label, plans):
                     emit(*case)
             if model_name in ORACLE_MODELS and label.startswith("exact"):
                 for case in oracle_cases(pc, model_name, model, label, n_len, plans):
