@@ -16,6 +16,12 @@ moved. The cases are
                   policy: `sample_sequential` blocks, their
                   `chain_probability`, and the anomaly counts, under both F_d
                   modes, batched and (N,);
+  * walk/functional/...  the same on channels whose bit is a function of the
+                  observation (a zero-mass symbol, a degenerate prior, an
+                  observation-free channel): rows that observe the
+                  zero-mass symbol, pins and F_d draws that leave
+                  v* = G_N(u*(obs)) mid-block, and the chain probability of
+                  v* itself;
   * profile/...   the z and stderr bytes of every Monte Carlo profile (all
                   three conditionings) of the N = 32 plans, and direct
                   `profile_monte_carlo` calls with an uneven last chunk
@@ -127,6 +133,50 @@ def walk_cases(pc, model_name, label, n_len, plans):
                     yield name, _digest(v, np.asarray(chain), log.count)
 
 
+FUNCTIONAL_CHANNELS = {
+    "zero-symbol": [[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]],
+    "degenerate-prior": [[0.6, 0.4], [0.0, 0.0]],
+    "observation-free": [[0.0], [1.0]],
+}
+
+
+def functional_walk_cases(pc):
+    n_len, batch = 16, 6
+    rng = np.random.default_rng(31)
+    tags = np.tile(np.arange(4, dtype=np.uint8), n_len // 4)
+    for ch_name, table in FUNCTIONAL_CHANNELS.items():
+        ch = pc.SymbolChannel(np.array(table))
+        mass = ch.table.sum(axis=0)
+        obs = rng.choice(np.flatnonzero(mass > 0), (batch, n_len))
+        if np.any(mass == 0):  # rows 0 and 1 observe the zero-mass symbol once
+            obs[[0, 1], rng.integers(0, n_len, 2)] = np.flatnonzero(mass == 0)[0]
+        v_star = pc.apply_transform((ch.table[1] > 0)[obs].astype(np.uint8))
+        mixed = rng.permutation(tags)
+        at = np.flatnonzero(mixed == pc.sc.PINNED)
+        pinned = v_star.copy()  # rows 2 and 3 pin against v* mid-block
+        pinned[2, at[at.size // 2]] ^= 1
+        pinned[3, at[-1]] ^= 1
+        policies = (("observation", pc.SamplingPolicy.observation_only(n_len)),
+                    ("mixed", pc.SamplingPolicy(mixed, pinned)))
+        for pol_name, policy in policies:
+            for fd in ("sample", "argmax"):
+                for shape in ("batched", "single"):
+                    pol, ob, star = policy, obs, v_star
+                    if shape == "single":
+                        ob, star = obs[2], v_star[2]
+                        if policy.pinned is not None:
+                            pol = pc.SamplingPolicy(policy.tags, policy.pinned[2])
+                    log = pc.AnomalyLog()
+                    v = pc.sample_sequential(ch, ob, pol, np.random.default_rng(7),
+                                             shared_rng=np.random.default_rng(8),
+                                             fd_mode=fd, anomalies=log)
+                    chain = pc.chain_probability(ch, ob, pol, v, fd_mode=fd, anomalies=log)
+                    chain_star = pc.chain_probability(ch, ob, pol, star, fd_mode=fd,
+                                                      anomalies=log)
+                    yield (f"walk/functional/{ch_name}/{pol_name}/{fd}/{shape}",
+                           _digest(v, np.asarray(chain), np.asarray(chain_star), log.count))
+
+
 def profile_cases(model_name, label, plans):
     for plan in plans:
         for cond in sorted(plan.profiles):
@@ -232,6 +282,8 @@ def main(argv=None) -> int:
             if model_name in ORACLE_MODELS and label.startswith("exact"):
                 for case in oracle_cases(pc, model_name, model, label, n_len, plans):
                     emit(*case)
+    for case in functional_walk_cases(pc):
+        emit(*case)
     for case in direct_profile_cases(pc):
         emit(*case)
     for case in cli_cases(pc_cli):
