@@ -22,8 +22,23 @@ so a walk pays for a stack only at the indices whose tag consults it. A
 block that no consulted index reads is never computed, and no other index
 reads it (PairStack states the rule).
 
-Null conditioning (a prefix of probability zero given the observation, only
-reachable through pinned bits inconsistent with the model) yields the uniform
+Where the bit is a function of the observation (every observation column of
+the table has at most one positive entry, SymbolChannel.functional), the
+walk uses FunctionalStack instead of the tree. Its leaf pairs are then
+(a, 0), (0, a) or (0, 0), so every combined node has at most one nonzero
+product term; the first combine of two positive leaves gives at least the
+squared smallest entry, which the property requires to be positive, and
+normalization turns every node into exactly (1, 0), (0, 1) or (0, 0),
+since x / x = 1 in IEEE arithmetic. The root pair at index i is therefore
+exactly the indicator of v*_i, where v* = G_N(u*(obs)) is the one block of
+positive mass, while the pushed prefix agrees with v* and no observed
+symbol has zero mass, and (0, 0) otherwise. FunctionalStack returns that
+pair without building the tree, so draws (u < q1), argmax decisions, chain
+factors q[bit] and null counts are bit for bit those of PairStack.
+
+Null conditioning (a prefix of probability zero given the observation,
+reachable through pinned bits or draws inconsistent with the model, or
+through an observed symbol of zero mass) yields the uniform
 pair and a diagnostic count instead of an error; samplers and chain
 probabilities treat the fallback as part of the sampling law, which keeps
 every induced distribution properly normalized.
@@ -40,6 +55,7 @@ from typing import Sequence
 import numpy as np
 
 from .probability import NORM_TOL, JointPmf
+from .transform import apply_transform
 
 # per-index sampling tags
 UNIFORM_HALF = 0
@@ -100,6 +116,15 @@ class SymbolChannel:
     @property
     def obs_size(self) -> int:
         return self.table.shape[1]
+
+    @property
+    def functional(self) -> bool:
+        """Whether the bit is a function of the observation, exactly enough
+        for FunctionalStack: every column holds at most one positive entry
+        (a column may be all zero), and every positive entry squared is
+        still positive, so no product of two leaves underflows to 0."""
+        positive = self.table > 0
+        return bool(positive.sum(axis=0).max() <= 1 and np.all(self.table[positive] ** 2 > 0))
 
     def prior(self) -> "SymbolChannel":
         """Marginalize the observation away: the prior chain P(u)."""
@@ -322,6 +347,64 @@ class PairStack:
             self.low[lam][...] = cur
 
 
+class FunctionalStack:
+    """PairStack's root pairs for a functional channel, without the tree.
+
+    The bit is u*(o), the row of symbol o's one positive entry, and
+    v* = G_N(u*(obs)) is the only v-block of positive mass. A row is alive
+    while every symbol it observes has positive mass and every pushed bit
+    equals v*'s; pair_at gives the indicator of v*[phi] on alive rows and the
+    uniform pair, flagged null, on the rest. This is exactly PairStack's
+    output on the same channel (module docstring). Drive it as PairStack.
+    """
+
+    def __init__(self, ch: SymbolChannel, obs: np.ndarray):
+        if not ch.functional:
+            raise ValueError("FunctionalStack needs a functional channel")
+        batch, n_len = obs.shape
+        positive = ch.table > 0
+        if ch.obs_size == 1:  # one row stands for every row
+            obs = np.zeros((1, n_len), dtype=np.intp)
+        v_star = apply_transform(positive[1][obs])
+        self.v_star = np.broadcast_to(np.ascontiguousarray(v_star.T), (n_len, batch))
+        self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=1), (batch,)).copy()
+        self._next = 0
+
+    def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
+        """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
+        if phi != self._next:
+            raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
+        pair = np.empty((self.alive.size, 2))
+        pair[:, 1] = self.v_star[phi]
+        pair[:, 0] = 1.0 - pair[:, 1]
+        null = ~self.alive
+        pair[null] = 0.5
+        return pair, null
+
+    def push(self, phi: int, bits: np.ndarray) -> None:
+        """Record the decided (B,) bits at index phi."""
+        if phi != self._next:
+            raise ValueError(f"indices must be pushed in order; expected {self._next}")
+        self._next = phi + 1
+        self.alive &= bits == self.v_star[phi]
+
+    def null_onsets(self, v_block: np.ndarray) -> np.ndarray:
+        """(B,) first index whose pair is null when the (N, B) v_block is
+        pushed from here: 0 on a dead row, one past the first index where
+        v_block leaves v*, N where it never does."""
+        off = v_block != self.v_star
+        onset = np.where(off.any(axis=0), off.argmax(axis=0) + 1, off.shape[0])
+        return np.where(self.alive, onset, 0)
+
+
+def _stack_for(ch: SymbolChannel, obs: np.ndarray):
+    """The SC stack of ch at (B, N) observations: FunctionalStack where the
+    channel is functional, PairStack otherwise."""
+    if ch.functional:
+        return FunctionalStack(ch, obs)
+    return PairStack(_leaf_pairs(ch, obs))
+
+
 def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> np.ndarray:
     """(2, N, B) joint pairs at the realized (B, N) observations.
 
@@ -426,7 +509,8 @@ def _policy_pass(
     indicator law). Returns ((N, B) v_block, chain), chain None when
     drawing. A stack exists only if the policy consults it; it is evaluated
     only at the indices whose tag consults it, and every decided bit is
-    pushed to every stack.
+    pushed to every stack. A functional channel's stack is a
+    FunctionalStack (`_stack_for`).
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
@@ -436,9 +520,9 @@ def _policy_pass(
     tags = policy.tags
     stacks = {}
     if np.any(tags == OBSERVATION_CONDITIONAL):
-        stacks[OBSERVATION_CONDITIONAL] = PairStack(_leaf_pairs(ch, obs))
+        stacks[OBSERVATION_CONDITIONAL] = _stack_for(ch, obs)
     if np.any(tags == PRIOR_CONDITIONAL):
-        stacks[PRIOR_CONDITIONAL] = PairStack(_leaf_pairs(ch.prior(), obs))
+        stacks[PRIOR_CONDITIONAL] = _stack_for(ch.prior(), obs)
     pinned = None if policy.pinned is None else np.ascontiguousarray(policy.pinned.T)
 
     chain = None
@@ -475,6 +559,27 @@ def _policy_pass(
     return v_block, chain
 
 
+UNIFORM_SLAB = 64  # rows per uniform draw
+
+
+def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool = True):
+    """The doubles of rng.random((B, N)), as an (N, B) block.
+
+    They are drawn in UNIFORM_SLAB-row slabs, which give the same doubles as
+    one (B, N) draw, and each slab is transposed into place, so no (B, N)
+    temporary is made. With keep=False the slabs are dropped and only the
+    stream advances; None is returned.
+    """
+    block = np.empty((n_len, batch)) if keep else None
+    slab = np.empty((min(UNIFORM_SLAB, batch), n_len))
+    for start in range(0, batch, UNIFORM_SLAB):
+        rows = slab[: min(UNIFORM_SLAB, batch - start)]
+        rng.random(out=rows)
+        if keep:
+            block[:, start : start + rows.shape[0]] = rows.T
+    return block
+
+
 def sample_sequential(
     ch: SymbolChannel,
     obs,
@@ -492,15 +597,18 @@ def sample_sequential(
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
     copies the given bit. Both streams are consumed as one (B, N) uniform
     block up front, so outputs are reproducible for a fixed seed regardless
-    of the tag layout. Returns (B, N) blocks, squeezed to (N,) for unbatched
+    of the tag layout; the shared block is dropped unread when no index is
+    UNIFORM_HALF. Returns (B, N) blocks, squeezed to (N,) for unbatched
     inputs.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
     """
     batched, obs, policy = _lift(ch, obs, policy)
-    private_u = np.ascontiguousarray(rng.random(obs.shape).T)
-    shared_u = np.ascontiguousarray((shared_rng or rng).random(obs.shape).T)
+    batch, n_len = obs.shape
+    private_u = _uniform_block(rng, batch, n_len)
+    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
+                              keep=bool(np.any(policy.tags == UNIFORM_HALF)))
     v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
     v_block = np.ascontiguousarray(v_block.T)
     return v_block if batched else v_block[0]

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from polarcomm import reliability
 from polarcomm.models import AndModelParams, build_and_chain, build_bsc_chain
 from polarcomm.reliability import (
     IndexPartition,
@@ -63,6 +64,41 @@ def test_profile_monte_carlo_deterministic():
     b = profile_monte_carlo(ch, 8, 500, seed=9)
     assert np.array_equal(a.z, b.z)
     assert np.array_equal(a.stderr, b.stderr)
+
+
+class _ZeroingRng:
+    """A generator whose next random() array has 0.0 at the given cells."""
+
+    def __init__(self, rng, cells):
+        self.rng, self.cells = rng, cells
+
+    def random(self, shape):
+        out = self.rng.random(shape)
+        out[self.cells] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("table", [
+    [[0.0, 0.3, 0.2], [0.5, 0.0, 0.0]],  # cell 0 is a zero-mass cell of a positive column
+    [[0.0, 0.3, 0.0], [0.0, 0.0, 0.7]],  # cell 0 lies in a zero-mass column
+    [[0.4, 0.0], [0.0, 0.6]],
+    [[1.0], [0.0]],
+])
+def test_functional_profile_equals_tree(table, monkeypatch):
+    """A functional channel's Monte Carlo profile equals the tree's, bit for
+    bit, also where rng.random() == 0.0 picks the zero-mass cell 0: that
+    sample is null after it leaves v*, or everywhere on a zero-mass column."""
+    ch = SymbolChannel(np.array(table))
+    assert ch.functional
+    n_len, samples = 16, 300
+    zeros = (np.array([4, 9, 9, 250]), np.array([0, 3, 11, 15]))
+    monkeypatch.setattr(reliability, "derive_rng",
+                        lambda *key: _ZeroingRng(np.random.default_rng(key), zeros))
+    fast = profile_monte_carlo(ch, n_len, samples, (5, 2), chunk=64)
+    monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
+    tree = profile_monte_carlo(ch, n_len, samples, (5, 2), chunk=64)
+    assert np.array_equal(fast.z, tree.z) and np.array_equal(fast.stderr, tree.stderr)
+    assert np.any(fast.z > 0) == (ch.table[0, 0] == 0)
 
 
 def test_polarization_trend_with_blocklength():

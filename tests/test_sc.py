@@ -10,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarcomm.models import AndModelParams, build_and_chain
 from polarcomm.sc import (
@@ -18,10 +20,12 @@ from polarcomm.sc import (
     PRIOR_CONDITIONAL,
     UNIFORM_HALF,
     AnomalyLog,
+    FunctionalStack,
     PairStack,
     SamplingPolicy,
     SymbolChannel,
     _leaf_pairs,
+    _uniform_block,
     chain_probability,
     sample_sequential,
     sc_conditional,
@@ -329,3 +333,124 @@ def test_chain_probability_rejects_non_binary_blocks():
     with pytest.raises(ValueError):
         chain_probability(ch, np.broadcast_to(obs, (2, 4)), policy,
                           np.array([[0, 1, 1, 0], [1, 0, 0, 2]]))
+
+
+def random_functional_table(rng, size, tiny=0):
+    """A (2, size) table with at most one positive entry per column, some
+    columns all zero, and entries down to about 10^-tiny."""
+    table = np.zeros((2, size))
+    rows = rng.integers(0, 2, size)
+    table[rows, np.arange(size)] = rng.random(size) * 10.0 ** -rng.integers(0, tiny + 1, size)
+    table[:, rng.random(size) < 0.25] = 0.0
+    table[rows[0], 0] = 1.0  # keep some mass
+    return table / table.sum()
+
+
+def test_functional_classification():
+    assert SymbolChannel(np.array([[0.5, 0.0], [0.0, 0.5]])).functional
+    assert SymbolChannel(np.array([[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]])).functional  # zero column
+    assert SymbolChannel(np.array([[1.0], [0.0]])).functional  # degenerate prior
+    assert not SymbolChannel(np.array([[0.5], [0.5]])).functional
+    assert not SymbolChannel(np.array([[0.5, 0.0], [0.25, 0.25]])).functional
+    assert and_round1_channel().functional and not and_round1_channel().prior().functional
+    # 1e-170 squared underflows to 0, so a product of two leaves could too
+    assert not SymbolChannel(np.array([[1.0, 0.0], [0.0, 1e-170]])).functional
+    assert SymbolChannel(np.array([[1.0, 0.0], [0.0, 1e-150]])).functional
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=st.integers(1, 5),
+       size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
+       tiny=st.sampled_from([0, 150]))
+def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
+    """Pair for pair and null for null, on random functional tables with
+    zero-mass columns, at random consulted indices under pushes that leave
+    v* now and then."""
+    rng = np.random.default_rng(seed)
+    n_len = 1 << n
+    ch = SymbolChannel(random_functional_table(rng, size, tiny))
+    assert ch.functional
+    obs = rng.integers(0, size, (batch, n_len))
+    fast, ref = FunctionalStack(ch, obs), PairStack(_leaf_pairs(ch, obs))
+    v_star = fast.v_star.copy()
+    pushes = v_star ^ (rng.random((n_len, batch)) < flip)
+    for phi in range(n_len):
+        if rng.random() < 0.7:
+            got, got_null = fast.pair_at(phi)
+            want, want_null = ref.pair_at(phi)
+            assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+        fast.push(phi, pushes[phi])
+        ref.push(phi, pushes[phi])
+
+
+def test_functional_stack_null_onsets():
+    """null_onsets gives the first index at which the pushed block's pair is null."""
+    rng = np.random.default_rng(13)
+    ch = SymbolChannel(np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]))
+    n_len, batch = 16, 40
+    obs = rng.integers(0, 2, (batch, n_len))
+    obs[:5, 3] = 2  # zero-mass symbol
+    stack = FunctionalStack(ch, obs)
+    pushes = stack.v_star ^ (rng.random((n_len, batch)) < 0.05)
+    onsets = stack.null_onsets(pushes)
+    assert np.all(onsets[:5] == 0) and np.any((onsets > 0) & (onsets < n_len))
+    for phi in range(n_len):
+        _, null = stack.pair_at(phi)
+        assert np.array_equal(null, onsets <= phi)
+        stack.push(phi, pushes[phi])
+
+
+def _walk(ch, obs, policy, fd, seeds=(7, 8)):
+    log = AnomalyLog()
+    v = sample_sequential(ch, obs, policy, np.random.default_rng(seeds[0]),
+                          shared_rng=np.random.default_rng(seeds[1]), fd_mode=fd, anomalies=log)
+    chain = chain_probability(ch, obs, policy, v, fd_mode=fd, anomalies=log)
+    return v, chain, log.count
+
+
+@pytest.mark.parametrize("table", [
+    [[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]],  # a zero-mass symbol
+    [[0.6, 0.4], [0.0, 0.0]],  # degenerate prior
+    [[0.0], [1.0]],  # observation-free
+    [[0.3, 0.0], [0.0, 0.7]],
+])
+def test_functional_walk_equals_pair_stack_walk(table, monkeypatch):
+    """sample_sequential, chain_probability and anomaly counts equal the
+    PairStack walk's, with the functional path switched off for the
+    reference, under pins and F_d draws that leave v* mid-block."""
+    rng = np.random.default_rng(14)
+    ch = SymbolChannel(np.array(table))
+    n_len, batch = 32, 12
+    mass = ch.table.sum(axis=0)
+    obs = rng.choice(np.flatnonzero(mass > 0), (batch, n_len))
+    if np.any(mass == 0):
+        obs[:3, rng.integers(0, n_len, 3)] = np.flatnonzero(mass == 0)[0]
+    v_star = FunctionalStack(ch, obs).v_star.T
+    pinned = v_star ^ (rng.random((batch, n_len)) < 0.03).astype(np.uint8)
+    tags = rng.integers(0, 4, n_len).astype(np.uint8)
+    policies = [SamplingPolicy(tags, pinned), SamplingPolicy(tags, pinned[5]),
+                SamplingPolicy.observation_only(n_len)]
+    runs = []
+    for functional in (True, False):
+        if not functional:
+            monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
+        runs.append([(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
+                     for policy in policies for ob, star in ((obs, v_star), (obs[5], v_star[5]))
+                     for fd in ("sample", "argmax")])
+    fast, ref = runs
+    for ((v, chain, count), chain_star), ((v_r, chain_r, count_r), chain_star_r) in zip(fast, ref):
+        assert np.array_equal(v, v_r) and count == count_r
+        assert np.array_equal(chain, chain_r) and np.array_equal(chain_star, chain_star_r)
+    assert any(count > 0 for (_, _, count), _ in fast)
+
+
+def test_uniform_block_matches_one_draw():
+    """Slab draws give the doubles of one (B, N) draw, and a dropped block
+    advances the stream as far."""
+    for batch in (1, 64, 130):
+        want = np.random.default_rng(3).random((batch, 8))
+        rng = np.random.default_rng(3)
+        assert np.array_equal(_uniform_block(rng, batch, 8), want.T)
+        skip = np.random.default_rng(3)
+        assert _uniform_block(skip, batch, 8, keep=False) is None
+        assert skip.random() == rng.random()
