@@ -559,21 +559,21 @@ def _policy_pass(
     return v_block, chain
 
 
-UNIFORM_SLAB = 64  # rows per uniform draw
+_SLAB_ROWS = 64  # rows per uniform draw
 
 
 def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool = True):
     """The doubles of rng.random((B, N)), as an (N, B) block.
 
-    They are drawn in UNIFORM_SLAB-row slabs, which give the same doubles as
+    They are drawn in _SLAB_ROWS-row slabs, which give the same doubles as
     one (B, N) draw, and each slab is transposed into place, so no (B, N)
     temporary is made. With keep=False the slabs are dropped and only the
     stream advances; None is returned.
     """
     block = np.empty((n_len, batch)) if keep else None
-    slab = np.empty((min(UNIFORM_SLAB, batch), n_len))
-    for start in range(0, batch, UNIFORM_SLAB):
-        rows = slab[: min(UNIFORM_SLAB, batch - start)]
+    slab = np.empty((min(_SLAB_ROWS, batch), n_len))
+    for start in range(0, batch, _SLAB_ROWS):
+        rows = slab[: min(_SLAB_ROWS, batch - start)]
         rng.random(out=rows)
         if keep:
             block[:, start : start + rows.shape[0]] = rows.T
