@@ -430,14 +430,15 @@ def test_functional_walk_equals_pair_stack_walk(table, monkeypatch):
     tags = rng.integers(0, 4, n_len).astype(np.uint8)
     policies = [SamplingPolicy(tags, pinned), SamplingPolicy(tags, pinned[5]),
                 SamplingPolicy.observation_only(n_len)]
-    runs = []
-    for functional in (True, False):
-        if not functional:
-            monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
-        runs.append([(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
-                     for policy in policies for ob, star in ((obs, v_star), (obs[5], v_star[5]))
-                     for fd in ("sample", "argmax")])
-    fast, ref = runs
+
+    def walks():
+        return [(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
+                for policy in policies for ob, star in ((obs, v_star), (obs[5], v_star[5]))
+                for fd in ("sample", "argmax")]
+
+    fast = walks()
+    monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
+    ref = walks()
     for ((v, chain, count), chain_star), ((v_r, chain_r, count_r), chain_star_r) in zip(fast, ref):
         assert np.array_equal(v, v_r) and count == count_r
         assert np.array_equal(chain, chain_r) and np.array_equal(chain_star, chain_star_r)
