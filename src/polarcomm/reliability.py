@@ -25,13 +25,11 @@ import numpy as np
 from .exact import block_joint_chunks
 from .sc import (
     OBSERVATION_CONDITIONAL,
-    FunctionalStack,
     PINNED,
     PRIOR_CONDITIONAL,
     UNIFORM_HALF,
-    PairStack,
     SymbolChannel,
-    _leaf_pairs,
+    _stack_for,
     derive_rng,
 )
 from .transform import apply_transform
@@ -224,14 +222,9 @@ def profile_monte_carlo(
     (`derive_rng(*seed)` for a tuple seed (seed, *spawn key)), so the result
     depends only on (seed, samples), never on the SC chunking.
 
-    On a functional channel (`SymbolChannel.functional`) the tree's pair is
-    exactly the indicator of v* = G_N(u*(obs)) while the pushed v agrees
-    with v*, with statistic 2 sqrt(1 * 0) = 0, and the null pair (1/2, 1/2),
-    with statistic 1, from the index after v first leaves v* on, or from
-    index 0 on a row that observes a zero-mass symbol (FunctionalStack).
-    Only a zero-mass cell, which rng.random() == 0.0 can pick, moves a
-    sample off v*, so the profile counts those onsets instead of walking
-    the tree; the sums are exact integers either way.
+    On a functional channel (`SymbolChannel.functional`) the walk runs on
+    FunctionalStack, whose pairs are exactly the tree's, so each sample's
+    statistic is 0 (an indicator pair) or 1 (the null pair).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -244,22 +237,17 @@ def profile_monte_carlo(
     obs = (cells % ch.obs_size).astype(np.intp)
     v_rows = np.ascontiguousarray(apply_transform(u_bits).T)
 
-    if ch.functional:
-        onsets = FunctionalStack(ch, obs).null_onsets(v_rows)
-        acc = np.cumsum(np.bincount(onsets, minlength=n_len + 1))[:n_len].astype(np.float64)
-        acc_sq = acc
-    else:
-        acc = np.zeros(n_len)
-        acc_sq = np.zeros(n_len)
-        for start in range(0, samples, chunk):
-            sl = slice(start, min(start + chunk, samples))
-            stack = PairStack(_leaf_pairs(ch, obs[sl]))
-            for phi in range(n_len):
-                pair, _ = stack.pair_at(phi)
-                stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
-                acc[phi] += stat.sum()
-                acc_sq[phi] += (stat * stat).sum()
-                stack.push(phi, v_rows[phi, sl])
+    acc = np.zeros(n_len)
+    acc_sq = np.zeros(n_len)
+    for start in range(0, samples, chunk):
+        sl = slice(start, min(start + chunk, samples))
+        stack = _stack_for(ch, obs[sl])
+        for phi in range(n_len):
+            pair, _ = stack.pair_at(phi)
+            stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
+            acc[phi] += stat.sum()
+            acc_sq[phi] += (stat * stat).sum()
+            stack.push(phi, v_rows[phi, sl])
     z = acc / samples
     if samples > 1:
         var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)

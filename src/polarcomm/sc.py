@@ -388,14 +388,6 @@ class FunctionalStack:
         self._next = phi + 1
         self.alive &= bits == self.v_star[phi]
 
-    def null_onsets(self, v_block: np.ndarray) -> np.ndarray:
-        """(B,) first index whose pair is null when the (N, B) v_block is
-        pushed from here: 0 on a dead row, one past the first index where
-        v_block leaves v*, N where it never does."""
-        off = v_block != self.v_star
-        onset = np.where(off.any(axis=0), off.argmax(axis=0) + 1, off.shape[0])
-        return np.where(self.alive, onset, 0)
-
 
 def _stack_for(ch: SymbolChannel, obs: np.ndarray):
     """The SC stack of ch at (B, N) observations: FunctionalStack where the

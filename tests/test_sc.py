@@ -383,23 +383,6 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
         ref.push(phi, pushes[phi])
 
 
-def test_functional_stack_null_onsets():
-    """null_onsets gives the first index at which the pushed block's pair is null."""
-    rng = np.random.default_rng(13)
-    ch = SymbolChannel(np.array([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]))
-    n_len, batch = 16, 40
-    obs = rng.integers(0, 2, (batch, n_len))
-    obs[:5, 3] = 2  # zero-mass symbol
-    stack = FunctionalStack(ch, obs)
-    pushes = stack.v_star ^ (rng.random((n_len, batch)) < 0.05)
-    onsets = stack.null_onsets(pushes)
-    assert np.all(onsets[:5] == 0) and np.any((onsets > 0) & (onsets < n_len))
-    for phi in range(n_len):
-        _, null = stack.pair_at(phi)
-        assert np.array_equal(null, onsets <= phi)
-        stack.push(phi, pushes[phi])
-
-
 def _walk(ch, obs, policy, fd, seeds=(7, 8)):
     log = AnomalyLog()
     v = sample_sequential(ch, obs, policy, np.random.default_rng(seeds[0]),

@@ -1,16 +1,17 @@
 """Run the benchmark in interleaved parent/change pairs and record every run.
 
     python tools/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
-        [--seeds 1 2 ...] [--pairs K] [--seconds S] [--change REV] --out BENCH_<n>.json
+        [--seeds 1 2 ...] [--pairs K] [--seconds S] --out BENCH_<n>.json
 
-Both revisions are exported with `git archive` into fresh temporary
+The parent revision and HEAD are exported with `git archive` into fresh temporary
 directories, so each side runs its committed files only, as a new checkout
 would. For every workload, seed and pair the tool runs
 `python3 bench/run.py --workload W --seed s --seconds S` once on each side,
 back to back, and alternates which side goes first (the parent in even
 pairs). Each run line of the output file holds the run's result line (its
 last stdout line) and its report's output digest; `env` is the first
-report's environment. A summary of the medians is printed at the end.
+report's environment. A run that exits non-zero stops the tool. A summary
+of the medians and of each side's failed operations is printed at the end.
 """
 from __future__ import annotations
 
@@ -46,14 +47,14 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
          "--seconds", str(seconds)],
         cwd=tree, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
-    if len(lines) < 2:
+    if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"bench/run.py in {tree} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(lines[-1]), json.loads(lines[-2])["report"]
 
 
 def summary(runs: list) -> str:
-    """Per workload and seed: median of each metric per side, and the pairs
-    in which the change reads lower."""
+    """Per workload and seed: failed operations and the median of each
+    metric per side, and the pairs in which the change reads lower."""
     out = []
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
     for workload, seed in groups:
@@ -62,6 +63,11 @@ def summary(runs: list) -> str:
         by = {(r["pair"], r["side"]): r["result"]["metrics"] for r in mine}
         out.append(f"{workload} seed {seed}, {len(pairs)} pairs, digests "
                    f"{sorted({r['digest'][:8] for r in mine})}")
+        for side in SIDES:
+            done = [r["result"] for r in mine if r["side"] == side]
+            failed = sum(r["failed"] for r in done)
+            out.append(f"  {side}: {failed} of {sum(r['attempted'] for r in done)} "
+                       f"operations failed" + ("  <-- FAILURES" if failed else ""))
         for name in by[pairs[0], "parent"]:
             vals = {side: [by[p, side][name]["value"] for p in pairs] for side in SIDES}
             lower = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
@@ -74,7 +80,6 @@ def summary(runs: list) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("parent", help="the parent revision")
-    parser.add_argument("--change", default="HEAD", help="the changed revision (HEAD)")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--pairs", type=int, default=5)
@@ -87,7 +92,7 @@ def main(argv=None) -> int:
     runs, env = [], None
     with tempfile.TemporaryDirectory() as tmp:
         trees, names = {}, {}
-        for side, rev in zip(SIDES, (args.parent, args.change)):
+        for side, rev in zip(SIDES, (args.parent, "HEAD")):
             trees[side] = Path(tmp) / side
             names[side] = export(rev, trees[side])
         for workload in args.workload:
