@@ -22,11 +22,21 @@ moved. The cases are
                   zero-mass symbol, pins and F_d draws that leave
                   v* = G_N(u*(obs)) mid-block, and the chain probability of
                   v* itself;
+  * walk/erasure/...  the same on channels whose observation either fixes
+                  the bit or leaves it exactly uniform (the uniform prior, a
+                  table with an erasure symbol and zero-mass symbols, equal
+                  entries of 1e-160, whose squares are subnormal but
+                  positive) and on one whose equal entries of 1e-170 square
+                  to 0, with one row observing the tiny entries: the
+                  observation, prior and a mixed policy with pins that
+                  contradict the drawn block, at N = 1, 2 and 16;
   * profile/...   the z and stderr bytes of every Monte Carlo profile (all
                   three conditionings) of the N = 32 plans, and direct
                   `profile_monte_carlo` calls with an uneven last chunk
                   (100 samples, chunk 64) on an observation-free and an
                   observed channel;
+  * profile/erasure/...  `profile_monte_carlo` on the walk/erasure channels
+                  at N = 1, 2 and 16, in one chunk and in uneven chunks;
   * oracle/...    the exact oracle on the BSC t = 1 and AND t = 2, 4 exact
                   plans: every profile's z bytes, `exact_q_tv` on both sides
                   at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
@@ -177,6 +187,78 @@ def functional_walk_cases(pc):
                            _digest(v, np.asarray(chain), np.asarray(chain_star), log.count))
 
 
+ERASURE_CHANNELS = {
+    "uniform-prior": [[0.5], [0.5]],
+    "erasure-symbol": [[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]],
+    "tiny-equal": [[0.5, 0.0, 1e-160], [0.0, 0.5, 1e-160]],
+    "underflow-equal": [[0.5, 0.0, 1e-170], [0.0, 0.5, 1e-170]],
+    "tiny-only": [[0.5, 1e-160, 0.0], [0.0, 1e-160, 0.5]],
+}
+ERASURE_LENGTHS = (1, 2, 16)
+
+
+def _draw_cells(ch, rng, shape):
+    """(u bits, observations) drawn from the channel's table."""
+    cum = np.cumsum(ch.table.reshape(-1))
+    cells = np.searchsorted(cum, rng.random(shape) * cum[-1], side="right")
+    cells = np.minimum(cells, cum.size - 1)
+    return (cells // ch.obs_size).astype(np.uint8), cells % ch.obs_size
+
+
+def erasure_walk_cases(pc):
+    batch = 6
+    rng = np.random.default_rng(41)
+    order = np.array([pc.sc.PINNED, pc.sc.OBSERVATION_CONDITIONAL,
+                      pc.sc.PRIOR_CONDITIONAL, pc.sc.UNIFORM_HALF], dtype=np.uint8)
+    for ch_name, table in ERASURE_CHANNELS.items():
+        ch = pc.SymbolChannel(np.array(table))
+        for n_len in ERASURE_LENGTHS:
+            u_bits, obs = _draw_cells(ch, rng, (batch, n_len))
+            mass = ch.table.sum(axis=0)
+            # row 0 observes the least likely symbol of mass at every other
+            # position (the tiny entries, which a draw never picks)
+            obs[0, ::2] = np.flatnonzero(mass == mass[mass > 0].min())[0]
+            if np.any(mass == 0):  # row 1 observes a zero-mass symbol once
+                obs[1, rng.integers(0, n_len)] = np.flatnonzero(mass == 0)[0]
+            v_drawn = pc.apply_transform(u_bits)
+            mixed = rng.permutation(np.resize(order, n_len))
+            at = np.flatnonzero(mixed == pc.sc.PINNED)
+            pinned = v_drawn.copy()  # rows 2 and 3 pin against the drawn block
+            pinned[2, at[0]] ^= 1
+            pinned[3, at[-1]] ^= 1
+            policies = (("observation", pc.SamplingPolicy.observation_only(n_len)),
+                        ("prior", pc.SamplingPolicy(np.full(n_len, pc.sc.PRIOR_CONDITIONAL))),
+                        ("mixed", pc.SamplingPolicy(mixed, pinned)))
+            for pol_name, policy in policies:
+                for fd in ("sample", "argmax"):
+                    for shape in ("batched", "single"):
+                        pol, ob, drawn = policy, obs, v_drawn
+                        if shape == "single":
+                            ob, drawn = obs[2], v_drawn[2]
+                            if policy.pinned is not None:
+                                pol = pc.SamplingPolicy(policy.tags, policy.pinned[2])
+                        log = pc.AnomalyLog()
+                        v = pc.sample_sequential(ch, ob, pol, np.random.default_rng(7),
+                                                 shared_rng=np.random.default_rng(8),
+                                                 fd_mode=fd, anomalies=log)
+                        chain = pc.chain_probability(ch, ob, pol, v, fd_mode=fd, anomalies=log)
+                        chain_drawn = pc.chain_probability(ch, ob, pol, drawn, fd_mode=fd,
+                                                           anomalies=log)
+                        yield (f"walk/erasure/{ch_name}/n{n_len}/{pol_name}/{fd}/{shape}",
+                               _digest(v, np.asarray(chain), np.asarray(chain_drawn),
+                                       log.count))
+
+
+def erasure_profile_cases(pc):
+    for ch_name, table in ERASURE_CHANNELS.items():
+        ch = pc.SymbolChannel(np.array(table))
+        for n_len in ERASURE_LENGTHS:
+            for chunk in (512, 37):
+                prof = pc.profile_monte_carlo(ch, n_len, 100, (13, n_len), chunk=chunk)
+                yield (f"profile/erasure/{ch_name}/n{n_len}-s100-c{chunk}",
+                       _digest(prof.z, prof.stderr))
+
+
 def profile_cases(model_name, label, plans):
     for plan in plans:
         for cond in sorted(plan.profiles):
@@ -284,7 +366,11 @@ def main(argv=None) -> int:
                     emit(*case)
     for case in functional_walk_cases(pc):
         emit(*case)
+    for case in erasure_walk_cases(pc):
+        emit(*case)
     for case in direct_profile_cases(pc):
+        emit(*case)
+    for case in erasure_profile_cases(pc):
         emit(*case)
     for case in cli_cases(pc_cli):
         emit(*case)
