@@ -29,8 +29,8 @@ from .sc import (
     PRIOR_CONDITIONAL,
     UNIFORM_HALF,
     SymbolChannel,
-    _stack_for,
     derive_rng,
+    pinned_pairs,
 )
 from .transform import apply_transform
 
@@ -222,12 +222,14 @@ def profile_monte_carlo(
     (`derive_rng(*seed)` for a tuple seed (seed, *spawn key)), so the result
     depends only on (seed, samples), never on the SC chunking.
 
-    On a functional channel (`SymbolChannel.functional`) the walk runs on
-    FunctionalStack, whose pairs are exactly the tree's, so each sample's
-    statistic is 0 (an indicator pair) or 1 (the null pair).
+    Since v is known up front, each chunk of `chunk` samples evaluates every
+    index's root pair level by level (`sc.pinned_pairs`), on supports where
+    the channel is hard; there is no per-index loop.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     if n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
@@ -241,13 +243,10 @@ def profile_monte_carlo(
     acc_sq = np.zeros(n_len)
     for start in range(0, samples, chunk):
         sl = slice(start, min(start + chunk, samples))
-        stack = _stack_for(ch, obs[sl])
-        for phi in range(n_len):
-            pair, _ = stack.pair_at(phi)
-            stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
-            acc[phi] += stat.sum()
-            acc_sq[phi] += (stat * stat).sum()
-            stack.push(phi, v_rows[phi, sl])
+        pair, _ = pinned_pairs(ch, obs[sl], v_rows[:, sl])
+        stat = 2.0 * np.sqrt(pair[0] * pair[1])
+        acc += stat.sum(axis=1)
+        acc_sq += (stat * stat).sum(axis=1)
     z = acc / samples
     if samples > 1:
         var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)

@@ -22,19 +22,37 @@ so a walk pays for a stack only at the indices whose tag consults it. A
 block that no consulted index reads is never computed, and no other index
 reads it (PairStack states the rule).
 
-Where the bit is a function of the observation (every observation column of
-the table has at most one positive entry, SymbolChannel.functional), the
-walk uses FunctionalStack instead of the tree. Its leaf pairs are then
-(a, 0), (0, a) or (0, 0), so every combined node has at most one nonzero
-product term; the first combine of two positive leaves gives at least the
-squared smallest entry, which the property requires to be positive, and
-normalization turns every node into exactly (1, 0), (0, 1) or (0, 0),
-since x / x = 1 in IEEE arithmetic. The root pair at index i is therefore
-exactly the indicator of v*_i, where v* = G_N(u*(obs)) is the one block of
-positive mass, while the pushed prefix agrees with v* and no observed
-symbol has zero mass, and (0, 0) otherwise. FunctionalStack returns that
-pair without building the tree, so draws (u < q1), argmax decisions, chain
-factors q[bit] and null counts are bit for bit those of PairStack.
+On a hard channel (SymbolChannel.hard: every observation column holds at
+most one positive entry, or two exactly equal ones, and every positive
+entry squared is still positive) the tree runs on supports: bool leaves
+(entry > 0), products AND, sums OR, no normalization; the root support
+maps to (1, 0), (0, 1) or (1/2, 1/2), and an empty support is the flagged
+null pair. This is exact. A float leaf pair is (a, 0), (0, a), (a, a) or
+(0, 0). The first combine of two such leaves multiplies positive entries
+into at least the squared smallest entry, which the property requires to
+be positive, and both entries of a pair come out as the same rounded
+product or the same sum of two equal ones, so the float node is (x, 0),
+(0, x), (x, x) or (0, 0) with x > 0 exactly where its support says. Since
+x / x = 1 and x / (x + x) = 1/2 in IEEE arithmetic, normalization turns it
+into the normalized indicator of its support, and every later combine
+works on entries 0, 1/2 and 1 with products at least 1/4. So every float
+pair the tree would hold, the root included, is exactly the normalized
+indicator of the support the bool tree holds, and draws (u < q1), argmax
+decisions, chain factors q[bit] and null counts are bit for bit the same.
+The level ops (_fop, _gop) are written once: on bool arrays numpy's
+* is AND and + is OR.
+
+Where the bit is moreover a function of the observation (no column with two
+positive entries, SymbolChannel.functional), every support is a single bit
+or empty, and the walk uses FunctionalStack instead of any tree: the root
+pair at index i is the indicator of v*_i, where v* = G_N(u*(obs)) is the
+one block of positive mass, while the pushed prefix agrees with v* and no
+observed symbol has zero mass, and null otherwise.
+
+A Monte Carlo profile pins the walk to a block v it knows in advance, so no
+index waits for another's decision (genie-aided SC, Arikan, "Channel
+polarization", IEEE T-IT 2009): pinned_pairs evaluates every index's root
+pair level by level, with no per-index loop.
 
 Null conditioning (a prefix of probability zero given the observation,
 reachable through pinned bits or draws inconsistent with the model, or
@@ -118,13 +136,22 @@ class SymbolChannel:
         return self.table.shape[1]
 
     @property
+    def hard(self) -> bool:
+        """Whether the SC tree may run on supports (module docstring): every
+        column holds at most one positive entry or two exactly equal ones,
+        and every positive entry squared is still positive, so no product
+        of two leaves underflows to 0."""
+        positive = self.table > 0
+        one = positive.sum(axis=0) <= 1
+        return bool(np.all(one | (self.table[0] == self.table[1]))
+                    and np.all(self.table[positive] ** 2 > 0))
+
+    @property
     def functional(self) -> bool:
         """Whether the bit is a function of the observation, exactly enough
-        for FunctionalStack: every column holds at most one positive entry
-        (a column may be all zero), and every positive entry squared is
-        still positive, so no product of two leaves underflows to 0."""
-        positive = self.table > 0
-        return bool(positive.sum(axis=0).max() <= 1 and np.all(self.table[positive] ** 2 > 0))
+        for FunctionalStack: the channel is hard and no column holds two
+        positive entries (a column may be all zero)."""
+        return self.hard and bool(np.all((self.table > 0).sum(axis=0) <= 1))
 
     def prior(self) -> "SymbolChannel":
         """Marginalize the observation away: the prior chain P(u)."""
@@ -237,6 +264,71 @@ class SamplingPolicy:
         return cls(tags, pinned)
 
 
+def _normalize(out: np.ndarray) -> None:
+    """Divide every float pair of out (2, ...) by its total, in place.
+
+    A zero total means both entries are +0: dividing by the smallest
+    subnormal keeps them 0 and leaves every positive total unchanged.
+    Supports (bool) are not normalized.
+    """
+    if out.dtype == bool:
+        return
+    total = out[0] + out[1]
+    np.maximum(total, 5e-324, out=total)
+    np.divide(out, total, out=out)
+
+
+def _fop(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
+    """Check-node combine out = f(left, right) of (2, ...) pairs, normalized.
+
+    out[b] = left[b] right[0] + left[1 - b] right[1]. On bool supports the
+    products are AND and the sums OR, which is the same code.
+    """
+    np.multiply(left[0], right[0], out=out[0])
+    out[0] += left[1] * right[1]
+    np.multiply(left[1], right[0], out=out[1])
+    out[1] += left[0] * right[1]
+    _normalize(out)
+
+
+def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) -> None:
+    """Bit-node combine out = g(left, right) given the partial sums `low`.
+
+    out = (left[low], left[1 - low]) * right, normalized. The swap selects
+    on the bit patterns, which is exact for either dtype and several times
+    faster than np.where on a mask without pattern.
+    """
+    word = np.dtype(f"u{out.itemsize}")
+    swap = np.negative(low, dtype=word)  # 0 or all ones
+    l0, l1 = left[0].view(word), left[1].view(word)
+    diff = np.bitwise_xor(l0, l1)
+    diff &= swap
+    bits = out.view(word)
+    np.bitwise_xor(l0, diff, out=bits[0])
+    np.bitwise_xor(l1, diff, out=bits[1])
+    out *= right
+    _normalize(out)
+
+
+def _root_pairs(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Float pairs (2, ...) of root pairs or supports, and the null mask.
+
+    A normalized float pair is kept; a support maps to (1, 0), (0, 1) or
+    (1/2, 1/2). A null pair (0, 0), or an empty support, becomes the
+    uniform pair and is flagged.
+    """
+    if root.dtype == bool:
+        pair = root.astype(np.float64)
+        total = pair[0] + pair[1]
+        pair /= np.maximum(total, 1.0)
+    else:
+        pair = root.copy()
+        total = pair[0] + pair[1]
+    null = total <= 0.0
+    pair[:, null] = 0.5
+    return pair, null
+
+
 class PairStack:
     """Batched SC tree holding one probability pair per node, batch last.
 
@@ -245,7 +337,8 @@ class PairStack:
     holds the fixed per-position joint pairs as a (2, N, B) array; level
     lam < n holds (2, 2^lam, B) node pairs and level 0 is the root. Pairs
     that condition on a zero-probability event stay (0, 0) and are reported
-    through the null mask of pair_at.
+    through the null mask of pair_at. Bool leaves (supports of a hard
+    channel, `_leaf_pairs`) make the whole tree run on supports.
 
     Evaluation is lazy. The level-lam block that index phi reads is the one
     as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
@@ -259,7 +352,9 @@ class PairStack:
     """
 
     def __init__(self, leaf_pairs: np.ndarray):
-        leaf_pairs = np.asarray(leaf_pairs, dtype=np.float64)
+        leaf_pairs = np.asarray(leaf_pairs)
+        if leaf_pairs.dtype != bool:
+            leaf_pairs = leaf_pairs.astype(np.float64, copy=False)
         if leaf_pairs.ndim != 3 or leaf_pairs.shape[0] != 2:
             raise ValueError("leaf pairs must have shape (2, N, B)")
         _, n_len, batch = leaf_pairs.shape
@@ -268,66 +363,33 @@ class PairStack:
         self.batch = batch
         self.n_len = n_len
         self.n = n_len.bit_length() - 1
-        self.pairs = [np.empty((2, 1 << lam, batch)) for lam in range(self.n)]
+        self.pairs = [np.empty((2, 1 << lam, batch), leaf_pairs.dtype) for lam in range(self.n)]
         self.pairs.append(leaf_pairs)
         self.low = [np.zeros((1 << lam, batch), dtype=np.uint8) for lam in range(self.n)]
         self.stamps = [-1] * self.n
         self._next = 0
-
-    def _normalize(self, lam: int) -> None:
-        out = self.pairs[lam]
-        total = out[0] + out[1]
-        # a zero total means both entries are +0: dividing by the smallest
-        # subnormal keeps them 0 and leaves every positive total unchanged
-        np.maximum(total, 5e-324, out=total)
-        np.divide(out, total, out=out)
-
-    def _fop(self, lam: int) -> None:
-        child = self.pairs[lam + 1]
-        left, right = child[:, 0::2], child[:, 1::2]
-        out = self.pairs[lam]
-        np.multiply(left[0], right[0], out=out[0])
-        out[0] += left[1] * right[1]
-        np.multiply(left[1], right[0], out=out[1])
-        out[1] += left[0] * right[1]
-        self._normalize(lam)
-
-    def _gop(self, lam: int) -> None:
-        child = self.pairs[lam + 1]
-        left, right = child[:, 0::2], child[:, 1::2]
-        out = self.pairs[lam]
-        # out = (left[low], left[1 - low]) * right. The swap selects on the
-        # float bit patterns, which is exact and several times faster than
-        # np.where on a mask without pattern.
-        swap = np.negative(self.low[lam], dtype=np.uint64)  # 0 or all ones
-        l0, l1 = left[0].view(np.uint64), left[1].view(np.uint64)
-        diff = np.bitwise_xor(l0, l1)
-        diff &= swap
-        bits = out.view(np.uint64)
-        np.bitwise_xor(l0, diff, out=bits[0])
-        np.bitwise_xor(l1, diff, out=bits[1])
-        out *= right
-        self._normalize(lam)
 
     def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
         """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
         if phi != self._next:
             raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
         if self.n == 0:
-            pair = self.pairs[0][:, 0, :].T.copy()
-            total = pair.sum(axis=-1)
-            null = total <= 0.0
-            pair[~null] /= total[~null, None]
+            root = self.pairs[0][:, 0, :].copy()
+            _normalize(root)
         else:
             for lam in range(self.n - 1, -1, -1):
                 stamp = phi & -(1 << lam)
                 if self.stamps[lam] != stamp:
-                    (self._gop if phi >> lam & 1 else self._fop)(lam)
+                    child = self.pairs[lam + 1]
+                    left, right = child[:, 0::2], child[:, 1::2]
+                    if phi >> lam & 1:
+                        _gop(left, right, self.low[lam], self.pairs[lam])
+                    else:
+                        _fop(left, right, self.pairs[lam])
                     self.stamps[lam] = stamp
-            pair = self.pairs[0][:, 0, :].T.copy()
-            null = (pair[:, 0] + pair[:, 1]) <= 0.0
-        pair[null] = 0.5
-        return pair, null
+            root = self.pairs[0][:, 0, :]
+        pair, null = _root_pairs(root)
+        return pair.T, null
 
     def push(self, phi: int, bits: np.ndarray) -> None:
         """Record the decided (B,) bits at index phi and propagate partial sums."""
@@ -345,6 +407,45 @@ class PairStack:
             j >>= 1
         if lam < self.n:
             self.low[lam][...] = cur
+
+
+def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
+    """Root pair at every index of the walk pinned to the (N, B) block v.
+
+    Equals PairStack's pair_at(phi) after push(0 .. phi-1) of v's rows, for
+    every phi, without a per-index loop: v is known up front, so no index
+    waits for another's decision (genie-aided SC). Level lam is evaluated
+    for all its 2^(n-lam) blocks of 2^lam nodes at once; block h is f of
+    block h >> 1 of level lam + 1 when h is even and g of it when h is odd,
+    on the partial sums of v[(h-1) 2^lam, h 2^lam). Those are built once,
+    per level, with push's recursion (a ^ b at even positions, b at odd
+    ones). obs is (B, N). Returns the (2, N, B) float pairs, uniform where
+    null, and the (N, B) null mask.
+    """
+    n_len, batch = v.shape
+    n = n_len.bit_length() - 1
+    level = _leaf_pairs(ch, obs)
+    if n == 0:
+        level = level.copy()
+        _normalize(level)
+        return _root_pairs(level)
+    sums = [np.asarray(v, dtype=np.uint8)]  # sums[lam]: per 2^lam-block partial sums
+    for lam in range(n - 1):
+        prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, batch)
+        nxt = np.empty((n_len >> (lam + 1), 1 << lam, 2, batch), dtype=np.uint8)
+        np.bitwise_xor(prev[:, 0], prev[:, 1], out=nxt[..., 0, :])
+        nxt[..., 1, :] = prev[:, 1]
+        sums.append(nxt.reshape(n_len, batch))
+    for lam in range(n - 1, -1, -1):
+        blocks = n_len >> (lam + 1)
+        parent = level.reshape(2, blocks, 1 << lam, 2, batch)
+        left, right = parent[..., 0, :], parent[..., 1, :]
+        child = np.empty((2, blocks, 2, 1 << lam, batch), level.dtype)
+        _fop(left, right, child[:, :, 0])
+        low = sums[lam].reshape(blocks, 2, 1 << lam, batch)[:, 0]
+        _gop(left, right, low, child[:, :, 1])
+        level = child.reshape(2, n_len, batch)
+    return _root_pairs(level)
 
 
 class FunctionalStack:
@@ -391,21 +492,23 @@ class FunctionalStack:
 
 def _stack_for(ch: SymbolChannel, obs: np.ndarray):
     """The SC stack of ch at (B, N) observations: FunctionalStack where the
-    channel is functional, PairStack otherwise."""
+    channel is functional, else PairStack, on supports where it is hard."""
     if ch.functional:
         return FunctionalStack(ch, obs)
     return PairStack(_leaf_pairs(ch, obs))
 
 
 def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> np.ndarray:
-    """(2, N, B) joint pairs at the realized (B, N) observations.
+    """(2, N, B) leaves at the realized (B, N) observations: the joint pairs,
+    or their supports (bool) where the channel is hard.
 
     An observation-free channel gives a read-only broadcast of its one
-    column; PairStack never writes its leaf level.
+    column; no tree writes its leaf level.
     """
+    table = ch.table > 0 if ch.hard else ch.table
     if ch.obs_size == 1:
-        return np.broadcast_to(ch.table[:, :, None], (2,) + obs.T.shape)
-    return np.take(ch.table, obs.T, axis=1)
+        return np.broadcast_to(table[:, :, None], (2,) + obs.T.shape)
+    return np.take(table, obs.T, axis=1)
 
 
 def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
@@ -502,7 +605,7 @@ def _policy_pass(
     drawing. A stack exists only if the policy consults it; it is evaluated
     only at the indices whose tag consults it, and every decided bit is
     pushed to every stack. A functional channel's stack is a
-    FunctionalStack (`_stack_for`).
+    FunctionalStack and a hard channel's a support tree (`_stack_for`).
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")

@@ -15,7 +15,8 @@ from polarcomm.reliability import (
     profile_monte_carlo,
     with_fractions,
 )
-from polarcomm.sc import SymbolChannel
+from polarcomm.sc import PairStack, SymbolChannel, derive_rng
+from polarcomm.transform import apply_transform
 
 
 def channels(model, round_index, tx_vars, rx_vars):
@@ -95,10 +96,58 @@ def test_functional_profile_equals_tree(table, monkeypatch):
     monkeypatch.setattr(reliability, "derive_rng",
                         lambda *key: _ZeroingRng(np.random.default_rng(key), zeros))
     fast = profile_monte_carlo(ch, n_len, samples, (5, 2), chunk=64)
-    monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
+    monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
     tree = profile_monte_carlo(ch, n_len, samples, (5, 2), chunk=64)
     assert np.array_equal(fast.z, tree.z) and np.array_equal(fast.stderr, tree.stderr)
     assert np.any(fast.z > 0) == (ch.table[0, 0] == 0)
+
+
+def reference_profile(ch, n_len, samples, seed, chunk):
+    """(z, stderr) by the per-index walk: a float PairStack per chunk, pushed
+    with v = u G_N index by index, summing each index's statistic over the
+    chunk."""
+    rng = derive_rng(*seed)
+    cum = np.cumsum(ch.table.reshape(-1))
+    cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
+    obs = cells % ch.obs_size
+    v_rows = np.ascontiguousarray(apply_transform((cells // ch.obs_size).astype(np.uint8)).T)
+    acc, acc_sq = np.zeros(n_len), np.zeros(n_len)
+    for start in range(0, samples, chunk):
+        sl = slice(start, min(start + chunk, samples))
+        stack = PairStack(np.take(ch.table, obs[sl].T, axis=1))
+        for phi in range(n_len):
+            pair, _ = stack.pair_at(phi)
+            stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
+            acc[phi] += stat.sum()
+            acc_sq[phi] += (stat * stat).sum()
+            stack.push(phi, v_rows[phi, sl])
+    z = acc / samples
+    var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)
+    return np.clip(z, 0.0, 1.0), np.sqrt(var / samples)
+
+
+@pytest.mark.parametrize("table", [
+    [[0.4, 0.15], [0.05, 0.4]],  # float tree
+    [[0.3, 0.0], [0.0, 0.7]],  # functional
+    [[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]],  # erasure, zero-mass symbols
+    [[0.5], [0.5]],  # uniform prior
+    [[0.7], [0.3]],  # prior chain
+])
+@pytest.mark.parametrize("n_len", [1, 2, 64])
+def test_level_profile_equals_index_walk(table, n_len):
+    """The level-by-level profile equals the per-index walk bit for bit,
+    with an uneven last chunk (150 = 2 * 64 + 22 samples)."""
+    ch = SymbolChannel(np.array(table))
+    prof = profile_monte_carlo(ch, n_len, 150, (4, n_len), chunk=64)
+    z, stderr = reference_profile(ch, n_len, 150, (4, n_len), 64)
+    assert np.array_equal(prof.z, z) and np.array_equal(prof.stderr, stderr)
+
+
+def test_profile_monte_carlo_rejects_bad_chunk():
+    ch = SymbolChannel(np.array([[0.4, 0.15], [0.05, 0.4]]))
+    for chunk in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            profile_monte_carlo(ch, 8, 100, seed=1, chunk=chunk)
 
 
 def test_polarization_trend_with_blocklength():

@@ -30,7 +30,7 @@ from polarcomm.sc import (
     sample_sequential,
     sc_conditional,
 )
-from polarcomm.transform import bit_reversal_perm
+from polarcomm.transform import apply_transform, bit_reversal_perm
 
 DATA = Path(__file__).parent / "data"
 
@@ -335,6 +335,12 @@ def test_chain_probability_rejects_non_binary_blocks():
                           np.array([[0, 1, 1, 0], [1, 0, 0, 2]]))
 
 
+def float_leaves(ch, obs):
+    """(2, N, B) float joint pairs at (B, N) observations: the float tree's
+    leaves whether or not the channel is hard."""
+    return np.take(ch.table, obs.T, axis=1)
+
+
 def random_functional_table(rng, size, tiny=0):
     """A (2, size) table with at most one positive entry per column, some
     columns all zero, and entries down to about 10^-tiny."""
@@ -358,6 +364,73 @@ def test_functional_classification():
     assert SymbolChannel(np.array([[1.0, 0.0], [0.0, 1e-150]])).functional
 
 
+def test_hard_classification():
+    """Hard: at most one positive entry per column, or two exactly equal ones,
+    with no square underflowing. Every functional channel is hard."""
+    assert SymbolChannel(np.array([[0.5], [0.5]])).hard  # uniform prior
+    assert SymbolChannel(np.array([[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]])).hard
+    assert SymbolChannel(np.array([[0.5, 0.0], [0.0, 0.5]])).hard
+    assert and_round1_channel().hard and not and_round2_channel().prior().hard
+    assert not SymbolChannel(np.array([[0.75], [0.25]])).hard
+    assert not SymbolChannel(np.array([[0.3, 0.0, 0.2], [0.0, 0.4, 0.1]])).hard
+    # entries one ulp apart are not equal
+    a, b = 0.25, np.nextafter(0.25, 1.0)
+    assert not SymbolChannel(np.array([[1.0 - a - b, a], [0.0, b]])).hard
+    assert SymbolChannel(np.array([[1.0 - a - a, a], [0.0, a]])).hard
+    # 1e-160 squared is subnormal but positive; 1e-170 squared is 0
+    assert SymbolChannel(np.array([[0.5, 0.0, 1e-160], [0.0, 0.5, 1e-160]])).hard
+    assert not SymbolChannel(np.array([[0.5, 0.0, 1e-170], [0.0, 0.5, 1e-170]])).hard
+    for table in ([[0.5, 0.0], [0.0, 0.5]], [[1.0], [0.0]], [[0.5, 0.0, 0.0], [0.0, 0.0, 0.5]]):
+        ch = SymbolChannel(np.array(table))
+        assert ch.functional and ch.hard
+
+
+def random_hard_table(rng, size, tiny=0):
+    """A (2, size) table whose columns hold one positive entry, two equal
+    ones or none, with entries down to about 10^-tiny."""
+    table = np.zeros((2, size))
+    kind = rng.integers(0, 4, size)  # 0, 1: that row only; 2: both rows; 3: none
+    value = rng.random(size) * 10.0 ** -rng.integers(0, tiny + 1, size)
+    table[0] = np.where((kind == 0) | (kind == 2), value, 0.0)
+    table[1] = np.where((kind == 1) | (kind == 2), value, 0.0)
+    table[:, 0] = 1.0  # keep some mass, in an erasure column
+    return table / table.sum()
+
+
+def draw_supported_bits(rng, ch, obs):
+    """u bits, one from the support of each observed column (0 where empty)."""
+    support = ch.table > 0
+    one = support[1][obs] & (~support[0][obs] | (rng.random(obs.shape) < 0.5))
+    return one.astype(np.uint8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=st.integers(1, 5),
+       size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
+       tiny=st.sampled_from([0, 150]))
+def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
+    """On a hard channel the bool support tree gives the float PairStack's
+    pairs, pair for pair and null for null, at random consulted indices
+    under pushes of drawn blocks with random flips."""
+    rng = np.random.default_rng(seed)
+    n_len = 1 << n
+    ch = SymbolChannel(random_hard_table(rng, size, tiny))
+    assert ch.hard
+    obs = rng.integers(0, size, (batch, n_len))
+    support = _leaf_pairs(ch, obs)
+    assert support.dtype == bool
+    fast, ref = PairStack(support), PairStack(float_leaves(ch, obs))
+    v = apply_transform(draw_supported_bits(rng, ch, obs)).T
+    pushes = v ^ (rng.random((n_len, batch)) < flip)
+    for phi in range(n_len):
+        if rng.random() < 0.7:
+            got, got_null = fast.pair_at(phi)
+            want, want_null = ref.pair_at(phi)
+            assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+        fast.push(phi, pushes[phi])
+        ref.push(phi, pushes[phi])
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=st.integers(1, 5),
        size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
@@ -371,7 +444,7 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     ch = SymbolChannel(random_functional_table(rng, size, tiny))
     assert ch.functional
     obs = rng.integers(0, size, (batch, n_len))
-    fast, ref = FunctionalStack(ch, obs), PairStack(_leaf_pairs(ch, obs))
+    fast, ref = FunctionalStack(ch, obs), PairStack(float_leaves(ch, obs))
     v_star = fast.v_star.copy()
     pushes = v_star ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -391,6 +464,42 @@ def _walk(ch, obs, policy, fd, seeds=(7, 8)):
     return v, chain, log.count
 
 
+def _check_walks_equal_float_tree(ch, obs, pinned, monkeypatch):
+    """sample_sequential, chain_probability (of the drawn blocks and of
+    `pinned`) and anomaly counts equal those of the float-tree walk, run with
+    SymbolChannel.hard (and so .functional) switched off, under all four
+    tags, batched and (N,). Returns the walks' total anomaly count."""
+    rng = np.random.default_rng(15)
+    batch, n_len = obs.shape
+    pins = pinned ^ (rng.random((batch, n_len)) < 0.03).astype(np.uint8)
+    tags = rng.integers(0, 4, n_len).astype(np.uint8)
+    policies = [SamplingPolicy(tags, pins), SamplingPolicy(tags, pins[5]),
+                SamplingPolicy.observation_only(n_len)]
+
+    def walks():
+        return [(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
+                for policy in policies for ob, star in ((obs, pinned), (obs[5], pinned[5]))
+                for fd in ("sample", "argmax")]
+
+    fast = walks()
+    monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
+    assert not ch.functional
+    ref = walks()
+    for ((v, chain, count), chain_star), ((v_r, chain_r, count_r), chain_star_r) in zip(fast, ref):
+        assert np.array_equal(v, v_r) and count == count_r
+        assert np.array_equal(chain, chain_r) and np.array_equal(chain_star, chain_star_r)
+    return sum(count for (_, _, count), _ in fast)
+
+
+def _observations(rng, ch, batch, n_len):
+    """Observations of symbols with mass; rows 0..2 observe a zero-mass one."""
+    mass = ch.table.sum(axis=0)
+    obs = rng.choice(np.flatnonzero(mass > 0), (batch, n_len))
+    if np.any(mass == 0):
+        obs[:3, rng.integers(0, n_len, 3)] = np.flatnonzero(mass == 0)[0]
+    return obs
+
+
 @pytest.mark.parametrize("table", [
     [[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]],  # a zero-mass symbol
     [[0.6, 0.4], [0.0, 0.0]],  # degenerate prior
@@ -398,34 +507,33 @@ def _walk(ch, obs, policy, fd, seeds=(7, 8)):
     [[0.3, 0.0], [0.0, 0.7]],
 ])
 def test_functional_walk_equals_pair_stack_walk(table, monkeypatch):
-    """sample_sequential, chain_probability and anomaly counts equal the
-    PairStack walk's, with the functional path switched off for the
-    reference, under pins and F_d draws that leave v* mid-block."""
+    """The FunctionalStack walk equals the float-tree walk under pins and
+    F_d draws that leave v* mid-block."""
     rng = np.random.default_rng(14)
     ch = SymbolChannel(np.array(table))
-    n_len, batch = 32, 12
-    mass = ch.table.sum(axis=0)
-    obs = rng.choice(np.flatnonzero(mass > 0), (batch, n_len))
-    if np.any(mass == 0):
-        obs[:3, rng.integers(0, n_len, 3)] = np.flatnonzero(mass == 0)[0]
-    v_star = FunctionalStack(ch, obs).v_star.T
-    pinned = v_star ^ (rng.random((batch, n_len)) < 0.03).astype(np.uint8)
-    tags = rng.integers(0, 4, n_len).astype(np.uint8)
-    policies = [SamplingPolicy(tags, pinned), SamplingPolicy(tags, pinned[5]),
-                SamplingPolicy.observation_only(n_len)]
+    obs = _observations(rng, ch, 12, 32)
+    assert _check_walks_equal_float_tree(ch, obs, FunctionalStack(ch, obs).v_star.T,
+                                         monkeypatch) > 0
 
-    def walks():
-        return [(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
-                for policy in policies for ob, star in ((obs, v_star), (obs[5], v_star[5]))
-                for fd in ("sample", "argmax")]
 
-    fast = walks()
-    monkeypatch.setattr(SymbolChannel, "functional", property(lambda self: False))
-    ref = walks()
-    for ((v, chain, count), chain_star), ((v_r, chain_r, count_r), chain_star_r) in zip(fast, ref):
-        assert np.array_equal(v, v_r) and count == count_r
-        assert np.array_equal(chain, chain_r) and np.array_equal(chain_star, chain_star_r)
-    assert any(count > 0 for (_, _, count), _ in fast)
+@pytest.mark.parametrize("table", [
+    [[0.5], [0.5]],  # uniform prior
+    [[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]],  # erasure and zero-mass symbols
+    [[0.5, 0.0, 1e-160], [0.0, 0.5, 1e-160]],  # subnormal squares
+    [[0.2, 0.3, 0.0], [0.2, 0.0, 0.3]],
+])
+def test_erasure_walk_equals_float_tree_walk(table, monkeypatch):
+    """The support-tree walk on an erasure source equals the float-tree walk
+    under pins and draws that contradict the drawn block."""
+    rng = np.random.default_rng(16)
+    ch = SymbolChannel(np.array(table))
+    assert ch.hard and not ch.functional
+    obs = _observations(rng, ch, 12, 32)
+    if ch.obs_size > 2:  # row 3 observes the last symbol at every other index
+        obs[3, ::2] = ch.obs_size - 1
+    drawn = apply_transform(draw_supported_bits(rng, ch, obs))
+    anomalies = _check_walks_equal_float_tree(ch, obs, drawn, monkeypatch)
+    assert anomalies > 0 or ch.obs_size == 1  # every block of the uniform prior has mass
 
 
 def test_uniform_block_matches_one_draw():
