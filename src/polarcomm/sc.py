@@ -298,7 +298,7 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
     on the bit patterns, which is exact for either dtype and several times
     faster than np.where on a mask without pattern.
     """
-    word = np.dtype(f"u{out.itemsize}")
+    word = np.uint8 if out.dtype == bool else np.uint64
     swap = np.negative(low, dtype=word)  # 0 or all ones
     l0, l1 = left[0].view(word), left[1].view(word)
     diff = np.bitwise_xor(l0, l1)
