@@ -6,6 +6,13 @@ per-index chain factors the verification oracle needs. Everything here is
 deliberately independent of the successive-cancellation engine: these are the
 brute-force reference paths.
 
+The block joint is built batch-last, like the SC engine's stacks: within a
+chunk of C observation blocks the u-block axis comes first and the
+observation axis is the contiguous one, so each product step runs over C
+elements at a time. `block_joint_chunks` yields the transpose of that
+buffer on purpose; the sums of its callers follow memory order, and the
+exact profiles and TV stay byte-identical only while that order does.
+
 Block integers encode position 0 as the most significant digit, matching the
 prefix order of the SC index walk.
 """
@@ -54,9 +61,19 @@ def enumerable(ch: SymbolChannel, n_len: int) -> bool:
 def block_joint_chunks(ch: SymbolChannel, n_len: int, chunk: int = 4096):
     """Yield (obs_ints, Jv) chunks with Jv[c, w] = P(v-block w, obs block c).
 
-    Enumerates all M^N observation blocks. The v-axis is indexed with v^1 as
-    the most significant bit.
+    Enumerates all M^N observation blocks, `chunk` at a time. The v-axis is
+    indexed with v^1 as the most significant bit.
+
+    Each chunk is built batch-last: the u-block joint is held as (2^k, C),
+    so every product and the u -> v row permutation run over the
+    contiguous observation axis. Jv is the transpose of that (2^N, C)
+    array, a view with strides (8, 8C), and is yielded as such on purpose:
+    the callers' sums run in memory order, so their float results depend
+    on this layout, and a C-contiguous copy would change them in the last
+    bits.
     """
+    if chunk < 1:
+        raise ValueError("chunk must be >= 1")
     m = ch.obs_size
     total = m**n_len
     if not enumerable(ch, n_len):
@@ -65,12 +82,15 @@ def block_joint_chunks(ch: SymbolChannel, n_len: int, chunk: int = 4096):
     for start in range(0, total, chunk):
         obs_ints = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = ints_to_digits(obs_ints, n_len, m)
-        joint_u = np.ones((obs_ints.size, 1))
+        joint_u = np.ones((1, obs_ints.size))
         for k in range(n_len):
-            factor = ch.table.T[digits[:, k]]  # (C, 2)
-            joint_u = (joint_u[:, :, None] * factor[:, None, :]).reshape(obs_ints.size, -1)
+            factor = np.take(ch.table, digits[:, k], axis=1)  # (2, C)
+            grown = np.empty((joint_u.shape[0], 2, obs_ints.size))
+            for b in (0, 1):  # u_k = b is the new least significant bit
+                np.multiply(joint_u, factor[b], out=grown[:, b])
+            joint_u = grown.reshape(-1, obs_ints.size)
         # reindex from u-blocks to v-blocks; the permutation is an involution
-        yield obs_ints, joint_u[:, perm]
+        yield obs_ints, np.take(joint_u, perm, axis=0).T
 
 
 def block_joint_full(ch: SymbolChannel, n_len: int) -> np.ndarray:

@@ -235,8 +235,8 @@ def profile_monte_carlo(
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
     cum = np.cumsum(ch.table.reshape(-1))
     cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
-    u_bits = (cells // ch.obs_size).astype(np.uint8)
-    obs = (cells % ch.obs_size).astype(np.intp)
+    u_cells, obs = np.divmod(cells, ch.obs_size)  # both intp, as searchsorted gives
+    u_bits = u_cells.astype(np.uint8)
     v_rows = np.ascontiguousarray(apply_transform(u_bits).T)
 
     acc = np.zeros(n_len)

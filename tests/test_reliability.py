@@ -1,4 +1,5 @@
 """Reliability profiling and partition construction tests."""
+import hashlib
 import json
 
 import numpy as np
@@ -47,6 +48,21 @@ def test_profile_exact_cap():
     assert np.array_equal(prof.z, np.ones(16))
     with pytest.raises(ValueError):
         profile_exact(SymbolChannel(np.array([[0.25, 0.25], [0.25, 0.25]])), 16)
+
+
+def test_profile_exact_golden_bytes_n8():
+    """The z bytes of the AND(0.11, 0.4, t = 2) round-2 exact profiles at
+    N = 8: 16 chunks of 4096 x 256 each. A change to the block joint's
+    layout that reorders a float sum moves these hashes."""
+    m = build_and_chain(AndModelParams(0.11, 0.4, 2))
+    _, tx, rx = channels(m, 2, ("y", "u1"), ("x", "u1"))
+    golden = {
+        "tx": "f5a5fd42d16a20302798ef6ed309979b43003d2320d9f0e8ea9831a92759fb4b",
+        "rx": "abf8249bd9ec7934aa60f3e750b5e03b94ddbb8721f66938d1be7d9a42d0f617",
+    }
+    for side, ch in (("tx", tx), ("rx", rx)):
+        z = profile_exact(ch, 8).z
+        assert hashlib.sha256(z.tobytes()).hexdigest() == golden[side], side
 
 
 def test_profile_monte_carlo_within_3_sigma_of_exact():

@@ -42,6 +42,10 @@ moved. The cases are
                   at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
                   (N = 4), and exact agreement (N = 4); a call outside the
                   oracle's domain digests as its exception type;
+  * oracle/direct/...  `profile_exact`, `block_joint_full` and
+                  `sampled_chain_table` (chunks of 2048 and 37) on a
+                  3-column table at N = 8, whose 6561 observation blocks
+                  end in an uneven chunk;
   * cli/...       every file and the exit code of all six commands on six
                   configs.
 
@@ -275,6 +279,23 @@ def direct_profile_cases(pc):
         yield f"profile/direct/{name}-s100-c64", _digest(prof.z, prof.stderr)
 
 
+def direct_oracle_cases(pc):
+    """The exact oracle on a 3-column table at N = 8: 3^8 = 6561 observation
+    blocks, one full 4096-block chunk of `block_joint_chunks` and a
+    2465-block tail, and `sampled_chain_table` in chunks of 2048 and 37."""
+    ch = pc.SymbolChannel(np.array([[0.3, 0.1, 0.15], [0.05, 0.25, 0.15]]))
+    n_len = 8
+    yield "oracle/direct/profile_exact-m3-n8", _digest(pc.profile_exact(ch, n_len).z)
+    yield "oracle/direct/block_joint_full-m3-n8", _digest(pc.exact.block_joint_full(ch, n_len))
+    sc = pc.sc
+    tags = np.array([sc.PINNED, sc.PRIOR_CONDITIONAL, sc.OBSERVATION_CONDITIONAL,
+                     sc.UNIFORM_HALF, sc.PRIOR_CONDITIONAL, sc.PINNED,
+                     sc.OBSERVATION_CONDITIONAL, sc.PRIOR_CONDITIONAL], dtype=np.uint8)
+    for chunk in (2048, 37):
+        table = pc.exact.sampled_chain_table(ch, tags, n_len, chunk=chunk)
+        yield f"oracle/direct/sampled_chain_table-m3-n8-c{chunk}", _digest(table)
+
+
 ORACLE_MODELS = ("bsc-t1", "and-t2", "and-t4")
 
 
@@ -369,6 +390,8 @@ def main(argv=None) -> int:
     for case in erasure_walk_cases(pc):
         emit(*case)
     for case in direct_profile_cases(pc):
+        emit(*case)
+    for case in direct_oracle_cases(pc):
         emit(*case)
     for case in erasure_profile_cases(pc):
         emit(*case)
