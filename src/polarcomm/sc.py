@@ -310,6 +310,46 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
     _normalize(out)
 
 
+CODE_LIMIT = 1 << 16  # most entries of a union table whose level is held as uint16 codes
+_SLAB_ROWS = 64  # rows per uniform draw and per transposed copy of the observations
+
+
+def _union_table(table: np.ndarray) -> np.ndarray:
+    """Every pair a node can hold whose children are entries of table (2, K).
+
+    Entry l K + r is f(table[l], table[r]) and entry K^2 + 2 (l K + r) + s is
+    g(table[l], table[r]) on partial sum s, computed by _fop and _gop.
+    """
+    k = table.shape[1]
+    left, right = table[:, np.arange(k * k) // k], np.tile(table, k)
+    out = np.empty((2, 3 * k * k), table.dtype)
+    _fop(left, right, out[:, : k * k])
+    low = np.tile(np.arange(2, dtype=np.uint8), k * k)
+    _gop(np.repeat(left, 2, axis=1), np.repeat(right, 2, axis=1), low, out[:, k * k :])
+    return out
+
+
+def _union_tables(leaf_table: np.ndarray, n: int) -> list:
+    """[U_n, U_(n-1), ...]: the leaf table, then each level's union table
+    while it has at most CODE_LIMIT entries, up to the root U_0."""
+    tables = [leaf_table]
+    while len(tables) <= n and 3 * tables[-1].shape[1] ** 2 <= CODE_LIMIT:
+        tables.append(_union_table(tables[-1]))
+    return tables
+
+
+def _encode(left: np.ndarray, right: np.ndarray, k: int, low, out: np.ndarray) -> None:
+    """A coded level's codes from its children's codes l, r into a K-entry
+    table: l K + r for the f op (low None), K^2 + 2 (l K + r) + s for g on
+    the partial sums s = low."""
+    np.multiply(left, k, out=out)
+    out += right
+    if low is not None:
+        out <<= 1
+        out += low
+        out += k * k
+
+
 def _root_pairs(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Float pairs (2, ...) of root pairs or supports, and the null mask.
 
@@ -333,12 +373,22 @@ class PairStack:
     """Batched SC tree holding one probability pair per node, batch last.
 
     Drive with push(i, bits) for i = 0..N-1 in order; pair_at(i) may be
-    called at any subset of those indices, each before push(i). Level n
-    holds the fixed per-position joint pairs as a (2, N, B) array; level
-    lam < n holds (2, 2^lam, B) node pairs and level 0 is the root. Pairs
+    called at any subset of those indices, each before push(i). Built from
+    leaves = (table, codes) as `_leaf_pairs` gives them: leaf j of row b
+    holds the pair table[:, codes[j, b]] of the (2, K) table, float joint
+    pairs or bool supports (a hard channel; the whole tree then runs on
+    supports). Level n is the (N, B) leaf codes, level 0 the root. Pairs
     that condition on a zero-probability event stay (0, 0) and are reported
-    through the null mask of pair_at. Bool leaves (supports of a hard
-    channel, `_leaf_pairs`) make the whole tree run on supports.
+    through the null mask of pair_at.
+
+    The levels near the leaves are held as codes (module docstring): level
+    lam is a (2^lam, B) uint16 array of indices into its union table
+    U_lam = f(U_(lam+1) x U_(lam+1)) ++ g(U_(lam+1) x U_(lam+1) x {0, 1}),
+    an f node coded l K + r and a g node K^2 + 2 (l K + r) + s from its
+    children's codes l, r into the K-entry U_(lam+1) and its partial sum s,
+    for every lam whose table has at most CODE_LIMIT = 2^16 entries. The
+    levels above hold (2, 2^lam, B) pairs; the lowest of them gathers its
+    children from the top table.
 
     Evaluation is lazy. The level-lam block that index phi reads is the one
     as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
@@ -351,43 +401,59 @@ class PairStack:
     reads is never computed, and nothing else reads it.
     """
 
-    def __init__(self, leaf_pairs: np.ndarray):
-        leaf_pairs = np.asarray(leaf_pairs)
-        if leaf_pairs.dtype != bool:
-            leaf_pairs = leaf_pairs.astype(np.float64, copy=False)
-        if leaf_pairs.ndim != 3 or leaf_pairs.shape[0] != 2:
-            raise ValueError("leaf pairs must have shape (2, N, B)")
-        _, n_len, batch = leaf_pairs.shape
+    def __init__(self, leaves: tuple):
+        table, codes = leaves
+        table = np.asarray(table)
+        if table.dtype != bool:
+            table = table.astype(np.float64, copy=False)
+        codes = np.asarray(codes)
+        if table.ndim != 2 or table.shape[0] != 2 or codes.ndim != 2:
+            raise ValueError("leaves must be a (2, K) table and (N, B) codes")
+        n_len, batch = codes.shape
         if n_len <= 0 or n_len & (n_len - 1):
             raise ValueError(f"block length must be a power of two, got {n_len}")
         self.batch = batch
         self.n_len = n_len
         self.n = n_len.bit_length() - 1
-        self.pairs = [np.empty((2, 1 << lam, batch), leaf_pairs.dtype) for lam in range(self.n)]
-        self.pairs.append(leaf_pairs)
+        self.tables = _union_tables(table, self.n)  # tables[d] is U_(n-d)
+        self.top = self.n + 1 - len(self.tables)  # the lowest coded level
+        self.levels = [np.empty((2, 1 << lam, batch), table.dtype) for lam in range(self.top)]
+        self.levels += [np.empty((1 << lam, batch), np.uint16) for lam in range(self.top, self.n)]
+        self.levels.append(codes)
         self.low = [np.zeros((1 << lam, batch), dtype=np.uint8) for lam in range(self.n)]
         self.stamps = [-1] * self.n
         self._next = 0
+
+    def _pairs(self, lam: int) -> np.ndarray:
+        """The (2, 2^lam, B) pairs of coded level lam, gathered from its table."""
+        return np.take(self.tables[self.n - lam], self.levels[lam], axis=1)
 
     def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
         """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
         if phi != self._next:
             raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
-        if self.n == 0:
-            root = self.pairs[0][:, 0, :].copy()
-            _normalize(root)
-        else:
-            for lam in range(self.n - 1, -1, -1):
-                stamp = phi & -(1 << lam)
-                if self.stamps[lam] != stamp:
-                    child = self.pairs[lam + 1]
+        for lam in range(self.n - 1, -1, -1):
+            stamp = phi & -(1 << lam)
+            if self.stamps[lam] != stamp:
+                low = self.low[lam] if phi >> lam & 1 else None
+                if lam >= self.top:
+                    child = self.levels[lam + 1]
+                    k = self.tables[self.n - lam - 1].shape[1]
+                    _encode(child[0::2], child[1::2], k, low, self.levels[lam])
+                else:
+                    child = self._pairs(lam + 1) if lam + 1 == self.top else self.levels[lam + 1]
                     left, right = child[:, 0::2], child[:, 1::2]
-                    if phi >> lam & 1:
-                        _gop(left, right, self.low[lam], self.pairs[lam])
+                    if low is None:
+                        _fop(left, right, self.levels[lam])
                     else:
-                        _fop(left, right, self.pairs[lam])
-                    self.stamps[lam] = stamp
-            root = self.pairs[0][:, 0, :]
+                        _gop(left, right, low, self.levels[lam])
+                self.stamps[lam] = stamp
+        if self.top == 0:
+            root = self._pairs(0)[:, 0, :]
+            if self.n == 0:  # the root is a leaf
+                _normalize(root)
+        else:
+            root = self.levels[0][:, 0, :]
         pair, null = _root_pairs(root)
         return pair.T, null
 
@@ -419,16 +485,14 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     block h >> 1 of level lam + 1 when h is even and g of it when h is odd,
     on the partial sums of v[(h-1) 2^lam, h 2^lam). Those are built once,
     per level, with push's recursion (a ^ b at even positions, b at odd
-    ones). obs is (B, N). Returns the (2, N, B) float pairs, uniform where
+    ones). Levels are held as codes where PairStack holds them so, (N, B)
+    here. obs is (B, N). Returns the (2, N, B) float pairs, uniform where
     null, and the (N, B) null mask.
     """
     n_len, batch = v.shape
     n = n_len.bit_length() - 1
-    level = _leaf_pairs(ch, obs)
-    if n == 0:
-        level = level.copy()
-        _normalize(level)
-        return _root_pairs(level)
+    table, level = _leaf_pairs(ch, obs)
+    tables = _union_tables(table, n)
     sums = [np.asarray(v, dtype=np.uint8)]  # sums[lam]: per 2^lam-block partial sums
     for lam in range(n - 1):
         prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, batch)
@@ -438,13 +502,29 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
         sums.append(nxt.reshape(n_len, batch))
     for lam in range(n - 1, -1, -1):
         blocks = n_len >> (lam + 1)
+        low = sums[lam].reshape(blocks, 2, 1 << lam, batch)[:, 0]
+        depth = n - lam  # tables[depth] is U_lam
+        if depth < len(tables):
+            parent = level.reshape(blocks, 1 << lam, 2, batch)
+            left, right = parent[..., 0, :], parent[..., 1, :]
+            child = np.empty((blocks, 2, 1 << lam, batch), np.uint16)
+            k = tables[depth - 1].shape[1]
+            _encode(left, right, k, None, child[:, 0])
+            _encode(left, right, k, low, child[:, 1])
+            level = child.reshape(n_len, batch)
+            continue
+        if depth == len(tables):
+            level = np.take(tables[-1], level, axis=1)
         parent = level.reshape(2, blocks, 1 << lam, 2, batch)
         left, right = parent[..., 0, :], parent[..., 1, :]
         child = np.empty((2, blocks, 2, 1 << lam, batch), level.dtype)
         _fop(left, right, child[:, :, 0])
-        low = sums[lam].reshape(blocks, 2, 1 << lam, batch)[:, 0]
         _gop(left, right, low, child[:, :, 1])
         level = child.reshape(2, n_len, batch)
+    if level.ndim == 2:  # coded up to the root
+        level = np.take(tables[-1], level, axis=1)
+        if n == 0:  # the root is a leaf
+            _normalize(level)
     return _root_pairs(level)
 
 
@@ -498,17 +578,20 @@ def _stack_for(ch: SymbolChannel, obs: np.ndarray):
     return PairStack(_leaf_pairs(ch, obs))
 
 
-def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> np.ndarray:
-    """(2, N, B) leaves at the realized (B, N) observations: the joint pairs,
-    or their supports (bool) where the channel is hard.
+def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> tuple:
+    """(table, codes): the (2, K) leaf table, the joint pairs or their
+    supports (bool) where the channel is hard, and the (N, B) leaf codes,
+    the realized (B, N) observations themselves, as uint16 where K allows.
 
-    An observation-free channel gives a read-only broadcast of its one
-    column; no tree writes its leaf level.
+    An observation-free channel's codes are a read-only broadcast of 0.
     """
     table = ch.table > 0 if ch.hard else ch.table
     if ch.obs_size == 1:
-        return np.broadcast_to(table[:, :, None], (2,) + obs.T.shape)
-    return np.take(table, obs.T, axis=1)
+        return table, np.broadcast_to(np.uint16(0), obs.T.shape)
+    codes = np.empty(obs.T.shape, np.uint16 if ch.obs_size <= CODE_LIMIT else np.intp)
+    for start in range(0, obs.shape[0], _SLAB_ROWS):  # several times faster than one copy
+        codes[:, start : start + _SLAB_ROWS] = obs[start : start + _SLAB_ROWS].T
+    return table, codes
 
 
 def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
@@ -654,17 +737,20 @@ def _policy_pass(
     return v_block, chain
 
 
-_SLAB_ROWS = 64  # rows per uniform draw
-
-
 def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool = True):
     """The doubles of rng.random((B, N)), as an (N, B) block.
 
     They are drawn in _SLAB_ROWS-row slabs, which give the same doubles as
     one (B, N) draw, and each slab is transposed into place, so no (B, N)
-    temporary is made. With keep=False the slabs are dropped and only the
-    stream advances; None is returned.
+    temporary is made. With keep=False only the stream advances and None is
+    returned: a PCG64 stream holding no buffered 32-bit half is advanced by
+    B N outputs, since each double consumes exactly one 64-bit output, and
+    any other stream draws the slabs and drops them.
     """
+    bit_gen = rng.bit_generator
+    if not keep and type(bit_gen) is np.random.PCG64 and not bit_gen.state["has_uint32"]:
+        bit_gen.advance(batch * n_len)
+        return None
     block = np.empty((n_len, batch)) if keep else None
     slab = np.empty((min(_SLAB_ROWS, batch), n_len))
     for start in range(0, batch, _SLAB_ROWS):
@@ -692,18 +778,21 @@ def sample_sequential(
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
     copies the given bit. Both streams are consumed as one (B, N) uniform
     block up front, so outputs are reproducible for a fixed seed regardless
-    of the tag layout; the shared block is dropped unread when no index is
-    UNIFORM_HALF. Returns (B, N) blocks, squeezed to (N,) for unbatched
-    inputs.
+    of the tag layout. A block no index reads is skipped, not kept: the
+    shared one when no index is UNIFORM_HALF, the private one when none is
+    OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL.
+    Returns (B, N) blocks, squeezed to (N,) for unbatched inputs.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
     """
     batched, obs, policy = _lift(ch, obs, policy)
     batch, n_len = obs.shape
-    private_u = _uniform_block(rng, batch, n_len)
+    tags = policy.tags
+    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
+    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
     shared_u = _uniform_block(shared_rng or rng, batch, n_len,
-                              keep=bool(np.any(policy.tags == UNIFORM_HALF)))
+                              keep=bool(np.any(tags == UNIFORM_HALF)))
     v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
     v_block = np.ascontiguousarray(v_block.T)
     return v_block if batched else v_block[0]

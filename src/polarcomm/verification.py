@@ -138,17 +138,28 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
 
     (tx_var,), (rx_var,) = plan.tx_obs_vars, plan.rx_obs_vars
     # no u/v relabeling: it is a bijection and the L1 sum is coordinate-free
-    tv = 0.0
+    # C-contiguous buffers of the first, largest chunk's shape hold the L1
+    # terms in the layout `np.abs(p_obs[:, None] * q_cond - p_joint)` gives
+    # them, so the sum runs in the same order
+    tv, bufs = 0.0, None
     for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
         digits = joint_ch.split_obs(ints_to_digits(obs_ints, n_len, joint_ch.obs_size))
         per_var = {var: digits_to_ints(d, size)
                    for var, d, size in zip(src, digits, joint_ch.obs_sizes)}
         p_obs = p_joint.sum(axis=1)
+        if bufs is None:
+            bufs = np.empty((2,) + p_joint.shape)
+        buf, pat = bufs[:, : obs_ints.size]
         if side == "tx":
-            q_cond = c_tx[per_var[tx_var]]
+            np.take(c_tx, per_var[tx_var], axis=0, out=buf, mode="clip")
         else:
-            q_cond = c_rx[per_var[rx_var]] * a_pat_v[per_var[tx_var]]
-        tv += np.abs(p_obs[:, None] * q_cond - p_joint).sum()
+            np.take(c_rx, per_var[rx_var], axis=0, out=buf, mode="clip")
+            np.take(a_pat_v, per_var[tx_var], axis=0, out=pat, mode="clip")
+            buf *= pat
+        np.multiply(p_obs[:, None], buf, out=buf)
+        np.subtract(buf, p_joint, out=buf)
+        np.abs(buf, out=buf)
+        tv += buf.sum()
     return float(tv)
 
 

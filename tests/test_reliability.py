@@ -16,8 +16,10 @@ from polarcomm.reliability import (
     profile_monte_carlo,
     with_fractions,
 )
-from polarcomm.sc import PairStack, SymbolChannel, derive_rng
+from polarcomm.sc import SymbolChannel, derive_rng
 from polarcomm.transform import apply_transform
+
+from sc_reference import ReferenceTree
 
 
 def channels(model, round_index, tx_vars, rx_vars):
@@ -119,9 +121,9 @@ def test_functional_profile_equals_tree(table, monkeypatch):
 
 
 def reference_profile(ch, n_len, samples, seed, chunk):
-    """(z, stderr) by the per-index walk: a float PairStack per chunk, pushed
-    with v = u G_N index by index, summing each index's statistic over the
-    chunk."""
+    """(z, stderr) by the per-index walk: an uncoded float tree per chunk,
+    pushed with v = u G_N index by index, summing each index's statistic
+    over the chunk."""
     rng = derive_rng(*seed)
     cum = np.cumsum(ch.table.reshape(-1))
     cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
@@ -130,7 +132,7 @@ def reference_profile(ch, n_len, samples, seed, chunk):
     acc, acc_sq = np.zeros(n_len), np.zeros(n_len)
     for start in range(0, samples, chunk):
         sl = slice(start, min(start + chunk, samples))
-        stack = PairStack(np.take(ch.table, obs[sl].T, axis=1))
+        stack = ReferenceTree(np.take(ch.table, obs[sl].T, axis=1))
         for phi in range(n_len):
             pair, _ = stack.pair_at(phi)
             stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
@@ -148,11 +150,14 @@ def reference_profile(ch, n_len, samples, seed, chunk):
     [[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]],  # erasure, zero-mass symbols
     [[0.5], [0.5]],  # uniform prior
     [[0.7], [0.3]],  # prior chain
+    [[0.3, 0.1, 0.15], [0.05, 0.25, 0.15]],  # three symbols, two coded levels
+    (np.arange(1.0, 297.0) / np.arange(1.0, 297.0).sum()).reshape(2, 148),  # no coded level
 ])
 @pytest.mark.parametrize("n_len", [1, 2, 64])
 def test_level_profile_equals_index_walk(table, n_len):
-    """The level-by-level profile equals the per-index walk bit for bit,
-    with an uneven last chunk (150 = 2 * 64 + 22 samples)."""
+    """The level-by-level profile, coded near the leaves, equals the
+    per-index walk on the uncoded tree bit for bit, with an uneven last
+    chunk (150 = 2 * 64 + 22 samples)."""
     ch = SymbolChannel(np.array(table))
     prof = profile_monte_carlo(ch, n_len, 150, (4, n_len), chunk=64)
     z, stderr = reference_profile(ch, n_len, 150, (4, n_len), 64)

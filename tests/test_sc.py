@@ -23,14 +23,20 @@ from polarcomm.sc import (
     FunctionalStack,
     PairStack,
     SamplingPolicy,
+    CODE_LIMIT,
     SymbolChannel,
+    _fop,
+    _gop,
     _leaf_pairs,
     _uniform_block,
+    _union_tables,
     chain_probability,
     sample_sequential,
     sc_conditional,
 )
 from polarcomm.transform import apply_transform, bit_reversal_perm
+
+from sc_reference import ReferenceTree
 
 DATA = Path(__file__).parent / "data"
 
@@ -336,8 +342,8 @@ def test_chain_probability_rejects_non_binary_blocks():
 
 
 def float_leaves(ch, obs):
-    """(2, N, B) float joint pairs at (B, N) observations: the float tree's
-    leaves whether or not the channel is hard."""
+    """(2, N, B) float joint pairs at (B, N) observations: the uncoded float
+    tree's leaves whether or not the channel is hard."""
     return np.take(ch.table, obs.T, axis=1)
 
 
@@ -409,7 +415,7 @@ def draw_supported_bits(rng, ch, obs):
        size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
        tiny=st.sampled_from([0, 150]))
 def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
-    """On a hard channel the bool support tree gives the float PairStack's
+    """On a hard channel the bool support tree gives the uncoded float tree's
     pairs, pair for pair and null for null, at random consulted indices
     under pushes of drawn blocks with random flips."""
     rng = np.random.default_rng(seed)
@@ -418,8 +424,8 @@ def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     assert ch.hard
     obs = rng.integers(0, size, (batch, n_len))
     support = _leaf_pairs(ch, obs)
-    assert support.dtype == bool
-    fast, ref = PairStack(support), PairStack(float_leaves(ch, obs))
+    assert support[0].dtype == bool
+    fast, ref = PairStack(support), ReferenceTree(float_leaves(ch, obs))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     pushes = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -444,7 +450,7 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     ch = SymbolChannel(random_functional_table(rng, size, tiny))
     assert ch.functional
     obs = rng.integers(0, size, (batch, n_len))
-    fast, ref = FunctionalStack(ch, obs), PairStack(float_leaves(ch, obs))
+    fast, ref = FunctionalStack(ch, obs), ReferenceTree(float_leaves(ch, obs))
     v_star = fast.v_star.copy()
     pushes = v_star ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -538,11 +544,109 @@ def test_erasure_walk_equals_float_tree_walk(table, monkeypatch):
 
 def test_uniform_block_matches_one_draw():
     """Slab draws give the doubles of one (B, N) draw, and a dropped block
-    advances the stream as far."""
-    for batch in (1, 64, 130):
-        want = np.random.default_rng(3).random((batch, 8))
-        rng = np.random.default_rng(3)
-        assert np.array_equal(_uniform_block(rng, batch, 8), want.T)
-        skip = np.random.default_rng(3)
-        assert _uniform_block(skip, batch, 8, keep=False) is None
-        assert skip.random() == rng.random()
+    advances the stream as far: by PCG64's advance, or by drawing the
+    slabs for MT19937 and for a PCG64 stream holding a buffered 32-bit half,
+    whose next 32-bit draw stays the same."""
+    for bit_generator in (np.random.PCG64, np.random.MT19937):
+        for batch in (1, 64, 130):
+            want = np.random.Generator(bit_generator(3)).random((batch, 8))
+            rng = np.random.Generator(bit_generator(3))
+            assert np.array_equal(_uniform_block(rng, batch, 8), want.T)
+            skip = np.random.Generator(bit_generator(3))
+            assert _uniform_block(skip, batch, 8, keep=False) is None
+            assert skip.random() == rng.random()
+    rng, skip = np.random.default_rng(3), np.random.default_rng(3)
+    for gen in (rng, skip):
+        gen.integers(0, 10, dtype=np.int32)  # leaves half of a 64-bit output
+    _uniform_block(rng, 5, 8)
+    _uniform_block(skip, 5, 8, keep=False)
+    assert skip.integers(0, 1 << 30, dtype=np.int32) == rng.integers(0, 1 << 30, dtype=np.int32)
+    assert skip.random() == rng.random()
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_unread_private_block_is_skipped(bit_generator):
+    """A policy that reads no private uniform (PINNED, UNIFORM_HALF and, under
+    argmax, PRIOR_CONDITIONAL) draws its UNIFORM_HALF bits from the second
+    (B, N) block of rng when no shared stream is given, whatever rng's
+    first block holds, and leaves rng where two blocks leave it."""
+    n_len, batch = 16, 5
+    ch = SymbolChannel(np.array([[0.5, 0.1], [0.15, 0.25]]))
+    tags = np.tile(np.array([PINNED, UNIFORM_HALF, PRIOR_CONDITIONAL, PINNED], np.uint8), 4)
+    pins = np.random.default_rng(1).integers(0, 2, (batch, n_len)).astype(np.uint8)
+    policy = SamplingPolicy(tags, pins)
+    rng = np.random.Generator(bit_generator(5))
+    v = sample_sequential(ch, None, policy, rng, fd_mode="argmax")
+    ref = np.random.Generator(bit_generator(5))
+    ref.random((batch, n_len))
+    shared = ref.random((batch, n_len))
+    assert rng.random() == ref.random()
+    uniform = tags == UNIFORM_HALF
+    assert np.array_equal(v[:, uniform], (shared[:, uniform] < 0.5).astype(np.uint8))
+    assert np.array_equal(v[:, tags == PINNED], pins[:, tags == PINNED])
+    second = np.random.Generator(bit_generator(5))
+    second.random((batch, n_len))
+    other = sample_sequential(ch, None, policy, np.random.default_rng(99), shared_rng=second,
+                              fd_mode="argmax")
+    assert np.array_equal(v, other)
+
+
+def test_union_table_sizes():
+    """|U_lam| = 3 |U_(lam+1)|^2 while it is at most 2^16, up to the root;
+    entry l K + r is f and K^2 + 2 (l K + r) + s is g on partial sum s."""
+    for k0, sizes in ((1, [1, 3, 27, 2187]), (2, [2, 12, 432]), (4, [4, 48, 6912]),
+                      (7, [7, 147, 64827]), (8, [8, 192]), (147, [147, 64827]), (148, [148])):
+        tables = _union_tables(np.full((2, k0), 0.5 / k0), 10)
+        assert [t.shape[1] for t in tables] == sizes
+    assert 3 * 147**2 <= CODE_LIMIT < 3 * 148**2
+    assert [t.shape[1] for t in _union_tables(np.ones((2, 1)), 2)] == [1, 3, 27]
+    rng = np.random.default_rng(2)
+    table = rng.random((2, 3))
+    union = _union_tables(table, 1)[1]
+    for l, r, s in itertools.product(range(3), range(3), range(2)):
+        f, g = np.empty((2, 1)), np.empty((2, 1))
+        _fop(table[:, [l]], table[:, [r]], f)
+        _gop(table[:, [l]], table[:, [r]], np.array([s], np.uint8), g)
+        assert np.array_equal(union[:, 3 * l + r], f[:, 0])
+        assert np.array_equal(union[:, 9 + 2 * (3 * l + r) + s], g[:, 0])
+
+
+def random_float_table(rng, size, zeros):
+    """A (2, size) table that is not hard: column 0 holds two different
+    positive entries, and a share `zeros` of the other entries is 0."""
+    table = rng.random((2, size)) + 0.01
+    table[rng.random((2, size)) < zeros] = 0.0
+    table[:, 0] = (0.3, 0.6)
+    return table / table.sum()
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2, 3, 6]),
+       batch=st.integers(1, 4), size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
+       flip=st.sampled_from([0.0, 0.05, 0.3]))
+def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
+    """PairStack, coded near the leaves, gives the uncoded tree's pairs, pair
+    for pair and null for null, at random consulted indices under pushes of
+    drawn blocks with random flips, on float tables and on supports."""
+    rng = np.random.default_rng(seed)
+    n_len = 1 << n
+    table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
+    ch = SymbolChannel(table)
+    assert ch.hard == hard
+    obs = rng.integers(0, size, (batch, n_len))
+    leaf_table, codes = _leaf_pairs(ch, obs)
+    assert leaf_table.dtype == (bool if hard else np.float64)
+    coded = PairStack((leaf_table, codes))
+    depth = {1: 3, 2: 2, 3: 2, 148: 0}[size]
+    assert coded.top == max(n - depth, 0)
+    assert all(coded.levels[lam].dtype == np.uint16 for lam in range(coded.top, n))
+    ref = ReferenceTree(np.take(leaf_table, obs.T, axis=1))
+    v = apply_transform(draw_supported_bits(rng, ch, obs)).T
+    pushes = v ^ (rng.random((n_len, batch)) < flip)
+    for phi in range(n_len):
+        if rng.random() < 0.7:
+            got, got_null = coded.pair_at(phi)
+            want, want_null = ref.pair_at(phi)
+            assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+        coded.push(phi, pushes[phi])
+        ref.push(phi, pushes[phi])

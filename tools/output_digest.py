@@ -37,6 +37,12 @@ moved. The cases are
                   observed channel;
   * profile/erasure/...  `profile_monte_carlo` on the walk/erasure channels
                   at N = 1, 2 and 16, in one chunk and in uneven chunks;
+  * walk/coded/..., profile/coded/...  the same walks and profiles on float
+                  channels whose SC levels near the leaves are held as codes:
+                  an observation-free prior at N = 16 and 64, 2- and
+                  3-symbol tables at N = 2, 4, 8 and 16 (coded up to the
+                  root at N <= 4) and a 148-symbol table, which has no coded
+                  level, at N = 4;
   * oracle/...    the exact oracle on the BSC t = 1 and AND t = 2, 4 exact
                   plans: every profile's z bytes, `exact_q_tv` on both sides
                   at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
@@ -49,7 +55,7 @@ moved. The cases are
   * cli/...       every file and the exit code of all six commands on six
                   configs.
 
-Every case runs at N <= 32 and the whole script takes well under a minute.
+Every case runs at N <= 64 and the whole script takes well under a minute.
 """
 from __future__ import annotations
 
@@ -209,14 +215,18 @@ def _draw_cells(ch, rng, shape):
     return (cells // ch.obs_size).astype(np.uint8), cells % ch.obs_size
 
 
-def erasure_walk_cases(pc):
+def erasure_walk_cases(pc, channels=None, prefix="walk/erasure", seed=41):
+    """The walk cases of `channels` (name -> (table, lengths); default: the
+    erasure channels at ERASURE_LENGTHS)."""
+    if channels is None:
+        channels = {name: (table, ERASURE_LENGTHS) for name, table in ERASURE_CHANNELS.items()}
     batch = 6
-    rng = np.random.default_rng(41)
+    rng = np.random.default_rng(seed)
     order = np.array([pc.sc.PINNED, pc.sc.OBSERVATION_CONDITIONAL,
                       pc.sc.PRIOR_CONDITIONAL, pc.sc.UNIFORM_HALF], dtype=np.uint8)
-    for ch_name, table in ERASURE_CHANNELS.items():
+    for ch_name, (table, lengths) in channels.items():
         ch = pc.SymbolChannel(np.array(table))
-        for n_len in ERASURE_LENGTHS:
+        for n_len in lengths:
             u_bits, obs = _draw_cells(ch, rng, (batch, n_len))
             mass = ch.table.sum(axis=0)
             # row 0 observes the least likely symbol of mass at every other
@@ -248,19 +258,39 @@ def erasure_walk_cases(pc):
                         chain = pc.chain_probability(ch, ob, pol, v, fd_mode=fd, anomalies=log)
                         chain_drawn = pc.chain_probability(ch, ob, pol, drawn, fd_mode=fd,
                                                            anomalies=log)
-                        yield (f"walk/erasure/{ch_name}/n{n_len}/{pol_name}/{fd}/{shape}",
+                        yield (f"{prefix}/{ch_name}/n{n_len}/{pol_name}/{fd}/{shape}",
                                _digest(v, np.asarray(chain), np.asarray(chain_drawn),
                                        log.count))
 
 
-def erasure_profile_cases(pc):
-    for ch_name, table in ERASURE_CHANNELS.items():
+def erasure_profile_cases(pc, channels=None, prefix="profile/erasure"):
+    if channels is None:
+        channels = {name: (table, ERASURE_LENGTHS) for name, table in ERASURE_CHANNELS.items()}
+    for ch_name, (table, lengths) in channels.items():
         ch = pc.SymbolChannel(np.array(table))
-        for n_len in ERASURE_LENGTHS:
+        for n_len in lengths:
             for chunk in (512, 37):
                 prof = pc.profile_monte_carlo(ch, n_len, 100, (13, n_len), chunk=chunk)
-                yield (f"profile/erasure/{ch_name}/n{n_len}-s100-c{chunk}",
+                yield (f"{prefix}/{ch_name}/n{n_len}-s100-c{chunk}",
                        _digest(prof.z, prof.stderr))
+
+
+# float channels whose SC levels near the leaves are held as codes: the
+# observation-free prior (3 coded levels), 2- and 3-symbol tables (2, which
+# reach the root at N <= 4) and a 148-symbol table (none)
+CODED_CHANNELS = {
+    "prior": ([[0.75], [0.25]], (16, 64)),
+    "two-symbol": ([[0.4, 0.15], [0.05, 0.4]], (2, 4, 8, 16)),
+    "three-symbol": ([[0.3, 0.0, 0.15], [0.05, 0.35, 0.15]], (2, 4, 8, 16)),
+    "wide": ((np.arange(1.0, 297.0) / 43956.0).reshape(2, 148).tolist(), (4,)),
+}
+
+
+def coded_cases(pc):
+    """walk/coded/... and profile/coded/...: the erasure cases' walks and
+    profiles on CODED_CHANNELS."""
+    yield from erasure_walk_cases(pc, CODED_CHANNELS, "walk/coded", seed=51)
+    yield from erasure_profile_cases(pc, CODED_CHANNELS, "profile/coded")
 
 
 def profile_cases(model_name, label, plans):
@@ -396,6 +426,8 @@ def main(argv=None) -> int:
     for case in erasure_profile_cases(pc):
         emit(*case)
     for case in cli_cases(pc_cli):
+        emit(*case)
+    for case in coded_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
