@@ -22,6 +22,26 @@ so a walk pays for a stack only at the indices whose tag consults it. A
 block that no consulted index reads is never computed, and no other index
 reads it (PairStack states the rule).
 
+Near the leaves a level's pairs take few distinct values, so those levels
+are held as codes into exact pair tables, a bit-exact cousin of Fast-SSC's
+skipped nodes (Sarkis et al., IEEE JSAC 2014). A leaf is one of the K_n
+columns of the leaf table U_n (K_n = 1 for an observation-free prior) and
+its code is the observed symbol. A level-lam node is f of two children or g
+of two children and a partial sum, so its pair lies in the union table
+U_lam = f(U_(lam+1) x U_(lam+1)) ++ g(U_(lam+1) x U_(lam+1) x {0, 1}) of
+K_lam = 3 K_(lam+1)^2 entries: an f node is coded l K + r and a g node
+K^2 + 2 (l K + r) + s, with l and r its children's codes, K = K_(lam+1) and
+s its partial sum. Every level whose table has at most 2^16 entries is held
+as a (2^lam, B) uint16 array; the lowest level above them gathers its
+children's pairs from the top table and runs the float or bool ops. K_n = 1
+codes three levels (tables of 3, 27 and 2187 entries), K_n = 2..7 two,
+K_n = 8..147 one and K_n >= 148 none. This is exact: each table entry is
+computed once, by the same _fop / _gop / _normalize elementwise IEEE ops
+(multiply, add, max, divide, xor on bit patterns) on the same operand
+values as the tree would apply to the node, and the gather copies it
+unchanged, so every pair the tree holds, and every root pair, draw, chain
+factor and null count, is bit for bit the uncoded tree's.
+
 On a hard channel (SymbolChannel.hard: every observation column holds at
 most one positive entry, or two exactly equal ones, and every positive
 entry squared is still positive) the tree runs on supports: bool leaves
