@@ -27,7 +27,7 @@ import os
 import sys
 import tempfile
 import traceback
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .models import (
@@ -106,6 +106,17 @@ def _json_type(value) -> str:
         return "number"
     return {str: "string", list: "array", dict: "object"}[type(value)]
 
+
+def _integral(key: str, value):
+    """A number of an integer-valued key, with an integral float made int;
+    a fractional one is a config error (None passes through)."""
+    if isinstance(value, float):
+        if not value.is_integer():
+            raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+        return int(value)
+    return value
+
+
 COMMANDS = ("profile", "plan", "simulate", "verify", "rates", "sweep")
 
 
@@ -135,7 +146,11 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             # every array-valued key holds numbers
             if isinstance(value, list) and any(_json_type(v) != "number" for v in value):
                 raise ConfigError(f"config key {key!r} must be an array of numbers")
-        cfg.update(user)
+            if type(default) is int:
+                value = _integral(key, value)
+            elif key == "n_list":
+                value = [_integral(key, v) for v in value]
+            cfg[key] = value
     if seed_override is not None:
         cfg["shared_seed"] = seed_override
         cfg["profile_seed"] = seed_override
@@ -145,11 +160,11 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
 def build_model(cfg: dict) -> AuxChainModel:
     name = cfg["model"]
     if name == "and":
-        return build_and_chain(AndModelParams(cfg["p"], cfg["q"], int(cfg["t"])))
+        return build_and_chain(AndModelParams(cfg["p"], cfg["q"], cfg["t"]))
     if name == "bsc":
         return build_bsc_chain(cfg["alpha_noise"], cfg["eps"])
     if name == "collocated":
-        return build_collocated_chain(int(cfg["m"]), cfg["source_probs"])
+        return build_collocated_chain(cfg["m"], cfg["source_probs"])
     path = Path(name)
     if not path.exists():
         raise ConfigError(f"model {name!r} is not builtin and no such file exists")
@@ -176,8 +191,8 @@ def make_plans(model, cfg, n_len):
         build_policy(cfg),
         rate_margin=float(cfg["rate_margin"]),
         profile_method=cfg["profile_method"],
-        profile_samples=int(cfg["profile_samples"]),
-        profile_seed=int(cfg["profile_seed"]),
+        profile_samples=cfg["profile_samples"],
+        profile_seed=cfg["profile_seed"],
     )
 
 
@@ -220,14 +235,14 @@ def _check_anomalies(cfg: dict, count: int) -> None:
 
 
 def cmd_profile(model, cfg, out: OutputSet) -> None:
-    plans = make_plans(model, cfg, int(cfg["n"]))
+    plans = make_plans(model, cfg, cfg["n"])
     for plan in plans:
         for cond, prof in plan.profiles.items():
             out.write_text(f"profile_round{plan.round_index}_{cond}.json", prof.to_json() + "\n")
 
 
 def cmd_plan(model, cfg, out: OutputSet) -> None:
-    plans = make_plans(model, cfg, int(cfg["n"]))
+    plans = make_plans(model, cfg, cfg["n"])
     for plan in plans:
         out.write_text(f"partition_round{plan.round_index}.json", plan.partition.to_json() + "\n")
     out.write_json("plans_summary.json", {"rates": measured_rates(plans)})
@@ -236,7 +251,7 @@ def cmd_plan(model, cfg, out: OutputSet) -> None:
 def _run_trials(model, cfg, plans, n_len) -> tuple:
     """Run the protocol trials: (ProtocolResult, {output: error rates})."""
     errors = function_error_rate(
-        model, plans, n_len, int(cfg["trials"]), int(cfg["shared_seed"]),
+        model, plans, n_len, cfg["trials"], cfg["shared_seed"],
         fd_policy=cfg["fd_policy"],
     )
     result = errors.pop("result")
@@ -246,13 +261,13 @@ def _run_trials(model, cfg, plans, n_len) -> tuple:
 
 
 def cmd_simulate(model, cfg, out: OutputSet) -> None:
-    n_len = int(cfg["n"])
+    n_len = cfg["n"]
     plans = make_plans(model, cfg, n_len)
     result, errors = _run_trials(model, cfg, plans, n_len)
     summary = {
         "model": cfg["model"],
         "N": n_len,
-        "trials": int(cfg["trials"]),
+        "trials": cfg["trials"],
         "rates": list(result.rates),
         "agreement_frequency": float(result.agreement.all(axis=0).mean()),
         "anomalies": result.anomalies,
@@ -271,10 +286,9 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
     mode, rounds = cfg["verify_mode"], cfg["verify_rounds"]
     if mode not in ("exact", "monte_carlo"):
         raise ConfigError(f"verify_mode must be 'exact' or 'monte_carlo', got {mode!r}")
-    rounds = None if rounds is None else int(rounds)
     if rounds is not None and not 1 <= rounds <= model.rounds:
         raise ConfigError(f"verify_rounds must be null or lie in 1..{model.rounds}, got {rounds}")
-    n_len = int(cfg["n"])
+    n_len = cfg["n"]
     plans = make_plans(model, cfg, n_len)
     rates = measured_rates(plans)
     if mode == "exact":
@@ -286,27 +300,25 @@ def cmd_verify(model, cfg, out: OutputSet) -> None:
             agreement_probability=agree,
             rates=tuple(r["measured"] for r in rates),
         )
-        payload = json.loads(report.to_json())
-        payload["tv_by_side"] = tv
-        payload["rate_table"] = rates
-        out.write_json("verify.json", payload)
-        return
-    result, errors = _run_trials(model, cfg, plans, n_len)
-    vr = VerificationReport(
-        n_len=n_len,
-        mode="monte_carlo",
-        agreement_probability=float(result.agreement.all(axis=0).mean()),
-        rates=tuple(r["measured"] for r in rates),
-        block_error=max(v["block_error"] for v in errors.values()),
-        symbol_error=max(v["symbol_error"] for v in errors.values()),
-        erasure_rate=max(v["erasure"] for v in errors.values()),
-        trials=int(cfg["trials"]),
-        seed=int(cfg["shared_seed"]),
-        confidence_radius=max(v["radius_95"] for v in errors.values()),
-    )
-    payload = json.loads(vr.to_json())
-    payload["rate_table"] = rates
-    payload["errors"] = errors
+        extra = {"tv_by_side": tv}
+    else:
+        result, errors = _run_trials(model, cfg, plans, n_len)
+        report = VerificationReport(
+            n_len=n_len,
+            mode="monte_carlo",
+            agreement_probability=float(result.agreement.all(axis=0).mean()),
+            rates=tuple(r["measured"] for r in rates),
+            block_error=max(v["block_error"] for v in errors.values()),
+            symbol_error=max(v["symbol_error"] for v in errors.values()),
+            erasure_rate=max(v["erasure"] for v in errors.values()),
+            trials=cfg["trials"],
+            seed=cfg["shared_seed"],
+            confidence_radius=max(v["radius_95"] for v in errors.values()),
+        )
+        extra = {"errors": errors}
+    payload = asdict(report)
+    payload["N"] = payload.pop("n_len")
+    payload.update(extra, rate_table=rates)
     out.write_json("verify.json", payload)
 
 
@@ -328,7 +340,6 @@ def cmd_rates(model, cfg, out: OutputSet) -> None:
 def cmd_sweep(model, cfg, out: OutputSet) -> None:
     rows = []
     for n_len in cfg["n_list"]:
-        n_len = int(n_len)
         plans = make_plans(model, cfg, n_len)
         for entry in measured_rates(plans):
             values = {"rate_measured": entry["measured"], "rate_target": entry["target"],

@@ -33,7 +33,10 @@ K_lam = 3 K_(lam+1)^2 entries: an f node is coded l K + r and a g node
 K^2 + 2 (l K + r) + s, with l and r its children's codes, K = K_(lam+1) and
 s its partial sum. Every level whose table has at most 2^16 entries is held
 as a (2^lam, B) uint16 array; the lowest level above them gathers its
-children's pairs from the top table and runs the float or bool ops. K_n = 1
+children's pairs from the top table and runs the float or bool ops. That
+rule is written once, in _new_level, _level_step and _root_finish, and
+serves both PairStack and pinned_pairs, as _partial_sums serves both for
+the partial sums. K_n = 1
 codes three levels (tables of 3, 27 and 2187 entries), K_n = 2..7 two,
 K_n = 8..147 one and K_n >= 148 none. This is exact: each table entry is
 computed once, by the same _fop / _gop / _normalize elementwise IEEE ops
@@ -389,6 +392,60 @@ def _root_pairs(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair, null
 
 
+def _new_level(tables: list, depth: int, shape: tuple) -> np.ndarray:
+    """An empty level lam = n - depth whose nodes fill shape (..., 2^lam, B).
+
+    This is the level rule, decided here only: the level is held as uint16
+    codes into its union table tables[depth] while that table exists (see
+    _union_tables), else as (2,) + shape pairs of the leaf table's dtype.
+    Nodes sit on the second-to-last axis, so a PairStack's one block and
+    pinned_pairs' row of blocks share _level_step and _root_finish, which
+    read the rule off the arrays they are given.
+    """
+    if depth < len(tables):
+        return np.empty(shape, np.uint16)
+    return np.empty((2,) + shape, tables[0].dtype)
+
+
+def _level_step(tables: list, depth: int, child: np.ndarray, low, out: np.ndarray) -> np.ndarray:
+    """Write level `depth` into out from its child level: node j combines
+    child nodes 2j and 2j + 1 by f where low is None and by g on the
+    partial sums low otherwise. A coded out gets codes (_encode); an out of
+    pairs reads pairs, gathered from the top table tables[-1] when the child
+    is still coded (it has one axis fewer). Returns the child as read, so a
+    caller stepping a level's f and g halves gathers it once."""
+    if out.dtype == np.uint16:
+        _encode(child[..., 0::2, :], child[..., 1::2, :], tables[depth - 1].shape[1], low, out)
+        return child
+    if child.ndim < out.ndim:
+        child = np.take(tables[-1], child, axis=1)
+    left, right = child[..., 0::2, :], child[..., 1::2, :]
+    if low is None:
+        _fop(left, right, out)
+    else:
+        _gop(left, right, low, out)
+    return child
+
+
+def _root_finish(root: np.ndarray, tables: list) -> tuple[np.ndarray, np.ndarray]:
+    """_root_pairs of level 0: gathered from U_0 when the tree is coded up
+    to the root, and normalized when the root is a leaf (N = 1)."""
+    if root.dtype.kind in "ui":
+        root = np.take(tables[-1], root, axis=1)
+        if len(tables) == 1:
+            _normalize(root)
+    return _root_pairs(root)
+
+
+def _partial_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The partial sums (a ^ b, b) of two sibling blocks (..., 2^lam, B) of
+    decided bits, interleaved: a_j ^ b_j at node 2j and b_j at 2j + 1."""
+    out = np.empty(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]), np.uint8)
+    np.bitwise_xor(a, b, out=out[..., 0::2, :])
+    out[..., 1::2, :] = b
+    return out
+
+
 class PairStack:
     """Batched SC tree holding one probability pair per node, batch last.
 
@@ -397,18 +454,10 @@ class PairStack:
     leaves = (table, codes) as `_leaf_pairs` gives them: leaf j of row b
     holds the pair table[:, codes[j, b]] of the (2, K) table, float joint
     pairs or bool supports (a hard channel; the whole tree then runs on
-    supports). Level n is the (N, B) leaf codes, level 0 the root. Pairs
-    that condition on a zero-probability event stay (0, 0) and are reported
-    through the null mask of pair_at.
-
-    The levels near the leaves are held as codes (module docstring): level
-    lam is a (2^lam, B) uint16 array of indices into its union table
-    U_lam = f(U_(lam+1) x U_(lam+1)) ++ g(U_(lam+1) x U_(lam+1) x {0, 1}),
-    an f node coded l K + r and a g node K^2 + 2 (l K + r) + s from its
-    children's codes l, r into the K-entry U_(lam+1) and its partial sum s,
-    for every lam whose table has at most CODE_LIMIT = 2^16 entries. The
-    levels above hold (2, 2^lam, B) pairs; the lowest of them gathers its
-    children from the top table.
+    supports). Level n is the (N, B) leaf codes, level 0 the root, and each
+    level between is held as the level rule (_new_level) says: codes near
+    the leaves, pairs above. Pairs that condition on a zero-probability
+    event stay (0, 0) and are reported through the null mask of pair_at.
 
     Evaluation is lazy. The level-lam block that index phi reads is the one
     as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
@@ -436,17 +485,11 @@ class PairStack:
         self.n_len = n_len
         self.n = n_len.bit_length() - 1
         self.tables = _union_tables(table, self.n)  # tables[d] is U_(n-d)
-        self.top = self.n + 1 - len(self.tables)  # the lowest coded level
-        self.levels = [np.empty((2, 1 << lam, batch), table.dtype) for lam in range(self.top)]
-        self.levels += [np.empty((1 << lam, batch), np.uint16) for lam in range(self.top, self.n)]
-        self.levels.append(codes)
+        self.levels = [_new_level(self.tables, self.n - lam, (1 << lam, batch))
+                       for lam in range(self.n)] + [codes]
         self.low = [np.zeros((1 << lam, batch), dtype=np.uint8) for lam in range(self.n)]
         self.stamps = [-1] * self.n
         self._next = 0
-
-    def _pairs(self, lam: int) -> np.ndarray:
-        """The (2, 2^lam, B) pairs of coded level lam, gathered from its table."""
-        return np.take(self.tables[self.n - lam], self.levels[lam], axis=1)
 
     def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
         """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
@@ -456,25 +499,9 @@ class PairStack:
             stamp = phi & -(1 << lam)
             if self.stamps[lam] != stamp:
                 low = self.low[lam] if phi >> lam & 1 else None
-                if lam >= self.top:
-                    child = self.levels[lam + 1]
-                    k = self.tables[self.n - lam - 1].shape[1]
-                    _encode(child[0::2], child[1::2], k, low, self.levels[lam])
-                else:
-                    child = self._pairs(lam + 1) if lam + 1 == self.top else self.levels[lam + 1]
-                    left, right = child[:, 0::2], child[:, 1::2]
-                    if low is None:
-                        _fop(left, right, self.levels[lam])
-                    else:
-                        _gop(left, right, low, self.levels[lam])
+                _level_step(self.tables, self.n - lam, self.levels[lam + 1], low, self.levels[lam])
                 self.stamps[lam] = stamp
-        if self.top == 0:
-            root = self._pairs(0)[:, 0, :]
-            if self.n == 0:  # the root is a leaf
-                _normalize(root)
-        else:
-            root = self.levels[0][:, 0, :]
-        pair, null = _root_pairs(root)
+        pair, null = _root_finish(self.levels[0][..., 0, :], self.tables)
         return pair.T, null
 
     def push(self, phi: int, bits: np.ndarray) -> None:
@@ -485,10 +512,7 @@ class PairStack:
         cur = np.asarray(bits, dtype=np.uint8).reshape(1, self.batch)
         lam, j = 0, phi
         while (j & 1) and lam < self.n:
-            nxt = np.empty((2 << lam, self.batch), dtype=np.uint8)
-            nxt[0::2] = self.low[lam] ^ cur
-            nxt[1::2] = cur
-            cur = nxt
+            cur = _partial_sums(self.low[lam], cur)
             lam += 1
             j >>= 1
         if lam < self.n:
@@ -501,13 +525,13 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     Equals PairStack's pair_at(phi) after push(0 .. phi-1) of v's rows, for
     every phi, without a per-index loop: v is known up front, so no index
     waits for another's decision (genie-aided SC). Level lam is evaluated
-    for all its 2^(n-lam) blocks of 2^lam nodes at once; block h is f of
-    block h >> 1 of level lam + 1 when h is even and g of it when h is odd,
-    on the partial sums of v[(h-1) 2^lam, h 2^lam). Those are built once,
-    per level, with push's recursion (a ^ b at even positions, b at odd
-    ones). Levels are held as codes where PairStack holds them so, (N, B)
-    here. obs is (B, N). Returns the (2, N, B) float pairs, uniform where
-    null, and the (N, B) null mask.
+    for all its 2^(n-lam) blocks of 2^lam nodes at once, by the level rule
+    (_new_level, _level_step) with blocks on the third-to-last axis; block h
+    is f of block h >> 1 of level lam + 1 when h is even and g of it when h
+    is odd, on the partial sums of v[(h-1) 2^lam, h 2^lam), which are built
+    once per level by _partial_sums, as push builds them. obs is (B, N).
+    Returns the (2, N, B) float pairs, uniform where null, and the (N, B)
+    null mask.
     """
     n_len, batch = v.shape
     n = n_len.bit_length() - 1
@@ -516,36 +540,16 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     sums = [np.asarray(v, dtype=np.uint8)]  # sums[lam]: per 2^lam-block partial sums
     for lam in range(n - 1):
         prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, batch)
-        nxt = np.empty((n_len >> (lam + 1), 1 << lam, 2, batch), dtype=np.uint8)
-        np.bitwise_xor(prev[:, 0], prev[:, 1], out=nxt[..., 0, :])
-        nxt[..., 1, :] = prev[:, 1]
-        sums.append(nxt.reshape(n_len, batch))
+        sums.append(_partial_sums(prev[:, 0], prev[:, 1]).reshape(n_len, batch))
     for lam in range(n - 1, -1, -1):
         blocks = n_len >> (lam + 1)
         low = sums[lam].reshape(blocks, 2, 1 << lam, batch)[:, 0]
-        depth = n - lam  # tables[depth] is U_lam
-        if depth < len(tables):
-            parent = level.reshape(blocks, 1 << lam, 2, batch)
-            left, right = parent[..., 0, :], parent[..., 1, :]
-            child = np.empty((blocks, 2, 1 << lam, batch), np.uint16)
-            k = tables[depth - 1].shape[1]
-            _encode(left, right, k, None, child[:, 0])
-            _encode(left, right, k, low, child[:, 1])
-            level = child.reshape(n_len, batch)
-            continue
-        if depth == len(tables):
-            level = np.take(tables[-1], level, axis=1)
-        parent = level.reshape(2, blocks, 1 << lam, 2, batch)
-        left, right = parent[..., 0, :], parent[..., 1, :]
-        child = np.empty((2, blocks, 2, 1 << lam, batch), level.dtype)
-        _fop(left, right, child[:, :, 0])
-        _gop(left, right, low, child[:, :, 1])
-        level = child.reshape(2, n_len, batch)
-    if level.ndim == 2:  # coded up to the root
-        level = np.take(tables[-1], level, axis=1)
-        if n == 0:  # the root is a leaf
-            _normalize(level)
-    return _root_pairs(level)
+        child = level.reshape(level.shape[:-2] + (blocks, 2 << lam, batch))
+        out = _new_level(tables, n - lam, (blocks, 2, 1 << lam, batch))
+        child = _level_step(tables, n - lam, child, None, out[..., 0, :, :])
+        _level_step(tables, n - lam, child, low, out[..., 1, :, :])
+        level = out.reshape(out.shape[:-4] + (n_len, batch))
+    return _root_finish(level, tables)
 
 
 class FunctionalStack:
@@ -673,7 +677,7 @@ def sc_conditional(
     prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
     if prefix.size >= n_len:
         raise ValueError("prefix must be shorter than the block")
-    stack = PairStack(_leaf_pairs(ch, obs[None, :]))
+    stack = PairStack(_leaf_pairs(ch, _as_batched_obs(ch, obs, n_len, 1)))
     for phi in range(prefix.size):
         stack.push(phi, prefix[phi : phi + 1])
     pair, null = stack.pair_at(prefix.size)

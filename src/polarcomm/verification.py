@@ -25,7 +25,6 @@ an F_d index. The bounds keep runtime and memory at desk scale.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,22 +73,6 @@ class VerificationReport:
             val = getattr(self, name)
             if val is not None and not -1e-9 <= val <= 1 + 1e-9:
                 raise ValueError(f"{name} must lie in [0, 1]")
-
-    def to_json(self) -> str:
-        payload = {
-            "N": self.n_len,
-            "mode": self.mode,
-            "tv_value": self.tv_value,
-            "agreement_probability": self.agreement_probability,
-            "rates": None if self.rates is None else list(self.rates),
-            "block_error": self.block_error,
-            "symbol_error": self.symbol_error,
-            "erasure_rate": self.erasure_rate,
-            "trials": self.trials,
-            "seed": self.seed,
-            "confidence_radius": self.confidence_radius,
-        }
-        return json.dumps(payload, sort_keys=True)
 
 
 def _pin_patterns(n_len: int, pins: np.ndarray) -> np.ndarray:

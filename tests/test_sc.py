@@ -31,6 +31,7 @@ from polarcomm.sc import (
     _uniform_block,
     _union_tables,
     chain_probability,
+    pinned_pairs,
     sample_sequential,
     sc_conditional,
 )
@@ -638,8 +639,8 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
     assert leaf_table.dtype == (bool if hard else np.float64)
     coded = PairStack((leaf_table, codes))
     depth = {1: 3, 2: 2, 3: 2, 148: 0}[size]
-    assert coded.top == max(n - depth, 0)
-    assert all(coded.levels[lam].dtype == np.uint16 for lam in range(coded.top, n))
+    # min(depth, n) uint16 levels sit right below the leaves, pairs above
+    assert [lvl.dtype == np.uint16 for lvl in coded.levels[:n]] == [lam >= n - depth for lam in range(n)]
     ref = ReferenceTree(np.take(leaf_table, obs.T, axis=1))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     pushes = v ^ (rng.random((n_len, batch)) < flip)
@@ -650,3 +651,35 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
         coded.push(phi, pushes[phi])
         ref.push(phi, pushes[phi])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 3, 6]),
+       batch=st.integers(1, 4), size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
+       flip=st.sampled_from([0.0, 0.05, 0.3]))
+def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
+    """pinned_pairs gives PairStack's pair_at(phi) after push of the same
+    block's rows 0 .. phi-1, pair for pair and null for null at every index,
+    on float tables and on supports, coded up to the root or not at all."""
+    rng = np.random.default_rng(seed)
+    n_len = 1 << n
+    table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
+    ch = SymbolChannel(table)
+    obs = rng.integers(0, size, (batch, n_len))
+    v = apply_transform(draw_supported_bits(rng, ch, obs)).T ^ (rng.random((n_len, batch)) < flip)
+    pairs, null = pinned_pairs(ch, obs, v)
+    assert pairs.shape == (2, n_len, batch) and null.shape == (n_len, batch)
+    stack = PairStack(_leaf_pairs(ch, obs))
+    for phi in range(n_len):
+        want, want_null = stack.pair_at(phi)
+        assert np.array_equal(pairs[:, phi].T, want) and np.array_equal(null[phi], want_null)
+        stack.push(phi, v[phi])
+
+
+def test_sc_conditional_rejects_out_of_range_symbols():
+    """Observation symbols outside the channel's alphabet are rejected, as
+    sample_sequential and chain_probability reject them."""
+    ch = SymbolChannel(np.array([[0.4, 0.15], [0.05, 0.4]]))
+    for obs in ([2, 0, 0, 0], [-1, 0, 0, 0], [7, 7, 7, 7]):
+        with pytest.raises(ValueError, match="observation symbol out of range"):
+            sc_conditional(ch, obs, [0])
