@@ -72,7 +72,9 @@ CONFIG_SCHEMA = {
     "beta": (0.3, "threshold exponent: delta_N = 2^(-N^beta), beta in (0, 1/2)"),
     "delta": (None, "explicit threshold override in (0, 1/2); null uses 2^(-N^beta)"),
     "fractions": (None, "explicit target fractions [f_d, f_r, i_prime]; null derives them from the model"),
-    "rate_margin": (0.0, "extra transmitted bits/symbol added to each round's I' target"),
+    "rate_margin": (0.0, "extra transmitted bits/symbol added to each round's I' target; "
+                         "a positive margin needs partition_mode 'target_rate' with null "
+                         "fractions, the only plans that derive a target"),
     "profile_method": ("auto", "'auto' (exact profiles for each round whose channels can be "
                                "enumerated at N, Monte Carlo for the others), 'exact', or "
                                "'monte_carlo'"),
@@ -87,8 +89,8 @@ CONFIG_SCHEMA = {
                          "N <= 4, none for 3 or more; agreement at N <= 4 within 2^24 cells "
                          "|X|^N |Y|^N 2^(N t); under argmax fd_policy only where every F_d "
                          "is empty. verify.json holds null for a quantity no route covers"),
-    "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this; "
-                            "null for no limit"),
+    "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this "
+                            "nonnegative integer; null for no limit"),
 }
 
 # keys whose help documents null, with the JSON type of their other values
@@ -146,10 +148,12 @@ def load_config(path: str | None, seed_override: int | None) -> dict:
             # every array-valued key holds numbers
             if isinstance(value, list) and any(_json_type(v) != "number" for v in value):
                 raise ConfigError(f"config key {key!r} must be an array of numbers")
-            if type(default) is int:
+            if type(default) is int or key == "anomaly_limit":
                 value = _integral(key, value)
             elif key == "n_list":
                 value = [_integral(key, v) for v in value]
+            if key == "anomaly_limit" and value is not None and value < 0:
+                raise ConfigError(f"config key 'anomaly_limit' must be nonnegative, got {value!r}")
             cfg[key] = value
     if seed_override is not None:
         cfg["shared_seed"] = seed_override
@@ -230,7 +234,7 @@ class OutputSet:
 
 def _check_anomalies(cfg: dict, count: int) -> None:
     limit = cfg["anomaly_limit"]
-    if limit is not None and count > int(limit):
+    if limit is not None and count > limit:
         raise AnomalyLimitExceeded(f"{count} decode anomalies exceed the limit {limit}")
 
 

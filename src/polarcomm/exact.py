@@ -18,6 +18,8 @@ prefix order of the SC index walk.
 """
 from __future__ import annotations
 
+from itertools import pairwise
+
 import numpy as np
 
 from .sc import OBSERVATION_CONDITIONAL, PINNED, PRIOR_CONDITIONAL, UNIFORM_HALF, SymbolChannel
@@ -30,21 +32,19 @@ MAX_ENUM = 1 << 24
 
 
 def ints_to_digits(ints: np.ndarray, n_len: int, base: int) -> np.ndarray:
-    """Mixed-radix digits, position 0 most significant; shape (..., N)."""
+    """Mixed-radix digits, position 0 most significant; shape (..., N).
+
+    A value outside [0, base^N) raises ValueError.
+    """
     ints = np.asarray(ints, dtype=np.int64)
-    out = np.empty(ints.shape + (n_len,), dtype=np.int64)
-    for k in range(n_len - 1, -1, -1):
-        out[..., k] = ints % base
-        ints = ints // base
-    return out
+    return np.stack(np.unravel_index(ints, (base,) * n_len), axis=-1)
 
 
 def digits_to_ints(digits: np.ndarray, base: int) -> np.ndarray:
+    """Inverse of `ints_to_digits` over the last axis; a digit outside
+    [0, base) raises ValueError."""
     digits = np.asarray(digits, dtype=np.int64)
-    out = np.zeros(digits.shape[:-1], dtype=np.int64)
-    for k in range(digits.shape[-1]):
-        out = out * base + digits[..., k]
-    return out
+    return np.ravel_multi_index(tuple(np.moveaxis(digits, -1, 0)), (base,) * digits.shape[-1])
 
 
 def transform_permutation(n_len: int) -> np.ndarray:
@@ -110,6 +110,21 @@ def _ratio_or_uniform(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prefix_levels(joint: np.ndarray, n_len: int):
+    """Yield the block joint marginalized to v^{1:i}, shape (..., 2^i), for
+    i = N, ..., 0; its last axis is the v-prefix integer.
+
+    Each level sums adjacent pairs of the previous one's last axis, so the
+    sums follow the memory order of `joint` (see the module docstring). A
+    level is summed only when the caller asks for the next item, so the
+    caller's temporaries for one level are freed before the next is built.
+    """
+    yield joint
+    for i in range(n_len, 0, -1):
+        joint = joint.reshape(joint.shape[:-1] + (1 << (i - 1), 2)).sum(-1)
+        yield joint
+
+
 def sampled_chain_table(ch: SymbolChannel, tags: np.ndarray, n_len: int,
                         chunk: int = 2048) -> np.ndarray:
     """Exact per-block product of the sampling-rule factors.
@@ -127,30 +142,23 @@ def sampled_chain_table(ch: SymbolChannel, tags: np.ndarray, n_len: int,
     m = ch.obs_size
     uniform_factor = 0.5 ** int(np.count_nonzero(tags == UNIFORM_HALF))
 
-    prior_ratio = np.ones(1 << n_len)
+    def times_conditionals(acc, joint, kind):
+        """acc (rows, 2^N) times the conditionals of the indices tagged kind."""
+        levels = pairwise(_prefix_levels(joint, n_len))
+        for i, (level, marginal) in zip(range(n_len, 0, -1), levels):
+            if tags[i - 1] == kind:
+                ratio = _ratio_or_uniform(level.reshape(marginal.shape + (2,)), marginal[..., None])
+                acc *= np.repeat(ratio.reshape(len(acc), -1), 1 << (n_len - i), axis=1)
+
+    prior_ratio = np.ones((1, 1 << n_len))
     if np.any(tags == PRIOR_CONDITIONAL):
-        prior_joint = block_joint_full(ch.prior(), n_len)[0]  # (2^N,)
-        s_cur = prior_joint
-        for i in range(n_len, 0, -1):
-            pairs = s_cur.reshape(1 << (i - 1), 2)
-            s_prev = pairs.sum(-1)
-            if tags[i - 1] == PRIOR_CONDITIONAL:
-                ratio = _ratio_or_uniform(pairs, s_prev[:, None])
-                prior_ratio *= np.repeat(ratio.reshape(-1), 1 << (n_len - i))
-            s_cur = s_prev
+        times_conditionals(prior_ratio, block_joint_full(ch.prior(), n_len), PRIOR_CONDITIONAL)
 
     out = np.empty((m**n_len, 1 << n_len))
     for obs_ints, joint_v in block_joint_chunks(ch, n_len, chunk):
         acc = np.full(joint_v.shape, uniform_factor)
         acc *= prior_ratio
-        s_cur = joint_v
-        for i in range(n_len, 0, -1):
-            pairs = s_cur.reshape(-1, 1 << (i - 1), 2)
-            s_prev = pairs.sum(-1)
-            if tags[i - 1] == OBSERVATION_CONDITIONAL:
-                ratio = _ratio_or_uniform(pairs, s_prev[..., None])
-                acc *= np.repeat(ratio.reshape(len(obs_ints), -1), 1 << (n_len - i), axis=1)
-            s_cur = s_prev
+        times_conditionals(acc, joint_v, OBSERVATION_CONDITIONAL)
         out[obs_ints] = acc
     return out
 

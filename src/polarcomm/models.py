@@ -204,13 +204,10 @@ def build_bsc_chain(alpha_noise: float, eps: float) -> AuxChainModel:
     for name, val in (("alpha_noise", alpha_noise), ("eps", eps)):
         if not 0.0 < val <= 0.5:
             raise ValueError(f"{name} must lie in (0, 0.5], got {val}")
-    table = np.zeros((2, 2, 2))
-    for x in (0, 1):
-        for y in (0, 1):
-            for u in (0, 1):
-                pn1 = alpha_noise if u != x else 1.0 - alpha_noise
-                pn2 = eps if y != x else 1.0 - eps
-                table[x, y, u] = 0.5 * pn1 * pn2
+    x, y, u = np.indices((2, 2, 2), sparse=True)
+    pn1 = np.where(u != x, alpha_noise, 1.0 - alpha_noise)
+    pn2 = np.where(y != x, eps, 1.0 - eps)
+    table = 0.5 * pn1 * pn2
     model = AuxChainModel(
         joint=JointPmf((("x", 2), ("y", 2), ("u1", 2)), table),
         rounds=1,
@@ -241,18 +238,12 @@ def build_collocated_chain(m: int, source_probs: Sequence[float]) -> AuxChainMod
         raise ValueError(f"need {m} source probabilities, got {len(probs)}")
     if any(not 0.0 < pj <= 1.0 for pj in probs):
         raise ValueError("source probabilities must lie in (0, 1]")
-    shape = (2,) * (2 * m)
-    table = np.zeros(shape)
-    for xs in np.ndindex(*((2,) * m)):
-        px = float(np.prod([probs[j] if xs[j] else 1.0 - probs[j] for j in range(m)]))
-        if px == 0.0:
-            continue
-        us = []
-        cur = 1
-        for j in range(m):
-            cur = cur & xs[j]
-            us.append(cur)
-        table[xs + tuple(us)] = px
+    xs = np.indices((2,) * m).reshape(m, -1)  # every source tuple, one per column
+    p_col = np.array(probs)[:, None]
+    # the product runs over j = 1..m in order, as a left-to-right float product
+    px = np.prod(np.where(xs == 1, p_col, 1.0 - p_col), axis=0)
+    table = np.zeros((2,) * (2 * m))
+    table[tuple(xs) + tuple(np.logical_and.accumulate(xs, axis=0).astype(np.intp))] = px
     variables = tuple((f"x{j}", 2) for j in range(1, m + 1)) + tuple(
         (f"u{i}", 2) for i in range(1, m + 1)
     )

@@ -222,15 +222,11 @@ def _chain_violation(j: JointPmf, a: Sequence[str], b: Sequence[str], c: Sequenc
     names = a + b + c
     unique = list(dict.fromkeys(names))
     table = j.marginal(tuple(unique)).mass
-    sizes = tuple(j.size_of(n) for n in names)
-    full = np.zeros(sizes)
-    for idx in np.ndindex(*sizes):
-        assign = {}
-        for name, value in zip(names, idx):
-            if assign.setdefault(name, value) != value:
-                break
-        else:
-            full[idx] = table[tuple(assign[n] for n in unique)]
+    grid = np.indices(tuple(j.size_of(n) for n in names), sparse=True)
+    tied = True
+    for k, name in enumerate(names):
+        tied = tied & (grid[k] == grid[names.index(name)])
+    full = np.where(tied, table[tuple(grid[names.index(n)] for n in unique)], 0.0)
     abc = full.reshape(
         int(np.prod([j.size_of(n) for n in a])),
         int(np.prod([j.size_of(n) for n in b])),
@@ -349,24 +345,24 @@ class AuxChainModel:
         if which not in self.functions:
             raise ValueError(f"model carries no function {which!r}")
         args = self.function_args(which)
-        full = self.joint.marginal(self.source_vars + self.u_vars).mass
-        f_vals = self.functions[which]
-        n_src = len(self.source_vars)
-        arg_axes = [(self.source_vars + self.u_vars).index(a) for a in args]
-        table_shape = tuple(self.joint.size_of(a) for a in args)
-        out = np.full(table_shape, -1, dtype=np.int64)
-        for idx in np.ndindex(*full.shape):
-            if full[idx] <= 1e-14:
-                continue
-            z = int(f_vals[idx[:n_src]])
-            key = tuple(idx[k] for k in arg_axes)
-            if out[key] == -1:
-                out[key] = z
-            elif out[key] != z:
-                raise ValueError(
-                    f"function {which} is not determined by {args} at {key}: "
-                    f"values {out[key]} and {z} both have positive probability"
-                )
+        names = self.source_vars + self.u_vars
+        cells = np.nonzero(self.joint.marginal(names).mass > 1e-14)
+        values = self.functions[which][cells[: len(self.source_vars)]]
+        shape = tuple(self.joint.size_of(a) for a in args)
+        # the trailing unit axis keeps keys one per cell when args is empty
+        keys = np.ravel_multi_index(
+            tuple(cells[names.index(a)] for a in args) + (np.zeros_like(values),), shape + (1,))
+        out = np.full(shape, -1, dtype=np.int64)
+        _, first = np.unique(keys, return_index=True)  # each key takes its first cell's value
+        out.flat[keys[first]] = values[first]
+        clash = np.flatnonzero(out.flat[keys] != values)
+        if clash.size:
+            k = clash[0]
+            key = tuple(int(d) for d in np.unravel_index(keys[k], shape))
+            raise ValueError(
+                f"function {which} is not determined by {args} at {key}: "
+                f"values {out[key]} and {values[k]} both have positive probability"
+            )
         self._decode_tables[which] = out
         return out
 

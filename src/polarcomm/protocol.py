@@ -207,12 +207,16 @@ def plan_protocol(
     and "monte_carlo" force one method for every round. In target_rate mode
     the per-round fractions come from the model's closed-form entropies:
     |F_d| ~ 1 - H(U^i), |F_r| ~ H(U^i | tx obs), |I'| ~ the round's rate
-    target plus `rate_margin` bits per symbol.
+    target plus `rate_margin` bits per symbol. Other policies derive no
+    target, so a positive `rate_margin` raises ValueError there.
     """
     if n_len <= 0 or n_len & (n_len - 1):
         raise ValueError(f"N must be a power of two, got {n_len}")
     if not rate_margin >= 0.0:
         raise ValueError(f"rate_margin must be nonnegative, got {rate_margin}")
+    if rate_margin > 0.0 and (policy.mode != "target_rate" or policy.fractions is not None):
+        raise ValueError("rate_margin applies only to target_rate plans whose fractions "
+                         "come from the model; this policy derives no rate target")
     report = validate_markov(model)
     if not report.passed:
         raise ModelError(
@@ -348,15 +352,19 @@ def sample_sources(
     return out
 
 
-def _check_blocks(n_len: int, *blocks: np.ndarray) -> None:
+def _check_blocks(model: AuxChainModel, n_len: int, parties: Sequence[tuple]) -> None:
     batch = None
-    for b in blocks:
-        b2 = np.atleast_2d(b)
-        if b2.shape[1] != n_len:
-            raise ValueError(f"observation blocks must have length {n_len}")
-        batch = b2.shape[0] if batch is None else batch
-        if b2.shape[0] != batch:
-            raise ValueError("observation blocks disagree on the trial count")
+    for _, obs in parties:
+        for var, b in obs.items():
+            b2 = np.atleast_2d(b)
+            if b2.shape[1] != n_len:
+                raise ValueError(f"observation blocks must have length {n_len}")
+            batch = b2.shape[0] if batch is None else batch
+            if b2.shape[0] != batch:
+                raise ValueError("observation blocks disagree on the trial count")
+            size = model.joint.size_of(var)
+            if b2.size and (b2.min() < 0 or b2.max() >= size):
+                raise ValueError(f"observation block of {var!r} has symbols outside [0, {size})")
 
 
 def _run_rounds(
@@ -380,7 +388,7 @@ def _run_rounds(
     """
     blocks = [np.asarray(b) for _, obs in parties for b in obs.values()]
     n_len = plans[0].n_len if plans else blocks[0].shape[-1]
-    _check_blocks(n_len, *blocks)
+    _check_blocks(model, n_len, parties)
     batched = blocks[0].ndim == 2
     states = {
         role: TerminalState(role, {v: np.atleast_2d(b) for v, b in obs.items()},

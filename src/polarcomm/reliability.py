@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .exact import block_joint_chunks
+from .exact import _prefix_levels, block_joint_chunks
 from .sc import (
     OBSERVATION_CONDITIONAL,
     PINNED,
@@ -198,11 +198,9 @@ def profile_exact(
         raise ValueError(f"N must be a power of two, got {n_len}")
     z = np.zeros(n_len)
     for _, joint_v in block_joint_chunks(ch, n_len):
-        level = joint_v
-        for i in range(n_len, 0, -1):
-            pairs = level.reshape(level.shape[0], 1 << (i - 1), 2)
+        for i, level in zip(range(n_len, 0, -1), _prefix_levels(joint_v, n_len)):
+            pairs = level.reshape(level.shape[:-1] + (-1, 2))
             z[i - 1] += 2.0 * np.sqrt(pairs[..., 0] * pairs[..., 1]).sum()
-            level = pairs.sum(axis=-1)
     return ReliabilityProfile(n_len, conditioning, np.clip(z, 0.0, 1.0), "exact")
 
 
@@ -218,9 +216,10 @@ def profile_monte_carlo(
 
     Draws (u-block, obs block) i.i.d. from the model, pins the SC walk to the
     realized v = u G_N, and averages 2 sqrt(p0 p1) of the exact conditional
-    pair at every index. All sample cells are drawn up front from one stream
-    (`derive_rng(*seed)` for a tuple seed (seed, *spawn key)), so the result
-    depends only on (seed, samples), never on the SC chunking.
+    pair at every index. Each chunk draws its own rows of sample cells from
+    one stream (`derive_rng(*seed)` for a tuple seed (seed, *spawn key));
+    the stream fills rows in order, so the cells, and the result, depend only
+    on (seed, samples), never on the chunking.
 
     Since v is known up front, each chunk of `chunk` samples evaluates every
     index's root pair level by level (`sc.pinned_pairs`), on supports where
@@ -234,16 +233,13 @@ def profile_monte_carlo(
         raise ValueError(f"N must be a power of two, got {n_len}")
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
     cum = np.cumsum(ch.table.reshape(-1))
-    cells = np.searchsorted(cum, rng.random((samples, n_len)) * cum[-1])
-    u_cells, obs = np.divmod(cells, ch.obs_size)  # both intp, as searchsorted gives
-    u_bits = u_cells.astype(np.uint8)
-    v_rows = np.ascontiguousarray(apply_transform(u_bits).T)
-
     acc = np.zeros(n_len)
     acc_sq = np.zeros(n_len)
     for start in range(0, samples, chunk):
-        sl = slice(start, min(start + chunk, samples))
-        pair, _ = pinned_pairs(ch, obs[sl], v_rows[:, sl])
+        cells = np.searchsorted(cum, rng.random((min(chunk, samples - start), n_len)) * cum[-1])
+        u_cells, obs = np.divmod(cells, ch.obs_size)  # both intp, as searchsorted gives
+        v_rows = np.ascontiguousarray(apply_transform(u_cells.astype(np.uint8)).T)
+        pair, _ = pinned_pairs(ch, obs, v_rows)
         stat = 2.0 * np.sqrt(pair[0] * pair[1])
         acc += stat.sum(axis=1)
         acc_sq += (stat * stat).sum(axis=1)

@@ -176,13 +176,14 @@ def _last_error(capsys):
 def test_config_value_types_checked(tmp_path, capsys):
     """A value whose JSON type differs from its key's default exits 2 (int
     and float are both numbers; null only where the key documents it), as
-    does a fractional value of an integer key; an integral float is read
-    as the int."""
+    does a fractional value of an integer key or a negative anomaly_limit;
+    an integral float is read as the int."""
     for k, bad in enumerate(({"n": "8"}, {"n": None}, {"p": True}, {"n_list": 8},
                              {"source_probs": "0.5"}, {"fractions": 0.2}, {"n_list": [None]},
                              {"source_probs": [[0.5], [0.5]]}, {"n": 8.5}, {"trials": 20.9},
                              {"t": 2.5}, {"n_list": [8, 8.5]}, {"verify_rounds": 1.5},
-                             {"shared_seed": 0.5})):
+                             {"shared_seed": 0.5}, {"anomaly_limit": -0.5},
+                             {"anomaly_limit": -3}, {"anomaly_limit": 2.5})):
         cfg = write_config(tmp_path / f"bad{k}.json", model="and", **bad)
         code = main(["plan", "--config", cfg, "--out", str(tmp_path / f"o{k}")])
         assert code == 2, bad
@@ -192,10 +193,21 @@ def test_config_value_types_checked(tmp_path, capsys):
                        anomaly_limit=None, verify_rounds=None)
     assert main(["plan", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
     cfg = write_config(tmp_path / "ok8.json", model="and", n=8.0, trials=4.0, n_list=[8.0],
-                       verify_rounds=1.0)
+                       verify_rounds=1.0, anomaly_limit=1000.0)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "ok8")]) == 0
     summary = json.loads((tmp_path / "ok8" / "simulate.json").read_text())
     assert [(type(summary[key]), summary[key]) for key in ("N", "trials")] == [(int, 8), (int, 4)]
+
+
+def test_rate_margin_without_a_rate_target_exits_2(tmp_path, capsys):
+    """Threshold plans and explicit fractions derive no rate target, so a
+    positive rate_margin there, which would change nothing, is rejected."""
+    for k, policy in enumerate(({"partition_mode": "threshold"},
+                                {"fractions": [0.1, 0.1, 0.3]})):
+        cfg = write_config(tmp_path / f"m{k}.json", model="and", n=8, rate_margin=0.4, **policy)
+        assert main(["plan", "--config", cfg, "--out", str(tmp_path / f"o{k}")]) == 2
+        record = _last_error(capsys)
+        assert record["error"] == "config" and "rate_margin" in record["detail"]
 
 
 def test_malformed_model_file_exits_2(tmp_path, capsys):

@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from polarcomm.exact import block_joint_chunks, block_joint_full, sampled_chain_table
+from polarcomm.exact import (
+    block_joint_chunks,
+    block_joint_full,
+    digits_to_ints,
+    ints_to_digits,
+    sampled_chain_table,
+)
 from polarcomm.sc import OBSERVATION_CONDITIONAL, SymbolChannel
 from polarcomm.transform import apply_transform
 
@@ -48,3 +54,22 @@ def test_block_joint_chunks_rejects_chunk_below_one(chunk):
         next(block_joint_chunks(ch, 2, chunk))
     with pytest.raises(ValueError, match="chunk must be >= 1"):
         sampled_chain_table(ch, np.full(2, OBSERVATION_CONDITIONAL), 2, chunk=chunk)
+
+
+@pytest.mark.parametrize("base, n_len", [(1, 3), (2, 1), (2, 5), (3, 4), (5, 2)])
+def test_digit_codecs_round_trip_and_reject_out_of_range(base, n_len):
+    """Position 0 is the most significant digit; a value or digit outside
+    the radix raises ValueError instead of wrapping."""
+    ints = np.arange(base**n_len).reshape(-1, 1)
+    digits = ints_to_digits(ints, n_len, base)
+    want = np.stack([ints // base ** (n_len - 1 - k) % base for k in range(n_len)], axis=-1)
+    assert digits.dtype == np.int64 and np.array_equal(digits, want)
+    assert np.array_equal(digits_to_ints(digits, base), ints)
+    for bad in (-1, base**n_len):
+        with pytest.raises(ValueError):
+            ints_to_digits(np.array([bad]), n_len, base)
+    for bad in (-1, base):
+        wrong = digits[:1].copy()
+        wrong[..., -1] = bad
+        with pytest.raises(ValueError):
+            digits_to_ints(wrong, base)

@@ -100,6 +100,16 @@ def test_bsc_chain_boundaries():
             build_bsc_chain(0.2, bad)
 
 
+@pytest.mark.parametrize("alpha_noise, eps", [(0.11, 0.2), (0.5, 0.5), (0.3, 0.07)])
+def test_bsc_chain_cells_exact(alpha_noise, eps):
+    """Every mass is the per-cell formula's double, 0.5 * pn1 * pn2."""
+    mass = build_bsc_chain(alpha_noise, eps).joint.mass
+    for x, y, u in np.ndindex(2, 2, 2):
+        pn1 = alpha_noise if u != x else 1.0 - alpha_noise
+        pn2 = eps if y != x else 1.0 - eps
+        assert mass[x, y, u] == 0.5 * pn1 * pn2
+
+
 def test_bsc_chain_markov():
     assert validate_markov(build_bsc_chain(0.3, 0.4), tol=1e-12).passed
 
@@ -133,6 +143,23 @@ def test_collocated_any_m_function_condition():
         for idx in np.ndindex(*table.shape):
             if table[idx] >= 0:
                 assert table[idx] == idx[-1]
+
+
+@pytest.mark.parametrize("probs", [[0.3, 0.6], [0.5, 0.4, 0.7], [0.9, 1.0, 0.2, 0.35],
+                                   [0.11, 0.5, 0.77, 0.05, 0.6]])
+def test_collocated_chain_cells_exact(probs):
+    """Each source tuple carries the left-to-right product of its sources'
+    probabilities, exactly, at its cumulative-AND u-tuple; p_j = 1 leaves
+    the x_j = 0 tuples at zero mass."""
+    m = len(probs)
+    want = np.zeros((2,) * (2 * m))
+    for xs in np.ndindex(*(2,) * m):
+        px = 1.0
+        for xj, pj in zip(xs, probs):
+            px *= pj if xj else 1.0 - pj
+        us = tuple(int(all(xs[: j + 1])) for j in range(m))
+        want[xs + us] = px
+    assert np.array_equal(build_collocated_chain(m, probs).joint.mass, want)
 
 
 def test_collocated_requires_two_terminals():

@@ -11,6 +11,7 @@ from polarcomm.probability import (
     AuxChainModel,
     JointPmf,
     Pmf,
+    _chain_violation,
     bhattacharyya,
     entropy_bits,
     mutual_information,
@@ -218,3 +219,105 @@ def test_decode_table_determinism_violation_raises():
     )
     with pytest.raises(ValueError):
         model.decode_table("f_A")
+
+
+def reference_chain_violation(j, a, b, c):
+    """`_chain_violation` with its table built cell by cell."""
+    names = tuple(a) + tuple(b) + tuple(c)
+    unique = list(dict.fromkeys(names))
+    table = j.marginal(tuple(unique)).mass
+    sizes = tuple(j.size_of(n) for n in names)
+    full = np.zeros(sizes)
+    for idx in np.ndindex(*sizes):
+        assign = {}
+        for name, value in zip(names, idx):
+            if assign.setdefault(name, value) != value:
+                break
+        else:
+            full[idx] = table[tuple(assign[n] for n in unique)]
+    abc = full.reshape(
+        int(np.prod([j.size_of(n) for n in a])),
+        int(np.prod([j.size_of(n) for n in b])),
+        int(np.prod([j.size_of(n) for n in c])),
+    )
+    pb = abc.sum(axis=(0, 2))
+    pab = abc.sum(axis=2)
+    pcb = abc.sum(axis=0)
+    viol = np.zeros_like(abc)
+    pos = pb > 0
+    viol[:, pos, :] = np.abs(
+        abc[:, pos, :] - pab[:, pos, None] * pcb[None, pos, :] / pb[pos, None]
+    )
+    return float(viol.max(initial=0.0))
+
+
+def reference_decode_table(model, which):
+    """`AuxChainModel.decode_table` cell by cell, in C order."""
+    args = model.function_args(which)
+    names = model.source_vars + model.u_vars
+    full = model.joint.marginal(names).mass
+    out = np.full(tuple(model.joint.size_of(a) for a in args), -1, dtype=np.int64)
+    for idx in np.ndindex(*full.shape):
+        if full[idx] <= 1e-14:
+            continue
+        z = int(model.functions[which][idx[: len(model.source_vars)]])
+        key = tuple(idx[names.index(a)] for a in args)
+        if out[key] == -1:
+            out[key] = z
+        elif out[key] != z:
+            raise ValueError(
+                f"function {which} is not determined by {args} at {key}: "
+                f"values {out[key]} and {z} both have positive probability"
+            )
+    return out
+
+
+def sparse_mass(rng, shape):
+    """Random masses with zero cells and cells below the 1e-14 decode cutoff."""
+    mass = rng.random(shape) * rng.choice([0.0, 1e-15, 1.0], size=shape, p=[0.3, 0.1, 0.6])
+    mass.flat[rng.integers(mass.size)] = 1.0
+    return mass / mass.sum()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(2, 3), min_size=2, max_size=4),
+       data=st.data())
+def test_chain_violation_matches_cell_loop(seed, sizes, data):
+    """The gathered table, zeroed off the diagonal of a variable repeated
+    across or within the groups, gives the per-cell loop's float exactly."""
+    names = [f"v{k}" for k in range(len(sizes))]
+    j = JointPmf(tuple(zip(names, sizes)), sparse_mass(np.random.default_rng(seed), sizes))
+    group = st.lists(st.sampled_from(names), min_size=1, max_size=2)
+    a, b, c = data.draw(group), data.draw(group), data.draw(group)
+    assert _chain_violation(j, a, b, c) == reference_chain_violation(j, a, b, c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), src_sizes=st.tuples(st.integers(2, 3), st.integers(2, 3)),
+       rounds=st.integers(0, 2), network=st.sampled_from(["two-terminal", "collocated"]),
+       f_kind=st.sampled_from(["first-source", "any"]))
+def test_decode_table_matches_cell_loop(seed, src_sizes, rounds, network, f_kind):
+    """Equal tables, or the same ValueError, as the per-cell loop. A function
+    of the first source alone is determined by (x, u) but often clashes on
+    a positive cell as f_B, as does one of both sources; rounds = 0 of the
+    collocated network decodes from no arguments at all."""
+    rng = np.random.default_rng(seed)
+    src = ("x", "y") if network == "two-terminal" else ("x1", "x2")
+    variables = tuple(zip(src, src_sizes)) + tuple((f"u{i}", 2) for i in range(1, rounds + 1))
+    joint = JointPmf(variables, sparse_mass(rng, tuple(s for _, s in variables)))
+    f = rng.integers(0, 3, src_sizes)
+    if f_kind == "first-source":
+        f = np.repeat(f[:, :1], src_sizes[1], axis=1)
+    functions = {"f": f} if network == "collocated" else {"f_A": f, "f_B": f}
+    model = AuxChainModel(joint=joint, rounds=rounds, round_sources=(src[0],) * rounds,
+                          markov_specs=(), functions=functions, network=network)
+    for which in functions:
+        try:
+            want = reference_decode_table(model, which)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                model.decode_table(which)
+            assert str(got.value) == str(exc)
+        else:
+            got = model.decode_table(which)
+            assert got.dtype == want.dtype and np.array_equal(got, want)

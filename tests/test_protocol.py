@@ -293,3 +293,18 @@ def test_auto_profiles_are_exact_only_where_enumerable():
         methods = [{p.method for p in plan.profiles.values()} for plan in plans]
         assert methods[:2] == [{"exact"}, {"exact"}]
         assert all(m == {"monte_carlo"} for m in methods[2:])
+
+
+def test_runs_reject_symbols_outside_the_alphabet():
+    """x2 = 2 would alias the receivers' flat symbol of (x2 = 0, u1 = 1); a
+    run checks every block against its variable's alphabet, also with no
+    plans, where the decode lookup would otherwise index out of range."""
+    c = build_collocated_chain(2, [0.5, 0.5])
+    plans = plan_protocol(c, 8, PartitionPolicy(mode="threshold", delta=0.3))
+    obs = {"x1": np.zeros(8, dtype=np.uint8), "x2": np.full(8, 2, dtype=np.uint8)}
+    for p in (plans, []):
+        with pytest.raises(ValueError, match="'x2'"):
+            run_collocated(c, obs, p)
+    m = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    with pytest.raises(ValueError, match="'x'"):
+        run_two_terminal(m, np.full((2, 8), -1), np.zeros((2, 8), dtype=np.uint8), [])

@@ -86,14 +86,18 @@ def test_profile_monte_carlo_deterministic():
 
 
 class _ZeroingRng:
-    """A generator whose next random() array has 0.0 at the given cells."""
+    """A generator whose random() rows have 0.0 at the given (row, column)
+    cells, rows counted across calls, as each chunk draws its own rows."""
 
     def __init__(self, rng, cells):
-        self.rng, self.cells = rng, cells
+        self.rng, self.cells, self.row = rng, cells, 0
 
     def random(self, shape):
         out = self.rng.random(shape)
-        out[self.cells] = 0.0
+        rows, cols = self.cells
+        hit = (rows >= self.row) & (rows < self.row + shape[0])
+        out[rows[hit] - self.row, cols[hit]] = 0.0
+        self.row += shape[0]
         return out
 
 

@@ -53,7 +53,10 @@ moved. The cases are
                   3-column table at N = 8, whose 6561 observation blocks
                   end in an uneven chunk;
   * cli/...       every file and the exit code of all six commands on six
-                  configs.
+                  configs;
+  * model/...     the mass bytes, every decode table and each declared
+                  chain's Markov violation of the AND chains at t = 6, 8
+                  and the collocated chains at m = 4 (one p_j = 1) and 5.
 
 Every case runs at N <= 64 and the whole script takes well under a minute.
 """
@@ -369,6 +372,21 @@ CLI_CONFIGS = {
 }
 
 
+def model_cases(pc):
+    models = {
+        "and-t6": pc.build_and_chain(pc.AndModelParams(0.3, 0.6, 6)),
+        "and-t8": pc.build_and_chain(pc.AndModelParams(0.4, 0.5, 8)),
+        "col-m4": pc.build_collocated_chain(4, [0.5, 0.4, 1.0, 0.7]),
+        "col-m5": pc.build_collocated_chain(5, [0.3, 0.6, 0.5, 0.8, 0.45]),
+    }
+    for name, model in models.items():
+        parts = [model.joint.mass]
+        for which in sorted(model.functions):
+            parts += [which, model.decode_table(which)]
+        parts.append([c.max_violation for c in pc.validate_markov(model).chains])
+        yield f"model/{name}", _digest(*parts)
+
+
 def cli_cases(pc_cli):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -428,6 +446,8 @@ def main(argv=None) -> int:
     for case in cli_cases(pc_cli):
         emit(*case)
     for case in coded_cases(pc):
+        emit(*case)
+    for case in model_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
