@@ -26,6 +26,11 @@ uniform blocks, so runs are reproducible bit for bit.
 Function computation is per symbol: look up the unique value the model's
 function table forces given (own observation, u^{1:t}); argument tuples of
 zero probability are flagged as erasures, never raised.
+
+Every (trials, N) symbol array, from the source cells through the flat
+observations to the decode-table index, is held in the smallest unsigned
+dtype that holds its alphabet and is never widened to int64 or intp; the SC
+walk copies it only into its uint16 leaf codes.
 """
 from __future__ import annotations
 
@@ -46,7 +51,16 @@ from .reliability import (
     profile_monte_carlo,
     with_fractions,
 )
-from .sc import AnomalyLog, SamplingPolicy, SymbolChannel, derive_rng, sample_sequential
+from .sc import (
+    AnomalyLog,
+    SamplingPolicy,
+    SymbolChannel,
+    _cell_index,
+    _in_alphabet,
+    _split_cells,
+    derive_rng,
+    sample_sequential,
+)
 from .transform import apply_transform
 
 
@@ -319,36 +333,65 @@ def compute_function(
 
     Looks up the unique value with conditional probability one given the
     argument tuple; zero-probability tuples yield an erasure flag (output 0).
+    A symbol outside its argument's alphabet raises ValueError.
     """
-    table = model.decode_table(which)
     args = model.function_args(which)
     blocks = []
     for var in args:
         if var.startswith("u"):
-            blocks.append(np.asarray(u_blocks[int(var[1:]) - 1], dtype=np.intp))
+            blocks.append(u_blocks[int(var[1:]) - 1])
         else:
             if obs_block is None:
                 raise ValueError(f"function {which} needs the {var!r} observation block")
-            blocks.append(np.asarray(obs_block, dtype=np.intp))
-    values = table[tuple(blocks)]
-    erasure = values < 0
-    return np.where(erasure, 0, values), erasure
+            blocks.append(obs_block)
+    table = model.decode_table(which)
+    flat = _flat_index(table.shape, args, blocks)
+    # -1 marks an erasure, whose output is 0
+    return np.maximum(table, 0).reshape(-1)[flat], (table < 0).reshape(-1)[flat]
+
+
+def _flat_index(shape: tuple, args: Sequence[str], blocks: Sequence) -> np.ndarray:
+    """The C-order flat index into a table of `shape` of the blocks
+    (broadcast together), block k indexing axis k, in the smallest unsigned
+    dtype that holds the table's size.
+
+    A flat table read with it, `table.reshape(-1)[flat]`, is table[blocks];
+    fancy indexing casts a narrow index in buffered chunks, where `take`
+    would first copy all of it to intp. A symbol outside its axis,
+    [0, shape[k]) for the variable args[k], raises ValueError.
+    """
+    blocks = [np.asarray(b) for b in blocks]
+    dtype = np.min_scalar_type(int(np.prod(shape)))
+    flat = np.zeros(np.broadcast_shapes(*(b.shape for b in blocks)), dtype)
+    for var, block, size in zip(args, blocks, shape):
+        if not _in_alphabet(block, size):
+            raise ValueError(f"block of {var!r} has symbols outside [0, {size})")
+        flat *= dtype.type(size)
+        np.add(flat, block, out=flat, casting="unsafe")  # in range, so the cast is exact
+    return flat
 
 
 def sample_sources(
     model: AuxChainModel, n_len: int, trials: int, seed: int
 ) -> dict:
-    """Draw i.i.d. per-symbol source blocks, one (trials, N) array per source."""
+    """Draw i.i.d. per-symbol source blocks, one (trials, N) uint8 array per
+    source.
+
+    Each symbol draws one double u and takes the cell of the flattened
+    source marginal that u * total falls in (`sc._cell_index`); the cells
+    are split into per-source symbols in their own narrow dtype.
+    """
     src = model.source_vars
     marg = model.joint.marginal(src).mass
     rng = derive_rng(seed, 2)
     cum = np.cumsum(marg.reshape(-1))
-    cells = np.searchsorted(cum, rng.random((trials, n_len)) * cum[-1])
+    x = rng.random((trials, n_len))
+    x *= cum[-1]
+    cells = _cell_index(cum, x)
     out = {}
     for k in range(len(src) - 1, -1, -1):
-        size = model.joint.size_of(src[k])
-        out[src[k]] = (cells % size).astype(np.uint8)
-        cells //= size
+        cells, symbols = _split_cells(cells, model.joint.size_of(src[k]))
+        out[src[k]] = symbols.astype(np.uint8, copy=False)
     return out
 
 
@@ -363,7 +406,7 @@ def _check_blocks(model: AuxChainModel, n_len: int, parties: Sequence[tuple]) ->
             if b2.shape[0] != batch:
                 raise ValueError("observation blocks disagree on the trial count")
             size = model.joint.size_of(var)
-            if b2.size and (b2.min() < 0 or b2.max() >= size):
+            if not _in_alphabet(b2, size):
                 raise ValueError(f"observation block of {var!r} has symbols outside [0, {size})")
 
 

@@ -29,6 +29,8 @@ from .sc import (
     PRIOR_CONDITIONAL,
     UNIFORM_HALF,
     SymbolChannel,
+    _cell_index,
+    _split_cells,
     derive_rng,
     pinned_pairs,
 )
@@ -219,7 +221,9 @@ def profile_monte_carlo(
     pair at every index. Each chunk draws its own rows of sample cells from
     one stream (`derive_rng(*seed)` for a tuple seed (seed, *spawn key));
     the stream fills rows in order, so the cells, and the result, depend only
-    on (seed, samples), never on the chunking.
+    on (seed, samples), never on the chunking. The cells (`sc._cell_index`)
+    and their split into bits and observation symbols stay in the smallest
+    unsigned dtype that holds the table's size.
 
     Since v is known up front, each chunk of `chunk` samples evaluates every
     index's root pair level by level (`sc.pinned_pairs`), on supports where
@@ -236,9 +240,11 @@ def profile_monte_carlo(
     acc = np.zeros(n_len)
     acc_sq = np.zeros(n_len)
     for start in range(0, samples, chunk):
-        cells = np.searchsorted(cum, rng.random((min(chunk, samples - start), n_len)) * cum[-1])
-        u_cells, obs = np.divmod(cells, ch.obs_size)  # both intp, as searchsorted gives
-        v_rows = np.ascontiguousarray(apply_transform(u_cells.astype(np.uint8)).T)
+        x = rng.random((min(chunk, samples - start), n_len))
+        x *= cum[-1]
+        cells = _cell_index(cum, x)
+        u_cells, obs = _split_cells(cells, ch.obs_size)
+        v_rows = np.ascontiguousarray(apply_transform(u_cells).T)
         pair, _ = pinned_pairs(ch, obs, v_rows)
         stat = 2.0 * np.sqrt(pair[0] * pair[1])
         acc += stat.sum(axis=1)

@@ -113,6 +113,50 @@ def derive_rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(key)))
 
 
+_COUNT_CELLS = 64  # most cells for which counting cum[k] < x beats searchsorted
+
+
+def _cell_index(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum, x) (side left) of a nondecreasing cum, in
+    np.min_scalar_type(cum.size).
+
+    On a sorted cum that index is the count of the cum[k] < x, which over
+    at most _COUNT_CELLS cells is cheaper to accumulate in place, one
+    comparison per cell, than to search for.
+    """
+    dtype = np.min_scalar_type(cum.size)
+    if cum.size > _COUNT_CELLS:
+        return np.searchsorted(cum, x).astype(dtype)
+    cells = np.zeros(np.shape(x), dtype)
+    below = np.empty(np.shape(x), bool)
+    for edge in cum:
+        np.less(edge, x, out=below)
+        cells += below.view(np.uint8)
+    return cells
+
+
+def _split_cells(cells: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.divmod(cells, size) of unsigned cells, both in the cells' dtype.
+
+    The divisor is typed as the cells are, so NEP 50 promotion does not
+    widen them. numpy vectorizes // by a scalar but not %, so the remainder
+    is formed as cells - q size, which is exact in unsigned arithmetic.
+    """
+    divisor = cells.dtype.type(size)
+    quotient = cells // divisor
+    rem = quotient * divisor
+    np.subtract(cells, rem, out=rem)
+    return quotient, rem
+
+
+def _in_alphabet(symbols: np.ndarray, size: int) -> bool:
+    """Whether every symbol lies in [0, size): max() alone for an unsigned
+    dtype, min() too for any other."""
+    if not symbols.size:
+        return True
+    return int(symbols.max()) < size and (symbols.dtype.kind == "u" or symbols.min() >= 0)
+
+
 @dataclass
 class AnomalyLog:
     """Mutable counter for null-conditioning (decode anomaly) events."""
@@ -190,13 +234,24 @@ class SymbolChannel:
         return cls(marg.reshape(2, -1), tuple(j.size_of(v) for v in obs_vars))
 
     def flatten_obs(self, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Flat symbols of per-variable symbol arrays (broadcast together)."""
+        """Flat symbols of per-variable symbol arrays (broadcast together),
+        in the smallest unsigned dtype that holds obs_size - 1.
+
+        A symbol outside its variable's alphabet [0, size) raises
+        ValueError, since it would alias another variable's symbol.
+        """
         if len(values) != len(self.obs_sizes):
             raise ValueError(
                 f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
-        out, stride = 0, 1
-        for vals, size in zip(values, self.obs_sizes):
-            out = out + stride * np.asarray(vals, dtype=np.int64)
+        values = [np.asarray(vals) for vals in values]
+        dtype = np.min_scalar_type(self.obs_size - 1)
+        out = np.zeros(np.broadcast_shapes(*(vals.shape for vals in values)), dtype)
+        stride = 1
+        for k, (vals, size) in enumerate(zip(values, self.obs_sizes)):
+            if not _in_alphabet(vals, size):
+                raise ValueError(f"observation variable {k} has symbols outside [0, {size})")
+            if size > 1:  # a 1-symbol variable adds 0, and its stride may not fit dtype
+                out += vals.astype(dtype, copy=False) * dtype.type(stride)
             stride *= size
         return out
 
@@ -569,7 +624,7 @@ class FunctionalStack:
         batch, n_len = obs.shape
         positive = ch.table > 0
         if ch.obs_size == 1:  # one row stands for every row
-            obs = np.zeros((1, n_len), dtype=np.intp)
+            obs = np.zeros((1, n_len), dtype=np.uint8)
         v_star = apply_transform(positive[1][obs])
         self.v_star = np.broadcast_to(np.ascontiguousarray(v_star.T), (n_len, batch))
         self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=1), (batch,)).copy()
@@ -606,6 +661,7 @@ def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> tuple:
     """(table, codes): the (2, K) leaf table, the joint pairs or their
     supports (bool) where the channel is hard, and the (N, B) leaf codes,
     the realized (B, N) observations themselves, as uint16 where K allows.
+    Narrow (uint8) observations are widened only in this copy.
 
     An observation-free channel's codes are a read-only broadcast of 0.
     """
@@ -619,13 +675,21 @@ def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> tuple:
 
 
 def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
-    obs = np.asarray(obs, dtype=np.intp)
+    """(N,) or (B, N) observations as (B, N) symbols of ch, range-checked.
+
+    An unsigned array keeps its dtype, so narrow symbols reach the leaf
+    codes uncopied; any other dtype is cast to intp. Raises ValueError on a
+    wrong shape or a symbol outside [0, ch.obs_size).
+    """
+    obs = np.asarray(obs)
+    if obs.dtype.kind != "u":
+        obs = obs.astype(np.intp)
+    if not _in_alphabet(obs, ch.obs_size):
+        raise ValueError("observation symbol out of range")
     if obs.ndim == 1:
         obs = np.broadcast_to(obs, (batch, n_len))
     if obs.shape != (batch, n_len):
         raise ValueError(f"observations must have shape ({batch}, {n_len})")
-    if np.any(obs < 0) or np.any(obs >= ch.obs_size):
-        raise ValueError("observation symbol out of range")
     return obs
 
 
@@ -647,7 +711,7 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
     if obs is None:
         if ch.obs_size > 1 and np.any(policy.tags == OBSERVATION_CONDITIONAL):
             raise ValueError("the policy samples the observation conditional but obs is None")
-        obs = np.zeros(n_len, dtype=np.intp)
+        obs = np.zeros(n_len, dtype=np.uint8)
     pinned = policy.pinned
     if pinned is not None:
         pinned = np.broadcast_to(pinned, (batch, n_len))
@@ -668,7 +732,7 @@ def sc_conditional(
     over all completions of the prefix. On a zero-probability prefix the
     uniform pair is returned and `anomalies`, when given, is bumped.
     """
-    obs = np.asarray(obs, dtype=np.intp)
+    obs = np.asarray(obs)
     if obs.ndim != 1:
         raise ValueError("obs must be a length-N vector")
     n_len = obs.size

@@ -47,7 +47,7 @@ def apply_transform(bits: np.ndarray) -> np.ndarray:
     if n_len <= 0 or n_len & (n_len - 1):
         raise ValueError(f"block length must be a power of two, got {n_len}")
     n = n_len.bit_length() - 1
-    out = bits[..., bit_reversal_perm(n)].astype(np.uint8)
+    out = bits[..., bit_reversal_perm(n)].astype(np.uint8, copy=False)
     lead = out.shape[:-1]
     for level in range(n):
         block = n_len >> level

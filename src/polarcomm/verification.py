@@ -42,7 +42,7 @@ from .exact import (
     transform_permutation,
 )
 from .probability import AuxChainModel
-from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
+from .protocol import RoundPlan, _flat_index, run_collocated, run_two_terminal, sample_sources
 from .sc import SymbolChannel
 
 EXACT_MAX_N = {1: 8, 2: 4, "agreement": 4}  # TV keyed by the rounds it compares
@@ -394,7 +394,7 @@ def function_error_rate(
     report: dict = {"trials": trials, "result": result}
     for which, out in result.outputs.items():
         table = model.functions[which]
-        truth = table[tuple(np.asarray(sources[s], dtype=np.intp) for s in src)]
+        truth = table.reshape(-1)[_flat_index(table.shape, src, [sources[s] for s in src])]
         erased = result.erasures[which]
         bad = (out != truth) | erased
         block = float(bad.any(axis=1).mean())

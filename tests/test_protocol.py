@@ -217,6 +217,16 @@ def test_compute_function_examples_and_erasures():
     assert erased[0, 2]
 
 
+def test_compute_function_rejects_symbols_outside_the_alphabet():
+    """x = -1 would alias x = 1 in the decode lookup and return f_A = 1."""
+    m = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    u = np.array([[1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="'x'"):
+        compute_function(np.array([[-1, 1]]), [u, u], m, "f_A")
+    with pytest.raises(ValueError, match="'u2'"):
+        compute_function(np.array([[1, 1]]), [u, u + 1], m, "f_A")
+
+
 def test_compute_function_is_per_symbol():
     """Permuting symbol positions permutes outputs (no cross-symbol coupling)."""
     m = build_and_chain(AndModelParams(0.5, 0.5, 2))
@@ -308,3 +318,22 @@ def test_runs_reject_symbols_outside_the_alphabet():
     m = build_and_chain(AndModelParams(0.5, 0.5, 2))
     with pytest.raises(ValueError, match="'x'"):
         run_two_terminal(m, np.full((2, 8), -1), np.zeros((2, 8), dtype=np.uint8), [])
+
+
+def _result_bytes(res):
+    return (res.transcript.to_json(), res.agreement.tobytes(), res.anomalies,
+            [(k, v.dtype.str, v.tobytes()) for k, v in sorted(res.outputs.items())],
+            [(k, v.tobytes()) for k, v in sorted(res.erasures.items())],
+            [(k, [u.tobytes() for u in us]) for k, us in sorted(res.u_blocks.items())])
+
+
+def test_run_two_terminal_independent_of_the_symbol_dtype():
+    """uint8, uint16 and int64 source blocks give byte-identical results."""
+    m = build_and_chain(AndModelParams(0.3, 0.6, 2))
+    plans = plan_protocol(m, 16, PartitionPolicy(mode="threshold", delta=0.2))
+    src = sample_sources(m, 16, 12, seed=4)
+    assert src["x"].dtype == np.uint8 and src["y"].dtype == np.uint8
+    results = [_result_bytes(run_two_terminal(m, src["x"].astype(dtype), src["y"].astype(dtype),
+                                              plans, shared_seed=2, private_seed=3))
+               for dtype in (np.uint8, np.uint16, np.int64)]
+    assert results[0] == results[1] == results[2]

@@ -28,6 +28,7 @@ from polarcomm.sc import (
     _fop,
     _gop,
     _leaf_pairs,
+    _cell_index,
     _uniform_block,
     _union_tables,
     chain_probability,
@@ -683,3 +684,66 @@ def test_sc_conditional_rejects_out_of_range_symbols():
     for obs in ([2, 0, 0, 0], [-1, 0, 0, 0], [7, 7, 7, 7]):
         with pytest.raises(ValueError, match="observation symbol out of range"):
             sc_conditional(ch, obs, [0])
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 64, 65, 256])
+def test_cell_index_equals_searchsorted(size):
+    """The cell draw gives np.searchsorted(cum, x) on both sides of its size
+    rule, with ties from zero-mass cells, x at every edge and x == cum[-1],
+    in np.min_scalar_type(cum.size)."""
+    rng = np.random.default_rng(size)
+    mass = rng.random(size) + 0.1
+    mass[1 : size // 2 + 1] = 0.0  # ties cum[k - 1] == cum[k] when size > 1
+    cum = np.cumsum(mass / mass.sum())
+    x = np.concatenate([rng.random(4000) * cum[-1], cum, [0.0, cum[-1]]])[None]
+    cells = _cell_index(cum, x)
+    assert cells.dtype == np.min_scalar_type(cum.size)
+    assert np.array_equal(cells, np.searchsorted(cum, x))
+
+
+def test_flatten_obs_rejects_symbols_outside_a_variable():
+    """(x2 = 2, u1 = 0) would alias (x2 = 0, u1 = 1); in-range symbols flatten
+    in the smallest unsigned dtype of the alphabet."""
+    ch = SymbolChannel(np.full((2, 4), 1 / 8), (2, 2))
+    with pytest.raises(ValueError, match="outside"):
+        ch.flatten_obs([np.array([2]), np.array([0])])
+    with pytest.raises(ValueError, match="outside"):
+        ch.flatten_obs([np.array([0]), np.array([-1])])
+    flat = ch.flatten_obs([np.array([[0, 1, 0, 1]]), np.array([0, 0, 1, 1], dtype=np.uint8)])
+    assert flat.dtype == np.uint8 and np.array_equal(flat, [[0, 1, 2, 3]])
+    wide = SymbolChannel(np.full((2, 300), 1 / 600), (3, 1, 100))
+    flat = wide.flatten_obs([np.array([2]), np.array([0]), np.array([99])])
+    assert flat.dtype == np.uint16 and flat.tolist() == [299]
+
+
+@pytest.mark.parametrize("table", [
+    and_round2_channel(0.3, 0.6).table,
+    np.array([[0.25, 0.0, 0.2, 0.05], [0.0, 0.3, 0.1, 0.1]]),
+    np.array([[0.4, 0.0, 0.1], [0.0, 0.5, 0.0]]),
+])
+def test_walks_independent_of_the_symbol_dtype(table):
+    """uint8, uint16 and int64 observations give the same blocks, chain
+    probabilities and anomaly counts, batched and (N,); a negative int64
+    symbol is rejected at every SC entry point."""
+    ch = SymbolChannel(table)
+    rng = np.random.default_rng(21)
+    n_len, batch = 16, 9
+    obs = _observations(rng, ch, batch, n_len)
+    tags = rng.integers(0, 4, n_len).astype(np.uint8)
+    pins = rng.integers(0, 2, (batch, n_len))
+    policy = SamplingPolicy(tags, pins)
+    walks = [[_walk(ch, ob.astype(dtype), policy, fd) for ob in (obs, obs[3]) for fd in
+              ("sample", "argmax")] for dtype in (np.uint8, np.uint16, np.int64)]
+    for other in walks[1:]:
+        for (v, chain, count), (v_o, chain_o, count_o) in zip(walks[0], other):
+            assert np.array_equal(v, v_o) and count == count_o
+            assert chain.tobytes() == chain_o.tobytes()
+    bad = obs.astype(np.int64)
+    bad[4, 7] = -1
+    v = walks[0][0][0]
+    with pytest.raises(ValueError, match="out of range"):
+        sample_sequential(ch, bad, policy, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="out of range"):
+        chain_probability(ch, bad, policy, v)
+    with pytest.raises(ValueError, match="out of range"):
+        sc_conditional(ch, bad[4], [0])
