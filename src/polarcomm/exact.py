@@ -25,7 +25,9 @@ import numpy as np
 from .sc import OBSERVATION_CONDITIONAL, PINNED, PRIOR_CONDITIONAL, UNIFORM_HALF, SymbolChannel
 from .transform import apply_transform
 
-# verification-side pseudo-tag: index contributes no factor (pinned/consistent)
+# the tag of an index that contributes no factor to `sampled_chain_table`;
+# the receiver's copied indices carry it as PINNED, and the name stays for
+# callers that mark such indices by hand
 EXCLUDED = PINNED
 
 MAX_ENUM = 1 << 24
@@ -131,8 +133,10 @@ def sampled_chain_table(ch: SymbolChannel, tags: np.ndarray, n_len: int,
 
     Returns C[o, w] = prod_i q_i(w^i | w^{1:i-1}, o) over indices whose tag is
     UNIFORM_HALF (1/2), PRIOR_CONDITIONAL (prior-chain conditional) or
-    OBSERVATION_CONDITIONAL (observation conditional); EXCLUDED indices
-    contribute no factor. Conditionals marginalize the exact block joint, so
+    OBSERVATION_CONDITIONAL (observation conditional); PINNED indices
+    contribute no factor, and the caller couples them, as the oracle couples
+    a receiver's copied bits (`IndexPartition.tags_for_receiver`) to the
+    transmitter's block. Conditionals marginalize the exact block joint, so
     on sampled-only tag sets each row of C sums to 1 exactly up to float
     rounding, and on full observation tag sets C equals P(w | o) identically.
     """

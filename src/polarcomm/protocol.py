@@ -3,11 +3,13 @@
 Each round, the transmitter samples its v-block index by index (common
 randomness on F_r, the prior chain on F_d, its observation conditional on I),
 sends the I' subvector in increasing index order, and both sides map v to
-u = v G_N and append. The receiver pins the transmitted bits, draws F_r from
-the same shared stream, F_d from the prior chain, and I \\ I' from its own
-observation conditional. In the collocated network every non-broadcasting
-terminal (including the sink) reconstructs with conditioning on the past
-rounds only.
+u = v G_N and append. The receiver pins the copied bits, F_r and I'
+(`IndexPartition.copied`), to the transmitter's: I' is the message and F_r
+the common randomness both sides hold. It draws F_d from the prior chain and
+I \\ I' from its own observation conditional; only the transmitter draws
+from the round's shared stream. In the collocated network every
+non-broadcasting terminal (including the sink) reconstructs with
+conditioning on the past rounds only.
 
 Randomness is organized as one shared stream per round and one private
 stream per party, derived from two user seeds via SeedSequence spawn keys:
@@ -135,7 +137,6 @@ class RoundPlan(RoundRoles):
 class TerminalState:
     """One terminal's view: observations, accumulated u-blocks, streams."""
 
-    role: str
     observations: dict
     private_rng: np.random.Generator
     u_history: list = field(default_factory=list)
@@ -276,7 +277,7 @@ def run_round(
     plan: RoundPlan,
     tx_state: TerminalState,
     rx_states: Sequence[TerminalState],
-    shared_rngs: Sequence[np.random.Generator],
+    shared_rng: np.random.Generator,
     *,
     fd_policy: str = "sample",
     anomalies: AnomalyLog | None = None,
@@ -284,9 +285,9 @@ def run_round(
     """Execute one round; returns (message bits, tx u-block, receivers' u-blocks).
 
     Every state's observations are (B, N), and so is every returned block.
-    shared_rngs supplies one identically-seeded generator per party
-    (transmitter first), so the F_r draws coincide. Appends the new u-block
-    to every state's history.
+    The transmitter draws F_r from `shared_rng`, the round's common
+    randomness; each receiver pins the copied bits, F_r and I', to the
+    transmitter's. Appends the new u-block to every state's history.
     """
     part = plan.partition
     v_tx = sample_sequential(
@@ -294,7 +295,7 @@ def run_round(
         tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel),
         SamplingPolicy(part.tags_for_transmitter()),
         tx_state.private_rng,
-        shared_rng=shared_rngs[0],
+        shared_rng=shared_rng,
         fd_mode=fd_policy,
         anomalies=anomalies,
     )
@@ -303,17 +304,20 @@ def run_round(
     tx_state.u_history.append(u_tx)
 
     pinned = np.zeros_like(v_tx)
-    pinned[:, part.i_prime] = message
+    pinned[:, part.copied] = v_tx[:, part.copied]
     rx_policy = SamplingPolicy(part.tags_for_receiver(), pinned)
     u_rx_all = []
-    for k, rx_state in enumerate(rx_states):
+    for rx_state in rx_states:
         # with no side observation (collocated round 1) the "conditional" is the prior
         v_rx = sample_sequential(
             plan.rx_channel,
             rx_state.flat_obs(plan.rx_obs_vars, plan.rx_channel),
             rx_policy,
             rx_state.private_rng,
-            shared_rng=shared_rngs[1 + k],
+            # a receiver reads nothing from the shared stream and the walk
+            # skips its block there; with None it would skip a block of the
+            # receiver's private stream instead and move every later round
+            shared_rng=shared_rng,
             fd_mode=fd_policy,
             anomalies=anomalies,
         )
@@ -434,7 +438,7 @@ def _run_rounds(
     _check_blocks(model, n_len, parties)
     batched = blocks[0].ndim == 2
     states = {
-        role: TerminalState(role, {v: np.atleast_2d(b) for v, b in obs.items()},
+        role: TerminalState({v: np.atleast_2d(b) for v, b in obs.items()},
                             derive_rng(private_seed, 1, k))
         for k, (role, obs) in enumerate(parties)
     }
@@ -443,9 +447,9 @@ def _run_rounds(
     agreement = []
     for plan in plans:
         receivers = [st for role, st in states.items() if role != plan.transmitter]
-        shared = [derive_rng(shared_seed, 0, plan.round_index) for _ in states]
         message, u_tx, u_rx = run_round(
-            plan, states[plan.transmitter], receivers, shared,
+            plan, states[plan.transmitter], receivers,
+            derive_rng(shared_seed, 0, plan.round_index),
             fd_policy=fd_policy, anomalies=anomalies,
         )
         rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message))

@@ -143,7 +143,6 @@ class IndexPartition:
     f_d: np.ndarray
     info: np.ndarray
     i_prime: np.ndarray
-    policy: PartitionPolicy
 
     def __post_init__(self):
         sets = {}
@@ -168,9 +167,17 @@ class IndexPartition:
         tags[self.info] = OBSERVATION_CONDITIONAL
         return tags
 
+    @property
+    def copied(self) -> np.ndarray:
+        """The sorted indices whose bits a receiver copies from the
+        transmitter's v-block: F_r (common randomness) and I' (the message)."""
+        return np.union1d(self.f_r, self.i_prime)
+
     def tags_for_receiver(self) -> np.ndarray:
+        """The transmitter's tags with every copied index PINNED; the
+        receiver draws only F_d and I \\ I'."""
         tags = self.tags_for_transmitter()
-        tags[self.i_prime] = PINNED
+        tags[self.copied] = PINNED
         return tags
 
     def to_json(self) -> str:
@@ -290,7 +297,7 @@ def build_partition(
         iprime_mask = info_mask & ~recoverable
         idx = np.arange(n_len)
         return IndexPartition(
-            n_len, idx[fr_mask], idx[fd_mask], idx[info_mask], idx[iprime_mask], policy
+            n_len, idx[fr_mask], idx[fd_mask], idx[info_mask], idx[iprime_mask]
         )
 
     if policy.fractions is None:
@@ -311,7 +318,7 @@ def build_partition(
     k_ip = min(int(round(n_len * iprime_frac)), info.size)
     order_r = info[np.argsort(zr[info], kind="stable")]
     i_prime = order_r[info.size - k_ip:]
-    return IndexPartition(n_len, f_r, f_d, info, i_prime, policy)
+    return IndexPartition(n_len, f_r, f_d, info, i_prime)
 
 
 def with_fractions(policy: PartitionPolicy, fractions: tuple) -> PartitionPolicy:

@@ -4,7 +4,10 @@ The exact paths enumerate every block combination and build the protocol's
 induced law Q from the sampling-rule factors computed by direct
 marginalization of the block joints (never through the SC engine, so the
 oracle stays an independent route; the engine is checked against it
-elsewhere). Reported quantities:
+elsewhere). A receiver's factors are those of its tags,
+`IndexPartition.tags_for_receiver()`: the copied indices F_r and I' are
+PINNED and contribute no factor, and the receiver's block matches the
+transmitter's there. Reported quantities:
 
   * exact_q_tv      -- || Q_{induced} - P_{ideal} ||_1 (unnormalized L1) for
                        the transmitter-side or receiver-side law;
@@ -32,7 +35,6 @@ from typing import Sequence
 import numpy as np
 
 from .exact import (
-    EXCLUDED,
     MAX_ENUM,
     block_joint_chunks,
     digits_to_ints,
@@ -83,18 +85,6 @@ def _pin_patterns(n_len: int, pins: np.ndarray) -> np.ndarray:
     return digits_to_ints(bits[:, pins], 2)
 
 
-def _rx_sampled_tags(plan: RoundPlan) -> np.ndarray:
-    """Receiver tags with the copied indices (F_r and I') excluded."""
-    tags = plan.partition.tags_for_transmitter()
-    tags[plan.partition.f_r] = EXCLUDED
-    tags[plan.partition.i_prime] = EXCLUDED
-    return tags
-
-
-def _rx_pins(plan: RoundPlan) -> np.ndarray:
-    return np.sort(np.concatenate([plan.partition.f_r, plan.partition.i_prime]))
-
-
 def _source_axes(model: AuxChainModel, n_len: int):
     """Ideal product measure over the source blocks, one axis per source."""
     src = model.source_vars
@@ -110,8 +100,8 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
 
     c_tx = sampled_chain_table(plan.tx_channel, plan.partition.tags_for_transmitter(), n_len)
     if side == "rx":
-        c_rx = sampled_chain_table(plan.rx_channel, _rx_sampled_tags(plan), n_len)
-        pins = _rx_pins(plan)
+        c_rx = sampled_chain_table(plan.rx_channel, plan.partition.tags_for_receiver(), n_len)
+        pins = plan.partition.copied
         pat = _pin_patterns(n_len, pins)
         n_pat = 1 << pins.size
         a_pat = np.zeros((c_tx.shape[0], n_pat))
@@ -157,7 +147,8 @@ def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
         tags = plan.partition.tags_for_transmitter()
         obs_vars, channel = plan.tx_obs_vars, plan.tx_channel
     else:
-        tags, obs_vars, channel = _rx_sampled_tags(plan), plan.rx_obs_vars, plan.rx_channel
+        tags = plan.partition.tags_for_receiver()
+        obs_vars, channel = plan.rx_obs_vars, plan.rx_channel
     table = sampled_chain_table(channel, tags, n_len)
     digits = channel.flatten_obs([
         ints_to_digits(hist_ints[int(var[1:]) - 1] if var.startswith("u") else source_ints,
@@ -189,7 +180,7 @@ def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
     def round_pieces(plan, tx_src_ints, rx_src_ints, tx_hist, rx_hist):
         g_tx = _round_gather(plan, "tx", tx_src_ints, tx_hist)
         g_rx = _round_gather(plan, "rx", rx_src_ints, rx_hist)
-        pat = _pin_patterns(n_len, _rx_pins(plan))
+        pat = _pin_patterns(n_len, plan.partition.copied)
         match = (pat[:, None] == pat[None, :]).astype(np.float64)
         # reindex the block axes from v-ints to u-ints
         return g_tx[..., perm], g_rx[..., perm], match[perm][:, perm]
@@ -307,12 +298,8 @@ def agreement_probability(
         reason = _no_exact_route(model, plans, n_len, "agreement", fd_policy)
         if reason is not None:
             raise ValueError(reason)
-        if all(
-            p.partition.f_d.size == 0
-            and p.partition.i_prime.size == p.partition.info.size
-            for p in plans
-        ):
-            # receiver copies every non-F_r bit and F_r is shared: certainty
+        if all(p.partition.copied.size == n_len for p in plans):
+            # the receiver copies every bit: certainty
             return 1.0
         src, sizes, p_src = _source_axes(model, n_len)
         perm = transform_permutation(n_len)

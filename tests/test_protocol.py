@@ -4,7 +4,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polarcomm.models import AndModelParams, build_and_chain, build_collocated_chain
+from polarcomm.models import (
+    AndModelParams,
+    build_and_chain,
+    build_bsc_chain,
+    build_collocated_chain,
+)
 from polarcomm.probability import AuxChainModel, JointPmf
 from polarcomm.protocol import (
     ModelError,
@@ -198,12 +203,78 @@ def test_exchanging_pinned_roles_leaves_tx_block_unchanged():
     src = sample_sources(m, 8, 8, seed=11)
     u_tx_blocks = []
     for plans in (full, partial):
-        tx = TerminalState("A", {"x": src["x"]}, derive_rng(4, 1, 0))
-        rx = TerminalState("B", {"y": src["y"]}, derive_rng(4, 1, 1))
-        shared = [derive_rng(3, 0, 1) for _ in range(2)]
-        _, u_tx, _ = run_round(plans[0], tx, [rx], shared)
+        tx = TerminalState({"x": src["x"]}, derive_rng(4, 1, 0))
+        rx = TerminalState({"y": src["y"]}, derive_rng(4, 1, 1))
+        _, u_tx, _ = run_round(plans[0], tx, [rx], derive_rng(3, 0, 1))
         u_tx_blocks.append(u_tx)
     assert np.array_equal(u_tx_blocks[0], u_tx_blocks[1])
+
+
+def _receivers_draw_fr(model, parties, plans, shared_seed, private_seed, fd_policy):
+    """Reference of the rule where receivers draw F_r themselves: each
+    receiver pins I' only and walks with its own fresh copy of the round's
+    shared stream. Returns ({role: [(B, N) u-blocks]}, anomaly count)."""
+    from polarcomm.protocol import TerminalState, derive_rng
+    from polarcomm.sc import PINNED, AnomalyLog, SamplingPolicy, sample_sequential
+    from polarcomm.transform import apply_transform
+
+    states = {role: TerminalState({v: np.atleast_2d(b) for v, b in obs.items()},
+                                  derive_rng(private_seed, 1, k))
+              for k, (role, obs) in enumerate(parties)}
+    log = AnomalyLog()
+    for plan in plans:
+        part, tx = plan.partition, states[plan.transmitter]
+        v_tx = sample_sequential(
+            plan.tx_channel, tx.flat_obs(plan.tx_obs_vars, plan.tx_channel),
+            SamplingPolicy(part.tags_for_transmitter()), tx.private_rng,
+            shared_rng=derive_rng(shared_seed, 0, plan.round_index),
+            fd_mode=fd_policy, anomalies=log)
+        tx.u_history.append(apply_transform(v_tx))
+        tags = part.tags_for_transmitter()
+        tags[part.i_prime] = PINNED
+        pinned = np.zeros_like(v_tx)
+        pinned[:, part.i_prime] = v_tx[:, part.i_prime]
+        for role, rx in states.items():
+            if role == plan.transmitter:
+                continue
+            v_rx = sample_sequential(
+                plan.rx_channel, rx.flat_obs(plan.rx_obs_vars, plan.rx_channel),
+                SamplingPolicy(tags, pinned), rx.private_rng,
+                shared_rng=derive_rng(shared_seed, 0, plan.round_index),
+                fd_mode=fd_policy, anomalies=log)
+            rx.u_history.append(apply_transform(v_rx))
+    return {role: st.u_history for role, st in states.items()}, log.count
+
+
+@pytest.mark.parametrize("fd_policy", ["sample", "argmax"])
+@pytest.mark.parametrize("batched", [True, False])
+def test_copying_fr_equals_receivers_drawing_it(fd_policy, batched):
+    """A receiver's own F_r draw was u < 1/2 on the transmitter's uniform, so
+    copying F_r from the transmitter changes no u-block and no anomaly count."""
+    forced = PartitionPolicy(fractions=(0.1, 0.3, 0.3), fr_z_cap=None)
+    cases = ((build_bsc_chain(0.11, 0.2), PartitionPolicy()),
+             (build_and_chain(AndModelParams(0.3, 0.6, 2)), forced),
+             (build_collocated_chain(3, [0.5, 0.4, 0.7]), forced))
+    for model, policy in cases:
+        plans = plan_protocol(model, 32, policy, profile_method="monte_carlo",
+                              profile_samples=64, profile_seed=5)
+        assert all(p.partition.f_r.size for p in plans)
+        src = sample_sources(model, 32, 6, seed=11)
+        src = {k: v if batched else v[0] for k, v in src.items()}
+        if model.network == "two-terminal":
+            parties = [("A", {"x": src["x"]}), ("B", {"y": src["y"]})]
+            res = run_two_terminal(model, src["x"], src["y"], plans, shared_seed=3,
+                                   private_seed=4, fd_policy=fd_policy)
+        else:
+            parties = [(s, {s: src[s]}) for s in model.source_vars] + [("sink", {})]
+            res = run_collocated(model, src, plans, shared_seed=3, private_seed=4,
+                                 fd_policy=fd_policy)
+        blocks, anomalies = _receivers_draw_fr(model, parties, plans, 3, 4, fd_policy)
+        assert res.anomalies == anomalies
+        for role, us in blocks.items():
+            assert len(res.u_blocks[role]) == len(us)
+            for got, want in zip(res.u_blocks[role], us):
+                assert np.array_equal(np.atleast_2d(got), want)
 
 
 def test_compute_function_examples_and_erasures():

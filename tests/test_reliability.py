@@ -16,7 +16,7 @@ from polarcomm.reliability import (
     profile_monte_carlo,
     with_fractions,
 )
-from polarcomm.sc import SymbolChannel, derive_rng
+from polarcomm.sc import PINNED, SymbolChannel, derive_rng
 from polarcomm.transform import apply_transform
 
 from sc_reference import ReferenceTree
@@ -286,9 +286,28 @@ def test_partition_rejects_inconsistent_input():
     with pytest.raises(ValueError):
         build_partition(prof(4), prof(8), prof(4), PartitionPolicy(mode="threshold"))
     with pytest.raises(ValueError):
-        IndexPartition(4, [0], [0], [1, 2, 3], [1], PartitionPolicy())
+        IndexPartition(4, [0], [0], [1, 2, 3], [1])
     with pytest.raises(ValueError):
-        IndexPartition(4, [], [0], [1, 2, 3], [0], PartitionPolicy())
+        IndexPartition(4, [], [0], [1, 2, 3], [0])
+
+
+def test_receiver_tags_pin_exactly_the_copied_indices():
+    """A receiver copies F_r and I' from the transmitter: its tags are PINNED
+    on exactly `copied`, the sorted union, and the transmitter's elsewhere."""
+    rng = np.random.default_rng(17)
+    for n_len in (8, 64):
+        zu, zt, zr = np.sort(rng.random(n_len)), rng.random(n_len), rng.random(n_len)
+        prof = lambda z, c: ReliabilityProfile(n_len, c, z, "exact")
+        pol = with_fractions(PartitionPolicy(fd_z_cap=None, fr_z_cap=None), (0.25, 0.25, 0.25))
+        part = build_partition(prof(zu, "none"), prof(zt, "tx"), prof(zr, "rx"), pol)
+        assert part.f_r.size and part.i_prime.size < part.info.size
+        copied = np.sort(np.concatenate([part.f_r, part.i_prime]))
+        assert np.array_equal(part.copied, copied)
+        tx, rx = part.tags_for_transmitter(), part.tags_for_receiver()
+        assert np.array_equal(np.flatnonzero(rx == PINNED), copied)
+        others = np.setdiff1d(np.arange(n_len), copied)
+        assert np.array_equal(rx[others], tx[others])
+        assert PINNED not in tx
 
 
 def test_policy_validation():

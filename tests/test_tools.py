@@ -1,0 +1,73 @@
+"""Tests of the scripts under tools/, imported by path."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    return _load("bench_pairs")
+
+
+def _runs(parent, change, digests=("aaaa1111", "aaaa1111"), failed=(0, 0)):
+    """Synthetic run lines of one workload and seed: parent[k] and change[k]
+    map metric names to the values of pair k."""
+    runs = []
+    for pair, (p_vals, c_vals) in enumerate(zip(parent, change)):
+        for side, vals, digest, fail in zip(("parent", "change"), (p_vals, c_vals),
+                                            digests, failed):
+            runs.append({"workload": "w", "seed": 1, "pair": pair, "side": side,
+                         "digest": digest * 8,
+                         "result": {"attempted": 10, "failed": fail,
+                                    "metrics": {k: {"value": v} for k, v in vals.items()}}})
+    return runs
+
+
+def _line(text, name):
+    return next(line for line in text.splitlines() if line.split()[:1] == [name])
+
+
+def test_summary_counts_wins_in_each_metrics_better_direction(bench_pairs):
+    spec = bench_pairs.end_to_end()
+    assert spec["wall_s"]["better"] == "lower" and spec["agreement"]["better"] == "higher"
+    parent = [{"wall_s": 2.0 + 0.1 * k, "agreement": 0.9} for k in range(5)]
+    change = [{"wall_s": 1.9 + 0.1 * k if k < 4 else 9.0, "agreement": 0.9 + 0.01 * (k % 2)}
+              for k in range(5)]
+    text = bench_pairs.summary(_runs(parent, change))
+    wall, agree = _line(text, "wall_s"), _line(text, "agreement")
+    assert wall.endswith("change better in 4/5")  # lower wins, the 9.0 loses
+    assert agree.endswith("change better in 2/5")  # higher wins, ties count for neither
+    # parent wall_s 2.0 .. 2.4: median 2.2, linear quartiles 2.1 and 2.3
+    assert "2.2 (IQR 0.2) ->" in wall
+    # medians 2.2 -> 2.1: 4.5% better, -0.18 of the 0.25 bound
+    assert f"{-0.1 / 2.2 / spec['wall_s']['bound']:+.2f} of bound 0.25" in wall
+    # agreement 0.9 -> 0.9 (median of 0.9, 0.91, 0.9, 0.91, 0.9)
+    assert "+0.00 of bound" in agree
+    assert "DIGESTS DIFFER" not in text and "FAILURES" not in text
+
+
+def test_summary_share_of_bound_is_positive_where_worse(bench_pairs):
+    bound = bench_pairs.end_to_end()["agreement"]["bound"]
+    text = bench_pairs.summary(_runs([{"agreement": 0.8}] * 3, [{"agreement": 0.76}] * 3))
+    # 5% lower agreement is worse by one whole bound of 0.05
+    assert f"{0.04 / 0.8 / bound:+.2f} of bound" in _line(text, "agreement")
+    assert _line(text, "agreement").endswith("change better in 0/3")
+
+
+def test_summary_flags_differing_digests_and_failures(bench_pairs):
+    runs = _runs([{"wall_s": 1.0}] * 2, [{"wall_s": 1.0}] * 2,
+                 digests=("aaaa1111", "bbbb2222"), failed=(0, 1))
+    text = bench_pairs.summary(runs)
+    assert "  DIGESTS DIFFER: parent ['aaaa1111'], change ['bbbb2222']" in text.splitlines()
+    assert "  change: 2 of 20 operations failed  <-- FAILURES" in text.splitlines()
+    assert "  parent: 0 of 20 operations failed" in text.splitlines()

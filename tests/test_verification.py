@@ -215,7 +215,7 @@ def test_function_error_with_silent_round_two():
 
     part2 = silent[1].partition
     empty_iprime = IndexPartition(4, part2.f_r, part2.f_d, part2.info,
-                                  np.array([], dtype=int), part2.policy)
+                                  np.array([], dtype=int))
     silent[1] = replace(silent[1], partition=empty_iprime)
     agree = agreement_probability(m, silent, 4, "exact")
     report = function_error_rate(m, silent, 4, trials=4000, seed=29)
@@ -249,22 +249,31 @@ def test_collocated_round1_rate_target():
 
 
 def test_oracle_chain_factors_match_engine_chain_probability():
-    """Dual route: the verification tables equal sc.chain_probability."""
+    """Dual route: the verification tables equal sc.chain_probability, on
+    the transmitter's tags and on the receiver's, whose copied indices
+    (F_r and I') the engine pins to the block itself. The second plan has
+    one index in each of F_r, F_d, I' and I \\ I'."""
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
-    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
+    policies = (PartitionPolicy(mode="threshold", delta=0.2),
+                PartitionPolicy(mode="target_rate", fractions=(0.25, 0.25, 0.25),
+                                fd_z_cap=None, fr_z_cap=None))
     rng = np.random.default_rng(37)
-    for plan in plans:
-        tags = plan.partition.tags_for_transmitter()
-        table = sampled_chain_table(plan.tx_channel, tags, 4)
-        policy = SamplingPolicy(tags)
-        for _ in range(25):
-            obs = rng.integers(0, plan.tx_channel.obs_size, 4)
-            v_block = rng.integers(0, 2, 4).astype(np.uint8)
-            obs_int = int(sum(int(o) * plan.tx_channel.obs_size ** (3 - k)
-                              for k, o in enumerate(obs)))
-            v_int = int(sum(int(b) << (3 - k) for k, b in enumerate(v_block)))
-            engine = chain_probability(plan.tx_channel, obs, policy, v_block)
-            assert abs(engine - table[obs_int, v_int]) < 1e-9
+    for policy in policies:
+        for plan in plan_protocol(m, 4, policy):
+            part = plan.partition
+            sides = ((plan.tx_channel, part.tags_for_transmitter()),
+                     (plan.rx_channel, part.tags_for_receiver()))
+            for ch, tags in sides:
+                table = sampled_chain_table(ch, tags, 4)
+                for _ in range(25):
+                    obs = rng.integers(0, ch.obs_size, 4)
+                    v_block = rng.integers(0, 2, 4).astype(np.uint8)
+                    obs_int = int(sum(int(o) * ch.obs_size ** (3 - k)
+                                      for k, o in enumerate(obs)))
+                    v_int = int(sum(int(b) << (3 - k) for k, b in enumerate(v_block)))
+                    engine = chain_probability(ch, obs, SamplingPolicy(tags, v_block), v_block)
+                    assert abs(engine - table[obs_int, v_int]) < 1e-9
+    assert part.f_r.size and part.f_d.size and 0 < part.i_prime.size < part.info.size
 
 
 def test_sampled_chain_table_rows_are_laws():
@@ -301,12 +310,10 @@ def _engine_route_full_chain_laws(model, plans, n_len):
     plan1, plan2 = plans
 
     def rx_policy(plan, v_tx):
-        tags = plan.partition.tags_for_receiver()
-        tags[plan.partition.f_r] = 3  # PINNED: shared bits equal the tx draw
+        copied = plan.partition.copied
         pinned = np.zeros(n_len, dtype=np.uint8)
-        pinned[plan.partition.f_r] = v_tx[plan.partition.f_r]
-        pinned[plan.partition.i_prime] = v_tx[plan.partition.i_prime]
-        return SamplingPolicy(tags, pinned)
+        pinned[copied] = v_tx[copied]
+        return SamplingPolicy(plan.partition.tags_for_receiver(), pinned)
 
     tx1 = SamplingPolicy(plan1.partition.tags_for_transmitter())
     tx2 = SamplingPolicy(plan2.partition.tags_for_transmitter())

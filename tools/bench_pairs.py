@@ -11,19 +11,25 @@ back to back, and alternates which side goes first (the parent in even
 pairs). Each run line of the output file holds the run's result line (its
 last stdout line) and its report's output digest; `env` is the first
 report's environment. A run that exits non-zero stops the tool. A summary
-of the medians and of each side's failed operations is printed at the end.
+(`summary`) is printed at the end: each side's failed operations, whether
+the digests differ, and per end-to-end metric of BENCHMARK.json the
+medians, the parent's IQR, the median change as a share of the metric's
+bound and the pairs the change wins in the metric's better direction.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
@@ -52,28 +58,51 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> tuple:
     return json.loads(lines[-1]), json.loads(lines[-2])["report"]
 
 
+def end_to_end() -> dict:
+    """name -> entry (better, bound, ...) of BENCHMARK.json's end-to-end metrics."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return {m["name"]: m for m in spec["end_to_end"]}
+
+
 def summary(runs: list) -> str:
-    """Per workload and seed: failed operations and the median of each
-    metric per side, and the pairs in which the change reads lower."""
+    """Per workload and seed: failed operations, a DIGESTS DIFFER line when
+    the two sides' output digests disagree, and for each end-to-end metric
+    the parent's median and IQR (linear quartiles), the change's median, the
+    change of the medians relative to the parent's as a share of the
+    metric's bound (positive is worse) and the pairs in which the change
+    reads better in the metric's direction (ties count for neither)."""
+    metrics = end_to_end()
     out = []
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
     for workload, seed in groups:
         mine = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
         pairs = sorted({r["pair"] for r in mine})
         by = {(r["pair"], r["side"]): r["result"]["metrics"] for r in mine}
-        out.append(f"{workload} seed {seed}, {len(pairs)} pairs, digests "
-                   f"{sorted({r['digest'][:8] for r in mine})}")
+        digests = {side: sorted({r["digest"][:8] for r in mine if r["side"] == side})
+                   for side in SIDES}
+        out.append(f"{workload} seed {seed}, {len(pairs)} pairs, digests {digests['parent']}")
+        if digests["parent"] != digests["change"]:
+            out.append(f"  DIGESTS DIFFER: parent {digests['parent']}, "
+                       f"change {digests['change']}")
         for side in SIDES:
             done = [r["result"] for r in mine if r["side"] == side]
             failed = sum(r["failed"] for r in done)
             out.append(f"  {side}: {failed} of {sum(r['attempted'] for r in done)} "
                        f"operations failed" + ("  <-- FAILURES" if failed else ""))
-        for name in by[pairs[0], "parent"]:
+        for name, spec in metrics.items():
+            if name not in by[pairs[0], "parent"]:
+                continue
             vals = {side: [by[p, side][name]["value"] for p in pairs] for side in SIDES}
-            lower = sum(c < p for p, c in zip(vals["parent"], vals["change"]))
-            out.append(f"  {name:14s} {statistics.median(vals['parent']):10.4g} -> "
-                       f"{statistics.median(vals['change']):10.4g}   change lower in "
-                       f"{lower}/{len(pairs)}")
+            # sign * (change - parent) is positive where the change is worse
+            sign = 1.0 if spec["better"] == "lower" else -1.0
+            better = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
+            med = {side: statistics.median(vals[side]) for side in SIDES}
+            q1, q3 = np.percentile(vals["parent"], [25, 75])
+            delta = med["change"] - med["parent"]
+            worse = sign * delta / abs(med["parent"] or math.nan) if delta else 0.0
+            out.append(f"  {name:14s} {med['parent']:10.4g} (IQR {q3 - q1:.3g}) -> "
+                       f"{med['change']:10.4g}   {worse / spec['bound']:+.2f} of bound "
+                       f"{spec['bound']:g}   change better in {better}/{len(pairs)}")
     return "\n".join(out)
 
 

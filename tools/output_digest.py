@@ -12,10 +12,12 @@ moved. The cases are
                   t = 2, 4 (AND), m = 2, 3 (collocated); exact and Monte
                   Carlo plans under both partition modes; `sample` and
                   `argmax` F_d decisions; batched and (N,) source blocks;
-  * walk/...      the SC walk on every round's transmitter and receiver
-                  policy: `sample_sequential` blocks, their
-                  `chain_probability`, and the anomaly counts, under both F_d
-                  modes, batched and (N,);
+  * walk/...      the SC walk on every round's transmitter policy and on a
+                  receiver-side policy that pins I' only and draws F_r from
+                  the shared stream (fixed tags, so the walk inputs stay
+                  comparable across trees whatever the receiver copies):
+                  `sample_sequential` blocks, their `chain_probability`, and
+                  the anomaly counts, under both F_d modes, batched and (N,);
   * walk/functional/...  the same on channels whose bit is a function of the
                   observation (a zero-mass symbol, a degenerate prior, an
                   observation-free channel): rows that observe the
@@ -136,8 +138,10 @@ def walk_cases(pc, model_name, label, n_len, plans):
     for plan in plans:
         part = plan.partition
         pinned = rng.integers(0, 2, (5, n_len)).astype(np.uint8)
+        rx_tags = part.tags_for_transmitter()
+        rx_tags[part.i_prime] = pc.sc.PINNED  # I' only, as a fixed walk input
         sides = (("tx", plan.tx_channel, pc.SamplingPolicy(part.tags_for_transmitter())),
-                 ("rx", plan.rx_channel, pc.SamplingPolicy(part.tags_for_receiver(), pinned)))
+                 ("rx", plan.rx_channel, pc.SamplingPolicy(rx_tags, pinned)))
         for side, ch, policy in sides:
             obs = rng.integers(0, ch.obs_size, (5, n_len))
             for fd in ("sample", "argmax"):
