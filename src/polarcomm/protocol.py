@@ -33,6 +33,15 @@ Every (trials, N) symbol array, from the source cells through the flat
 observations to the decode-table index, is held in the smallest unsigned
 dtype that holds its alphabet and is never widened to int64 or intp; the SC
 walk copies it only into its uint16 leaf codes.
+
+The round loop holds every block trial-last, as a C-order (N, B) array whose
+row i is index i of every trial: the source blocks are lifted to that layout
+once, on entry to the loop, and the observations, v- and u-blocks, messages
+and function outputs stay in it up to the decode lookup. The SC walk reads
+and writes whole rows, the message and the receivers' pins are row gathers,
+and G_N runs along the rows of the (B, N) transposed view. Results go out as
+(B, N) transposed views of those arrays: shapes and bytes (`tobytes` is C
+order) are the ones a trial-first loop would give.
 """
 from __future__ import annotations
 
@@ -55,13 +64,13 @@ from .reliability import (
 )
 from .sc import (
     AnomalyLog,
-    SamplingPolicy,
     SymbolChannel,
     _cell_index,
     _in_alphabet,
+    _sample_trial_last,
     _split_cells,
     derive_rng,
-    sample_sequential,
+    sample_sequential,  # noqa: F401  bench/tracer.py wraps it under this module
 )
 from .transform import apply_transform
 
@@ -135,14 +144,18 @@ class RoundPlan(RoundRoles):
 
 @dataclass
 class TerminalState:
-    """One terminal's view: observations, accumulated u-blocks, streams."""
+    """One terminal's view: observations, accumulated u-blocks, streams.
+
+    Observations and u-blocks are trial-last (N, B) arrays.
+    """
 
     observations: dict
     private_rng: np.random.Generator
     u_history: list = field(default_factory=list)
 
     def flat_obs(self, obs_vars: Sequence[str], channel: SymbolChannel) -> np.ndarray | None:
-        """This terminal's observation of `obs_vars` in the channel's alphabet."""
+        """This terminal's (N, B) observation of `obs_vars` in the channel's
+        alphabet, None when it observes nothing."""
         if not obs_vars:
             return None
         return channel.flatten_obs([
@@ -178,7 +191,8 @@ class Transcript:
                     "direction": r.direction,
                     "bits": r.bit_count,
                     "message_hex": [
-                        np.packbits(row).tobytes().hex() for row in np.atleast_2d(r.messages)
+                        row.tobytes().hex()
+                        for row in np.packbits(np.atleast_2d(r.messages), axis=1)
                     ],
                 }
                 for r in self.rounds
@@ -190,7 +204,13 @@ class Transcript:
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Reconstructions, agreement, transcript, function outputs, anomalies."""
+    """Reconstructions, agreement, transcript, function outputs, anomalies.
+
+    Every (B, N) array (u-blocks, outputs, erasures) and every (B, |I'|)
+    message array is the transposed view of the round loop's trial-last
+    array (module docstring), so it is not C-contiguous; its shape, values
+    and `tobytes()` are the trial-first ones.
+    """
 
     network: str
     u_blocks: Mapping[str, tuple]  # role -> per-round (B, N) u-blocks
@@ -284,44 +304,39 @@ def run_round(
 ) -> tuple:
     """Execute one round; returns (message bits, tx u-block, receivers' u-blocks).
 
-    Every state's observations are (B, N), and so is every returned block.
-    The transmitter draws F_r from `shared_rng`, the round's common
-    randomness; each receiver pins the copied bits, F_r and I', to the
-    transmitter's. Appends the new u-block to every state's history.
+    The round runs trial-last: every state's observations and u-blocks are
+    (N, B), every returned u-block is (N, B) and the message is the
+    (|I'|, B) row gather of the transmitter's v-block at I'. The transmitter
+    draws F_r from `shared_rng`, the round's common randomness; each
+    receiver pins the copied bits, F_r and I', to the transmitter's, read
+    from the rows of its v-block. Appends the new u-block to every state's
+    history.
     """
     part = plan.partition
-    v_tx = sample_sequential(
-        plan.tx_channel,
-        tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel),
-        SamplingPolicy(part.tags_for_transmitter()),
-        tx_state.private_rng,
-        shared_rng=shared_rng,
-        fd_mode=fd_policy,
-        anomalies=anomalies,
-    )
-    message = v_tx[:, part.i_prime]
-    u_tx = apply_transform(v_tx)
+    v_tx = _sample_trial_last(plan.tx_channel,
+                              tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel),
+                              part.tags_for_transmitter(), None, tx_state.private_rng,
+                              shared_rng, fd_policy, anomalies)
+    message = v_tx[part.i_prime]
+    # G_N runs along the rows of the (B, N) view; its .T is (N, B) C-order
+    u_tx = apply_transform(v_tx.T).T
     tx_state.u_history.append(u_tx)
 
-    pinned = np.zeros_like(v_tx)
-    pinned[:, part.copied] = v_tx[:, part.copied]
-    rx_policy = SamplingPolicy(part.tags_for_receiver(), pinned)
+    # The walk reads pins at the PINNED indices only, the copied ones, so
+    # v_tx itself serves as every receiver's pins. A receiver reads nothing
+    # from the shared stream and the walk skips its block there; with None it
+    # would skip a block of the receiver's private stream instead and move
+    # every later round.
+    rx_tags = part.tags_for_receiver()
     u_rx_all = []
     for rx_state in rx_states:
-        # with no side observation (collocated round 1) the "conditional" is the prior
-        v_rx = sample_sequential(
-            plan.rx_channel,
-            rx_state.flat_obs(plan.rx_obs_vars, plan.rx_channel),
-            rx_policy,
-            rx_state.private_rng,
-            # a receiver reads nothing from the shared stream and the walk
-            # skips its block there; with None it would skip a block of the
-            # receiver's private stream instead and move every later round
-            shared_rng=shared_rng,
-            fd_mode=fd_policy,
-            anomalies=anomalies,
-        )
-        u_rx = apply_transform(v_rx)
+        obs = rx_state.flat_obs(plan.rx_obs_vars, plan.rx_channel)
+        if obs is None:
+            # no side observation (collocated round 1): the "conditional" is the prior
+            obs = np.broadcast_to(np.uint8(0), v_tx.shape)
+        v_rx = _sample_trial_last(plan.rx_channel, obs, rx_tags, v_tx, rx_state.private_rng,
+                                  shared_rng, fd_policy, anomalies)
+        u_rx = apply_transform(v_rx.T).T
         rx_state.u_history.append(u_rx)
         u_rx_all.append(u_rx)
     return message, u_tx, u_rx_all
@@ -337,7 +352,10 @@ def compute_function(
 
     Looks up the unique value with conditional probability one given the
     argument tuple; zero-probability tuples yield an erasure flag (output 0).
-    A symbol outside its argument's alphabet raises ValueError.
+    The lookup is elementwise, so the blocks may take any layout that
+    broadcasts, (B, N) or the round loop's trial-last (N, B), and the
+    outputs take it too. A symbol outside its argument's alphabet raises
+    ValueError.
     """
     args = model.function_args(which)
     blocks = []
@@ -427,9 +445,11 @@ def _run_rounds(
     """The round loop of both networks.
 
     `parties` lists (role, {variable: block}) in private-stream order, with
-    (N,) or (B, N) blocks: they are lifted to (B, N) here and the results
-    squeezed back on the way out. Each round the plan's transmitter
-    broadcasts and every other party reconstructs, in party order; agreement
+    (N,) or (B, N) blocks: they are lifted here, once, to the trial-last
+    (N, B) layout the loop runs in (module docstring), and the results go
+    out as (B, N) transposed views, squeezed to (N,) for (N,) blocks. Each
+    round the plan's transmitter broadcasts and every other party
+    reconstructs, in party order; agreement
     compares the transmitter with the last receiver. `evaluators` maps each
     function to (role, observed variable or None) of the party computing it.
     """
@@ -438,8 +458,8 @@ def _run_rounds(
     _check_blocks(model, n_len, parties)
     batched = blocks[0].ndim == 2
     states = {
-        role: TerminalState({v: np.atleast_2d(b) for v, b in obs.items()},
-                            derive_rng(private_seed, 1, k))
+        role: TerminalState({v: np.ascontiguousarray(np.atleast_2d(b).T)
+                             for v, b in obs.items()}, derive_rng(private_seed, 1, k))
         for k, (role, obs) in enumerate(parties)
     }
     anomalies = AnomalyLog()
@@ -452,11 +472,11 @@ def _run_rounds(
             derive_rng(shared_seed, 0, plan.round_index),
             fd_policy=fd_policy, anomalies=anomalies,
         )
-        rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message))
-        agreement.append((u_tx == u_rx[-1]).all(axis=1))
+        rounds.append(TranscriptRound(plan.direction, plan.partition.i_prime.size, message.T))
+        agreement.append((u_tx == u_rx[-1]).all(axis=0))
 
     def out(arr):
-        return arr if batched else arr[0]
+        return arr.T if batched else arr[:, 0]
 
     outputs, erasures = {}, {}
     for which, (role, var) in evaluators.items():

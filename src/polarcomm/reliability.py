@@ -230,7 +230,8 @@ def profile_monte_carlo(
     the stream fills rows in order, so the cells, and the result, depend only
     on (seed, samples), never on the chunking. The cells (`sc._cell_index`)
     and their split into bits and observation symbols stay in the smallest
-    unsigned dtype that holds the table's size.
+    unsigned dtype that holds the table's size, and are held trial-last,
+    (N, chunk), as the SC walk reads them.
 
     Since v is known up front, each chunk of `chunk` samples evaluates every
     index's root pair level by level (`sc.pinned_pairs`), on supports where
@@ -249,9 +250,10 @@ def profile_monte_carlo(
     for start in range(0, samples, chunk):
         x = rng.random((min(chunk, samples - start), n_len))
         x *= cum[-1]
-        cells = _cell_index(cum, x)
+        # one copy of the narrow cells puts the chunk trial-last, (N, chunk)
+        cells = np.ascontiguousarray(_cell_index(cum, x).T)
         u_cells, obs = _split_cells(cells, ch.obs_size)
-        v_rows = np.ascontiguousarray(apply_transform(u_cells).T)
+        v_rows = apply_transform(u_cells.T).T
         pair, _ = pinned_pairs(ch, obs, v_rows)
         stat = 2.0 * np.sqrt(pair[0] * pair[1])
         acc += stat.sum(axis=1)

@@ -389,7 +389,7 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
 
 
 CODE_LIMIT = 1 << 16  # most entries of a union table whose level is held as uint16 codes
-_SLAB_ROWS = 64  # rows per uniform draw and per transposed copy of the observations
+_SLAB_ROWS = 64  # rows per uniform draw transposed into an (N, B) block
 
 
 def _union_table(table: np.ndarray) -> np.ndarray:
@@ -575,7 +575,8 @@ class PairStack:
 
 
 def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
-    """Root pair at every index of the walk pinned to the (N, B) block v.
+    """Root pair at every index of the walk pinned to the (N, B) block v,
+    given the (N, B) observations obs.
 
     Equals PairStack's pair_at(phi) after push(0 .. phi-1) of v's rows, for
     every phi, without a per-index loop: v is known up front, so no index
@@ -584,9 +585,8 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     (_new_level, _level_step) with blocks on the third-to-last axis; block h
     is f of block h >> 1 of level lam + 1 when h is even and g of it when h
     is odd, on the partial sums of v[(h-1) 2^lam, h 2^lam), which are built
-    once per level by _partial_sums, as push builds them. obs is (B, N).
-    Returns the (2, N, B) float pairs, uniform where null, and the (N, B)
-    null mask.
+    once per level by _partial_sums, as push builds them. Returns the
+    (2, N, B) float pairs, uniform where null, and the (N, B) null mask.
     """
     n_len, batch = v.shape
     n = n_len.bit_length() - 1
@@ -615,19 +615,20 @@ class FunctionalStack:
     while every symbol it observes has positive mass and every pushed bit
     equals v*'s; pair_at gives the indicator of v*[phi] on alive rows and the
     uniform pair, flagged null, on the rest. This is exactly PairStack's
-    output on the same channel (module docstring). Drive it as PairStack.
+    output on the same channel (module docstring). Drive it as PairStack;
+    obs is the (N, B) observations.
     """
 
     def __init__(self, ch: SymbolChannel, obs: np.ndarray):
         if not ch.functional:
             raise ValueError("FunctionalStack needs a functional channel")
-        batch, n_len = obs.shape
+        n_len, batch = obs.shape
         positive = ch.table > 0
-        if ch.obs_size == 1:  # one row stands for every row
-            obs = np.zeros((1, n_len), dtype=np.uint8)
-        v_star = apply_transform(positive[1][obs])
-        self.v_star = np.broadcast_to(np.ascontiguousarray(v_star.T), (n_len, batch))
-        self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=1), (batch,)).copy()
+        if ch.obs_size == 1:  # one trial stands for every trial
+            obs = np.zeros((n_len, 1), dtype=np.uint8)
+        # the transform runs along the rows of the (B, N) view; its .T is C-order again
+        self.v_star = np.broadcast_to(apply_transform(positive[1][obs].T).T, (n_len, batch))
+        self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=0), (batch,)).copy()
         self._next = 0
 
     def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
@@ -650,7 +651,7 @@ class FunctionalStack:
 
 
 def _stack_for(ch: SymbolChannel, obs: np.ndarray):
-    """The SC stack of ch at (B, N) observations: FunctionalStack where the
+    """The SC stack of ch at (N, B) observations: FunctionalStack where the
     channel is functional, else PairStack, on supports where it is hard."""
     if ch.functional:
         return FunctionalStack(ch, obs)
@@ -660,25 +661,36 @@ def _stack_for(ch: SymbolChannel, obs: np.ndarray):
 def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> tuple:
     """(table, codes): the (2, K) leaf table, the joint pairs or their
     supports (bool) where the channel is hard, and the (N, B) leaf codes,
-    the realized (B, N) observations themselves, as uint16 where K allows.
-    Narrow (uint8) observations are widened only in this copy.
+    the realized (N, B) observations themselves, as C-order uint16 where K
+    allows. Observations held trial-last already are cast row by row, with
+    no transpose; narrow (uint8) ones are widened only in this copy.
 
     An observation-free channel's codes are a read-only broadcast of 0.
     """
     table = ch.table > 0 if ch.hard else ch.table
     if ch.obs_size == 1:
-        return table, np.broadcast_to(np.uint16(0), obs.T.shape)
-    codes = np.empty(obs.T.shape, np.uint16 if ch.obs_size <= CODE_LIMIT else np.intp)
-    for start in range(0, obs.shape[0], _SLAB_ROWS):  # several times faster than one copy
-        codes[:, start : start + _SLAB_ROWS] = obs[start : start + _SLAB_ROWS].T
-    return table, codes
+        return table, np.broadcast_to(np.uint16(0), obs.shape)
+    dtype = np.uint16 if ch.obs_size <= CODE_LIMIT else np.intp
+    return table, np.ascontiguousarray(obs, dtype=dtype)
 
 
-def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
-    """(N,) or (B, N) observations as (B, N) symbols of ch, range-checked.
+def _trial_last(a: np.ndarray, n_len: int, batch: int, what: str) -> np.ndarray:
+    """An (N,) or (B, N) array as a trial-last (N, B) one: a read-only
+    broadcast of an (N,) array, a C-order copy of a (B, N) one. Raises
+    ValueError, naming `what`, on any other shape."""
+    if a.shape == (n_len,):
+        return np.broadcast_to(a[:, None], (n_len, batch))
+    if a.shape != (batch, n_len):
+        raise ValueError(f"{what} must have shape ({n_len},) or ({batch}, {n_len})")
+    return np.ascontiguousarray(a.T)
+
+
+def _trial_last_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
+    """(N,) or (B, N) observations as trial-last (N, B) symbols of ch,
+    range-checked.
 
     An unsigned array keeps its dtype, so narrow symbols reach the leaf
-    codes uncopied; any other dtype is cast to intp. Raises ValueError on a
+    codes unwidened; any other dtype is cast to intp. Raises ValueError on a
     wrong shape or a symbol outside [0, ch.obs_size).
     """
     obs = np.asarray(obs)
@@ -686,21 +698,20 @@ def _as_batched_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarra
         obs = obs.astype(np.intp)
     if not _in_alphabet(obs, ch.obs_size):
         raise ValueError("observation symbol out of range")
-    if obs.ndim == 1:
-        obs = np.broadcast_to(obs, (batch, n_len))
-    if obs.shape != (batch, n_len):
-        raise ValueError(f"observations must have shape ({batch}, {n_len})")
-    return obs
+    return _trial_last(obs, n_len, batch, "observations")
 
 
 def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
-    """Lift (N,) inputs to (B, N) once, at a public entry point.
+    """Lift the (N,) or (B, N) inputs of a public entry point to trial-last
+    (N, B) arrays, once: the one transpose between the public layout and
+    the walk's.
 
     B is the leading size of every batched array among obs, the pinned bits
     and `blocks` (1 if none is batched). A missing observation is symbol 0 at
     every position, i.e. the prior of an observation-free channel. Returns
-    (batched, obs, policy) with (B, N) arrays; `batched` tells the caller
-    whether to keep the batch axis on the way out.
+    (batched, obs, pinned, *blocks): pinned is None where the policy has
+    none, and `batched` tells the caller whether to keep the batch axis on
+    the way out.
     """
     n_len = policy.size
     sizes = {np.shape(a)[0] for a in (obs, policy.pinned, *blocks)
@@ -712,10 +723,9 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
         if ch.obs_size > 1 and np.any(policy.tags == OBSERVATION_CONDITIONAL):
             raise ValueError("the policy samples the observation conditional but obs is None")
         obs = np.zeros(n_len, dtype=np.uint8)
-    pinned = policy.pinned
-    if pinned is not None:
-        pinned = np.broadcast_to(pinned, (batch, n_len))
-    return bool(sizes), _as_batched_obs(ch, obs, n_len, batch), SamplingPolicy(policy.tags, pinned)
+    lifted = [None if bits is None else _trial_last(bits, n_len, batch, "bit blocks")
+              for bits in (policy.pinned, *blocks)]
+    return (bool(sizes), _trial_last_obs(ch, obs, n_len, batch), *lifted)
 
 
 def sc_conditional(
@@ -741,7 +751,7 @@ def sc_conditional(
     prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
     if prefix.size >= n_len:
         raise ValueError("prefix must be shorter than the block")
-    stack = PairStack(_leaf_pairs(ch, _as_batched_obs(ch, obs, n_len, 1)))
+    stack = PairStack(_leaf_pairs(ch, _trial_last_obs(ch, obs, n_len, 1)))
     for phi in range(prefix.size):
         stack.push(phi, prefix[phi : phi + 1])
     pair, null = stack.pair_at(prefix.size)
@@ -753,7 +763,8 @@ def sc_conditional(
 def _policy_pass(
     ch: SymbolChannel,
     obs: np.ndarray,
-    policy: SamplingPolicy,
+    tags: np.ndarray,
+    pinned: np.ndarray | None,
     fd_mode: str,
     anomalies: AnomalyLog | None,
     *,
@@ -762,34 +773,33 @@ def _policy_pass(
 ):
     """The SC walk: each index's sampling law, drawn from or followed.
 
-    obs and the policy's pinned bits are (B, N), as `_lift` returns them;
-    v_block and the `uniforms` = (private, shared) blocks are (N, B). At
-    every index the walk forms the law (q0, q1) of the policy's tag: the
-    observation stack's pair on OBSERVATION_CONDITIONAL, the prior stack's
-    pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of its
-    more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
-    bit on PINNED. An indicator law is held as its bit. Given `uniforms` the
-    walk draws bit = u < q1, with the shared block on UNIFORM_HALF, and
-    copies the bit of an indicator law; given `v_block` it follows those
-    bits and multiplies the chain probability by q[bit] (1 or 0 for an
-    indicator law). Returns ((N, B) v_block, chain), chain None when
-    drawing. A stack exists only if the policy consults it; it is evaluated
-    only at the indices whose tag consults it, and every decided bit is
-    pushed to every stack. A functional channel's stack is a
+    The walk runs trial-last: obs, the pinned bits (read at PINNED indices
+    only, so other rows may hold anything), v_block and the `uniforms` =
+    (private, shared) blocks are (N, B), and row phi holds index phi of
+    every trial. At every index the walk forms the law (q0, q1) of its tag
+    in `tags`: the observation stack's pair on OBSERVATION_CONDITIONAL, the
+    prior stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the
+    indicator of its more likely bit), 1/2 on UNIFORM_HALF and the indicator
+    of the pinned bit on PINNED. An indicator law is held as its bit. Given
+    `uniforms` the walk draws bit = u < q1, with the shared block on
+    UNIFORM_HALF, and copies the bit of an indicator law; given `v_block`
+    it follows those bits and multiplies the chain probability by q[bit] (1
+    or 0 for an indicator law). Returns ((N, B) v_block, chain), chain None
+    when drawing. A stack exists only if the tags consult it; it is
+    evaluated only at the indices whose tag consults it, and every decided
+    bit is pushed to every stack. A functional channel's stack is a
     FunctionalStack and a hard channel's a support tree (`_stack_for`).
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
-    batch, n_len = obs.shape
+    n_len, batch = obs.shape
     if n_len & (n_len - 1):
         raise ValueError(f"block length must be a power of two, got {n_len}")
-    tags = policy.tags
     stacks = {}
     if np.any(tags == OBSERVATION_CONDITIONAL):
         stacks[OBSERVATION_CONDITIONAL] = _stack_for(ch, obs)
     if np.any(tags == PRIOR_CONDITIONAL):
         stacks[PRIOR_CONDITIONAL] = _stack_for(ch.prior(), obs)
-    pinned = None if policy.pinned is None else np.ascontiguousarray(policy.pinned.T)
 
     chain = None
     if v_block is None:
@@ -849,6 +859,33 @@ def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool 
     return block
 
 
+def _sample_trial_last(
+    ch: SymbolChannel,
+    obs: np.ndarray,
+    tags: np.ndarray,
+    pinned: np.ndarray | None,
+    rng: np.random.Generator,
+    shared_rng: np.random.Generator | None,
+    fd_mode: str,
+    anomalies: AnomalyLog | None,
+) -> np.ndarray:
+    """sample_sequential on trial-last inputs: the (N, B) v-block drawn at
+    the (N, B) observations obs under `tags`, with the (N, B) pins `pinned`
+    read at the PINNED indices (None where there are none).
+
+    Both streams give one (B, N) uniform block, held as (N, B); a block no
+    index reads is skipped, not kept (sample_sequential states the rule).
+    """
+    n_len, batch = obs.shape
+    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
+    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
+    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
+                              keep=bool(np.any(tags == UNIFORM_HALF)))
+    v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,
+                              uniforms=(private_u, shared_u))
+    return v_block
+
+
 def sample_sequential(
     ch: SymbolChannel,
     obs,
@@ -869,21 +906,16 @@ def sample_sequential(
     of the tag layout. A block no index reads is skipped, not kept: the
     shared one when no index is UNIFORM_HALF, the private one when none is
     OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL.
-    Returns (B, N) blocks, squeezed to (N,) for unbatched inputs.
+    Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
+    transposed view of the walk's trial-last block.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
     """
-    batched, obs, policy = _lift(ch, obs, policy)
-    batch, n_len = obs.shape
-    tags = policy.tags
-    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
-    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
-    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
-                              keep=bool(np.any(tags == UNIFORM_HALF)))
-    v_block, _ = _policy_pass(ch, obs, policy, fd_mode, anomalies, uniforms=(private_u, shared_u))
-    v_block = np.ascontiguousarray(v_block.T)
-    return v_block if batched else v_block[0]
+    batched, obs, pinned = _lift(ch, obs, policy)
+    v_block = _sample_trial_last(ch, obs, policy.tags, pinned, rng, shared_rng, fd_mode,
+                                 anomalies)
+    return v_block.T if batched else v_block[:, 0]
 
 
 def chain_probability(
@@ -904,8 +936,6 @@ def chain_probability(
     v_block = np.asarray(v_block)
     if np.any((v_block != 0) & (v_block != 1)):
         raise ValueError("v_block must hold bits 0 and 1 only")
-    v_block = v_block.astype(np.uint8)
-    batched, obs, policy = _lift(ch, obs, policy, v_block)
-    _, chain = _policy_pass(ch, obs, policy, fd_mode, anomalies,
-                            v_block=np.ascontiguousarray(np.broadcast_to(v_block, obs.shape).T))
+    batched, obs, pinned, v_block = _lift(ch, obs, policy, v_block.astype(np.uint8))
+    _, chain = _policy_pass(ch, obs, policy.tags, pinned, fd_mode, anomalies, v_block=v_block)
     return chain if batched else float(chain[0])

@@ -343,16 +343,23 @@ def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
 
 
 def _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy):
-    """Sample sources and execute the protocol; all streams derive from `seed`."""
-    sources = sample_sources(model, n_len, trials, seed)
+    """Sample sources and execute the protocol; all streams derive from `seed`.
+
+    Returns the sources as trial-last (N, B) arrays and the ProtocolResult.
+    The sources are lifted here, once, and handed to the protocol as their
+    (B, N) transposed views, which its own lift takes without a copy.
+    """
+    sources = {s: np.ascontiguousarray(b.T)
+               for s, b in sample_sources(model, n_len, trials, seed).items()}
+    blocks = {s: b.T for s, b in sources.items()}
     if model.network == "two-terminal":
         result = run_two_terminal(
-            model, sources["x"], sources["y"], plans,
+            model, blocks["x"], blocks["y"], plans,
             shared_seed=seed, private_seed=seed, fd_policy=fd_policy,
         )
     else:
         result = run_collocated(
-            model, sources, plans, shared_seed=seed, private_seed=seed, fd_policy=fd_policy
+            model, blocks, plans, shared_seed=seed, private_seed=seed, fd_policy=fd_policy
         )
     return sources, result
 
@@ -380,11 +387,13 @@ def function_error_rate(
     src = model.source_vars
     report: dict = {"trials": trials, "result": result}
     for which, out in result.outputs.items():
+        # trial-last throughout: the (N, B) sources, and the arrays behind the
+        # (B, N) output views
         table = model.functions[which]
         truth = table.reshape(-1)[_flat_index(table.shape, src, [sources[s] for s in src])]
-        erased = result.erasures[which]
-        bad = (out != truth) | erased
-        block = float(bad.any(axis=1).mean())
+        erased = result.erasures[which].T
+        bad = (out.T != truth) | erased
+        block = float(bad.any(axis=0).mean())
         report[which] = {
             "block_error": block,
             "symbol_error": float(bad.mean()),

@@ -96,7 +96,7 @@ def _compare_channel_to_oracle(ch, n_len, chunk_obs=512):
         c = sl.stop - sl.start
         obs_rows = np.repeat(obs_digits[sl], 1 << n_len, axis=0)
         v_rows = np.tile(v_all, (c, 1))
-        stack = PairStack(_leaf_pairs(ch, obs_rows))
+        stack = PairStack(_leaf_pairs(ch, obs_rows.T))
         level = joint_v[sl]  # P(v^{1:N}, obs) cascade, truncated top-down
         cascades = [level]
         for i in range(n_len, 1, -1):

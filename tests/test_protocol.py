@@ -1,4 +1,5 @@
 """Protocol tests: planning, round execution, function computation."""
+import json
 from pathlib import Path
 
 import numpy as np
@@ -203,8 +204,9 @@ def test_exchanging_pinned_roles_leaves_tx_block_unchanged():
     src = sample_sources(m, 8, 8, seed=11)
     u_tx_blocks = []
     for plans in (full, partial):
-        tx = TerminalState({"x": src["x"]}, derive_rng(4, 1, 0))
-        rx = TerminalState({"y": src["y"]}, derive_rng(4, 1, 1))
+        # run_round holds blocks trial-last, (N, B)
+        tx = TerminalState({"x": src["x"].T}, derive_rng(4, 1, 0))
+        rx = TerminalState({"y": src["y"].T}, derive_rng(4, 1, 1))
         _, u_tx, _ = run_round(plans[0], tx, [rx], derive_rng(3, 0, 1))
         u_tx_blocks.append(u_tx)
     assert np.array_equal(u_tx_blocks[0], u_tx_blocks[1])
@@ -408,3 +410,65 @@ def test_run_two_terminal_independent_of_the_symbol_dtype():
                                               plans, shared_seed=2, private_seed=3))
                for dtype in (np.uint8, np.uint16, np.int64)]
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("network", ["two-terminal", "collocated"])
+def test_results_keep_their_documented_shapes(network):
+    """The round loop runs trial-last, but a result keeps the trial-first
+    shapes it documents: (B, N) u-blocks, outputs and erasures, (B, |I'|)
+    messages and (t, B) agreement, squeezed to (N,) for (N,) sources (the
+    messages stay (1, |I'|)). The outputs equal compute_function on the
+    trial-first blocks, dtype included."""
+    if network == "two-terminal":
+        m = build_and_chain(AndModelParams(0.4, 0.5, 2))
+        evaluators = {"f_A": ("A", "x"), "f_B": ("B", "y")}
+    else:
+        m = build_collocated_chain(2, [0.5, 0.4])
+        evaluators = {"f": ("sink", None)}
+    n_len, batch = 16, 130
+    plans = plan_protocol(m, n_len, PartitionPolicy(mode="target_rate"), rate_margin=0.1,
+                          profile_method="monte_carlo", profile_samples=64, profile_seed=2)
+    src = sample_sources(m, n_len, batch, seed=6)
+    for shape, lead in (((batch, n_len), (batch,)), ((n_len,), (1,))):
+        blocks = {k: (v if len(shape) == 2 else v[0]) for k, v in src.items()}
+        if network == "two-terminal":
+            res = run_two_terminal(m, blocks["x"], blocks["y"], plans, shared_seed=1,
+                                   private_seed=2)
+        else:
+            res = run_collocated(m, blocks, plans, shared_seed=1, private_seed=2)
+        assert res.agreement.shape == (len(plans),) + lead[:1] and res.agreement.dtype == bool
+        for plan, tr_round in zip(plans, res.transcript.rounds):
+            assert tr_round.messages.shape == lead + (plan.partition.i_prime.size,)
+            assert tr_round.messages.dtype == np.uint8
+        for us in res.u_blocks.values():
+            assert len(us) == len(plans)
+            assert all(u.shape == shape and u.dtype == np.uint8 for u in us)
+        for which, (role, var) in evaluators.items():
+            want, want_erased = compute_function(
+                None if var is None else blocks[var], res.u_blocks[role], m, which)
+            assert res.outputs[which].shape == shape and res.erasures[which].shape == shape
+            assert res.outputs[which].dtype == want.dtype and res.erasures[which].dtype == bool
+            assert np.array_equal(res.outputs[which], want)
+            assert np.array_equal(res.erasures[which], want_erased)
+
+
+def test_transcript_json_packs_every_row():
+    """to_json packs all of a round's messages at once, with the bytes of
+    packing row by row: on strided views, on a zero-bit round, on (|I'|,)
+    single-trial messages and on zero trials."""
+    from polarcomm.protocol import Transcript, TranscriptRound
+
+    rng = np.random.default_rng(3)
+    trial_last = rng.integers(0, 2, (13, 7)).astype(np.uint8)
+    rounds = (
+        TranscriptRound("A->B", 13, trial_last.T),
+        TranscriptRound("B->A", 0, np.zeros((7, 0), np.uint8)),
+        TranscriptRound("A->B", 9, rng.integers(0, 2, (40, 9)).astype(np.uint8)[::4]),
+        TranscriptRound("B->A", 5, rng.integers(0, 2, 5).astype(np.uint8)),
+        TranscriptRound("A->B", 3, np.zeros((0, 3), np.uint8)),
+    )
+    payload = json.loads(Transcript(16, rounds).to_json())
+    for r, got in zip(rounds, payload["rounds"]):
+        want = [np.packbits(row).tobytes().hex() for row in np.atleast_2d(r.messages)]
+        assert got["message_hex"] == want
+    assert payload["rounds"][1]["message_hex"] == [""] * 7

@@ -29,6 +29,8 @@ from polarcomm.sc import (
     _gop,
     _leaf_pairs,
     _cell_index,
+    _policy_pass,
+    _sample_trial_last,
     _uniform_block,
     _union_tables,
     chain_probability,
@@ -316,7 +318,7 @@ def test_stack_pairs_independent_of_consulted_set():
     n_len, batch = 64, 5
     # symbols 0 and 1 fix the bit, so random pushes reach null conditionings
     ch = SymbolChannel(np.array([[0.3, 0.0, 0.2], [0.0, 0.4, 0.1]]))
-    leaves = _leaf_pairs(ch, rng.integers(0, ch.obs_size, (batch, n_len)))
+    leaves = _leaf_pairs(ch, rng.integers(0, ch.obs_size, (n_len, batch)))
     bits = rng.integers(0, 2, (n_len, batch)).astype(np.uint8)
     sparse = {0, 37, n_len - 1} | set(np.flatnonzero(rng.random(n_len) < 0.1).tolist())
     dense_stack, sparse_stack = PairStack(leaves), PairStack(leaves)
@@ -425,7 +427,7 @@ def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     ch = SymbolChannel(random_hard_table(rng, size, tiny))
     assert ch.hard
     obs = rng.integers(0, size, (batch, n_len))
-    support = _leaf_pairs(ch, obs)
+    support = _leaf_pairs(ch, obs.T)
     assert support[0].dtype == bool
     fast, ref = PairStack(support), ReferenceTree(float_leaves(ch, obs))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
@@ -452,7 +454,7 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     ch = SymbolChannel(random_functional_table(rng, size, tiny))
     assert ch.functional
     obs = rng.integers(0, size, (batch, n_len))
-    fast, ref = FunctionalStack(ch, obs), ReferenceTree(float_leaves(ch, obs))
+    fast, ref = FunctionalStack(ch, obs.T), ReferenceTree(float_leaves(ch, obs))
     v_star = fast.v_star.copy()
     pushes = v_star ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -520,7 +522,7 @@ def test_functional_walk_equals_pair_stack_walk(table, monkeypatch):
     rng = np.random.default_rng(14)
     ch = SymbolChannel(np.array(table))
     obs = _observations(rng, ch, 12, 32)
-    assert _check_walks_equal_float_tree(ch, obs, FunctionalStack(ch, obs).v_star.T,
+    assert _check_walks_equal_float_tree(ch, obs, FunctionalStack(ch, obs.T).v_star.T,
                                          monkeypatch) > 0
 
 
@@ -636,7 +638,7 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
     ch = SymbolChannel(table)
     assert ch.hard == hard
     obs = rng.integers(0, size, (batch, n_len))
-    leaf_table, codes = _leaf_pairs(ch, obs)
+    leaf_table, codes = _leaf_pairs(ch, obs.T)
     assert leaf_table.dtype == (bool if hard else np.float64)
     coded = PairStack((leaf_table, codes))
     depth = {1: 3, 2: 2, 3: 2, 148: 0}[size]
@@ -668,9 +670,9 @@ def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
     ch = SymbolChannel(table)
     obs = rng.integers(0, size, (batch, n_len))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T ^ (rng.random((n_len, batch)) < flip)
-    pairs, null = pinned_pairs(ch, obs, v)
+    pairs, null = pinned_pairs(ch, obs.T, v)
     assert pairs.shape == (2, n_len, batch) and null.shape == (n_len, batch)
-    stack = PairStack(_leaf_pairs(ch, obs))
+    stack = PairStack(_leaf_pairs(ch, obs.T))
     for phi in range(n_len):
         want, want_null = stack.pair_at(phi)
         assert np.array_equal(pairs[:, phi].T, want) and np.array_equal(null[phi], want_null)
@@ -747,3 +749,43 @@ def test_walks_independent_of_the_symbol_dtype(table):
         chain_probability(ch, bad, policy, v)
     with pytest.raises(ValueError, match="out of range"):
         sc_conditional(ch, bad[4], [0])
+
+
+@pytest.mark.parametrize("table, functional, hard", [
+    ([[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]], True, True),  # a zero-mass symbol
+    ([[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]], False, True),  # erasure, zero mass
+    ([[0.3, 0.1, 0.05, 0.05], [0.1, 0.2, 0.1, 0.1]], False, False),
+])
+@pytest.mark.parametrize("fd", ["sample", "argmax"])
+def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
+    """sample_sequential and chain_probability are adapters of the trial-last
+    walk: one transpose of the (B, N) inputs in, the (B, N) view of its
+    (N, B) block out. At B = 130 the uniforms come in three slabs, the last
+    one partial; every tag occurs, and (N,) observations are broadcast over
+    the trials."""
+    rng = np.random.default_rng(30)
+    ch = SymbolChannel(np.array(table))
+    assert (ch.functional, ch.hard) == (functional, hard)
+    n_len, batch = 32, 130
+    obs = _observations(rng, ch, batch, n_len).astype(np.uint8)
+    tags = rng.integers(0, 4, n_len).astype(np.uint8)
+    tags[:4] = (UNIFORM_HALF, PRIOR_CONDITIONAL, OBSERVATION_CONDITIONAL, PINNED)
+    pins = rng.integers(0, 2, (batch, n_len)).astype(np.uint8)
+    policy = SamplingPolicy(tags, pins)
+    for public_obs, walk_obs in ((obs, obs.T.copy()), (obs[5], np.repeat(obs[5][:, None], batch, 1))):
+        log, walk_log = AnomalyLog(), AnomalyLog()
+        v = sample_sequential(ch, public_obs, policy, np.random.default_rng(7),
+                              shared_rng=np.random.default_rng(8), fd_mode=fd, anomalies=log)
+        walk_v = _sample_trial_last(ch, walk_obs, tags, pins.T.copy(), np.random.default_rng(7),
+                                    np.random.default_rng(8), fd, walk_log)
+        assert v.shape == (batch, n_len) and v.dtype == np.uint8
+        assert walk_v.shape == (n_len, batch) and walk_v.flags.c_contiguous
+        assert np.array_equal(v, walk_v.T) and log.count == walk_log.count
+        # a pin flipped on some trials drives their chain probability to 0
+        v_flipped = v ^ (rng.random((batch, n_len)) < 0.01)
+        for block in (v, v_flipped):
+            chain = chain_probability(ch, public_obs, policy, block, fd_mode=fd, anomalies=log)
+            _, walk_chain = _policy_pass(ch, walk_obs, tags, pins.T.copy(), fd, walk_log,
+                                         v_block=block.T.copy())
+            assert chain.shape == (batch,) and np.array_equal(chain, walk_chain)
+            assert log.count == walk_log.count

@@ -71,3 +71,33 @@ def test_rejects_non_power_of_two():
 def test_zero_block_fixed_point():
     for n_len in (1, 4, 32):
         assert not apply_transform(np.zeros(n_len, dtype=np.uint8)).any()
+
+
+def test_transform_on_non_contiguous_layouts():
+    """Every layout gives the naive product along the last axis and leaves
+    its input untouched: the (B, N) transposed view of a trial-last (N, B)
+    block, an F-order array, a strided lead-axis slice and 3-D blocks. On
+    the transposed view the butterfly runs on the gather's F-order rows, so
+    the result's .T is C-order (N, B) again, the layout trial-last callers
+    keep."""
+    rng = np.random.default_rng(5)
+    n = 5
+    matrix = naive_transform_matrix(n)
+    trial_last = rng.integers(0, 2, (1 << n, 40)).astype(np.uint8)
+    rows = rng.integers(0, 2, (41, 1 << n)).astype(np.uint8)
+    block = rng.integers(0, 2, (3, 7, 1 << n)).astype(np.uint8)
+    cases = {
+        "transposed view": trial_last.T,
+        "F-order array": np.asfortranarray(rows),
+        "lead-axis slice": rows[3:37:3],
+        "3-D block": block,
+        "3-D block, lead axes swapped": block.transpose(1, 0, 2),
+        "3-D block, all axes reversed": np.ascontiguousarray(block.transpose(2, 1, 0)).T,
+    }
+    for name, bits in cases.items():
+        before = bits.copy()
+        got = apply_transform(bits)
+        assert got.shape == bits.shape and got.dtype == np.uint8, name
+        assert np.array_equal(got, (bits @ matrix) % 2), name
+        assert np.array_equal(bits, before), name
+    assert apply_transform(trial_last.T).T.flags.c_contiguous

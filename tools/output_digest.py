@@ -12,6 +12,9 @@ moved. The cases are
                   t = 2, 4 (AND), m = 2, 3 (collocated); exact and Monte
                   Carlo plans under both partition modes; `sample` and
                   `argmax` F_d decisions; batched and (N,) source blocks;
+                  and, last of all (protocol/.../b130), the Monte Carlo
+                  N = 32 runs of AND t = 2 and collocated m = 2 at 130
+                  trials, whose uniforms span three slabs, the last partial;
   * walk/...      the SC walk on every round's transmitter policy and on a
                   receiver-side policy that pins I' only and draws F_r from
                   the shared stream (fixed tags, so the walk inputs stay
@@ -114,11 +117,12 @@ def _plan_sets(pc, model):
     return out
 
 
-def protocol_cases(pc, model_name, model, label, n_len, plans):
-    sources = pc.sample_sources(model, n_len, 6, 11)
+def protocol_cases(pc, model_name, model, label, n_len, plans, trials=6,
+                   shapes=("batched", "single")):
+    sources = pc.sample_sources(model, n_len, trials, 11)
     for fd in ("sample", "argmax"):
-        for shape in ("batched", "single"):
-            blocks = {k: (v if shape == "batched" else v[0]) for k, v in sources.items()}
+        for shape in shapes:
+            blocks = {k: (v[0] if shape == "single" else v) for k, v in sources.items()}
             if model.network == "two-terminal":
                 res = pc.run_two_terminal(model, blocks["x"], blocks["y"], plans,
                                           shared_seed=3, private_seed=4, fd_policy=fd)
@@ -131,6 +135,18 @@ def protocol_cases(pc, model_name, model, label, n_len, plans):
             for role in sorted(res.u_blocks):
                 parts += [role, *res.u_blocks[role]]
             yield f"protocol/{model_name}/{label}/{fd}/{shape}", _digest(*parts)
+
+
+def wide_protocol_cases(pc):
+    """protocol/.../b130: the Monte Carlo N = 32 runs of both networks at 130
+    trials, whose uniform blocks span three 64-row slabs, the last partial."""
+    models = _models(pc)
+    target = pc.PartitionPolicy(mode="target_rate")
+    for name in ("and-t2", "col-m2"):
+        plans = pc.plan_protocol(models[name], 32, target, rate_margin=0.1,
+                                 profile_method="monte_carlo", profile_samples=64, profile_seed=5)
+        yield from protocol_cases(pc, name, models[name], "mc-n32-target", 32, plans,
+                                  trials=130, shapes=("b130",))
 
 
 def walk_cases(pc, model_name, label, n_len, plans):
@@ -452,6 +468,8 @@ def main(argv=None) -> int:
     for case in coded_cases(pc):
         emit(*case)
     for case in model_cases(pc):
+        emit(*case)
+    for case in wide_protocol_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
