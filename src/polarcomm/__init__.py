@@ -64,7 +64,6 @@ from .sc import (
     SymbolChannel,
     chain_probability,
     sample_sequential,
-    sc_conditional,
 )
 from .transform import apply_transform, bit_reversal_perm
 from .verification import (

@@ -37,11 +37,14 @@ walk copies it only into its uint16 leaf codes.
 The round loop holds every block trial-last, as a C-order (N, B) array whose
 row i is index i of every trial: the source blocks are lifted to that layout
 once, on entry to the loop, and the observations, v- and u-blocks, messages
-and function outputs stay in it up to the decode lookup. The SC walk reads
-and writes whole rows, the message and the receivers' pins are row gathers,
-and G_N runs along the rows of the (B, N) transposed view. Results go out as
-(B, N) transposed views of those arrays: shapes and bytes (`tobytes` is C
-order) are the ones a trial-first loop would give.
+and function outputs stay in it up to the decode lookup. Each SC walk is a
+call of the public `sample_sequential` on the (B, N) transposed views: its
+lift hands the walk the (N, B) arrays themselves, and the .T of its (B, N)
+result is the walk's C-order block, so no copy is made either way. The walk
+reads and writes whole rows, the message and the receivers' pins are row
+gathers, and G_N runs along the rows of the (B, N) transposed view. Results
+go out as (B, N) transposed views of those arrays: shapes and bytes
+(`tobytes` is C order) are the ones a trial-first loop would give.
 """
 from __future__ import annotations
 
@@ -64,13 +67,13 @@ from .reliability import (
 )
 from .sc import (
     AnomalyLog,
+    SamplingPolicy,
     SymbolChannel,
     _cell_index,
     _in_alphabet,
-    _sample_trial_last,
     _split_cells,
     derive_rng,
-    sample_sequential,  # noqa: F401  bench/tracer.py wraps it under this module
+    sample_sequential,
 )
 from .transform import apply_transform
 
@@ -306,17 +309,18 @@ def run_round(
 
     The round runs trial-last: every state's observations and u-blocks are
     (N, B), every returned u-block is (N, B) and the message is the
-    (|I'|, B) row gather of the transmitter's v-block at I'. The transmitter
-    draws F_r from `shared_rng`, the round's common randomness; each
-    receiver pins the copied bits, F_r and I', to the transmitter's, read
-    from the rows of its v-block. Appends the new u-block to every state's
-    history.
+    (|I'|, B) row gather of the transmitter's v-block at I'. Every walk is a
+    `sample_sequential` call on (B, N) transposed views, whose lift and
+    result transpose back without a copy. The transmitter draws F_r from
+    `shared_rng`, the round's common randomness; each receiver pins the
+    copied bits, F_r and I', to the transmitter's, read from the rows of
+    its v-block. Appends the new u-block to every state's history.
     """
     part = plan.partition
-    v_tx = _sample_trial_last(plan.tx_channel,
-                              tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel),
-                              part.tags_for_transmitter(), None, tx_state.private_rng,
-                              shared_rng, fd_policy, anomalies)
+    obs = tx_state.flat_obs(plan.tx_obs_vars, plan.tx_channel)
+    v_tx = sample_sequential(plan.tx_channel, obs.T, SamplingPolicy(part.tags_for_transmitter()),
+                             tx_state.private_rng, shared_rng=shared_rng, fd_mode=fd_policy,
+                             anomalies=anomalies).T
     message = v_tx[part.i_prime]
     # G_N runs along the rows of the (B, N) view; its .T is (N, B) C-order
     u_tx = apply_transform(v_tx.T).T
@@ -324,18 +328,17 @@ def run_round(
 
     # The walk reads pins at the PINNED indices only, the copied ones, so
     # v_tx itself serves as every receiver's pins. A receiver reads nothing
-    # from the shared stream and the walk skips its block there; with None it
-    # would skip a block of the receiver's private stream instead and move
-    # every later round.
-    rx_tags = part.tags_for_receiver()
+    # from the shared stream, yet is given it so that the walk skips its
+    # block there; with none it would skip a block of the receiver's private
+    # stream instead and move every later round.
+    rx_policy = SamplingPolicy(part.tags_for_receiver(), v_tx.T)
     u_rx_all = []
     for rx_state in rx_states:
+        # no side observation (collocated round 1): obs None, the prior
         obs = rx_state.flat_obs(plan.rx_obs_vars, plan.rx_channel)
-        if obs is None:
-            # no side observation (collocated round 1): the "conditional" is the prior
-            obs = np.broadcast_to(np.uint8(0), v_tx.shape)
-        v_rx = _sample_trial_last(plan.rx_channel, obs, rx_tags, v_tx, rx_state.private_rng,
-                                  shared_rng, fd_policy, anomalies)
+        v_rx = sample_sequential(plan.rx_channel, None if obs is None else obs.T, rx_policy,
+                                 rx_state.private_rng, shared_rng=shared_rng,
+                                 fd_mode=fd_policy, anomalies=anomalies).T
         u_rx = apply_transform(v_rx.T).T
         rx_state.u_history.append(u_rx)
         u_rx_all.append(u_rx)

@@ -77,6 +77,11 @@ index waits for another's decision (genie-aided SC, Arikan, "Channel
 polarization", IEEE T-IT 2009): pinned_pairs evaluates every index's root
 pair level by level, with no per-index loop.
 
+Every other walk is _policy_pass, under its two public entries on (N,) or
+(B, N) arrays, sample_sequential (draw) and chain_probability (follow), and
+their one adapter _lift. The (B, N) transposed view of a C-order (N, B)
+array, which the round loop passes, lifts to that array, with no copy.
+
 Null conditioning (a prefix of probability zero given the observation,
 reachable through pinned bits or draws inconsistent with the model, or
 through an observed symbol of zero mass) yields the uniform
@@ -270,76 +275,39 @@ class SamplingPolicy:
     """Per-index sampling tags over [N], with values for the pinned indices.
 
     tags[i] is one of UNIFORM_HALF, PRIOR_CONDITIONAL,
-    OBSERVATION_CONDITIONAL, PINNED. `pinned` carries the bit for every
-    PINNED index (other positions ignored) and may be (N,) or batched (B, N).
+    OBSERVATION_CONDITIONAL, PINNED. `pinned` carries the bit, 0 or 1, of
+    every PINNED index (other positions ignored), (N,) or batched (B, N).
+    Both are checked before the uint8 cast, so nothing wraps into range.
     """
 
     tags: np.ndarray
     pinned: np.ndarray | None = None
 
     def __post_init__(self):
-        tags = np.asarray(self.tags, dtype=np.uint8)
+        tags = np.asarray(self.tags)
         if tags.ndim != 1:
             raise ValueError("tags must be a 1-D vector over [N]")
-        if np.any(tags > PINNED):
+        if not np.all(np.isin(tags, range(PINNED + 1))):
             raise ValueError("unknown sampling tag")
+        tags = tags.astype(np.uint8, copy=False)
         pinned = self.pinned
-        if np.any(tags == PINNED):
+        at = tags == PINNED
+        if np.any(at):
             if pinned is None:
                 raise ValueError("policy has PINNED indices but no pinned bits")
-            pinned = np.asarray(pinned, dtype=np.uint8)
+            pinned = np.asarray(pinned)
             if pinned.shape[-1] != tags.size:
                 raise ValueError("pinned bits must cover [N] along the last axis")
+            bits = pinned[..., at]
+            if np.any((bits != 0) & (bits != 1)):
+                raise ValueError("pinned bits must be 0 or 1 at the PINNED indices")
+            pinned = pinned.astype(np.uint8, copy=False)
         object.__setattr__(self, "tags", tags)
         object.__setattr__(self, "pinned", pinned)
 
     @property
     def size(self) -> int:
         return self.tags.size
-
-    @classmethod
-    def observation_only(cls, n_len: int) -> "SamplingPolicy":
-        return cls(np.full(n_len, OBSERVATION_CONDITIONAL, dtype=np.uint8))
-
-    @classmethod
-    def all_pinned(cls, bits: np.ndarray) -> "SamplingPolicy":
-        bits = np.asarray(bits, dtype=np.uint8)
-        return cls(np.full(bits.shape[-1], PINNED, dtype=np.uint8), bits)
-
-    @classmethod
-    def from_sets(
-        cls,
-        n_len: int,
-        uniform: Sequence[int] = (),
-        prior: Sequence[int] = (),
-        observation: Sequence[int] = (),
-        pinned_at: Sequence[int] = (),
-        pinned_bits: np.ndarray | None = None,
-    ) -> "SamplingPolicy":
-        """Build a policy from disjoint index sets covering [N].
-
-        pinned_bits holds the values for `pinned_at` in that order, shaped
-        (len(pinned_at),) or (B, len(pinned_at)).
-        """
-        tags = np.full(n_len, 255, dtype=np.uint8)
-        for idx, tag in ((uniform, UNIFORM_HALF), (prior, PRIOR_CONDITIONAL),
-                         (observation, OBSERVATION_CONDITIONAL), (pinned_at, PINNED)):
-            idx = np.asarray(idx, dtype=np.intp)
-            if idx.size and np.any(tags[idx] != 255):
-                raise ValueError("index sets overlap")
-            tags[idx] = tag
-        if np.any(tags == 255):
-            raise ValueError("index sets must cover [N]")
-        pinned = None
-        if len(tuple(pinned_at)):
-            if pinned_bits is None:
-                raise ValueError("pinned_at requires pinned_bits")
-            pinned_bits = np.atleast_2d(np.asarray(pinned_bits, dtype=np.uint8))
-            pinned = np.zeros(pinned_bits.shape[:-1] + (n_len,), dtype=np.uint8)
-            pinned[..., np.asarray(pinned_at, dtype=np.intp)] = pinned_bits
-            if pinned.shape[0] == 1:
-                pinned = pinned[0]
-        return cls(tags, pinned)
 
 
 def _normalize(out: np.ndarray) -> None:
@@ -685,33 +653,19 @@ def _trial_last(a: np.ndarray, n_len: int, batch: int, what: str) -> np.ndarray:
     return np.ascontiguousarray(a.T)
 
 
-def _trial_last_obs(ch: SymbolChannel, obs, n_len: int, batch: int) -> np.ndarray:
-    """(N,) or (B, N) observations as trial-last (N, B) symbols of ch,
-    range-checked.
-
-    An unsigned array keeps its dtype, so narrow symbols reach the leaf
-    codes unwidened; any other dtype is cast to intp. Raises ValueError on a
-    wrong shape or a symbol outside [0, ch.obs_size).
-    """
-    obs = np.asarray(obs)
-    if obs.dtype.kind != "u":
-        obs = obs.astype(np.intp)
-    if not _in_alphabet(obs, ch.obs_size):
-        raise ValueError("observation symbol out of range")
-    return _trial_last(obs, n_len, batch, "observations")
-
-
 def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
     """Lift the (N,) or (B, N) inputs of a public entry point to trial-last
     (N, B) arrays, once: the one transpose between the public layout and
-    the walk's.
+    the walk's, which gives the transposed view of a C-order (N, B) array
+    back as that array.
 
     B is the leading size of every batched array among obs, the pinned bits
     and `blocks` (1 if none is batched). A missing observation is symbol 0 at
-    every position, i.e. the prior of an observation-free channel. Returns
-    (batched, obs, pinned, *blocks): pinned is None where the policy has
-    none, and `batched` tells the caller whether to keep the batch axis on
-    the way out.
+    every position, i.e. the prior of an observation-free channel; unsigned
+    symbols keep their dtype, others become intp. Returns (batched, obs,
+    pinned, *blocks): pinned is None where the policy has none, and
+    `batched` tells the caller whether to keep the batch axis on the way
+    out. Raises ValueError on a symbol outside [0, ch.obs_size).
     """
     n_len = policy.size
     sizes = {np.shape(a)[0] for a in (obs, policy.pinned, *blocks)
@@ -723,41 +677,14 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
         if ch.obs_size > 1 and np.any(policy.tags == OBSERVATION_CONDITIONAL):
             raise ValueError("the policy samples the observation conditional but obs is None")
         obs = np.zeros(n_len, dtype=np.uint8)
+    obs = np.asarray(obs)
+    if obs.dtype.kind != "u":
+        obs = obs.astype(np.intp)
+    if not _in_alphabet(obs, ch.obs_size):
+        raise ValueError("observation symbol out of range")
     lifted = [None if bits is None else _trial_last(bits, n_len, batch, "bit blocks")
               for bits in (policy.pinned, *blocks)]
-    return (bool(sizes), _trial_last_obs(ch, obs, n_len, batch), *lifted)
-
-
-def sc_conditional(
-    ch: SymbolChannel,
-    obs: np.ndarray,
-    prefix: Sequence[int],
-    *,
-    anomalies: AnomalyLog | None = None,
-) -> np.ndarray:
-    """Exact pair (P(V^i=0 | prefix, obs), P(V^i=1 | prefix, obs)).
-
-    i = len(prefix) + 1; obs is the length-N observation block. Equals the
-    marginalization of the blocklength joint prod_j P(u_j, o_j) 1(u = v G_N)
-    over all completions of the prefix. On a zero-probability prefix the
-    uniform pair is returned and `anomalies`, when given, is bumped.
-    """
-    obs = np.asarray(obs)
-    if obs.ndim != 1:
-        raise ValueError("obs must be a length-N vector")
-    n_len = obs.size
-    if n_len <= 0 or n_len & (n_len - 1):
-        raise ValueError(f"block length must be a power of two, got {n_len}")
-    prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
-    if prefix.size >= n_len:
-        raise ValueError("prefix must be shorter than the block")
-    stack = PairStack(_leaf_pairs(ch, _trial_last_obs(ch, obs, n_len, 1)))
-    for phi in range(prefix.size):
-        stack.push(phi, prefix[phi : phi + 1])
-    pair, null = stack.pair_at(prefix.size)
-    if anomalies is not None:
-        anomalies.add(null.sum())
-    return pair[0]
+    return (bool(sizes), _trial_last(obs, n_len, batch, "observations"), *lifted)
 
 
 def _policy_pass(
@@ -859,33 +786,6 @@ def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool 
     return block
 
 
-def _sample_trial_last(
-    ch: SymbolChannel,
-    obs: np.ndarray,
-    tags: np.ndarray,
-    pinned: np.ndarray | None,
-    rng: np.random.Generator,
-    shared_rng: np.random.Generator | None,
-    fd_mode: str,
-    anomalies: AnomalyLog | None,
-) -> np.ndarray:
-    """sample_sequential on trial-last inputs: the (N, B) v-block drawn at
-    the (N, B) observations obs under `tags`, with the (N, B) pins `pinned`
-    read at the PINNED indices (None where there are none).
-
-    Both streams give one (B, N) uniform block, held as (N, B); a block no
-    index reads is skipped, not kept (sample_sequential states the rule).
-    """
-    n_len, batch = obs.shape
-    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
-    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
-    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
-                              keep=bool(np.any(tags == UNIFORM_HALF)))
-    v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,
-                              uniforms=(private_u, shared_u))
-    return v_block
-
-
 def sample_sequential(
     ch: SymbolChannel,
     obs,
@@ -907,14 +807,20 @@ def sample_sequential(
     shared one when no index is UNIFORM_HALF, the private one when none is
     OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL.
     Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
-    transposed view of the walk's trial-last block.
+    transposed view of the walk's C-order (N, B) block.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
     """
     batched, obs, pinned = _lift(ch, obs, policy)
-    v_block = _sample_trial_last(ch, obs, policy.tags, pinned, rng, shared_rng, fd_mode,
-                                 anomalies)
+    n_len, batch = obs.shape
+    tags = policy.tags
+    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
+    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
+    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
+                              keep=bool(np.any(tags == UNIFORM_HALF)))
+    v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,
+                              uniforms=(private_u, shared_u))
     return v_block.T if batched else v_block[:, 0]
 
 

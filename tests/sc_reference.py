@@ -1,15 +1,58 @@
-"""An uncoded SC tree for the tests: PairStack's definition without its codes.
+"""Test references for the SC engine.
 
-ReferenceTree holds (2, 2^lam, B) float or bool pairs at every level and
+ReferenceTree is an uncoded SC tree: PairStack's definition without its
+codes. It holds (2, 2^lam, B) float or bool pairs at every level and
 recomputes every level at every consulted index, with no stamps and no
 partial-sum state: the partial sums a g node reads are rebuilt from the
 pushed bits each time. It shares only the pair ops (_fop, _gop, _normalize,
 _root_pairs) with the library, which fix the arithmetic that PairStack's
 results must equal bit for bit.
+
+conditional_pair reads one index's exact conditional pair off the public
+chain_probability, for tests that compare the engine with an oracle.
 """
 import numpy as np
 
-from polarcomm.sc import _fop, _gop, _normalize, _root_pairs
+from polarcomm.sc import (
+    OBSERVATION_CONDITIONAL,
+    PINNED,
+    UNIFORM_HALF,
+    AnomalyLog,
+    SamplingPolicy,
+    _fop,
+    _gop,
+    _normalize,
+    _root_pairs,
+    chain_probability,
+)
+
+
+def conditional_pair(ch, obs, prefix, anomalies=None) -> np.ndarray:
+    """The pair (P(V^i = 0 | prefix, obs), P(V^i = 1 | prefix, obs)) at the
+    length-N observation block obs, i = len(prefix) < N; uniform where the
+    prefix has probability zero, and then `anomalies`, when given, is bumped.
+
+    It is the chain probability of the blocks prefix, b, 0, ... under the
+    policy that pins the prefix, samples index i from the observation
+    conditional and every later index uniformly, times 2^(N - i - 1): the
+    pins contribute factors 1 and the uniform indices exact halves, so the
+    pair comes out bit for bit as the walk forms it at index i.
+    """
+    obs = np.asarray(obs)
+    n_len = obs.shape[-1]
+    prefix = np.asarray(prefix, dtype=np.uint8).reshape(-1)
+    i = prefix.size
+    tags = np.full(n_len, UNIFORM_HALF, dtype=np.uint8)
+    tags[:i] = PINNED
+    tags[i] = OBSERVATION_CONDITIONAL
+    blocks = np.zeros((2, n_len), dtype=np.uint8)
+    blocks[:, :i] = prefix
+    blocks[:, i] = (0, 1)
+    log = AnomalyLog()
+    chain = chain_probability(ch, obs, SamplingPolicy(tags, blocks[0]), blocks, anomalies=log)
+    if anomalies is not None:
+        anomalies.add(log.count // 2)  # both rows walk the same prefix, so each null counts twice
+    return chain * 2.0 ** (n_len - i - 1)
 
 
 def partial_sums(bits: np.ndarray) -> np.ndarray:

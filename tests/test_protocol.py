@@ -413,6 +413,45 @@ def test_run_two_terminal_independent_of_the_symbol_dtype():
 
 
 @pytest.mark.parametrize("network", ["two-terminal", "collocated"])
+def test_every_walk_goes_through_sample_sequential(network, monkeypatch):
+    """Every SC walk of a run is a call of the public sample_sequential that
+    the protocol module looks up, so wrapping it there, as an outside-in
+    tracer does, sees one transmitter and one walk per receiver each round,
+    and the wrapper changes no result byte."""
+    import polarcomm.protocol as protocol
+
+    if network == "two-terminal":
+        m = build_and_chain(AndModelParams(0.3, 0.6, 4))
+    else:
+        m = build_collocated_chain(3, [0.5, 0.4, 0.7])
+    plans = plan_protocol(m, 16, PartitionPolicy(mode="threshold", delta=0.2),
+                          profile_method="monte_carlo", profile_samples=64, profile_seed=2)
+    src = sample_sources(m, 16, 5, seed=8)
+
+    def run():
+        if network == "two-terminal":
+            return run_two_terminal(m, src["x"], src["y"], plans, shared_seed=1, private_seed=2)
+        return run_collocated(m, src, plans, shared_seed=1, private_seed=2)
+
+    want = _result_bytes(run())
+    calls = []
+    walk = protocol.sample_sequential
+
+    def counted(*args, **kwargs):
+        calls.append(args[2].tags)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "sample_sequential", counted)
+    assert _result_bytes(run()) == want
+    parties = 2 if network == "two-terminal" else len(m.source_vars) + 1  # the sink
+    assert len(plans) >= 2 and len(calls) == len(plans) * parties  # 1 + (parties - 1)
+    for k, plan in enumerate(plans):
+        assert np.array_equal(calls[k * parties], plan.partition.tags_for_transmitter())
+        for tags in calls[k * parties + 1 : (k + 1) * parties]:
+            assert np.array_equal(tags, plan.partition.tags_for_receiver())
+
+
+@pytest.mark.parametrize("network", ["two-terminal", "collocated"])
 def test_results_keep_their_documented_shapes(network):
     """The round loop runs trial-last, but a result keeps the trial-first
     shapes it documents: (B, N) u-blocks, outputs and erasures, (B, |I'|)

@@ -28,19 +28,18 @@ from polarcomm.sc import (
     _fop,
     _gop,
     _leaf_pairs,
+    _lift,
     _cell_index,
     _policy_pass,
-    _sample_trial_last,
     _uniform_block,
     _union_tables,
     chain_probability,
     pinned_pairs,
     sample_sequential,
-    sc_conditional,
 )
 from polarcomm.transform import apply_transform, bit_reversal_perm
 
-from sc_reference import ReferenceTree
+from sc_reference import ReferenceTree, conditional_pair
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,7 +80,7 @@ def and_round2_channel(p=0.5, q=0.5):
 def test_base_case_n1():
     ch = and_round1_channel(0.3, 0.6)
     for x in (0, 1):
-        pair = sc_conditional(ch, np.array([x]), [])
+        pair = conditional_pair(ch, np.array([x]), [])
         cond = ch.table[:, x] / ch.table[:, x].sum()
         assert np.abs(pair - cond).max() < 1e-15
 
@@ -101,7 +100,7 @@ def test_sc_conditional_matches_oracle_all_prefixes_n4():
                 if total <= 0:
                     continue
                 prefix = [(prefix_int >> (i - 1 - k)) & 1 for k in range(i)]
-                got = sc_conditional(ch, obs, prefix)
+                got = conditional_pair(ch, obs, prefix)
                 worst = max(worst, np.abs(got - level[prefix_int] / total).max())
     assert worst < 1e-10
 
@@ -116,10 +115,10 @@ def test_trivial_observation_equals_prior_chain():
     n_len = 8
     v = rng.integers(0, 2, n_len).astype(np.uint8)
     for i in range(n_len):
-        via_prior = sc_conditional(prior, np.zeros(n_len, dtype=int), v[:i])
+        via_prior = conditional_pair(prior, np.zeros(n_len, dtype=int), v[:i])
         # channel whose observation carries no information about u
         flat = SymbolChannel(np.outer(table.sum(axis=1), [0.2, 0.3, 0.5]))
-        via_flat = sc_conditional(flat, rng.integers(0, 3, n_len), v[:i])
+        via_flat = conditional_pair(flat, rng.integers(0, 3, n_len), v[:i])
         assert np.abs(via_prior - via_flat).max() < 1e-12
 
 
@@ -127,7 +126,7 @@ def test_sample_all_pinned_returns_pins():
     ch = and_round1_channel()
     rng = np.random.default_rng(1)
     bits = rng.integers(0, 2, 8).astype(np.uint8)
-    policy = SamplingPolicy.all_pinned(bits)
+    policy = SamplingPolicy(np.full(bits.size, PINNED), bits)
     out = sample_sequential(ch, rng.integers(0, 2, 8), policy, rng)
     assert np.array_equal(out, bits)
 
@@ -153,7 +152,7 @@ def test_sample_law_matches_conditional_n2():
     obs = np.array([1, 0])
     joint = oracle_joint_v(ch.table, obs)
     law = joint / joint.sum()
-    policy = SamplingPolicy.observation_only(n_len)
+    policy = SamplingPolicy(np.full(n_len, OBSERVATION_CONDITIONAL))
     out = sample_sequential(ch, np.broadcast_to(obs, (trials, n_len)), policy,
                             np.random.default_rng(5))
     counts = np.bincount(out[:, 0] * 2 + out[:, 1], minlength=4)
@@ -167,10 +166,11 @@ def test_chain_probability_examples():
     n_len = 4
     bits = np.array([1, 0, 1, 1], dtype=np.uint8)
     obs = np.array([0, 1, 1, 0])
-    assert chain_probability(ch, obs, SamplingPolicy.all_pinned(bits), bits) == 1.0
+    all_pinned = SamplingPolicy(np.full(n_len, PINNED), bits)
+    assert chain_probability(ch, obs, all_pinned, bits) == 1.0
     mismatch = bits.copy()
     mismatch[2] ^= 1
-    assert chain_probability(ch, obs, SamplingPolicy.all_pinned(bits), mismatch) == 0.0
+    assert chain_probability(ch, obs, all_pinned, mismatch) == 0.0
     uniform = SamplingPolicy(np.full(n_len, UNIFORM_HALF, dtype=np.uint8))
     assert chain_probability(ch, obs, uniform, bits) == 0.5**n_len
 
@@ -180,7 +180,7 @@ def test_chain_probability_sums_to_one():
     ch = and_round2_channel(0.35, 0.55)
     n_len = 4
     policies = [
-        SamplingPolicy.observation_only(n_len),
+        SamplingPolicy(np.full(n_len, OBSERVATION_CONDITIONAL)),
         SamplingPolicy(np.array([UNIFORM_HALF, PRIOR_CONDITIONAL,
                                  OBSERVATION_CONDITIONAL, PRIOR_CONDITIONAL],
                                 dtype=np.uint8)),
@@ -196,7 +196,7 @@ def test_chain_probability_sums_to_one():
 
 
 def test_chain_rule_against_oracle():
-    """prod_i sc_conditional equals the exact block conditional, N=8."""
+    """prod_i conditional_pair equals the exact block conditional, N=8."""
     rng = np.random.default_rng(7)
     table = rng.random((2, 2))
     table /= table.sum()
@@ -210,7 +210,7 @@ def test_chain_rule_against_oracle():
         want = joint[v_int] / joint.sum()
         got = 1.0
         for i in range(n_len):
-            got *= sc_conditional(ch, obs, v[:i])[v[i]]
+            got *= conditional_pair(ch, obs, v[:i])[v[i]]
         assert abs(got - want) < 1e-9
 
 
@@ -222,7 +222,7 @@ def test_pairs_are_valid_pmfs():
     for _ in range(20):
         obs = rng.integers(0, 4, 8)
         prefix = rng.integers(0, 2, rng.integers(0, 8)).astype(np.uint8)
-        pair = sc_conditional(ch, obs, prefix)
+        pair = conditional_pair(ch, obs, prefix)
         assert pair.min() >= -1e-15
         assert abs(pair.sum() - 1.0) < 1e-10
 
@@ -233,7 +233,7 @@ def test_null_conditioning_returns_uniform_and_flags():
     n_len = 4
     obs = np.zeros(n_len, dtype=int)  # x-block all zero forces v-block all zero
     log = AnomalyLog()
-    pair = sc_conditional(ch, obs, [1], anomalies=log)
+    pair = conditional_pair(ch, obs, [1], anomalies=log)
     assert log.count == 1
     assert np.array_equal(pair, [0.5, 0.5])
 
@@ -267,7 +267,33 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         SamplingPolicy(np.array([PINNED], dtype=np.uint8))  # pins missing
     with pytest.raises(ValueError):
-        SamplingPolicy.from_sets(2, uniform=[0], prior=[0], observation=[1])
+        SamplingPolicy(np.array([[UNIFORM_HALF, PINNED]]), np.array([0, 1]))  # tags not 1-D
+
+
+def test_policy_checks_tags_and_pins_before_the_cast():
+    """A tag or a pinned bit out of range is rejected, not wrapped or
+    truncated into range by the uint8 cast: tag 256 would read as
+    UNIFORM_HALF, pin 2 would reach the v-block and pin 3.7 would become 3.
+    Positions that are not PINNED may hold anything; uint8 pins are kept
+    as given."""
+    tags = np.array([UNIFORM_HALF, PINNED, OBSERVATION_CONDITIONAL, PINNED])
+    for bad in (256, -1, 4, 2.5):
+        with pytest.raises(ValueError, match="unknown sampling tag"):
+            SamplingPolicy(np.array([OBSERVATION_CONDITIONAL, bad]))
+    for bad in (2, 3.7, -1, 255, np.nan):
+        for pins in (np.array([0.0, bad, 0.0, 1.0]), np.array([[0, 1, 0, 1], [0, 1, 0, bad]])):
+            with pytest.raises(ValueError, match="pinned bits must be 0 or 1"):
+                SamplingPolicy(tags, pins)
+    pins = np.array([[7, 1, 9, 0], [300, 0, -3, 1]])
+    policy = SamplingPolicy(tags, pins)
+    assert policy.tags.dtype == np.uint8 and policy.pinned.dtype == np.uint8
+    assert np.array_equal(policy.pinned[:, [1, 3]], [[1, 0], [0, 1]])
+    pins = np.array([[0, 1, 5, 0]], dtype=np.uint8)
+    assert SamplingPolicy(tags, pins).pinned is pins
+    ch = and_round1_channel()
+    v = sample_sequential(ch, np.array([[0, 1, 1, 0]]), SamplingPolicy(tags, pins),
+                          np.random.default_rng(3))
+    assert np.array_equal(v[:, [1, 3]], [[1, 0]]) and set(v.ravel().tolist()) <= {0, 1}
 
 
 def _check_walk_golden(name):
@@ -336,7 +362,7 @@ def test_stack_pairs_independent_of_consulted_set():
 
 def test_chain_probability_rejects_non_binary_blocks():
     ch = and_round1_channel()
-    policy = SamplingPolicy.observation_only(4)
+    policy = SamplingPolicy(np.full(4, OBSERVATION_CONDITIONAL))
     obs = np.array([0, 1, 1, 0])
     with pytest.raises(ValueError):
         chain_probability(ch, obs, policy, np.array([0, 2, 1, 0]))
@@ -484,7 +510,7 @@ def _check_walks_equal_float_tree(ch, obs, pinned, monkeypatch):
     pins = pinned ^ (rng.random((batch, n_len)) < 0.03).astype(np.uint8)
     tags = rng.integers(0, 4, n_len).astype(np.uint8)
     policies = [SamplingPolicy(tags, pins), SamplingPolicy(tags, pins[5]),
-                SamplingPolicy.observation_only(n_len)]
+                SamplingPolicy(np.full(n_len, OBSERVATION_CONDITIONAL))]
 
     def walks():
         return [(_walk(ch, ob, policy, fd), chain_probability(ch, ob, policy, star, fd_mode=fd))
@@ -685,7 +711,7 @@ def test_sc_conditional_rejects_out_of_range_symbols():
     ch = SymbolChannel(np.array([[0.4, 0.15], [0.05, 0.4]]))
     for obs in ([2, 0, 0, 0], [-1, 0, 0, 0], [7, 7, 7, 7]):
         with pytest.raises(ValueError, match="observation symbol out of range"):
-            sc_conditional(ch, obs, [0])
+            conditional_pair(ch, obs, [0])
 
 
 @pytest.mark.parametrize("size", [1, 2, 4, 64, 65, 256])
@@ -748,7 +774,7 @@ def test_walks_independent_of_the_symbol_dtype(table):
     with pytest.raises(ValueError, match="out of range"):
         chain_probability(ch, bad, policy, v)
     with pytest.raises(ValueError, match="out of range"):
-        sc_conditional(ch, bad[4], [0])
+        conditional_pair(ch, bad[4], [0])
 
 
 @pytest.mark.parametrize("table, functional, hard", [
@@ -759,10 +785,10 @@ def test_walks_independent_of_the_symbol_dtype(table):
 @pytest.mark.parametrize("fd", ["sample", "argmax"])
 def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
     """sample_sequential and chain_probability are adapters of the trial-last
-    walk: one transpose of the (B, N) inputs in, the (B, N) view of its
-    (N, B) block out. At B = 130 the uniforms come in three slabs, the last
-    one partial; every tag occurs, and (N,) observations are broadcast over
-    the trials."""
+    walk _policy_pass: one transpose of the (B, N) inputs in, the (B, N) view
+    of its (N, B) block out, with the uniforms of one (B, N) draw per stream.
+    At B = 130 the uniforms come in three slabs, the last one partial; every
+    tag occurs, and (N,) observations are broadcast over the trials."""
     rng = np.random.default_rng(30)
     ch = SymbolChannel(np.array(table))
     assert (ch.functional, ch.hard) == (functional, hard)
@@ -776,8 +802,10 @@ def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
         log, walk_log = AnomalyLog(), AnomalyLog()
         v = sample_sequential(ch, public_obs, policy, np.random.default_rng(7),
                               shared_rng=np.random.default_rng(8), fd_mode=fd, anomalies=log)
-        walk_v = _sample_trial_last(ch, walk_obs, tags, pins.T.copy(), np.random.default_rng(7),
-                                    np.random.default_rng(8), fd, walk_log)
+        uniforms = tuple(_uniform_block(np.random.default_rng(seed), batch, n_len)
+                         for seed in (7, 8))
+        walk_v, _ = _policy_pass(ch, walk_obs, tags, pins.T.copy(), fd, walk_log,
+                                 uniforms=uniforms)
         assert v.shape == (batch, n_len) and v.dtype == np.uint8
         assert walk_v.shape == (n_len, batch) and walk_v.flags.c_contiguous
         assert np.array_equal(v, walk_v.T) and log.count == walk_log.count
@@ -789,3 +817,34 @@ def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
                                          v_block=block.T.copy())
             assert chain.shape == (batch,) and np.array_equal(chain, walk_chain)
             assert log.count == walk_log.count
+
+
+def test_lift_of_trial_last_views_makes_no_copy():
+    """The (B, N) transposed views of C-order (N, B) observations, pins and
+    blocks lift to those arrays themselves, and the .T of sample_sequential's
+    (B, N) result is C-order: a caller that holds its data trial-last, as
+    the round loop does, pays no transpose copy. The walk drawn that way
+    equals the one drawn from C-order (B, N) copies."""
+    rng = np.random.default_rng(33)
+    ch = SymbolChannel(np.array([[0.3, 0.1, 0.05], [0.1, 0.2, 0.25]]))
+    n_len, batch = 16, 7
+    obs = np.ascontiguousarray(rng.integers(0, ch.obs_size, (n_len, batch)), dtype=np.uint8)
+    pins = np.ascontiguousarray(rng.integers(0, 2, (n_len, batch)), dtype=np.uint8)
+    tags = rng.integers(0, 4, n_len).astype(np.uint8)
+    tags[:4] = (UNIFORM_HALF, PRIOR_CONDITIONAL, OBSERVATION_CONDITIONAL, PINNED)
+    policy = SamplingPolicy(tags, pins.T)
+    assert np.shares_memory(policy.pinned, pins)
+    batched, lifted_obs, lifted_pins, lifted_v = _lift(ch, obs.T, policy, pins.T)
+    assert batched
+    for lifted, held in ((lifted_obs, obs), (lifted_pins, pins), (lifted_v, pins)):
+        assert lifted.shape == (n_len, batch) and np.shares_memory(lifted, held)
+    unobserved = np.where(tags == OBSERVATION_CONDITIONAL, PRIOR_CONDITIONAL, tags)
+    _, lifted_obs, lifted_pins = _lift(ch, None, SamplingPolicy(unobserved, pins.T))
+    assert lifted_obs.shape == (n_len, batch) and np.shares_memory(lifted_pins, pins)
+    v = sample_sequential(ch, obs.T, policy, np.random.default_rng(1),
+                          shared_rng=np.random.default_rng(2))
+    assert v.shape == (batch, n_len) and v.T.flags.c_contiguous
+    copied = SamplingPolicy(tags, pins.T.copy())
+    want = sample_sequential(ch, obs.T.copy(), copied, np.random.default_rng(1),
+                             shared_rng=np.random.default_rng(2))
+    assert np.array_equal(v, want)

@@ -71,3 +71,17 @@ def test_summary_flags_differing_digests_and_failures(bench_pairs):
     assert "  DIGESTS DIFFER: parent ['aaaa1111'], change ['bbbb2222']" in text.splitlines()
     assert "  change: 2 of 20 operations failed  <-- FAILURES" in text.splitlines()
     assert "  parent: 0 of 20 operations failed" in text.splitlines()
+
+
+def test_output_digest_walk_cases_run_on_the_library():
+    """The digest tool's functional and erasure walk cases run against the
+    library's public SC API and yield one sha256 hex digest per case, under
+    distinct names."""
+    import polarcomm
+
+    digest = _load("output_digest")
+    cases = [*digest.functional_walk_cases(polarcomm), *digest.erasure_walk_cases(polarcomm)]
+    assert len(cases) == 204 and len({name for name, _ in cases}) == 204
+    for name, value in cases:
+        assert name.startswith(("walk/functional/", "walk/erasure/"))
+        assert len(value) == 64 and set(value) <= set("0123456789abcdef")

@@ -199,7 +199,8 @@ def functional_walk_cases(pc):
         pinned = v_star.copy()  # rows 2 and 3 pin against v* mid-block
         pinned[2, at[at.size // 2]] ^= 1
         pinned[3, at[-1]] ^= 1
-        policies = (("observation", pc.SamplingPolicy.observation_only(n_len)),
+        policies = (("observation",
+                     pc.SamplingPolicy(np.full(n_len, pc.sc.OBSERVATION_CONDITIONAL))),
                     ("mixed", pc.SamplingPolicy(mixed, pinned)))
         for pol_name, policy in policies:
             for fd in ("sample", "argmax"):
@@ -263,7 +264,8 @@ def erasure_walk_cases(pc, channels=None, prefix="walk/erasure", seed=41):
             pinned = v_drawn.copy()  # rows 2 and 3 pin against the drawn block
             pinned[2, at[0]] ^= 1
             pinned[3, at[-1]] ^= 1
-            policies = (("observation", pc.SamplingPolicy.observation_only(n_len)),
+            policies = (("observation",
+                         pc.SamplingPolicy(np.full(n_len, pc.sc.OBSERVATION_CONDITIONAL))),
                         ("prior", pc.SamplingPolicy(np.full(n_len, pc.sc.PRIOR_CONDITIONAL))),
                         ("mixed", pc.SamplingPolicy(mixed, pinned)))
             for pol_name, policy in policies:
