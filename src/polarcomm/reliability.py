@@ -30,6 +30,8 @@ from .sc import (
     UNIFORM_HALF,
     SymbolChannel,
     _cell_index,
+    _pack,
+    _pinned_root,
     _split_cells,
     derive_rng,
     pinned_pairs,
@@ -234,8 +236,15 @@ def profile_monte_carlo(
     (N, chunk), as the SC walk reads them.
 
     Since v is known up front, each chunk of `chunk` samples evaluates every
-    index's root pair level by level (`sc.pinned_pairs`), on supports where
-    the channel is hard; there is no per-index loop.
+    index's root pair level by level (`sc.pinned_pairs`); there is no
+    per-index loop. On a hard channel the tree runs on packed supports, 64
+    samples per uint64 word, and every sample's statistic is exactly 0.0 (a
+    singleton support) or 1.0 (both bits, or the empty support of a null
+    conditioning, whose uniform fallback gives 1.0 too). So each index adds
+    the popcount of the roots that are not singletons, ~(s0 ^ s1) with the
+    last word's padding masked off, to both sums: an exact integer, as
+    every partial sum of the float route's 0.0s and 1.0s is, so z and
+    stderr are bit for bit that route's.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -254,10 +263,18 @@ def profile_monte_carlo(
         cells = np.ascontiguousarray(_cell_index(cum, x).T)
         u_cells, obs = _split_cells(cells, ch.obs_size)
         v_rows = apply_transform(u_cells.T).T
-        pair, _ = pinned_pairs(ch, obs, v_rows)
-        stat = 2.0 * np.sqrt(pair[0] * pair[1])
-        acc += stat.sum(axis=1)
-        acc_sq += (stat * stat).sum(axis=1)
+        if ch.hard:
+            (s0, s1), _ = _pinned_root(ch, obs, v_rows)
+            spread = np.bitwise_xor(s0, s1)
+            np.bitwise_not(spread, out=spread)
+            spread &= _pack(np.ones(x.shape[0], bool))
+            total = total_sq = np.bitwise_count(spread).sum(axis=1)
+        else:
+            pair, _ = pinned_pairs(ch, obs, v_rows)
+            stat = 2.0 * np.sqrt(pair[0] * pair[1])
+            total, total_sq = stat.sum(axis=1), (stat * stat).sum(axis=1)
+        acc += total
+        acc_sq += total_sq
     z = acc / samples
     if samples > 1:
         var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)

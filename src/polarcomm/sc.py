@@ -14,63 +14,80 @@ pairs push partial sums (v_odd xor v_even, v_even) down the tree. Every node
 pair is renormalized after each combine, so no log domain is needed at the
 target blocklengths.
 
-The tree is stored batch last: level lam holds a (2, 2^lam, B) array, so one
-node's B rows are contiguous. It is evaluated lazily, as in simplified SC
-decoding (Alamdar-Yazdi and Kschischang, IEEE Commun. Lett. 2011): a node
-block is computed only when an index that reads it asks for its root pair,
-so a walk pays for a stack only at the indices whose tag consults it. A
-block that no consulted index reads is never computed, and no other index
-reads it (PairStack states the rule).
+The tree is stored batch last: level lam holds a (2, 2^lam, B) array, or
+(2, 2^lam, W) packed words (below), so one node's B rows are contiguous. It
+is evaluated lazily, as in simplified SC decoding (Alamdar-Yazdi and
+Kschischang, IEEE Commun. Lett. 2011): a node block is computed only when
+an index that reads it asks for its root pair, so a walk pays for a stack
+only at the indices whose tag consults it. A block that no consulted index
+reads is never computed, and no other index reads it (PairStack states the
+rule).
 
-Near the leaves a level's pairs take few distinct values, so those levels
-are held as codes into exact pair tables, a bit-exact cousin of Fast-SSC's
-skipped nodes (Sarkis et al., IEEE JSAC 2014). A leaf is one of the K_n
-columns of the leaf table U_n (K_n = 1 for an observation-free prior) and
-its code is the observed symbol. A level-lam node is f of two children or g
-of two children and a partial sum, so its pair lies in the union table
-U_lam = f(U_(lam+1) x U_(lam+1)) ++ g(U_(lam+1) x U_(lam+1) x {0, 1}) of
-K_lam = 3 K_(lam+1)^2 entries: an f node is coded l K + r and a g node
-K^2 + 2 (l K + r) + s, with l and r its children's codes, K = K_(lam+1) and
-s its partial sum. Every level whose table has at most 2^16 entries is held
-as a (2^lam, B) uint16 array; the lowest level above them gathers its
-children's pairs from the top table and runs the float or bool ops. That
-rule is written once, in _new_level, _level_step and _root_finish, and
-serves both PairStack and pinned_pairs, as _partial_sums serves both for
-the partial sums. K_n = 1
-codes three levels (tables of 3, 27 and 2187 entries), K_n = 2..7 two,
-K_n = 8..147 one and K_n >= 148 none. This is exact: each table entry is
-computed once, by the same _fop / _gop / _normalize elementwise IEEE ops
-(multiply, add, max, divide, xor on bit patterns) on the same operand
-values as the tree would apply to the node, and the gather copies it
-unchanged, so every pair the tree holds, and every root pair, draw, chain
-factor and null count, is bit for bit the uncoded tree's.
+Near the leaves a float tree's pairs take few distinct values, so those
+levels are held as codes into exact pair tables, a bit-exact cousin of
+Fast-SSC's skipped nodes (Sarkis et al., IEEE JSAC 2014). A leaf is one of
+the K_n columns of the leaf table U_n (K_n = 1 for an observation-free
+prior) and its code is the observed symbol. A level-lam node is f of two
+children or g of two children and a partial sum, so its pair lies in the
+union table U_lam = f(U_(lam+1) x U_(lam+1)) ++ g(U_(lam+1) x U_(lam+1) x
+{0, 1}) of K_lam = 3 K_(lam+1)^2 entries: an f node is coded l K + r and a
+g node K^2 + 2 (l K + r) + s, with l and r its children's codes,
+K = K_(lam+1) and s its partial sum. Every level whose table has at most
+2^16 entries is held as a (2^lam, B) uint16 array; the lowest level above
+them gathers its children's pairs from the top table and runs the float
+ops. K_n = 1 codes three levels (tables of 3, 27 and 2187 entries),
+K_n = 2..7 two, K_n = 8..147 one and K_n >= 148 none. This is exact: each
+table entry is computed once, by the same _fop / _gop / _normalize
+elementwise IEEE ops (multiply, add, max, divide, xor on bit patterns) on
+the same operand values as the tree would apply to the node, and the
+gather copies it unchanged, so every pair the tree holds, and every root
+pair, draw, chain factor and null count, is bit for bit the uncoded
+tree's.
 
 On a hard channel (SymbolChannel.hard: every observation column holds at
 most one positive entry, or two exactly equal ones, and every positive
-entry squared is still positive) the tree runs on supports: bool leaves
-(entry > 0), products AND, sums OR, no normalization; the root support
-maps to (1, 0), (0, 1) or (1/2, 1/2), and an empty support is the flagged
-null pair. This is exact. A float leaf pair is (a, 0), (0, a), (a, a) or
-(0, 0). The first combine of two such leaves multiplies positive entries
-into at least the squared smallest entry, which the property requires to
-be positive, and both entries of a pair come out as the same rounded
-product or the same sum of two equal ones, so the float node is (x, 0),
-(0, x), (x, x) or (0, 0) with x > 0 exactly where its support says. Since
-x / x = 1 and x / (x + x) = 1/2 in IEEE arithmetic, normalization turns it
-into the normalized indicator of its support, and every later combine
-works on entries 0, 1/2 and 1 with products at least 1/4. So every float
-pair the tree would hold, the root included, is exactly the normalized
-indicator of the support the bool tree holds, and draws (u < q1), argmax
-decisions, chain factors q[bit] and null counts are bit for bit the same.
-The level ops (_fop, _gop) are written once: on bool arrays numpy's
-* is AND and + is OR.
+entry squared is still positive) the tree runs on supports: a leaf's
+support is {u : entry > 0}, products are AND, sums OR, and there is no
+normalization; the root support maps to (1, 0), (0, 1) or (1/2, 1/2), and
+an empty support is the flagged null pair. This is exact. A float leaf
+pair is (a, 0), (0, a), (a, a) or (0, 0). The first combine of two such
+leaves multiplies positive entries into at least the squared smallest
+entry, which the property requires to be positive, and both entries of a
+pair come out as the same rounded product or the same sum of two equal
+ones, so the float node is (x, 0), (0, x), (x, x) or (0, 0) with x > 0
+exactly where its support says. Since x / x = 1 and x / (x + x) = 1/2 in
+IEEE arithmetic, normalization turns it into the normalized indicator of
+its support, and every later combine works on entries 0, 1/2 and 1 with
+products at least 1/4. So every float pair the tree would hold, the root
+included, is exactly the normalized indicator of the support the support
+tree holds, and draws (u < q1), argmax decisions, chain factors q[bit] and
+null counts are bit for bit the same.
+
+A support pair has four values, one bit per entry, so a support tree
+packs its trials: every level, the leaves and the partial sums are uint64
+words, 64 trials per word (trial b at bit b % 64 of word b // 64, the
+inter-frame packing of fast software polar decoders: Le Gal, Leroux and
+Jego, IEEE T-SP 2015), and the pair ops are bitwise: f is
+(l0 & r0 | l1 & r1, l1 & r0 | l0 & r1), and g swaps l0 and l1 under the
+packed partial sums and ANDs with r. It needs no codes and no union
+tables. Only the root's two rows are unpacked into bool supports.
+
+The level rule is written once, in _new_level, _level_step and
+_root_finish, and serves both PairStack and pinned_pairs, as
+_partial_sums serves both for the partial sums: packed words on a support
+tree (a bool leaf table), codes then float pairs on a float tree. The pair
+ops (_fop, _gop) are written once too, and pick AND / OR or multiply /
+add by the dtype of the level they write.
 
 Where the bit is moreover a function of the observation (no column with two
 positive entries, SymbolChannel.functional), every support is a single bit
 or empty, and the walk uses FunctionalStack instead of any tree: the root
 pair at index i is the indicator of v*_i, where v* = G_N(u*(obs)) is the
 one block of positive mass, while the pushed prefix agrees with v* and no
-observed symbol has zero mass, and null otherwise.
+observed symbol has zero mass, and null otherwise. A draw from that
+indicator is u < 1.0 or u < 0.0, so where no trial is null the walk copies
+v*_i and reads no uniform; a walk whose draws are all of this kind never
+draws its private uniform block (sample_sequential).
 
 A Monte Carlo profile pins the walk to a block v it knows in advance, so no
 index waits for another's decision (genie-aided SC, Arikan, "Channel
@@ -95,6 +112,7 @@ SymbolChannel owns that layout.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -315,25 +333,34 @@ def _normalize(out: np.ndarray) -> None:
 
     A zero total means both entries are +0: dividing by the smallest
     subnormal keeps them 0 and leaves every positive total unchanged.
-    Supports (bool) are not normalized.
+    Supports (packed words) are not normalized.
     """
-    if out.dtype == bool:
+    if out.dtype == np.uint64:
         return
     total = out[0] + out[1]
     np.maximum(total, 5e-324, out=total)
     np.divide(out, total, out=out)
 
 
+def _products(out: np.ndarray) -> tuple:
+    """(product, sum) of the pair ops for out's dtype: AND and OR on packed
+    support words, multiply and add on float pairs."""
+    if out.dtype == np.uint64:
+        return np.bitwise_and, np.bitwise_or
+    return np.multiply, np.add
+
+
 def _fop(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """Check-node combine out = f(left, right) of (2, ...) pairs, normalized.
 
-    out[b] = left[b] right[0] + left[1 - b] right[1]. On bool supports the
-    products are AND and the sums OR, which is the same code.
+    out[b] = left[b] right[0] + left[1 - b] right[1], with the products AND
+    and the sums OR on packed supports.
     """
-    np.multiply(left[0], right[0], out=out[0])
-    out[0] += left[1] * right[1]
-    np.multiply(left[1], right[0], out=out[1])
-    out[1] += left[0] * right[1]
+    mul, add = _products(out)
+    mul(left[0], right[0], out=out[0])
+    add(out[0], mul(left[1], right[1]), out=out[0])
+    mul(left[1], right[0], out=out[1])
+    add(out[1], mul(left[0], right[1]), out=out[1])
     _normalize(out)
 
 
@@ -341,18 +368,19 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
     """Bit-node combine out = g(left, right) given the partial sums `low`.
 
     out = (left[low], left[1 - low]) * right, normalized. The swap selects
-    on the bit patterns, which is exact for either dtype and several times
-    faster than np.where on a mask without pattern.
+    on the bit patterns, which is exact for float pairs and several times
+    faster than np.where on a mask without pattern; on packed supports the
+    packed partial sums are the swap mask themselves.
     """
-    word = np.uint8 if out.dtype == bool else np.uint64
-    swap = np.negative(low, dtype=word)  # 0 or all ones
-    l0, l1 = left[0].view(word), left[1].view(word)
+    packed = out.dtype == np.uint64
+    swap = low if packed else np.negative(low, dtype=np.uint64)  # 0 or all ones
+    l0, l1 = left[0].view(np.uint64), left[1].view(np.uint64)
     diff = np.bitwise_xor(l0, l1)
     diff &= swap
-    bits = out.view(word)
+    bits = out.view(np.uint64)
     np.bitwise_xor(l0, diff, out=bits[0])
     np.bitwise_xor(l1, diff, out=bits[1])
-    out *= right
+    _products(out)[0](out, right, out=out)
     _normalize(out)
 
 
@@ -377,9 +405,11 @@ def _union_table(table: np.ndarray) -> np.ndarray:
 
 def _union_tables(leaf_table: np.ndarray, n: int) -> list:
     """[U_n, U_(n-1), ...]: the leaf table, then each level's union table
-    while it has at most CODE_LIMIT entries, up to the root U_0."""
+    while it has at most CODE_LIMIT entries, up to the root U_0. A support
+    table (bool) has none: its tree is held as packed words."""
     tables = [leaf_table]
-    while len(tables) <= n and 3 * tables[-1].shape[1] ** 2 <= CODE_LIMIT:
+    while (leaf_table.dtype != bool and len(tables) <= n
+           and 3 * tables[-1].shape[1] ** 2 <= CODE_LIMIT):
         tables.append(_union_table(tables[-1]))
     return tables
 
@@ -415,16 +445,57 @@ def _root_pairs(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pair, null
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """(..., B) bits (bool or 0/1) as (..., W) uint64 words, W = ceil(B/64):
+    trial b at bit b % 8 of byte b // 8, which is bit b % 64 of word b // 64
+    on a little-endian host, and the padding bits of the last word 0. Every
+    op on the words is bitwise, so the layout needs no particular host."""
+    batch = bits.shape[-1]
+    out = np.zeros(bits.shape[:-1] + (-(-batch // 64) * 8,), np.uint8)
+    out[..., : -(-batch // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return out.view(np.uint64)
+
+
+def _unpack(words: np.ndarray, batch: int) -> np.ndarray:
+    """The (..., B) bool bits of (..., W) words packed by _pack."""
+    return np.unpackbits(words.view(np.uint8), axis=-1, count=batch,
+                         bitorder="little").view(bool)
+
+
+def _supports(tables: list) -> bool:
+    """Whether the tree of these tables runs on packed supports."""
+    return tables[0].dtype == bool
+
+
+def _leaf_level(tables: list, codes: np.ndarray) -> np.ndarray:
+    """Level n from the (N, B) leaf codes: the codes themselves, or on
+    supports the packed (2, N, W) words of the leaf supports."""
+    if _supports(tables):
+        return _pack(np.take(tables[0], codes, axis=1))
+    return codes
+
+
+def _decided(tables: list, bits: np.ndarray) -> np.ndarray:
+    """(..., B) decided bits as the tree holds partial sums: packed words
+    on supports, uint8 otherwise."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    return _pack(bits) if _supports(tables) else bits
+
+
 def _new_level(tables: list, depth: int, shape: tuple) -> np.ndarray:
     """An empty level lam = n - depth whose nodes fill shape (..., 2^lam, B).
 
-    This is the level rule, decided here only: the level is held as uint16
-    codes into its union table tables[depth] while that table exists (see
-    _union_tables), else as (2,) + shape pairs of the leaf table's dtype.
-    Nodes sit on the second-to-last axis, so a PairStack's one block and
-    pinned_pairs' row of blocks share _level_step and _root_finish, which
-    read the rule off the arrays they are given.
+    This is the level rule, decided here only: a support tree (a bool leaf
+    table) holds every level as (2,) + shape uint64 words with the B trials
+    packed into W = ceil(B/64) (_pack); a float tree holds the level as
+    uint16 codes into its union table tables[depth] while that table exists
+    (see _union_tables), else as (2,) + shape float pairs. Nodes sit on the
+    second-to-last axis, so a PairStack's one block and pinned_pairs' row
+    of blocks share _level_step and _root_finish, which read the rule off
+    the arrays they are given.
     """
+    if _supports(tables):
+        return np.empty((2,) + shape[:-1] + (-(-shape[-1] // 64),), np.uint64)
     if depth < len(tables):
         return np.empty(shape, np.uint16)
     return np.empty((2,) + shape, tables[0].dtype)
@@ -434,9 +505,10 @@ def _level_step(tables: list, depth: int, child: np.ndarray, low, out: np.ndarra
     """Write level `depth` into out from its child level: node j combines
     child nodes 2j and 2j + 1 by f where low is None and by g on the
     partial sums low otherwise. A coded out gets codes (_encode); an out of
-    pairs reads pairs, gathered from the top table tables[-1] when the child
-    is still coded (it has one axis fewer). Returns the child as read, so a
-    caller stepping a level's f and g halves gathers it once."""
+    pairs or words reads pairs or words, gathered from the top table
+    tables[-1] when the child is still coded (it has one axis fewer).
+    Returns the child as read, so a caller stepping a level's f and g
+    halves gathers it once."""
     if out.dtype == np.uint16:
         _encode(child[..., 0::2, :], child[..., 1::2, :], tables[depth - 1].shape[1], low, out)
         return child
@@ -450,10 +522,13 @@ def _level_step(tables: list, depth: int, child: np.ndarray, low, out: np.ndarra
     return child
 
 
-def _root_finish(root: np.ndarray, tables: list) -> tuple[np.ndarray, np.ndarray]:
-    """_root_pairs of level 0: gathered from U_0 when the tree is coded up
-    to the root, and normalized when the root is a leaf (N = 1)."""
-    if root.dtype.kind in "ui":
+def _root_finish(root: np.ndarray, tables: list, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """_root_pairs of level 0 for B = batch trials: unpacked to bool
+    supports on a support tree, gathered from U_0 when a float tree is
+    coded up to the root, and normalized when that root is a leaf (N = 1)."""
+    if _supports(tables):
+        root = _unpack(root, batch)
+    elif root.dtype.kind in "ui":
         root = np.take(tables[-1], root, axis=1)
         if len(tables) == 1:
             _normalize(root)
@@ -461,9 +536,10 @@ def _root_finish(root: np.ndarray, tables: list) -> tuple[np.ndarray, np.ndarray
 
 
 def _partial_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The partial sums (a ^ b, b) of two sibling blocks (..., 2^lam, B) of
-    decided bits, interleaved: a_j ^ b_j at node 2j and b_j at 2j + 1."""
-    out = np.empty(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]), np.uint8)
+    """The partial sums (a ^ b, b) of two sibling blocks (..., 2^lam, C) of
+    decided bits, interleaved: a_j ^ b_j at node 2j and b_j at 2j + 1. They
+    keep a's dtype, uint8 bits or packed words (C = W)."""
+    out = np.empty(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]), a.dtype)
     np.bitwise_xor(a, b, out=out[..., 0::2, :])
     out[..., 1::2, :] = b
     return out
@@ -476,11 +552,15 @@ class PairStack:
     called at any subset of those indices, each before push(i). Built from
     leaves = (table, codes) as `_leaf_pairs` gives them: leaf j of row b
     holds the pair table[:, codes[j, b]] of the (2, K) table, float joint
-    pairs or bool supports (a hard channel; the whole tree then runs on
-    supports). Level n is the (N, B) leaf codes, level 0 the root, and each
-    level between is held as the level rule (_new_level) says: codes near
-    the leaves, pairs above. Pairs that condition on a zero-probability
-    event stay (0, 0) and are reported through the null mask of pair_at.
+    pairs or bool supports (a hard channel). Level n is the leaf level
+    (_leaf_level), level 0 the root, and each level between is held as the
+    level rule (_new_level) says: on supports every level, the leaves and
+    the partial sums are packed uint64 words, 64 trials per word (push
+    packs its bits, and pair_at unpacks only the root's two rows); on float
+    pairs the leaf level is the (N, B) codes, the levels near it codes too,
+    pairs above. Pairs that condition on a zero-probability event stay
+    (0, 0) (an empty support) and are reported through the null mask of
+    pair_at.
 
     Evaluation is lazy. The level-lam block that index phi reads is the one
     as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
@@ -509,8 +589,9 @@ class PairStack:
         self.n = n_len.bit_length() - 1
         self.tables = _union_tables(table, self.n)  # tables[d] is U_(n-d)
         self.levels = [_new_level(self.tables, self.n - lam, (1 << lam, batch))
-                       for lam in range(self.n)] + [codes]
-        self.low = [np.zeros((1 << lam, batch), dtype=np.uint8) for lam in range(self.n)]
+                       for lam in range(self.n)] + [_leaf_level(self.tables, codes)]
+        self.low = [_decided(self.tables, np.zeros((1 << lam, batch), dtype=np.uint8))
+                    for lam in range(self.n)]
         self.stamps = [-1] * self.n
         self._next = 0
 
@@ -524,7 +605,7 @@ class PairStack:
                 low = self.low[lam] if phi >> lam & 1 else None
                 _level_step(self.tables, self.n - lam, self.levels[lam + 1], low, self.levels[lam])
                 self.stamps[lam] = stamp
-        pair, null = _root_finish(self.levels[0][..., 0, :], self.tables)
+        pair, null = _root_finish(self.levels[0][..., 0, :], self.tables, self.batch)
         return pair.T, null
 
     def push(self, phi: int, bits: np.ndarray) -> None:
@@ -532,7 +613,7 @@ class PairStack:
         if phi != self._next:
             raise ValueError(f"indices must be pushed in order; expected {self._next}")
         self._next = phi + 1
-        cur = np.asarray(bits, dtype=np.uint8).reshape(1, self.batch)
+        cur = _decided(self.tables, bits).reshape(1, -1)
         lam, j = 0, phi
         while (j & 1) and lam < self.n:
             cur = _partial_sums(self.low[lam], cur)
@@ -540,6 +621,31 @@ class PairStack:
             j >>= 1
         if lam < self.n:
             self.low[lam][...] = cur
+
+
+def _pinned_root(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
+    """(root, tables): level 0 of the walk pinned to the (N, B) block v at
+    the (N, B) observations obs, every index's root node as the level rule
+    holds it, (2, N, W) words on supports, and the tree's tables
+    (pinned_pairs)."""
+    n_len, batch = v.shape
+    n = n_len.bit_length() - 1
+    table, codes = _leaf_pairs(ch, obs)
+    tables = _union_tables(table, n)
+    level = _leaf_level(tables, codes)
+    sums = [_decided(tables, v)]  # sums[lam]: per 2^lam-block partial sums
+    for lam in range(n - 1):
+        prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, -1)
+        sums.append(_partial_sums(prev[:, 0], prev[:, 1]).reshape(n_len, -1))
+    for lam in range(n - 1, -1, -1):
+        blocks = n_len >> (lam + 1)
+        low = sums[lam].reshape(blocks, 2, 1 << lam, -1)[:, 0]
+        child = level.reshape(level.shape[:-2] + (blocks, 2 << lam, level.shape[-1]))
+        out = _new_level(tables, n - lam, (blocks, 2, 1 << lam, batch))
+        child = _level_step(tables, n - lam, child, None, out[..., 0, :, :])
+        _level_step(tables, n - lam, child, low, out[..., 1, :, :])
+        level = out.reshape(out.shape[:-4] + (n_len, out.shape[-1]))
+    return level, tables
 
 
 def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
@@ -553,26 +659,12 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     (_new_level, _level_step) with blocks on the third-to-last axis; block h
     is f of block h >> 1 of level lam + 1 when h is even and g of it when h
     is odd, on the partial sums of v[(h-1) 2^lam, h 2^lam), which are built
-    once per level by _partial_sums, as push builds them. Returns the
-    (2, N, B) float pairs, uniform where null, and the (N, B) null mask.
+    once per level by _partial_sums, as push builds them (packed words on
+    supports). Returns the (2, N, B) float pairs, uniform where null, and
+    the (N, B) null mask.
     """
-    n_len, batch = v.shape
-    n = n_len.bit_length() - 1
-    table, level = _leaf_pairs(ch, obs)
-    tables = _union_tables(table, n)
-    sums = [np.asarray(v, dtype=np.uint8)]  # sums[lam]: per 2^lam-block partial sums
-    for lam in range(n - 1):
-        prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, batch)
-        sums.append(_partial_sums(prev[:, 0], prev[:, 1]).reshape(n_len, batch))
-    for lam in range(n - 1, -1, -1):
-        blocks = n_len >> (lam + 1)
-        low = sums[lam].reshape(blocks, 2, 1 << lam, batch)[:, 0]
-        child = level.reshape(level.shape[:-2] + (blocks, 2 << lam, batch))
-        out = _new_level(tables, n - lam, (blocks, 2, 1 << lam, batch))
-        child = _level_step(tables, n - lam, child, None, out[..., 0, :, :])
-        _level_step(tables, n - lam, child, low, out[..., 1, :, :])
-        level = out.reshape(out.shape[:-4] + (n_len, batch))
-    return _root_finish(level, tables)
+    root, tables = _pinned_root(ch, obs, v)
+    return _root_finish(root, tables, v.shape[1])
 
 
 class FunctionalStack:
@@ -627,11 +719,12 @@ def _stack_for(ch: SymbolChannel, obs: np.ndarray):
 
 
 def _leaf_pairs(ch: SymbolChannel, obs: np.ndarray) -> tuple:
-    """(table, codes): the (2, K) leaf table, the joint pairs or their
-    supports (bool) where the channel is hard, and the (N, B) leaf codes,
-    the realized (N, B) observations themselves, as C-order uint16 where K
-    allows. Observations held trial-last already are cast row by row, with
-    no transpose; narrow (uint8) ones are widened only in this copy.
+    """(table, codes): the (2, K) leaf table, the joint pairs or, where the
+    channel is hard, their supports (bool), which make the tree a packed
+    support tree (_new_level); and the (N, B) leaf codes, the realized
+    (N, B) observations themselves, as C-order uint16 where K allows.
+    Observations held trial-last already are cast row by row, with no
+    transpose; narrow (uint8) ones are widened only in this copy.
 
     An observation-free channel's codes are a read-only broadcast of 0.
     """
@@ -707,15 +800,20 @@ def _policy_pass(
     in `tags`: the observation stack's pair on OBSERVATION_CONDITIONAL, the
     prior stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the
     indicator of its more likely bit), 1/2 on UNIFORM_HALF and the indicator
-    of the pinned bit on PINNED. An indicator law is held as its bit. Given
-    `uniforms` the walk draws bit = u < q1, with the shared block on
-    UNIFORM_HALF, and copies the bit of an indicator law; given `v_block`
-    it follows those bits and multiplies the chain probability by q[bit] (1
-    or 0 for an indicator law). Returns ((N, B) v_block, chain), chain None
-    when drawing. A stack exists only if the tags consult it; it is
-    evaluated only at the indices whose tag consults it, and every decided
-    bit is pushed to every stack. A functional channel's stack is a
-    FunctionalStack and a hard channel's a support tree (`_stack_for`).
+    of the pinned bit on PINNED. An indicator law is held as its bit, and
+    so is a FunctionalStack's law, the indicator of v*[phi], at an index
+    where it flags no trial null. Given `uniforms` the walk draws
+    bit = u < q1, with the shared block on UNIFORM_HALF, and copies the bit
+    of an indicator law, which is what u < 1.0 or u < 0.0 gives, so such an
+    index reads no uniform; the private block may be a _DeferredBlock,
+    drawn only if some index reads it. Given `v_block` the walk follows
+    those bits and multiplies the chain probability by q[bit] (1 or 0 for
+    an indicator law). Returns ((N, B) v_block, chain), chain None when
+    drawing. A stack exists only if the tags consult it; it is evaluated
+    only at the indices whose tag consults it, and every decided bit is
+    pushed to every stack. A functional channel's stack is a
+    FunctionalStack and a hard channel's a packed support tree
+    (`_stack_for`).
     """
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
@@ -728,6 +826,7 @@ def _policy_pass(
     if np.any(tags == PRIOR_CONDITIONAL):
         stacks[PRIOR_CONDITIONAL] = _stack_for(ch.prior(), obs)
 
+    functional = {tag for tag, stack in stacks.items() if isinstance(stack, FunctionalStack)}
     chain = None
     if v_block is None:
         private_u, shared_u = uniforms
@@ -739,8 +838,9 @@ def _policy_pass(
         point = None  # the bit of an indicator law
         if tag in stacks:
             pair, null = stacks[tag].pair_at(phi)
+            nulls = int(null.sum())
             if anomalies is not None:
-                anomalies.add(null.sum())
+                anomalies.add(nulls)
             q0, q1 = pair[:, 0], pair[:, 1]
             if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
                 point = (q1 > q0).astype(np.uint8)
@@ -750,7 +850,9 @@ def _policy_pass(
             point = pinned[phi]
         if chain is None:
             bits = point
-            if bits is None:
+            if bits is None and tag in functional and not nulls:  # v*[phi] on every trial
+                bits = q1.astype(np.uint8)
+            elif bits is None:
                 u = shared_u if tag == UNIFORM_HALF else private_u
                 bits = (u[phi] < q1).astype(np.uint8)
             v_block[phi] = bits
@@ -786,6 +888,27 @@ def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool 
     return block
 
 
+class _DeferredBlock:
+    """_uniform_block(rng, B, N), drawn only when first indexed.
+
+    rng itself is advanced past the block at once (_uniform_block with
+    keep=False), so every later draw from it is as if the block had been
+    drawn; the block is drawn from a copy of rng's state as it was, so it
+    holds the same doubles.
+    """
+
+    def __init__(self, rng: np.random.Generator, batch: int, n_len: int):
+        self._rng = copy.deepcopy(rng)
+        self._shape = (batch, n_len)
+        self._block = None
+        _uniform_block(rng, batch, n_len, keep=False)
+
+    def __getitem__(self, key):
+        if self._block is None:
+            self._block = _uniform_block(self._rng, *self._shape)
+        return self._block[key]
+
+
 def sample_sequential(
     ch: SymbolChannel,
     obs,
@@ -802,10 +925,14 @@ def sample_sequential(
     `rng`); PRIOR_CONDITIONAL samples P(V^i | v^{1:i-1}) with no observation;
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
     copies the given bit. Both streams are consumed as one (B, N) uniform
-    block up front, so outputs are reproducible for a fixed seed regardless
-    of the tag layout. A block no index reads is skipped, not kept: the
-    shared one when no index is UNIFORM_HALF, the private one when none is
-    OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL.
+    block up front, private then shared, so outputs are reproducible for a
+    fixed seed regardless of the tag layout. A block no trial reads is
+    skipped, not kept: the shared one when no index is UNIFORM_HALF. The
+    private one is kept when a tree (PairStack) serves some drawing index,
+    OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL;
+    otherwise every draw is a FunctionalStack's, which copies v*[phi] on
+    each trial not flagged null, and the block is deferred
+    (_DeferredBlock), drawn only if a null trial reaches a drawing index.
     Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
     transposed view of the walk's C-order (N, B) block.
 
@@ -815,8 +942,12 @@ def sample_sequential(
     batched, obs, pinned = _lift(ch, obs, policy)
     n_len, batch = obs.shape
     tags = policy.tags
-    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
-    private_u = _uniform_block(rng, batch, n_len, keep=bool(np.any(drawn)))
+    # only a tree's draws are sure to read the private block (_stack_for)
+    tree_drawn = (np.any(tags == OBSERVATION_CONDITIONAL) and not ch.functional
+                  or fd_mode == "sample" and np.any(tags == PRIOR_CONDITIONAL)
+                  and not ch.prior().functional)
+    private_u = (_uniform_block(rng, batch, n_len) if tree_drawn
+                 else _DeferredBlock(rng, batch, n_len))
     shared_u = _uniform_block(shared_rng or rng, batch, n_len,
                               keep=bool(np.any(tags == UNIFORM_HALF)))
     v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,

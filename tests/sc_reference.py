@@ -1,7 +1,7 @@
 """Test references for the SC engine.
 
 ReferenceTree is an uncoded SC tree: PairStack's definition without its
-codes. It holds (2, 2^lam, B) float or bool pairs at every level and
+codes or packed words. It holds (2, 2^lam, B) float pairs at every level and
 recomputes every level at every consulted index, with no stamps and no
 partial-sum state: the partial sums a g node reads are rebuilt from the
 pushed bits each time. It shares only the pair ops (_fop, _gop, _normalize,
@@ -10,6 +10,7 @@ results must equal bit for bit.
 
 conditional_pair reads one index's exact conditional pair off the public
 chain_probability, for tests that compare the engine with an oracle.
+random_hard_table draws the tables on which the SC tree runs on supports.
 """
 import numpy as np
 
@@ -96,3 +97,15 @@ class ReferenceTree:
 
     def push(self, phi: int, bits) -> None:
         self.bits[phi] = bits
+
+
+def random_hard_table(rng, size, tiny=0):
+    """A (2, size) table whose columns hold one positive entry, two equal
+    ones or none, with entries down to about 10^-tiny."""
+    table = np.zeros((2, size))
+    kind = rng.integers(0, 4, size)  # 0, 1: that row only; 2: both rows; 3: none
+    value = rng.random(size) * 10.0 ** -rng.integers(0, tiny + 1, size)
+    table[0] = np.where((kind == 0) | (kind == 2), value, 0.0)
+    table[1] = np.where((kind == 1) | (kind == 2), value, 0.0)
+    table[:, 0] = 1.0  # keep some mass, in an erasure column
+    return table / table.sum()

@@ -19,7 +19,7 @@ from polarcomm.reliability import (
 from polarcomm.sc import PINNED, SymbolChannel, derive_rng
 from polarcomm.transform import apply_transform
 
-from sc_reference import ReferenceTree
+from sc_reference import ReferenceTree, random_hard_table
 
 
 def channels(model, round_index, tx_vars, rx_vars):
@@ -338,3 +338,35 @@ def test_serialization_roundtrip():
     payload = json.loads(part.to_json())
     assert sorted(payload) == ["F_d", "F_r", "I", "I_prime", "N"]
     assert payload["N"] == 4
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hard_profiles_count_what_the_float_route_sums(seed, monkeypatch):
+    """On random hard tables (erasure columns, zero-mass symbols, entries
+    down to 1e-150, and the uniform prior of a 1-column table), the packed
+    popcount route gives the float route's z and stderr bytes, the latter
+    run with SymbolChannel.hard switched off: at 1, 63, 65 and 100 samples
+    in chunks of 64, so chunks end inside a word, on one, and past it."""
+    rng = np.random.default_rng(seed)
+    channels = [SymbolChannel(random_hard_table(rng, size, tiny))
+                for size, tiny in ((1, 0), (2, 0), (3, 150), (5, 0))]
+    assert all(ch.hard for ch in channels)
+    runs = [(ch, n_len, samples) for ch in channels for n_len in (1, 2, 16)
+            for samples in (1, 63, 65, 100)]
+
+    def profiles():
+        return [profile_monte_carlo(ch, n_len, samples, (seed, n_len, samples), chunk=64)
+                for ch, n_len, samples in runs]
+
+    def float_route(*args):
+        raise AssertionError("a hard channel's profile took the float route")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(reliability, "pinned_pairs", float_route)
+        fast = profiles()
+    monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
+    ref = profiles()
+    for got, want in zip(fast, ref):
+        assert got.z.tobytes() == want.z.tobytes()
+        assert got.stderr.tobytes() == want.stderr.tobytes()
+    assert any(0.0 < z < 1.0 for prof in fast for z in prof.z)  # not all 0 or 1

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polarcomm import sc
 from polarcomm.models import AndModelParams, build_and_chain
 from polarcomm.sc import (
     OBSERVATION_CONDITIONAL,
@@ -25,6 +26,7 @@ from polarcomm.sc import (
     SamplingPolicy,
     CODE_LIMIT,
     SymbolChannel,
+    _DeferredBlock,
     _fop,
     _gop,
     _leaf_pairs,
@@ -39,7 +41,7 @@ from polarcomm.sc import (
 )
 from polarcomm.transform import apply_transform, bit_reversal_perm
 
-from sc_reference import ReferenceTree, conditional_pair
+from sc_reference import ReferenceTree, conditional_pair, random_hard_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -421,18 +423,6 @@ def test_hard_classification():
         assert ch.functional and ch.hard
 
 
-def random_hard_table(rng, size, tiny=0):
-    """A (2, size) table whose columns hold one positive entry, two equal
-    ones or none, with entries down to about 10^-tiny."""
-    table = np.zeros((2, size))
-    kind = rng.integers(0, 4, size)  # 0, 1: that row only; 2: both rows; 3: none
-    value = rng.random(size) * 10.0 ** -rng.integers(0, tiny + 1, size)
-    table[0] = np.where((kind == 0) | (kind == 2), value, 0.0)
-    table[1] = np.where((kind == 1) | (kind == 2), value, 0.0)
-    table[:, 0] = 1.0  # keep some mass, in an erasure column
-    return table / table.sum()
-
-
 def draw_supported_bits(rng, ch, obs):
     """u bits, one from the support of each observed column (0 where empty)."""
     support = ch.table > 0
@@ -440,22 +430,37 @@ def draw_supported_bits(rng, ch, obs):
     return one.astype(np.uint8)
 
 
+# batch sizes on both sides of a 64-trial word, up to three words
+BATCHES = st.sampled_from([1, 2, 3, 4, 5, 63, 64, 65, 130])
+
+
+def assert_packed_levels(stack, batch):
+    """The packed rule: every level of a support tree, the leaves included,
+    is (2, 2^lam, ceil(B/64)) uint64 words, and so is every partial sum
+    row (2^lam, ceil(B/64)); there are no codes and no union tables."""
+    words = -(-batch // 64)
+    assert len(stack.tables) == 1 and stack.tables[0].dtype == bool
+    for lam, level in enumerate(stack.levels):
+        assert level.dtype == np.uint64 and level.shape == (2, 1 << lam, words)
+    for lam, low in enumerate(stack.low):
+        assert low.dtype == np.uint64 and low.shape == (1 << lam, words)
+
+
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=st.integers(1, 5),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=BATCHES,
        size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
        tiny=st.sampled_from([0, 150]))
 def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
-    """On a hard channel the bool support tree gives the uncoded float tree's
-    pairs, pair for pair and null for null, at random consulted indices
-    under pushes of drawn blocks with random flips."""
+    """On a hard channel the packed support tree gives the uncoded float
+    tree's pairs, pair for pair and null for null, at random consulted
+    indices under pushes of drawn blocks with random flips."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     ch = SymbolChannel(random_hard_table(rng, size, tiny))
     assert ch.hard
     obs = rng.integers(0, size, (batch, n_len))
-    support = _leaf_pairs(ch, obs.T)
-    assert support[0].dtype == bool
-    fast, ref = PairStack(support), ReferenceTree(float_leaves(ch, obs))
+    fast, ref = PairStack(_leaf_pairs(ch, obs.T)), ReferenceTree(float_leaves(ch, obs))
+    assert_packed_levels(fast, batch)
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     pushes = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -621,6 +626,67 @@ def test_unread_private_block_is_skipped(bit_generator):
     assert np.array_equal(v, other)
 
 
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+def test_deferred_block_is_the_block_it_skips(bit_generator):
+    """_DeferredBlock leaves rng where _uniform_block leaves it, and when
+    read holds the doubles _uniform_block would have drawn, also from a
+    stream holding a buffered 32-bit half."""
+    for buffered in (False, True):
+        rng, ref = np.random.Generator(bit_generator(4)), np.random.Generator(bit_generator(4))
+        if buffered:
+            for gen in (rng, ref):
+                gen.integers(0, 10, dtype=np.int32)
+        deferred = _DeferredBlock(rng, 130, 8)
+        want = _uniform_block(ref, 130, 8)
+        assert rng.random() == ref.random()
+        assert np.array_equal(deferred[3], want[3]) and np.array_equal(deferred[:], want)
+
+
+def test_functional_draws_read_no_private_block(monkeypatch):
+    """Draws that all copy a FunctionalStack's v* on live trials draw no
+    private block, and still leave the stream where a (B, N) draw leaves
+    it; once trials die, on a zero-mass symbol or off v* after a shared
+    draw, the block is drawn when first read. Either way the bits and
+    anomaly counts equal the float-tree walk's."""
+    ch = SymbolChannel(np.array([[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]]))
+    n_len, batch = 32, 70
+    rng = np.random.default_rng(17)
+    obs = rng.choice([0, 1, 2], (batch, n_len))
+    v_star = FunctionalStack(ch, obs.T).v_star.T
+    dead = obs.copy()
+    dead[4, 9] = 3  # a zero-mass symbol
+    mixed = np.full(n_len, OBSERVATION_CONDITIONAL, np.uint8)
+    mixed[::5] = UNIFORM_HALF
+    kept = []
+    real = sc._uniform_block
+
+    def spy(gen, b, n, keep=True):
+        kept.append(keep)
+        return real(gen, b, n, keep)
+
+    def walks():
+        out = []
+        for ob, tags in ((obs, np.full(n_len, OBSERVATION_CONDITIONAL)), (dead, mixed)):
+            kept.clear()
+            log, stream = AnomalyLog(), np.random.default_rng(5)
+            v = sample_sequential(ch, ob, SamplingPolicy(tags), stream,
+                                  shared_rng=np.random.default_rng(6), anomalies=log)
+            out.append((v, log.count, stream.random(), list(kept)))
+        return out
+
+    monkeypatch.setattr(sc, "_uniform_block", spy)
+    fast = walks()
+    ref_stream = np.random.default_rng(5)
+    ref_stream.random((batch, n_len))
+    (v, count, after, keeps), (_, dead_count, _, dead_keeps) = fast
+    assert np.array_equal(v, v_star) and count == 0 and after == ref_stream.random()
+    assert keeps == [False, False]  # private skipped, no UNIFORM_HALF: shared skipped
+    assert dead_count > 0 and dead_keeps.count(True) == 2  # shared, then the private read
+    monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
+    for (v, count, after, _), (v_r, count_r, after_r, _) in zip(fast, walks()):
+        assert np.array_equal(v, v_r) and count == count_r and after == after_r
+
+
 def test_union_table_sizes():
     """|U_lam| = 3 |U_(lam+1)|^2 while it is at most 2^16, up to the root;
     entry l K + r is f and K^2 + 2 (l K + r) + s is g on partial sum s."""
@@ -652,12 +718,13 @@ def random_float_table(rng, size, zeros):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2, 3, 6]),
-       batch=st.integers(1, 4), size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
+       batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
        flip=st.sampled_from([0.0, 0.05, 0.3]))
 def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
-    """PairStack, coded near the leaves, gives the uncoded tree's pairs, pair
-    for pair and null for null, at random consulted indices under pushes of
-    drawn blocks with random flips, on float tables and on supports."""
+    """PairStack, coded near the leaves on float tables and packed on
+    supports, gives the uncoded float tree's pairs, pair for pair and null
+    for null, at random consulted indices under pushes of drawn blocks with
+    random flips."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
@@ -667,10 +734,14 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
     leaf_table, codes = _leaf_pairs(ch, obs.T)
     assert leaf_table.dtype == (bool if hard else np.float64)
     coded = PairStack((leaf_table, codes))
-    depth = {1: 3, 2: 2, 3: 2, 148: 0}[size]
-    # min(depth, n) uint16 levels sit right below the leaves, pairs above
-    assert [lvl.dtype == np.uint16 for lvl in coded.levels[:n]] == [lam >= n - depth for lam in range(n)]
-    ref = ReferenceTree(np.take(leaf_table, obs.T, axis=1))
+    if hard:
+        assert_packed_levels(coded, batch)
+    else:
+        depth = {1: 3, 2: 2, 3: 2, 148: 0}[size]
+        # min(depth, n) uint16 levels sit right below the leaves, pairs above
+        assert ([lvl.dtype == np.uint16 for lvl in coded.levels[:n]]
+                == [lam >= n - depth for lam in range(n)])
+    ref = ReferenceTree(float_leaves(ch, obs))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     pushes = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -684,7 +755,7 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 3, 6]),
-       batch=st.integers(1, 4), size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
+       batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
        flip=st.sampled_from([0.0, 0.05, 0.3]))
 def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
     """pinned_pairs gives PairStack's pair_at(phi) after push of the same

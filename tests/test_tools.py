@@ -85,3 +85,19 @@ def test_output_digest_walk_cases_run_on_the_library():
     for name, value in cases:
         assert name.startswith(("walk/functional/", "walk/erasure/"))
         assert len(value) == 64 and set(value) <= set("0123456789abcdef")
+
+
+def test_output_digest_word_cases_cross_word_boundaries():
+    """The digest tool's word cases run hard-channel walks at 65 trials and
+    profiles of 1 and 65 samples in chunks of 64, one digest each."""
+    import polarcomm
+
+    digest = _load("output_digest")
+    cases = list(digest.word_cases(polarcomm))
+    walks = [name for name, _ in cases if name.startswith("walk/words/")]
+    profiles = [name for name, _ in cases if name.startswith("profile/words/")]
+    assert len(walks) == 60 and len(profiles) == 30 and len(cases) == 90
+    assert len({name for name, _ in cases}) == 90
+    assert {name.rsplit("-", 2)[-2] for name in profiles} == {"s1", "s65"}
+    for _, value in cases:
+        assert len(value) == 64 and set(value) <= set("0123456789abcdef")

@@ -59,6 +59,10 @@ moved. The cases are
                   end in an uneven chunk;
   * cli/...       every file and the exit code of all six commands on six
                   configs;
+  * walk/words/..., profile/words/...  the walk/erasure walks at N = 16 on
+                  65 trials, and profile/erasure profiles of 1 and 65
+                  samples in chunks of 64, so hard-channel trees meet a
+                  partial last 64-trial word and more than one word;
   * model/...     the mass bytes, every decode table and each declared
                   chain's Markov violation of the AND chains at t = 6, 8
                   and the collocated chains at m = 4 (one p_j = 1) and 5.
@@ -239,12 +243,11 @@ def _draw_cells(ch, rng, shape):
     return (cells // ch.obs_size).astype(np.uint8), cells % ch.obs_size
 
 
-def erasure_walk_cases(pc, channels=None, prefix="walk/erasure", seed=41):
+def erasure_walk_cases(pc, channels=None, prefix="walk/erasure", seed=41, batch=6):
     """The walk cases of `channels` (name -> (table, lengths); default: the
-    erasure channels at ERASURE_LENGTHS)."""
+    erasure channels at ERASURE_LENGTHS) on `batch` trials."""
     if channels is None:
         channels = {name: (table, ERASURE_LENGTHS) for name, table in ERASURE_CHANNELS.items()}
-    batch = 6
     rng = np.random.default_rng(seed)
     order = np.array([pc.sc.PINNED, pc.sc.OBSERVATION_CONDITIONAL,
                       pc.sc.PRIOR_CONDITIONAL, pc.sc.UNIFORM_HALF], dtype=np.uint8)
@@ -288,16 +291,29 @@ def erasure_walk_cases(pc, channels=None, prefix="walk/erasure", seed=41):
                                        log.count))
 
 
-def erasure_profile_cases(pc, channels=None, prefix="profile/erasure"):
+def erasure_profile_cases(pc, channels=None, prefix="profile/erasure",
+                          runs=((100, 512), (100, 37))):
+    """The profiles of `channels` (as erasure_walk_cases) at every
+    (samples, chunk) of `runs`."""
     if channels is None:
         channels = {name: (table, ERASURE_LENGTHS) for name, table in ERASURE_CHANNELS.items()}
     for ch_name, (table, lengths) in channels.items():
         ch = pc.SymbolChannel(np.array(table))
         for n_len in lengths:
-            for chunk in (512, 37):
-                prof = pc.profile_monte_carlo(ch, n_len, 100, (13, n_len), chunk=chunk)
-                yield (f"{prefix}/{ch_name}/n{n_len}-s100-c{chunk}",
+            for samples, chunk in runs:
+                prof = pc.profile_monte_carlo(ch, n_len, samples, (13, n_len), chunk=chunk)
+                yield (f"{prefix}/{ch_name}/n{n_len}-s{samples}-c{chunk}",
                        _digest(prof.z, prof.stderr))
+
+
+def word_cases(pc):
+    """walk/words/... and profile/words/...: the erasure channels across
+    64-trial word boundaries, a walk at 65 trials (N = 16) and profiles of
+    1 and 65 samples in chunks of 64."""
+    yield from erasure_walk_cases(
+        pc, {name: (table, (16,)) for name, table in ERASURE_CHANNELS.items()},
+        "walk/words", seed=61, batch=65)
+    yield from erasure_profile_cases(pc, None, "profile/words", runs=((1, 64), (65, 64)))
 
 
 # float channels whose SC levels near the leaves are held as codes: the
@@ -472,6 +488,8 @@ def main(argv=None) -> int:
     for case in model_cases(pc):
         emit(*case)
     for case in wide_protocol_cases(pc):
+        emit(*case)
+    for case in word_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
