@@ -838,7 +838,7 @@ def _policy_pass(
         point = None  # the bit of an indicator law
         if tag in stacks:
             pair, null = stacks[tag].pair_at(phi)
-            nulls = int(null.sum())
+            nulls = np.count_nonzero(null)
             if anomalies is not None:
                 anomalies.add(nulls)
             q0, q1 = pair[:, 0], pair[:, 1]
