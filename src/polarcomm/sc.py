@@ -342,21 +342,14 @@ def _normalize(out: np.ndarray) -> None:
     np.divide(out, total, out=out)
 
 
-def _products(out: np.ndarray) -> tuple:
-    """(product, sum) of the pair ops for out's dtype: AND and OR on packed
-    support words, multiply and add on float pairs."""
-    if out.dtype == np.uint64:
-        return np.bitwise_and, np.bitwise_or
-    return np.multiply, np.add
-
-
 def _fop(left: np.ndarray, right: np.ndarray, out: np.ndarray) -> None:
     """Check-node combine out = f(left, right) of (2, ...) pairs, normalized.
 
     out[b] = left[b] right[0] + left[1 - b] right[1], with the products AND
     and the sums OR on packed supports.
     """
-    mul, add = _products(out)
+    packed = out.dtype == np.uint64
+    mul, add = (np.bitwise_and, np.bitwise_or) if packed else (np.multiply, np.add)
     mul(left[0], right[0], out=out[0])
     add(out[0], mul(left[1], right[1]), out=out[0])
     mul(left[1], right[0], out=out[1])
@@ -380,7 +373,10 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
     bits = out.view(np.uint64)
     np.bitwise_xor(l0, diff, out=bits[0])
     np.bitwise_xor(l1, diff, out=bits[1])
-    _products(out)[0](out, right, out=out)
+    if packed:
+        out &= right
+    else:
+        out *= right
     _normalize(out)
 
 
@@ -943,9 +939,9 @@ def sample_sequential(
     n_len, batch = obs.shape
     tags = policy.tags
     # only a tree's draws are sure to read the private block (_stack_for)
-    tree_drawn = (np.any(tags == OBSERVATION_CONDITIONAL) and not ch.functional
-                  or fd_mode == "sample" and np.any(tags == PRIOR_CONDITIONAL)
-                  and not ch.prior().functional)
+    tree_drawn = ((np.any(tags == OBSERVATION_CONDITIONAL) and not ch.functional)
+                  or (fd_mode == "sample" and np.any(tags == PRIOR_CONDITIONAL)
+                      and not ch.prior().functional))
     private_u = (_uniform_block(rng, batch, n_len) if tree_drawn
                  else _DeferredBlock(rng, batch, n_len))
     shared_u = _uniform_block(shared_rng or rng, batch, n_len,
