@@ -30,7 +30,6 @@ from .sc import (
     UNIFORM_HALF,
     SymbolChannel,
     _cell_index,
-    _pack,
     _pinned_root,
     _split_cells,
     derive_rng,
@@ -241,10 +240,10 @@ def profile_monte_carlo(
     samples per uint64 word, and every sample's statistic is exactly 0.0 (a
     singleton support) or 1.0 (both bits, or the empty support of a null
     conditioning, whose uniform fallback gives 1.0 too). So each index adds
-    the popcount of the roots that are not singletons, ~(s0 ^ s1) with the
-    last word's padding masked off, to both sums: an exact integer, as
-    every partial sum of the float route's 0.0s and 1.0s is, so z and
-    stderr are bit for bit that route's.
+    the number of roots that are not singletons, the chunk size less the
+    popcount of s0 ^ s1 (whose padding bits are 0), to both sums: an exact
+    integer, as every partial sum of the float route's 0.0s and 1.0s is, so
+    z and stderr are bit for bit that route's.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -265,10 +264,9 @@ def profile_monte_carlo(
         v_rows = apply_transform(u_cells.T).T
         if ch.hard:
             (s0, s1), _ = _pinned_root(ch, obs, v_rows)
-            spread = np.bitwise_xor(s0, s1)
-            np.bitwise_not(spread, out=spread)
-            spread &= _pack(np.ones(x.shape[0], bool))
-            total = total_sq = np.bitwise_count(spread).sum(axis=1)
+            # the padding bits of s0 ^ s1 are 0: only singletons are counted
+            singletons = np.bitwise_count(np.bitwise_xor(s0, s1)).sum(axis=1)
+            total = total_sq = x.shape[0] - singletons
         else:
             pair, _ = pinned_pairs(ch, obs, v_rows)
             stat = 2.0 * np.sqrt(pair[0] * pair[1])

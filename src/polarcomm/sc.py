@@ -923,12 +923,13 @@ def sample_sequential(
     copies the given bit. Both streams are consumed as one (B, N) uniform
     block up front, private then shared, so outputs are reproducible for a
     fixed seed regardless of the tag layout. A block no trial reads is
-    skipped, not kept: the shared one when no index is UNIFORM_HALF. The
-    private one is kept when a tree (PairStack) serves some drawing index,
-    OBSERVATION_CONDITIONAL or, under fd_mode="sample", PRIOR_CONDITIONAL;
-    otherwise every draw is a FunctionalStack's, which copies v*[phi] on
-    each trial not flagged null, and the block is deferred
-    (_DeferredBlock), drawn only if a null trial reaches a drawing index.
+    skipped, not kept: the shared one when no index is UNIFORM_HALF, the
+    private one when none is OBSERVATION_CONDITIONAL or, under
+    fd_mode="sample", PRIOR_CONDITIONAL. Where some index draws, the
+    private block is deferred (_DeferredBlock) and drawn when a draw first
+    reads it: a FunctionalStack copies v*[phi] on each trial not flagged
+    null, so its walk reads the block only if a null trial reaches a
+    drawing index.
     Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
     transposed view of the walk's C-order (N, B) block.
 
@@ -938,12 +939,9 @@ def sample_sequential(
     batched, obs, pinned = _lift(ch, obs, policy)
     n_len, batch = obs.shape
     tags = policy.tags
-    # only a tree's draws are sure to read the private block (_stack_for)
-    tree_drawn = ((np.any(tags == OBSERVATION_CONDITIONAL) and not ch.functional)
-                  or (fd_mode == "sample" and np.any(tags == PRIOR_CONDITIONAL)
-                      and not ch.prior().functional))
-    private_u = (_uniform_block(rng, batch, n_len) if tree_drawn
-                 else _DeferredBlock(rng, batch, n_len))
+    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
+    private_u = (_DeferredBlock(rng, batch, n_len) if np.any(drawn)
+                 else _uniform_block(rng, batch, n_len, keep=False))
     shared_u = _uniform_block(shared_rng or rng, batch, n_len,
                               keep=bool(np.any(tags == UNIFORM_HALF)))
     v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,
