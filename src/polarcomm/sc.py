@@ -9,10 +9,11 @@ o in a finite alphabet. The engine computes
 exactly, for every index in order, via the pairwise recursion induced by the
 B_N F^{\\otimes n} factorization: v-indices are processed in natural order; the
 odd member of each pair combines the two half-block subproblems with the
-check-node (f) rule, the even member with the bit-node (g) rule, and decided
-pairs push partial sums (v_odd xor v_even, v_even) down the tree. Every node
-pair is renormalized after each combine, so no log domain is needed at the
-target blocklengths.
+check-node (f) rule, the even member with the bit-node (g) rule on the
+partial sums (v_odd xor v_even, v_even) of bits already decided, which a
+stack reads off the walk's block when it needs them (pull, not push). Every
+node pair is renormalized after each combine, so no log domain is needed at
+the target blocklengths.
 
 The tree is stored batch last: level lam holds a (2, 2^lam, B) array, or
 (2, 2^lam, W) packed words (below), so one node's B rows are contiguous. It
@@ -74,7 +75,7 @@ tables. Only the root's two rows are unpacked into bool supports.
 
 The level rule is written once, in _new_level, _level_step and
 _root_finish, and serves both PairStack and pinned_pairs, as
-_partial_sums serves both for the partial sums: packed words on a support
+_partial_sums builds the partial sums for both: packed words on a support
 tree (a bool leaf table), codes then float pairs on a float tree. The pair
 ops (_fop, _gop) are written once too, and pick AND / OR or multiply /
 add by the dtype of the level they write.
@@ -83,7 +84,7 @@ Where the bit is moreover a function of the observation (no column with two
 positive entries, SymbolChannel.functional), every support is a single bit
 or empty, and the walk uses FunctionalStack instead of any tree: the root
 pair at index i is the indicator of v*_i, where v* = G_N(u*(obs)) is the
-one block of positive mass, while the pushed prefix agrees with v* and no
+one block of positive mass, while the decided prefix agrees with v* and no
 observed symbol has zero mass, and null otherwise. A draw from that
 indicator is u < 1.0 or u < 0.0, so where no trial is null the walk copies
 v*_i and reads no uniform; a walk whose draws are all of this kind never
@@ -173,10 +174,14 @@ def _split_cells(cells: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _in_alphabet(symbols: np.ndarray, size: int) -> bool:
-    """Whether every symbol lies in [0, size): max() alone for an unsigned
-    dtype, min() too for any other."""
+    """Whether every symbol is an integer in [0, size): max() alone for an
+    unsigned dtype, min() too for a signed or bool one; any other dtype
+    must hold integral values too, so a fraction is rejected, not
+    truncated into range."""
     if not symbols.size:
         return True
+    if symbols.dtype.kind not in "biu":
+        return bool(np.all((symbols >= 0) & (symbols < size) & (symbols == np.floor(symbols))))
     return int(symbols.max()) < size and (symbols.dtype.kind == "u" or symbols.min() >= 0)
 
 
@@ -471,13 +476,6 @@ def _leaf_level(tables: list, codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _decided(tables: list, bits: np.ndarray) -> np.ndarray:
-    """(..., B) decided bits as the tree holds partial sums: packed words
-    on supports, uint8 otherwise."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    return _pack(bits) if _supports(tables) else bits
-
-
 def _new_level(tables: list, depth: int, shape: tuple) -> np.ndarray:
     """An empty level lam = n - depth whose nodes fill shape (..., 2^lam, B).
 
@@ -531,42 +529,47 @@ def _root_finish(root: np.ndarray, tables: list, batch: int) -> tuple[np.ndarray
     return _root_pairs(root)
 
 
-def _partial_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The partial sums (a ^ b, b) of two sibling blocks (..., 2^lam, C) of
-    decided bits, interleaved: a_j ^ b_j at node 2j and b_j at 2j + 1. They
-    keep a's dtype, uint8 bits or packed words (C = W)."""
-    out = np.empty(a.shape[:-2] + (2 * a.shape[-2], a.shape[-1]), a.dtype)
-    np.bitwise_xor(a, b, out=out[..., 0::2, :])
-    out[..., 1::2, :] = b
-    return out
+def _partial_sums(tables: list, bits: np.ndarray, top: int) -> list:
+    """[s_0, ..., s_top]: s_lam the partial sums of every 2^lam-row block of
+    the (R, B) decided bits, R a multiple of 2^top, as the tree holds them:
+    (R, W) packed words on supports, (R, B) uint8 otherwise. s_0 is the
+    bits; a 2^(lam+1)-row block's sums interleave those of its halves a and
+    b, a_j ^ b_j at row 2j and b_j at 2j + 1."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    sums = [_pack(bits) if _supports(tables) else bits]
+    rows = bits.shape[0]
+    for lam in range(top):
+        halves = sums[lam].reshape(rows >> (lam + 1), 2, 1 << lam, -1)
+        out = np.empty((rows >> (lam + 1), 1 << lam, 2, halves.shape[-1]), halves.dtype)
+        np.bitwise_xor(halves[:, 0], halves[:, 1], out=out[:, :, 0])
+        out[:, :, 1] = halves[:, 1]
+        sums.append(out.reshape(rows, -1))
+    return sums
 
 
 class PairStack:
     """Batched SC tree holding one probability pair per node, batch last.
 
-    Drive with push(i, bits) for i = 0..N-1 in order; pair_at(i) may be
-    called at any subset of those indices, each before push(i). Built from
-    leaves = (table, codes) as `_leaf_pairs` gives them: leaf j of row b
-    holds the pair table[:, codes[j, b]] of the (2, K) table, float joint
-    pairs or bool supports (a hard channel). Level n is the leaf level
-    (_leaf_level), level 0 the root, and each level between is held as the
-    level rule (_new_level) says: on supports every level, the leaves and
-    the partial sums are packed uint64 words, 64 trials per word (push
-    packs its bits, and pair_at unpacks only the root's two rows); on float
-    pairs the leaf level is the (N, B) codes, the levels near it codes too,
-    pairs above. Pairs that condition on a zero-probability event stay
-    (0, 0) (an empty support) and are reported through the null mask of
-    pair_at.
+    pair_at(phi, v) gives index phi's root pair given the rows before phi
+    of the walk's (N, B) block v. Built from leaves = (table, codes) as
+    `_leaf_pairs` gives them: leaf j of row b holds the pair
+    table[:, codes[j, b]] of the (2, K) table, float joint pairs or bool
+    supports (a hard channel). Level n is the leaf level (_leaf_level),
+    level 0 the root, and each level between is held as the level rule
+    (_new_level) says: on supports every level and the leaves are packed
+    uint64 words, 64 trials per word, and so are the partial sums a g step
+    reads (_partial_sums), while pair_at unpacks only the root's two rows;
+    on float pairs the leaf level is the (N, B) codes, the levels near it
+    codes too, pairs above. Pairs that condition on a zero-probability
+    event stay (0, 0) (an empty support) and are reported through the null
+    mask of pair_at.
 
-    Evaluation is lazy. The level-lam block that index phi reads is the one
-    as of phi_lam = phi & ~(2^lam - 1): the f op when bit lam of phi is
-    clear, the g op (on the partial sums `low[lam]` pushed at phi_lam - 1)
-    when it is set. Each level keeps the stamp phi_lam of its block, and
-    pair_at(phi) walks lam = n-1 .. 0 recomputing exactly the levels whose
-    stamp differs. `low[lam]` is next written by push(phi_lam - 1 +
-    2^(lam+1)), after every index that reads this block, so a block computed
-    late equals the one computed at phi_lam. A block no consulted index
-    reads is never computed, and nothing else reads it.
+    Evaluation is lazy, by stamps. The level-lam block that index phi reads
+    is the one of stamp phi_lam = phi & ~(2^lam - 1): the f op when bit lam
+    of phi is clear, else the g op on the partial sums of v's rows
+    [phi_lam - 2^lam, phi_lam). A level is recomputed when its stamp
+    changes, and the rows it reads are decided and fixed, so the stacks
+    may be consulted at any indices, in any order.
     """
 
     def __init__(self, leaves: tuple):
@@ -581,42 +584,24 @@ class PairStack:
         if n_len <= 0 or n_len & (n_len - 1):
             raise ValueError(f"block length must be a power of two, got {n_len}")
         self.batch = batch
-        self.n_len = n_len
         self.n = n_len.bit_length() - 1
         self.tables = _union_tables(table, self.n)  # tables[d] is U_(n-d)
         self.levels = [_new_level(self.tables, self.n - lam, (1 << lam, batch))
                        for lam in range(self.n)] + [_leaf_level(self.tables, codes)]
-        self.low = [_decided(self.tables, np.zeros((1 << lam, batch), dtype=np.uint8))
-                    for lam in range(self.n)]
         self.stamps = [-1] * self.n
-        self._next = 0
 
-    def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
-        if phi != self._next:
-            raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
+    def pair_at(self, phi: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Root pair at index phi, (B, 2) (uniform where null), and the null
+        mask, given the decided rows before phi of the (N, B) block v."""
         for lam in range(self.n - 1, -1, -1):
             stamp = phi & -(1 << lam)
             if self.stamps[lam] != stamp:
-                low = self.low[lam] if phi >> lam & 1 else None
+                low = (_partial_sums(self.tables, v[stamp - (1 << lam) : stamp], lam)[-1]
+                       if phi >> lam & 1 else None)
                 _level_step(self.tables, self.n - lam, self.levels[lam + 1], low, self.levels[lam])
                 self.stamps[lam] = stamp
         pair, null = _root_finish(self.levels[0][..., 0, :], self.tables, self.batch)
         return pair.T, null
-
-    def push(self, phi: int, bits: np.ndarray) -> None:
-        """Record the decided (B,) bits at index phi and propagate partial sums."""
-        if phi != self._next:
-            raise ValueError(f"indices must be pushed in order; expected {self._next}")
-        self._next = phi + 1
-        cur = _decided(self.tables, bits).reshape(1, -1)
-        lam, j = 0, phi
-        while (j & 1) and lam < self.n:
-            cur = _partial_sums(self.low[lam], cur)
-            lam += 1
-            j >>= 1
-        if lam < self.n:
-            self.low[lam][...] = cur
 
 
 def _pinned_root(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
@@ -629,10 +614,7 @@ def _pinned_root(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     table, codes = _leaf_pairs(ch, obs)
     tables = _union_tables(table, n)
     level = _leaf_level(tables, codes)
-    sums = [_decided(tables, v)]  # sums[lam]: per 2^lam-block partial sums
-    for lam in range(n - 1):
-        prev = sums[lam].reshape(n_len >> (lam + 1), 2, 1 << lam, -1)
-        sums.append(_partial_sums(prev[:, 0], prev[:, 1]).reshape(n_len, -1))
+    sums = _partial_sums(tables, v, n - 1)
     for lam in range(n - 1, -1, -1):
         blocks = n_len >> (lam + 1)
         low = sums[lam].reshape(blocks, 2, 1 << lam, -1)[:, 0]
@@ -648,14 +630,14 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     """Root pair at every index of the walk pinned to the (N, B) block v,
     given the (N, B) observations obs.
 
-    Equals PairStack's pair_at(phi) after push(0 .. phi-1) of v's rows, for
-    every phi, without a per-index loop: v is known up front, so no index
-    waits for another's decision (genie-aided SC). Level lam is evaluated
-    for all its 2^(n-lam) blocks of 2^lam nodes at once, by the level rule
-    (_new_level, _level_step) with blocks on the third-to-last axis; block h
-    is f of block h >> 1 of level lam + 1 when h is even and g of it when h
-    is odd, on the partial sums of v[(h-1) 2^lam, h 2^lam), which are built
-    once per level by _partial_sums, as push builds them (packed words on
+    Equals PairStack's pair_at(phi, v) at every phi, without a per-index
+    loop: v is known up front, so no index waits for another's decision
+    (genie-aided SC). Level lam is evaluated for all its 2^(n-lam) blocks of
+    2^lam nodes at once, by the level rule (_new_level, _level_step) with
+    blocks on the third-to-last axis; block h is f of block h >> 1 of level
+    lam + 1 when h is even and g of it when h is odd, on the partial sums of
+    v[(h-1) 2^lam, h 2^lam), which _partial_sums builds for every level in
+    one pass, as it builds them for a PairStack's g step (packed words on
     supports). Returns the (2, N, B) float pairs, uniform where null, and
     the (N, B) null mask.
     """
@@ -668,11 +650,13 @@ class FunctionalStack:
 
     The bit is u*(o), the row of symbol o's one positive entry, and
     v* = G_N(u*(obs)) is the only v-block of positive mass. A row is alive
-    while every symbol it observes has positive mass and every pushed bit
-    equals v*'s; pair_at gives the indicator of v*[phi] on alive rows and the
+    while every symbol it observes has positive mass and every decided bit
+    equals v*'s; pair_at(phi, v) folds v's rows since its last call into
+    `alive`, then gives the indicator of v*[phi] on alive rows and the
     uniform pair, flagged null, on the rest. This is exactly PairStack's
-    output on the same channel (module docstring). Drive it as PairStack;
-    obs is the (N, B) observations.
+    output on the same channel (module docstring). obs is the (N, B)
+    observations; phi may not move backwards, since a folded row cannot be
+    unfolded.
     """
 
     def __init__(self, ch: SymbolChannel, obs: np.ndarray):
@@ -685,25 +669,22 @@ class FunctionalStack:
         # the transform runs along the rows of the (B, N) view; its .T is C-order again
         self.v_star = np.broadcast_to(apply_transform(positive[1][obs].T).T, (n_len, batch))
         self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=0), (batch,)).copy()
-        self._next = 0
+        self._folded = 0  # rows of v folded into alive
 
-    def pair_at(self, phi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Root pair at index phi, (B, 2) (uniform where null), and the null mask."""
-        if phi != self._next:
-            raise ValueError(f"pair_at({phi}) must come before push({phi}); expected {self._next}")
+    def pair_at(self, phi: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Root pair at index phi, (B, 2) (uniform where null), and the null
+        mask, given the decided rows before phi of the (N, B) block v."""
+        if phi < self._folded:
+            raise ValueError(f"pair_at({phi}) after pair_at({self._folded}): phi moved backwards")
+        rows = slice(self._folded, phi)
+        self.alive &= np.all(v[rows] == self.v_star[rows], axis=0)
+        self._folded = phi
         pair = np.empty((self.alive.size, 2))
         pair[:, 1] = self.v_star[phi]
         pair[:, 0] = 1.0 - pair[:, 1]
         null = ~self.alive
         pair[null] = 0.5
         return pair, null
-
-    def push(self, phi: int, bits: np.ndarray) -> None:
-        """Record the decided (B,) bits at index phi."""
-        if phi != self._next:
-            raise ValueError(f"indices must be pushed in order; expected {self._next}")
-        self._next = phi + 1
-        self.alive &= bits == self.v_star[phi]
 
 
 def _stack_for(ch: SymbolChannel, obs: np.ndarray):
@@ -767,10 +748,10 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
             raise ValueError("the policy samples the observation conditional but obs is None")
         obs = np.zeros(n_len, dtype=np.uint8)
     obs = np.asarray(obs)
-    if obs.dtype.kind != "u":
-        obs = obs.astype(np.intp)
     if not _in_alphabet(obs, ch.obs_size):
         raise ValueError("observation symbol out of range")
+    if obs.dtype.kind != "u":
+        obs = obs.astype(np.intp)
     lifted = [None if bits is None else _trial_last(bits, n_len, batch, "bit blocks")
               for bits in (policy.pinned, *blocks)]
     return (bool(sizes), _trial_last(obs, n_len, batch, "observations"), *lifted)
@@ -805,10 +786,10 @@ def _policy_pass(
     drawn only if some index reads it. Given `v_block` the walk follows
     those bits and multiplies the chain probability by q[bit] (1 or 0 for
     an indicator law). Returns ((N, B) v_block, chain), chain None when
-    drawing. A stack exists only if the tags consult it; it is evaluated
-    only at the indices whose tag consults it, and every decided bit is
-    pushed to every stack. A functional channel's stack is a
-    FunctionalStack and a hard channel's a packed support tree
+    drawing. A stack exists only if the tags consult it, and it is
+    evaluated only at the indices whose tag consults it, where it reads the
+    bits decided so far off v_block itself. A functional channel's stack is
+    a FunctionalStack and a hard channel's a packed support tree
     (`_stack_for`).
     """
     if fd_mode not in ("sample", "argmax"):
@@ -833,7 +814,7 @@ def _policy_pass(
         tag = int(tags[phi])
         point = None  # the bit of an indicator law
         if tag in stacks:
-            pair, null = stacks[tag].pair_at(phi)
+            pair, null = stacks[tag].pair_at(phi, v_block)
             nulls = np.count_nonzero(null)
             if anomalies is not None:
                 anomalies.add(nulls)
@@ -855,8 +836,6 @@ def _policy_pass(
         else:
             bits = v_block[phi]
             chain *= np.where(bits == 1, q1, q0) if point is None else (bits == point)
-        for stack in stacks.values():
-            stack.push(phi, bits)
     return v_block, chain
 
 

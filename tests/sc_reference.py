@@ -2,9 +2,9 @@
 
 ReferenceTree is an uncoded SC tree: PairStack's definition without its
 codes or packed words. It holds (2, 2^lam, B) float pairs at every level and
-recomputes every level at every consulted index, with no stamps and no
-partial-sum state: the partial sums a g node reads are rebuilt from the
-pushed bits each time. It shares only the pair ops (_fop, _gop, _normalize,
+recomputes every level at every consulted index, with no stamps: the
+partial sums a g node reads are rebuilt each time from the decided bits,
+by its own recursion. It shares only the pair ops (_fop, _gop, _normalize,
 _root_pairs) with the library, which fix the arithmetic that PairStack's
 results must equal bit for bit.
 
@@ -70,22 +70,22 @@ def partial_sums(bits: np.ndarray) -> np.ndarray:
 
 
 class ReferenceTree:
-    """Drive as PairStack, from (2, N, B) leaf pairs."""
+    """Consult as PairStack, pair_at(phi, v), from (2, N, B) leaf pairs."""
 
     def __init__(self, leaves: np.ndarray):
         self.leaves = np.asarray(leaves)
         _, n_len, self.batch = self.leaves.shape
         self.n = n_len.bit_length() - 1
-        self.bits = np.zeros((n_len, self.batch), np.uint8)
 
-    def pair_at(self, phi: int):
+    def pair_at(self, phi: int, v: np.ndarray):
         level = self.leaves
         for lam in range(self.n - 1, -1, -1):
             out = np.empty((2, 1 << lam, self.batch), level.dtype)
             left, right = level[:, 0::2], level[:, 1::2]
             if phi >> lam & 1:
                 start = phi & -(1 << lam)
-                _gop(left, right, partial_sums(self.bits[start - (1 << lam) : start]), out)
+                bits = np.asarray(v[start - (1 << lam) : start], dtype=np.uint8)
+                _gop(left, right, partial_sums(bits), out)
             else:
                 _fop(left, right, out)
             level = out
@@ -94,9 +94,6 @@ class ReferenceTree:
             _normalize(root)
         pair, null = _root_pairs(root)
         return pair.T, null
-
-    def push(self, phi: int, bits) -> None:
-        self.bits[phi] = bits
 
 
 def random_hard_table(rng, size, tiny=0):

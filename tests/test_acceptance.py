@@ -104,7 +104,7 @@ def _compare_channel_to_oracle(ch, n_len, chunk_obs=512):
             cascades.append(level)
         cascades.reverse()  # cascades[i] = P(v^{1:i}, obs), i = 1..N
         for phi in range(n_len):
-            pair, _ = stack.pair_at(phi)
+            pair, _ = stack.pair_at(phi, v_rows.T)
             tab = cascades[phi].reshape(c, -1, 2)  # (obs, prefix, bit)
             prefix = (v_rows[:, :phi] @ (1 << np.arange(phi - 1, -1, -1))
                       if phi else np.zeros(v_rows.shape[0], dtype=np.int64))
@@ -114,7 +114,6 @@ def _compare_channel_to_oracle(ch, n_len, chunk_obs=512):
             ok = den > 0
             want = num[ok] / den[ok, None]
             worst = max(worst, np.abs(pair[ok] - want).max(initial=0.0))
-            stack.push(phi, v_rows[:, phi])
     return worst
 
 

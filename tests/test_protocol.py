@@ -300,6 +300,18 @@ def test_compute_function_rejects_symbols_outside_the_alphabet():
         compute_function(np.array([[1, 1]]), [u, u + 1], m, "f_A")
 
 
+def test_compute_function_rejects_fractional_symbols():
+    """x = 0.6 would be truncated to x = 0 in the decode lookup."""
+    m = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    u = np.array([[1, 1]], dtype=np.uint8)
+    with pytest.raises(ValueError, match="'x'"):
+        compute_function(np.array([[0.6, 1]]), [u, u], m, "f_A")
+    with pytest.raises(ValueError, match="'u1'"):
+        compute_function(np.array([[1, 1]]), [u - 0.5, u], m, "f_A")
+    z, erased = compute_function(np.array([[1.0, 1.0]]), [u, u], m, "f_A")
+    assert z.tolist() == [[1, 1]] and not erased.any()
+
+
 def test_compute_function_is_per_symbol():
     """Permuting symbol positions permutes outputs (no cross-symbol coupling)."""
     m = build_and_chain(AndModelParams(0.5, 0.5, 2))
@@ -391,6 +403,20 @@ def test_runs_reject_symbols_outside_the_alphabet():
     m = build_and_chain(AndModelParams(0.5, 0.5, 2))
     with pytest.raises(ValueError, match="'x'"):
         run_two_terminal(m, np.full((2, 8), -1), np.zeros((2, 8), dtype=np.uint8), [])
+
+
+def test_runs_reject_fractional_symbols():
+    """An x block of 0.6 does not run the protocol as x = 0, with or without
+    plans, in either network."""
+    m = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    plans = plan_protocol(m, 8, PartitionPolicy(mode="threshold", delta=0.3))
+    for p in (plans, []):
+        with pytest.raises(ValueError, match="'x'"):
+            run_two_terminal(m, np.full((2, 8), 0.6), np.zeros((2, 8), dtype=np.uint8), p)
+    c = build_collocated_chain(2, [0.5, 0.5])
+    obs = {"x1": np.zeros(8, dtype=np.uint8), "x2": np.full(8, 0.6)}
+    with pytest.raises(ValueError, match="'x2'"):
+        run_collocated(c, obs, [])
 
 
 def _result_bytes(res):

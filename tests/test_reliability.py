@@ -126,7 +126,7 @@ def test_functional_profile_equals_tree(table, monkeypatch):
 
 def reference_profile(ch, n_len, samples, seed, chunk):
     """(z, stderr) by the per-index walk: an uncoded float tree per chunk,
-    pushed with v = u G_N index by index, summing each index's statistic
+    consulted index by index given v = u G_N, summing each index's statistic
     over the chunk."""
     rng = derive_rng(*seed)
     cum = np.cumsum(ch.table.reshape(-1))
@@ -138,11 +138,10 @@ def reference_profile(ch, n_len, samples, seed, chunk):
         sl = slice(start, min(start + chunk, samples))
         stack = ReferenceTree(np.take(ch.table, obs[sl].T, axis=1))
         for phi in range(n_len):
-            pair, _ = stack.pair_at(phi)
+            pair, _ = stack.pair_at(phi, v_rows[:, sl])
             stat = 2.0 * np.sqrt(pair[:, 0] * pair[:, 1])
             acc[phi] += stat.sum()
             acc_sq[phi] += (stat * stat).sum()
-            stack.push(phi, v_rows[phi, sl])
     z = acc / samples
     var = np.maximum(acc_sq - samples * z * z, 0.0) / (samples - 1)
     return np.clip(z, 0.0, 1.0), np.sqrt(var / samples)

@@ -32,6 +32,7 @@ from polarcomm.sc import (
     _leaf_pairs,
     _lift,
     _cell_index,
+    _partial_sums,
     _policy_pass,
     _uniform_block,
     _union_tables,
@@ -344,7 +345,7 @@ def test_stack_pairs_independent_of_consulted_set():
     pairs and null masks there as one consulted at every index."""
     rng = np.random.default_rng(12)
     n_len, batch = 64, 5
-    # symbols 0 and 1 fix the bit, so random pushes reach null conditionings
+    # symbols 0 and 1 fix the bit, so random decided bits reach null conditionings
     ch = SymbolChannel(np.array([[0.3, 0.0, 0.2], [0.0, 0.4, 0.1]]))
     leaves = _leaf_pairs(ch, rng.integers(0, ch.obs_size, (n_len, batch)))
     bits = rng.integers(0, 2, (n_len, batch)).astype(np.uint8)
@@ -352,13 +353,11 @@ def test_stack_pairs_independent_of_consulted_set():
     dense_stack, sparse_stack = PairStack(leaves), PairStack(leaves)
     nulls = 0
     for phi in range(n_len):
-        pair, null = dense_stack.pair_at(phi)
+        pair, null = dense_stack.pair_at(phi, bits)
         if phi in sparse:
-            got, got_null = sparse_stack.pair_at(phi)
+            got, got_null = sparse_stack.pair_at(phi, bits)
             assert np.array_equal(got, pair) and np.array_equal(got_null, null)
             nulls += int(null.sum())
-        dense_stack.push(phi, bits[phi])
-        sparse_stack.push(phi, bits[phi])
     assert nulls > 0
 
 
@@ -436,13 +435,15 @@ BATCHES = st.sampled_from([1, 2, 3, 4, 5, 63, 64, 65, 130])
 
 def assert_packed_levels(stack, batch):
     """The packed rule: every level of a support tree, the leaves included,
-    is (2, 2^lam, ceil(B/64)) uint64 words, and so is every partial sum
-    row (2^lam, ceil(B/64)); there are no codes and no union tables."""
+    is (2, 2^lam, ceil(B/64)) uint64 words, and so are the partial sums
+    (2^lam, ceil(B/64)) that a level-lam g step reads; there are no codes
+    and no union tables."""
     words = -(-batch // 64)
     assert len(stack.tables) == 1 and stack.tables[0].dtype == bool
     for lam, level in enumerate(stack.levels):
         assert level.dtype == np.uint64 and level.shape == (2, 1 << lam, words)
-    for lam, low in enumerate(stack.low):
+    for lam in range(stack.n):
+        low = _partial_sums(stack.tables, np.zeros((1 << lam, batch), np.uint8), lam)[-1]
         assert low.dtype == np.uint64 and low.shape == (1 << lam, words)
 
 
@@ -453,7 +454,7 @@ def assert_packed_levels(stack, batch):
 def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     """On a hard channel the packed support tree gives the uncoded float
     tree's pairs, pair for pair and null for null, at random consulted
-    indices under pushes of drawn blocks with random flips."""
+    indices, given drawn blocks with random flips as the decided bits."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     ch = SymbolChannel(random_hard_table(rng, size, tiny))
@@ -462,14 +463,12 @@ def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     fast, ref = PairStack(_leaf_pairs(ch, obs.T)), ReferenceTree(float_leaves(ch, obs))
     assert_packed_levels(fast, batch)
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
-    pushes = v ^ (rng.random((n_len, batch)) < flip)
+    decided = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
         if rng.random() < 0.7:
-            got, got_null = fast.pair_at(phi)
-            want, want_null = ref.pair_at(phi)
+            got, got_null = fast.pair_at(phi, decided)
+            want, want_null = ref.pair_at(phi, decided)
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
-        fast.push(phi, pushes[phi])
-        ref.push(phi, pushes[phi])
 
 
 @settings(max_examples=60, deadline=None)
@@ -478,8 +477,8 @@ def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
        tiny=st.sampled_from([0, 150]))
 def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     """Pair for pair and null for null, on random functional tables with
-    zero-mass columns, at random consulted indices under pushes that leave
-    v* now and then."""
+    zero-mass columns, at random consulted indices, given decided bits that
+    leave v* now and then."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     ch = SymbolChannel(random_functional_table(rng, size, tiny))
@@ -487,14 +486,12 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     obs = rng.integers(0, size, (batch, n_len))
     fast, ref = FunctionalStack(ch, obs.T), ReferenceTree(float_leaves(ch, obs))
     v_star = fast.v_star.copy()
-    pushes = v_star ^ (rng.random((n_len, batch)) < flip)
+    decided = v_star ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
         if rng.random() < 0.7:
-            got, got_null = fast.pair_at(phi)
-            want, want_null = ref.pair_at(phi)
+            got, got_null = fast.pair_at(phi, decided)
+            want, want_null = ref.pair_at(phi, decided)
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
-        fast.push(phi, pushes[phi])
-        ref.push(phi, pushes[phi])
 
 
 def _walk(ch, obs, policy, fd, seeds=(7, 8)):
@@ -723,8 +720,8 @@ def random_float_table(rng, size, zeros):
 def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
     """PairStack, coded near the leaves on float tables and packed on
     supports, gives the uncoded float tree's pairs, pair for pair and null
-    for null, at random consulted indices under pushes of drawn blocks with
-    random flips."""
+    for null, at random consulted indices, given drawn blocks with random
+    flips as the decided bits."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
@@ -743,14 +740,12 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
                 == [lam >= n - depth for lam in range(n)])
     ref = ReferenceTree(float_leaves(ch, obs))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
-    pushes = v ^ (rng.random((n_len, batch)) < flip)
+    decided = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
         if rng.random() < 0.7:
-            got, got_null = coded.pair_at(phi)
-            want, want_null = ref.pair_at(phi)
+            got, got_null = coded.pair_at(phi, decided)
+            want, want_null = ref.pair_at(phi, decided)
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
-        coded.push(phi, pushes[phi])
-        ref.push(phi, pushes[phi])
 
 
 @settings(max_examples=80, deadline=None)
@@ -758,8 +753,8 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
        batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
        flip=st.sampled_from([0.0, 0.05, 0.3]))
 def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
-    """pinned_pairs gives PairStack's pair_at(phi) after push of the same
-    block's rows 0 .. phi-1, pair for pair and null for null at every index,
+    """pinned_pairs gives PairStack's pair_at(phi, v) of the same block v,
+    consulted in order, pair for pair and null for null at every index,
     on float tables and on supports, coded up to the root or not at all."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
@@ -771,9 +766,74 @@ def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
     assert pairs.shape == (2, n_len, batch) and null.shape == (n_len, batch)
     stack = PairStack(_leaf_pairs(ch, obs.T))
     for phi in range(n_len):
-        want, want_null = stack.pair_at(phi)
+        want, want_null = stack.pair_at(phi, v)
         assert np.array_equal(pairs[:, phi].T, want) and np.array_equal(null[phi], want_null)
-        stack.push(phi, v[phi])
+
+
+@pytest.mark.parametrize("n_len", [1, 2, 64])
+@pytest.mark.parametrize("hard", [False, True])
+def test_stack_consulted_in_any_order_equals_pinned_pairs(n_len, hard):
+    """Over a fully decided block a PairStack needs no call order: consulted
+    twice over in shuffled index order, on a coded float tree and on a
+    packed support tree, it gives pinned_pairs' pair and null mask at every
+    index."""
+    rng = np.random.default_rng(n_len)
+    batch, size = 70, 3
+    table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
+    ch = SymbolChannel(table)
+    obs = rng.integers(0, size, (batch, n_len))
+    v = apply_transform(draw_supported_bits(rng, ch, obs)).T ^ (rng.random((n_len, batch)) < 0.05)
+    pairs, null = pinned_pairs(ch, obs.T, v)
+    stack = PairStack(_leaf_pairs(ch, obs.T))
+    if hard:
+        assert_packed_levels(stack, batch)
+    else:
+        assert all(level.dtype == np.uint16 for level in stack.levels[-3:])
+    for phi in np.concatenate([rng.permutation(n_len), rng.permutation(n_len)]):
+        got, got_null = stack.pair_at(phi, v)
+        assert np.array_equal(got, pairs[:, phi].T) and np.array_equal(got_null, null[phi])
+
+
+def test_functional_stack_rejects_phi_moving_backwards():
+    """The rows a FunctionalStack has folded into `alive` cannot be unfolded,
+    so phi may repeat but not move backwards."""
+    ch = SymbolChannel(np.array([[0.5, 0.0], [0.0, 0.5]]))
+    stack = FunctionalStack(ch, np.array([[0, 1], [1, 1], [0, 0], [1, 0]]))
+    v = stack.v_star.copy()
+    stack.pair_at(2, v)
+    stack.pair_at(2, v)
+    with pytest.raises(ValueError, match="backwards"):
+        stack.pair_at(1, v)
+
+
+def test_walks_reject_fractional_symbols():
+    """sample_sequential and chain_probability reject an observation of 1.7
+    or 0.5 instead of truncating it to symbol 1 or 0; integral floats and
+    bools walk as the integer symbols do."""
+    ch = SymbolChannel(np.array([[0.4, 0.15], [0.05, 0.4]]))
+    policy = SamplingPolicy(np.full(4, OBSERVATION_CONDITIONAL))
+    v = np.array([0, 1, 1, 0], dtype=np.uint8)
+    for obs in ([1.7, 0, 1, 0], [0.5, 0, 1, 0], [np.nan, 0, 1, 0]):
+        with pytest.raises(ValueError, match="observation symbol out of range"):
+            sample_sequential(ch, np.array(obs), policy, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="observation symbol out of range"):
+            chain_probability(ch, np.array(obs), policy, v)
+    want = chain_probability(ch, np.array([1, 0, 1, 0]), policy, v)
+    for obs in (np.array([1.0, 0.0, 1.0, 0.0]), np.array([True, False, True, False])):
+        assert chain_probability(ch, obs, policy, v) == want
+        assert np.array_equal(sample_sequential(ch, obs, policy, np.random.default_rng(3)),
+                              sample_sequential(ch, np.array([1, 0, 1, 0]), policy,
+                                                np.random.default_rng(3)))
+
+
+def test_flatten_obs_rejects_fractional_symbols():
+    """A symbol of 0.5 is not truncated to 0; integral floats flatten."""
+    ch = SymbolChannel(np.full((2, 4), 1 / 8), (2, 2))
+    with pytest.raises(ValueError, match="outside"):
+        ch.flatten_obs([np.array([0.5]), np.array([0])])
+    with pytest.raises(ValueError, match="outside"):
+        ch.flatten_obs([np.array([1]), np.array([1.25])])
+    assert ch.flatten_obs([np.array([1.0]), np.array([True])]).tolist() == [3]
 
 
 def test_sc_conditional_rejects_out_of_range_symbols():

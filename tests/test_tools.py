@@ -1,5 +1,6 @@
 """Tests of the scripts under tools/, imported by path."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,43 @@ def test_summary_flags_differing_digests_and_failures(bench_pairs):
     assert "  DIGESTS DIFFER: parent ['aaaa1111'], change ['bbbb2222']" in text.splitlines()
     assert "  change: 2 of 20 operations failed  <-- FAILURES" in text.splitlines()
     assert "  parent: 0 of 20 operations failed" in text.splitlines()
+
+
+def _fake_bench(bench_pairs, monkeypatch, fail_after=None):
+    """Replace the tool's export and benchmark run with stand-ins that run
+    nothing: every run reports wall_s 1.0, and run number fail_after (from
+    0) raises as a run that exits non-zero does."""
+    calls = []
+
+    def run_once(tree, workload, seed, seconds):
+        if len(calls) == fail_after:
+            raise RuntimeError("bench/run.py exited 1")
+        calls.append(tree.name)
+        result = {"attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 1.0}}}
+        return result, {"env": {"seed": seed}, "digest": "ab" * 32}
+
+    monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    return calls
+
+
+def test_bench_pairs_runs_ten_pairs_by_default(bench_pairs, monkeypatch, tmp_path):
+    calls = _fake_bench(bench_pairs, monkeypatch)
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["PARENT", "--workload", "w", "--out", str(out)]) == 0
+    runs = json.loads(out.read_text())["runs"]
+    assert sorted({r["pair"] for r in runs}) == list(range(10)) and len(runs) == 20
+    # the parent goes first in even pairs, the change in odd ones
+    assert calls[:4] == ["parent", "change", "change", "parent"]
+
+
+def test_bench_pairs_keeps_earlier_runs_when_a_run_fails(bench_pairs, monkeypatch, tmp_path):
+    _fake_bench(bench_pairs, monkeypatch, fail_after=3)
+    out = tmp_path / "bench.json"
+    with pytest.raises(RuntimeError):
+        bench_pairs.main(["PARENT", "--workload", "w", "--pairs", "4", "--out", str(out)])
+    runs = json.loads(out.read_text())["runs"]
+    assert [(r["pair"], r["side"]) for r in runs] == [(0, "parent"), (0, "change"), (1, "change")]
 
 
 def test_output_digest_walk_cases_run_on_the_library():

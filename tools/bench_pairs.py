@@ -1,7 +1,7 @@
 """Run the benchmark in interleaved parent/change pairs and record every run.
 
     python tools/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
-        [--seeds 1 2 ...] [--pairs K] [--seconds S] --out BENCH_<n>.json
+        [--seeds 1 2 ...] [--pairs K (default 10)] [--seconds S] --out BENCH_<n>.json
 
 The parent revision and HEAD are exported with `git archive` into fresh temporary
 directories, so each side runs its committed files only, as a new checkout
@@ -10,7 +10,9 @@ would. For every workload, seed and pair the tool runs
 back to back, and alternates which side goes first (the parent in even
 pairs). Each run line of the output file holds the run's result line (its
 last stdout line) and its report's output digest; `env` is the first
-report's environment. A run that exits non-zero stops the tool. A summary
+report's environment. The output file is rewritten after every run, so a
+run that exits non-zero stops the tool but leaves every earlier run on
+disk. A summary
 (`summary`) is printed at the end: each side's failed operations, whether
 the digests differ, and per end-to-end metric of BENCHMARK.json the
 medians, the parent's IQR, the median change as a share of the metric's
@@ -111,7 +113,7 @@ def main(argv=None) -> int:
     parser.add_argument("parent", help="the parent revision")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
@@ -124,6 +126,11 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.parent, "HEAD")):
             trees[side] = Path(tmp) / side
             names[side] = export(rev, trees[side])
+        what = (f"Interleaved parent/change pairs of `python3 bench/run.py --workload <w> "
+                f"--seed <s> --seconds {args.seconds:g}`, run back to back, alternating "
+                f"which side runs first. parent is {names['parent']}; change is "
+                f"{names['change']}. Each run line holds the run's result line (its last "
+                f"stdout line) and its report's output digest.")
         for workload in args.workload:
             for seed in args.seeds:
                 for pair in range(args.pairs):
@@ -135,14 +142,10 @@ def main(argv=None) -> int:
                         runs.append({"workload": workload, "seed": seed, "pair": pair,
                                      "side": side, "digest": report["digest"],
                                      "result": result})
+                        args.out.write_text(json.dumps({"what": what, "env": env, "runs": runs},
+                                                       indent=1) + "\n")
                         print(f"{workload} seed {seed} pair {pair} {side}: "
                               f"{json.dumps(result['metrics'])}", flush=True)
-    what = (f"Interleaved parent/change pairs of `python3 bench/run.py --workload <w> "
-            f"--seed <s> --seconds {args.seconds:g}`, run back to back, alternating which "
-            f"side runs first. parent is {names['parent']}; change is {names['change']}. "
-            f"Each run line holds the run's result line (its last stdout line) and its "
-            f"report's output digest.")
-    args.out.write_text(json.dumps({"what": what, "env": env, "runs": runs}, indent=1) + "\n")
     print(summary(runs))
     return 0
 
