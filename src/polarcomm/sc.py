@@ -85,10 +85,14 @@ positive entries, SymbolChannel.functional), every support is a single bit
 or empty, and the walk uses FunctionalStack instead of any tree: the root
 pair at index i is the indicator of v*_i, where v* = G_N(u*(obs)) is the
 one block of positive mass, while the decided prefix agrees with v* and no
-observed symbol has zero mass, and null otherwise. A draw from that
-indicator is u < 1.0 or u < 0.0, so where no trial is null the walk copies
-v*_i and reads no uniform; a walk whose draws are all of this kind never
-draws its private uniform block (sample_sequential).
+observed symbol has zero mass, and null otherwise. That law does not depend
+on the bits decided at the indices it serves, only on whether a trial is
+still alive, so the walk decides a whole run of them in one slice: a draw
+from the indicator is u < 1.0 or u < 0.0, so an alive trial copies v* over
+the run, stays alive and reads no uniform, and a null one stays null; a
+followed trial dies at its first mismatch with v*. A walk whose draws are
+all of this kind never draws its private uniform block
+(sample_sequential).
 
 A Monte Carlo profile pins the walk to a block v it knows in advance, so no
 index waits for another's decision (genie-aided SC, Arikan, "Channel
@@ -98,7 +102,14 @@ pair level by level, with no per-index loop.
 Every other walk is _policy_pass, under its two public entries on (N,) or
 (B, N) arrays, sample_sequential (draw) and chain_probability (follow), and
 their one adapter _lift. The (B, N) transposed view of a C-order (N, B)
-array, which the round loop passes, lifts to that array, with no copy.
+array, which the round loop passes, lifts to that array, with no copy. The
+walk steps over maximal runs of equal tags, as Fast-SSC decodes a
+constituent code whose law needs no traversal in one step (Sarkis et al.,
+IEEE JSAC 2014): a PINNED run copies its pins, a UNIFORM_HALF run draws its
+shared uniforms, and a FunctionalStack's run takes v* on its alive trials,
+each as one (run, B) slice. Only the indices of a tag served by a
+PairStack, whose root pair at one index depends on the bits decided at the
+last, are stepped one at a time.
 
 Null conditioning (a prefix of probability zero given the observation,
 reachable through pinned bits or draws inconsistent with the model, or
@@ -645,18 +656,41 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     return _root_finish(root, tables, v.shape[1])
 
 
+def _symbol_mask(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    """table[symbols] of a bool table over the alphabet, without a gather.
+
+    The symbols equal to one of the rarer of table's two values are found
+    by one in-place comparison per such symbol, which keeps narrow symbols
+    narrow, where a gather would widen them; each position matches at most
+    one symbol, so xor-ing the matches into the other value's mask sets
+    them. Over more than _COUNT_CELLS such symbols it gathers.
+    """
+    common = 2 * np.count_nonzero(table) > table.size
+    rare = np.flatnonzero(table != common).tolist()
+    if len(rare) > _COUNT_CELLS:
+        return table[symbols]
+    out = np.full(symbols.shape, common)
+    match = np.empty(symbols.shape, bool)
+    for symbol in rare:
+        np.equal(symbols, symbol, out=match)
+        out ^= match
+    return out
+
+
 class FunctionalStack:
     """PairStack's root pairs for a functional channel, without the tree.
 
     The bit is u*(o), the row of symbol o's one positive entry, and
     v* = G_N(u*(obs)) is the only v-block of positive mass. A row is alive
     while every symbol it observes has positive mass and every decided bit
-    equals v*'s; pair_at(phi, v) folds v's rows since its last call into
-    `alive`, then gives the indicator of v*[phi] on alive rows and the
-    uniform pair, flagged null, on the rest. This is exactly PairStack's
-    output on the same channel (module docstring). obs is the (N, B)
-    observations; phi may not move backwards, since a folded row cannot be
-    unfolded.
+    equals v*'s; alive_at(phi, v) folds v's rows since its last call into
+    `alive` and returns it, and pair_at(phi, v) gives the indicator of
+    v*[phi] on alive rows and the uniform pair, flagged null, on the rest.
+    This is exactly PairStack's output on the same channel (module
+    docstring). obs is the (N, B) observations; phi may not move
+    backwards, since a folded row cannot be unfolded. u*(obs) and the
+    zero-mass symbols are found by comparisons (_symbol_mask), and where
+    every symbol has mass every row starts alive, unread.
     """
 
     def __init__(self, ch: SymbolChannel, obs: np.ndarray):
@@ -667,22 +701,29 @@ class FunctionalStack:
         if ch.obs_size == 1:  # one trial stands for every trial
             obs = np.zeros((n_len, 1), dtype=np.uint8)
         # the transform runs along the rows of the (B, N) view; its .T is C-order again
-        self.v_star = np.broadcast_to(apply_transform(positive[1][obs].T).T, (n_len, batch))
-        self.alive = np.broadcast_to(positive.any(axis=0)[obs].all(axis=0), (batch,)).copy()
+        self.v_star = np.broadcast_to(apply_transform(_symbol_mask(positive[1], obs).T).T,
+                                      (n_len, batch))
+        mass = positive.any(axis=0)
+        self.alive = np.ones(batch, bool) if mass.all() else _symbol_mask(mass, obs).all(axis=0)
         self._folded = 0  # rows of v folded into alive
+
+    def alive_at(self, phi: int, v: np.ndarray) -> np.ndarray:
+        """The (B,) alive mask at index phi, given the decided rows before
+        phi of the (N, B) block v."""
+        if phi < self._folded:
+            raise ValueError(f"index {phi} after index {self._folded}: phi moved backwards")
+        rows = slice(self._folded, phi)
+        self.alive &= np.all(v[rows] == self.v_star[rows], axis=0)
+        self._folded = phi
+        return self.alive
 
     def pair_at(self, phi: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Root pair at index phi, (B, 2) (uniform where null), and the null
         mask, given the decided rows before phi of the (N, B) block v."""
-        if phi < self._folded:
-            raise ValueError(f"pair_at({phi}) after pair_at({self._folded}): phi moved backwards")
-        rows = slice(self._folded, phi)
-        self.alive &= np.all(v[rows] == self.v_star[rows], axis=0)
-        self._folded = phi
-        pair = np.empty((self.alive.size, 2))
+        null = ~self.alive_at(phi, v)
+        pair = np.empty((null.size, 2))
         pair[:, 1] = self.v_star[phi]
         pair[:, 0] = 1.0 - pair[:, 1]
-        null = ~self.alive
         pair[null] = 0.5
         return pair, null
 
@@ -757,6 +798,16 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
     return (bool(sizes), _trial_last(obs, n_len, batch, "observations"), *lifted)
 
 
+def _check_walk(n_len: int, fd_mode: str) -> None:
+    """Reject an fd_mode other than "sample" and "argmax", or a block length
+    that is not a power of two, with ValueError: each public walk checks
+    its inputs before it defers, draws or skips a uniform block."""
+    if fd_mode not in ("sample", "argmax"):
+        raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
+    if n_len & (n_len - 1):
+        raise ValueError(f"block length must be a power of two, got {n_len}")
+
+
 def _policy_pass(
     ch: SymbolChannel,
     obs: np.ndarray,
@@ -768,74 +819,98 @@ def _policy_pass(
     uniforms: tuple | None = None,
     v_block: np.ndarray | None = None,
 ):
-    """The SC walk: each index's sampling law, drawn from or followed.
+    """The SC walk: each index's sampling law, drawn from or followed, one
+    run of indices at a time.
 
     The walk runs trial-last: obs, the pinned bits (read at PINNED indices
     only, so other rows may hold anything), v_block and the `uniforms` =
     (private, shared) blocks are (N, B), and row phi holds index phi of
-    every trial. At every index the walk forms the law (q0, q1) of its tag
-    in `tags`: the observation stack's pair on OBSERVATION_CONDITIONAL, the
-    prior stack's pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the
-    indicator of its more likely bit), 1/2 on UNIFORM_HALF and the indicator
-    of the pinned bit on PINNED. An indicator law is held as its bit, and
-    so is a FunctionalStack's law, the indicator of v*[phi], at an index
-    where it flags no trial null. Given `uniforms` the walk draws
-    bit = u < q1, with the shared block on UNIFORM_HALF, and copies the bit
-    of an indicator law, which is what u < 1.0 or u < 0.0 gives, so such an
-    index reads no uniform; the private block may be a _DeferredBlock,
-    drawn only if some index reads it. Given `v_block` the walk follows
-    those bits and multiplies the chain probability by q[bit] (1 or 0 for
-    an indicator law). Returns ((N, B) v_block, chain), chain None when
-    drawing. A stack exists only if the tags consult it, and it is
-    evaluated only at the indices whose tag consults it, where it reads the
-    bits decided so far off v_block itself. A functional channel's stack is
-    a FunctionalStack and a hard channel's a packed support tree
-    (`_stack_for`).
+    every trial. The law (q0, q1) of index phi is its tag's in `tags`: the
+    observation stack's pair on OBSERVATION_CONDITIONAL, the prior stack's
+    pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of its
+    more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
+    bit on PINNED. Given `uniforms` the walk draws bit = u < q1, with the
+    shared block on UNIFORM_HALF, and copies the bit of an indicator law,
+    which is what u < 1.0 or u < 0.0 gives, so an indicator law reads no
+    uniform; the private block may be a _DeferredBlock, drawn only if some
+    index reads it. Given `v_block` the walk follows those bits and
+    multiplies the chain probability by q[bit] (1 or 0 for an indicator
+    law). Returns ((N, B) v_block, chain), chain None when drawing.
+
+    The walk steps over maximal runs of equal tags [a, b) and decides each
+    as one (b - a, B) slice of v_block, since no law in it depends on the
+    bits decided inside it: a PINNED run copies its pins, a UNIFORM_HALF
+    run draws shared_u[a:b] < 1/2, and a run served by a FunctionalStack
+    takes the indicator of v*[a:b] on its alive trials and the uniform pair
+    on the rest (module docstring). A drawn run's alive trials copy v*, so
+    its alive mask is that at a throughout, and where no trial is null the
+    run is v*[a:b] and reads no uniform; a followed row dies at its first
+    mismatch with v*, so row r is null where a trial was dead at a or left
+    v* in rows [a, r). A tag served by a PairStack is stepped one index at
+    a time. Every row counts its null trials as anomalies, and a followed
+    run multiplies its factors into the chain one row at a time, in index
+    order, as a per-index walk rounds them. A stack exists only if the
+    tags consult it and reads the bits decided so far off v_block itself;
+    a functional channel's stack is a FunctionalStack and a hard channel's
+    a packed support tree (`_stack_for`).
     """
-    if fd_mode not in ("sample", "argmax"):
-        raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
     n_len, batch = obs.shape
-    if n_len & (n_len - 1):
-        raise ValueError(f"block length must be a power of two, got {n_len}")
     stacks = {}
     if np.any(tags == OBSERVATION_CONDITIONAL):
         stacks[OBSERVATION_CONDITIONAL] = _stack_for(ch, obs)
     if np.any(tags == PRIOR_CONDITIONAL):
         stacks[PRIOR_CONDITIONAL] = _stack_for(ch.prior(), obs)
 
-    functional = {tag for tag, stack in stacks.items() if isinstance(stack, FunctionalStack)}
+    paired = [tag for tag, stack in stacks.items() if isinstance(stack, PairStack)]
+    cuts = np.flatnonzero((np.diff(tags) != 0) | np.isin(tags[1:], paired)) + 1
+    bounds = [0, *cuts.tolist(), n_len]
     chain = None
     if v_block is None:
         private_u, shared_u = uniforms
         v_block = np.empty((n_len, batch), dtype=np.uint8)
     else:
         chain = np.ones(batch)
-    for phi in range(n_len):
-        tag = int(tags[phi])
-        point = None  # the bit of an indicator law
-        if tag in stacks:
-            pair, null = stacks[tag].pair_at(phi, v_block)
-            nulls = np.count_nonzero(null)
-            if anomalies is not None:
-                anomalies.add(nulls)
-            q0, q1 = pair[:, 0], pair[:, 1]
-            if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
-                point = (q1 > q0).astype(np.uint8)
+    for a, b in zip(bounds, bounds[1:]):
+        rows = slice(a, b)
+        tag = int(tags[a])
+        point = None  # the bits of an indicator law
+        nulls = 0
+        if tag == PINNED:
+            point = pinned[rows]
         elif tag == UNIFORM_HALF:
             q0 = q1 = 0.5
-        else:
-            point = pinned[phi]
+        elif tag in paired:
+            pair, null = stacks[tag].pair_at(a, v_block)
+            nulls = np.count_nonzero(null)
+            q0, q1 = pair[:, 0], pair[:, 1]
+        else:  # a FunctionalStack's run
+            star = stacks[tag].v_star[rows]
+            null = ~stacks[tag].alive_at(a, v_block)
+            if chain is None:  # alive trials copy v*, so every row has the nulls of row a
+                nulls = np.count_nonzero(null) * (b - a)
+            else:  # a row dies at its first mismatch with v*
+                null = np.logical_or.accumulate(np.vstack((null, v_block[a : b - 1] != star[:-1])),
+                                                axis=0)
+                nulls = np.count_nonzero(null)
+            if nulls:
+                q1 = np.where(null, 0.5, star)
+                q0 = 1.0 - q1
+            else:
+                point = star
+        if anomalies is not None:
+            anomalies.add(nulls)
+        if point is None and tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
+            point = (q1 > q0).astype(np.uint8)
         if chain is None:
-            bits = point
-            if bits is None and tag in functional and not nulls:  # v*[phi] on every trial
-                bits = q1.astype(np.uint8)
-            elif bits is None:
+            if point is None:
                 u = shared_u if tag == UNIFORM_HALF else private_u
-                bits = (u[phi] < q1).astype(np.uint8)
-            v_block[phi] = bits
+                point = u[rows] < q1
+            v_block[rows] = point
         else:
-            bits = v_block[phi]
-            chain *= np.where(bits == 1, q1, q0) if point is None else (bits == point)
+            bits = v_block[rows]
+            factors = bits == point if point is not None else np.where(bits == 1, q1, q0)
+            for factor in factors:
+                chain *= factor
     return v_block, chain
 
 
@@ -901,14 +976,16 @@ def sample_sequential(
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
     copies the given bit. Both streams are consumed as one (B, N) uniform
     block up front, private then shared, so outputs are reproducible for a
-    fixed seed regardless of the tag layout. A block no trial reads is
-    skipped, not kept: the shared one when no index is UNIFORM_HALF, the
-    private one when none is OBSERVATION_CONDITIONAL or, under
-    fd_mode="sample", PRIOR_CONDITIONAL. Where some index draws, the
-    private block is deferred (_DeferredBlock) and drawn when a draw first
-    reads it: a FunctionalStack copies v*[phi] on each trial not flagged
-    null, so its walk reads the block only if a null trial reaches a
-    drawing index.
+    fixed seed regardless of the tag layout; an fd_mode or a block length
+    that the walk rejects raises ValueError before either stream moves. A
+    block no trial reads is skipped, not kept: the shared one when no index
+    is UNIFORM_HALF, the private one when none is OBSERVATION_CONDITIONAL
+    or, under fd_mode="sample", PRIOR_CONDITIONAL. Where some index draws,
+    the private block is deferred (_DeferredBlock) and drawn when a draw
+    first reads it: a FunctionalStack's run copies v* on the trials not
+    flagged null, so its walk reads the block only if a null trial reaches
+    a drawing run. Runs of equal tags are decided a run at a time
+    (_policy_pass), which draws the same bits as an index at a time.
     Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
     transposed view of the walk's C-order (N, B) block.
 
@@ -917,6 +994,7 @@ def sample_sequential(
     """
     batched, obs, pinned = _lift(ch, obs, policy)
     n_len, batch = obs.shape
+    _check_walk(n_len, fd_mode)
     tags = policy.tags
     drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
     private_u = (_DeferredBlock(rng, batch, n_len) if np.any(drawn)
@@ -947,5 +1025,6 @@ def chain_probability(
     if np.any((v_block != 0) & (v_block != 1)):
         raise ValueError("v_block must hold bits 0 and 1 only")
     batched, obs, pinned, v_block = _lift(ch, obs, policy, v_block.astype(np.uint8))
+    _check_walk(obs.shape[0], fd_mode)
     _, chain = _policy_pass(ch, obs, policy.tags, pinned, fd_mode, anomalies, v_block=v_block)
     return chain if batched else float(chain[0])

@@ -8,6 +8,9 @@ by its own recursion. It shares only the pair ops (_fop, _gop, _normalize,
 _root_pairs) with the library, which fix the arithmetic that PairStack's
 results must equal bit for bit.
 
+reference_walk is the SC walk as a loop over single indices on
+ReferenceTrees, the law each index's tag gives it, drawn or followed.
+
 conditional_pair reads one index's exact conditional pair off the public
 chain_probability, for tests that compare the engine with an oracle.
 random_hard_table draws the tables on which the SC tree runs on supports.
@@ -17,6 +20,7 @@ import numpy as np
 from polarcomm.sc import (
     OBSERVATION_CONDITIONAL,
     PINNED,
+    PRIOR_CONDITIONAL,
     UNIFORM_HALF,
     AnomalyLog,
     SamplingPolicy,
@@ -94,6 +98,42 @@ class ReferenceTree:
             _normalize(root)
         pair, null = _root_pairs(root)
         return pair.T, null
+
+
+def reference_walk(ch, obs, tags, pinned, fd_mode, *, uniforms=None, v_block=None):
+    """(v_block, chain, anomalies) of the walk over the trial-last (N, B)
+    inputs, as _policy_pass takes them, one index at a time: the float
+    tree's pair on OBSERVATION_CONDITIONAL and PRIOR_CONDITIONAL (under
+    argmax the indicator of its more likely bit), 1/2 on UNIFORM_HALF and
+    the pin on PINNED. Given the (private, shared) `uniforms` it draws
+    u < q1 (the shared u on UNIFORM_HALF) and copies the bit of an
+    indicator law; given `v_block` it follows it, multiplying the chain by
+    q[bit], and returns chain None when drawing."""
+    n_len, batch = obs.shape
+    trees = {OBSERVATION_CONDITIONAL: ReferenceTree(np.take(ch.table, obs, axis=1)),
+             PRIOR_CONDITIONAL: ReferenceTree(np.broadcast_to(
+                 ch.table.sum(axis=1)[:, None, None], (2, n_len, batch)))}
+    drawing = v_block is None
+    v = np.zeros((n_len, batch), np.uint8) if drawing else v_block
+    chain, count = np.ones(batch), 0
+    for phi, tag in enumerate(tags.tolist()):
+        point = None
+        if tag in trees:
+            pair, null = trees[tag].pair_at(phi, v)
+            count += int(np.count_nonzero(null))
+            q0, q1 = pair[:, 0], pair[:, 1]
+            if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
+                point = (q1 > q0).astype(np.uint8)
+        elif tag == UNIFORM_HALF:
+            q0 = q1 = 0.5
+        else:
+            point = pinned[phi]
+        if drawing:
+            u = uniforms[1] if tag == UNIFORM_HALF else uniforms[0]
+            v[phi] = point if point is not None else u[phi] < q1
+        else:
+            chain *= np.where(v[phi] == 1, q1, q0) if point is None else v[phi] == point
+    return v, None if drawing else chain, count
 
 
 def random_hard_table(rng, size, tiny=0):

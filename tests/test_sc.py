@@ -42,7 +42,7 @@ from polarcomm.sc import (
 )
 from polarcomm.transform import apply_transform, bit_reversal_perm
 
-from sc_reference import ReferenceTree, conditional_pair, random_hard_table
+from sc_reference import ReferenceTree, conditional_pair, random_hard_table, reference_walk
 
 DATA = Path(__file__).parent / "data"
 
@@ -804,6 +804,144 @@ def test_functional_stack_rejects_phi_moving_backwards():
     stack.pair_at(2, v)
     with pytest.raises(ValueError, match="backwards"):
         stack.pair_at(1, v)
+
+
+def protocol_layouts(n_len=64):
+    """Tag layouts shaped as the protocol's policies at N = 64: a
+    transmitter's observation runs broken by isolated F_d (prior) indices
+    and one adjacent pair; a receiver's long pinned block, then observation
+    runs with isolated prior indices, a shared-half run and a lone pin;
+    single-index runs of all four tags; and runs of every tag and length,
+    from a shared-half run at index 0 to a pinned run ending at N - 1."""
+    obs, prior, half, pin = (OBSERVATION_CONDITIONAL, PRIOR_CONDITIONAL, UNIFORM_HALF, PINNED)
+    tx = np.full(n_len, obs, np.uint8)
+    tx[[15, 31, 39, 47, 51, 55, 59, 60]] = prior
+    rx = np.full(n_len, obs, np.uint8)
+    rx[:40] = pin
+    rx[[44, 53]] = prior
+    rx[48:51] = half
+    rx[57] = pin
+    runs = ((half, 5), (obs, 9), (pin, 3), (obs, 1), (prior, 2), (obs, 12), (half, 1),
+            (obs, 6), (pin, 20), (obs, 1), (pin, 4))
+    mixed = np.repeat([tag for tag, _ in runs], [length for _, length in runs]).astype(np.uint8)
+    return {"tx": tx, "rx": rx, "singles": np.resize(np.array([obs, pin, half, prior], np.uint8),
+                                                     n_len), "mixed": mixed}
+
+
+@pytest.mark.parametrize("table", [
+    [[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]],  # a zero-mass symbol
+    [[0.6, 0.4], [0.0, 0.0]],  # degenerate prior: prior runs are functional too
+    [[0.0], [1.0]],  # observation-free
+    [[0.5, 0.0, 0.0, 0.25], [0.0, 0.0, 0.0, 0.25]],  # erasure: a packed support tree
+    [[0.3, 0.1, 0.05, 0.05], [0.1, 0.2, 0.1, 0.1]],  # a float tree
+])
+@pytest.mark.parametrize("layout", ["tx", "rx", "singles", "mixed"])
+def test_run_segmented_walk_equals_per_index_walks(table, layout, monkeypatch):
+    """The run-segmented walk equals, block for block, chain for chain and
+    anomaly count for anomaly count, the per-index loop over float trees
+    (reference_walk) and the float-tree walk (SymbolChannel.hard off), on
+    protocol-shaped layouts at B = 130 under both F_d modes, drawn and
+    followed. Trials die mid-block on a zero-mass symbol, on pins that
+    contradict v*, on shared draws that leave v* and, where followed, at a
+    flipped bit inside a run. A PairStack is consulted once at each index
+    its tag serves, a FunctionalStack once per run."""
+    rng = np.random.default_rng(40)
+    n_len, batch = 64, 130
+    ch = SymbolChannel(np.array(table))
+    tags = protocol_layouts(n_len)[layout]
+    obs = _observations(rng, ch, batch, n_len).astype(np.uint8)
+    positive = ch.table > 0
+    star = apply_transform(positive[1][obs]) if ch.functional else np.zeros_like(obs)
+    pins = star ^ (rng.random((batch, n_len)) < 0.01)
+    flips = rng.random((batch, n_len)) < 0.02
+    policy = SamplingPolicy(tags, pins)
+
+    def walks():
+        out = []
+        for fd in ("sample", "argmax"):
+            log = AnomalyLog()
+            v = sample_sequential(ch, obs, policy, np.random.default_rng(7),
+                                  shared_rng=np.random.default_rng(8), fd_mode=fd, anomalies=log)
+            out.append((v, log.count))
+            for block in (v, v ^ flips, star):
+                log = AnomalyLog()
+                out.append((chain_probability(ch, obs, policy, block, fd_mode=fd, anomalies=log),
+                            log.count))
+        return out
+
+    consulted = []
+    for cls, method in ((PairStack, "pair_at"), (FunctionalStack, "alive_at")):
+        def spy(self, phi, v, real=getattr(cls, method), name=cls.__name__):
+            consulted.append((phi, name))
+            return real(self, phi, v)
+        monkeypatch.setattr(cls, method, spy)
+    fast = walks()
+    served = {OBSERVATION_CONDITIONAL: ch, PRIOR_CONDITIONAL: ch.prior()}
+    want = [(phi, "PairStack") for phi in range(n_len)
+            if tags[phi] in served and not served[tags[phi]].functional]
+    want += [(phi, "FunctionalStack") for phi in range(n_len)
+             if tags[phi] in served and served[tags[phi]].functional
+             and (phi == 0 or tags[phi - 1] != tags[phi])]
+    assert sorted(consulted) == sorted(want * 8)  # 2 F_d modes x (1 draw + 3 follows)
+
+    lifted = (obs.T.copy(), tags, pins.T.copy())
+    uniforms = tuple(_uniform_block(np.random.default_rng(seed), batch, n_len) for seed in (7, 8))
+    ref = []
+    for fd in ("sample", "argmax"):
+        v, _, count = reference_walk(ch, *lifted, fd, uniforms=uniforms)
+        ref.append((v.T, count))
+        for block in (v.T, v.T ^ flips, star):
+            _, chain, count = reference_walk(ch, *lifted, fd, v_block=block.T.copy())
+            ref.append((chain, count))
+    monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
+    assert not ch.functional
+    for (got, count), (ref_got, ref_count), (float_got, float_count) in zip(fast, ref, walks()):
+        assert np.array_equal(got, ref_got) and count == ref_count
+        assert np.array_equal(got, float_got) and count == float_count
+    # trials die wherever some block has zero mass
+    assert any(count for _, count in fast) == bool(np.any(ch.table == 0))
+
+
+def test_functional_stack_equals_the_gather_formulas():
+    """v* = G_N(u*(obs)) and the alive mask, found by comparisons, equal the
+    fancy-index formulas: on a zero-mass symbol, an observation-free
+    channel and a 200-symbol table whose rarer value has more symbols than
+    the comparisons take, over uint8 and intp symbols."""
+    rng = np.random.default_rng(41)
+    n_len, batch = 32, 70
+    for table in ([[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]], [[0.0], [1.0]],
+                  random_functional_table(rng, 200)):
+        ch = SymbolChannel(np.array(table))
+        assert ch.functional
+        obs = _observations(rng, ch, batch, n_len).T
+        positive = ch.table > 0
+        want_star = apply_transform(positive[1][obs].T).T
+        want_alive = positive.any(axis=0)[obs].all(axis=0)
+        for dtype in (np.uint8, np.intp):
+            stack = FunctionalStack(ch, obs.astype(dtype))
+            assert stack.v_star.shape == (n_len, batch) and stack.v_star.dtype == np.uint8
+            assert np.array_equal(stack.v_star, want_star)
+            assert np.array_equal(stack.alive, want_alive)
+        assert want_alive.all() != (0.0 in ch.table.sum(axis=0))
+
+
+@pytest.mark.parametrize("n_len, fd", [(8, "bogus"), (6, "sample")])
+def test_rejected_walk_leaves_the_streams_unread(n_len, fd):
+    """A walk rejected for its F_d mode or a block length that is not a power
+    of two raises before it defers, draws or skips a uniform block: the
+    next double of each stream is the first it would give."""
+    ch = and_round1_channel()
+    tags = np.full(n_len, OBSERVATION_CONDITIONAL, np.uint8)
+    tags[::2] = UNIFORM_HALF
+    rng, shared = np.random.default_rng(1), np.random.default_rng(2)
+    with pytest.raises(ValueError):
+        sample_sequential(ch, np.zeros((3, n_len), np.uint8), SamplingPolicy(tags), rng,
+                          shared_rng=shared, fd_mode=fd)
+    assert rng.random() == np.random.default_rng(1).random()
+    assert shared.random() == np.random.default_rng(2).random()
+    with pytest.raises(ValueError):
+        chain_probability(ch, np.zeros(n_len, np.uint8), SamplingPolicy(tags),
+                          np.zeros(n_len, np.uint8), fd_mode=fd)
 
 
 def test_walks_reject_fractional_symbols():

@@ -74,6 +74,30 @@ def test_summary_flags_differing_digests_and_failures(bench_pairs):
     assert "  parent: 0 of 20 operations failed" in text.splitlines()
 
 
+def test_summary_marks_a_metric_unresolved_when_the_parent_spreads_past_its_bound(bench_pairs):
+    """A parent IQR wider than the bound, as a share of the parent's median,
+    leaves a metric unresolved, unless every change run reads better than
+    every parent run; a spread within the bound leaves it resolved."""
+    assert bench_pairs.end_to_end()["setup_s"]["bound"] == 0.25
+    # parent setup_s 0.8 .. 1.2: median 1.0, IQR 0.2, within the bound
+    # parent wall_s 0.6 .. 1.4: median 1.0, IQR 0.4, 0.4 of it
+    parent = [{"setup_s": 0.8 + 0.1 * k, "wall_s": 0.6 + 0.2 * k, "plan_s": 0.6 + 0.2 * k}
+              for k in range(5)]
+    # plan_s: every change run (0.3 .. 0.5) reads better than every parent run
+    change = [{"setup_s": 1.0, "wall_s": 1.0, "plan_s": 0.3 + 0.05 * k} for k in range(5)]
+    text = bench_pairs.summary(_runs(parent, change))
+    assert "UNRESOLVED" not in _line(text, "setup_s")
+    assert _line(text, "wall_s").endswith("<-- UNRESOLVED: parent IQR 0.4 of its median")
+    assert "UNRESOLVED" not in _line(text, "plan_s")
+    # higher is better: agreement 0.5 .. 0.9 spreads 0.2 / 0.7 of its median
+    text = bench_pairs.summary(_runs([{"agreement": 0.5 + 0.1 * k} for k in range(5)],
+                                     [{"agreement": 0.95}] * 5))
+    assert "UNRESOLVED" not in _line(text, "agreement")
+    text = bench_pairs.summary(_runs([{"agreement": 0.5 + 0.1 * k} for k in range(5)],
+                                     [{"agreement": 0.85}] * 5))
+    assert "UNRESOLVED" in _line(text, "agreement")
+
+
 def _fake_bench(bench_pairs, monkeypatch, fail_after=None):
     """Replace the tool's export and benchmark run with stand-ins that run
     nothing: every run reports wall_s 1.0, and run number fail_after (from
@@ -112,16 +136,17 @@ def test_bench_pairs_keeps_earlier_runs_when_a_run_fails(bench_pairs, monkeypatc
 
 
 def test_output_digest_walk_cases_run_on_the_library():
-    """The digest tool's functional and erasure walk cases run against the
-    library's public SC API and yield one sha256 hex digest per case, under
-    distinct names."""
+    """The digest tool's functional, erasure and run walk cases run against
+    the library's public SC API and yield one sha256 hex digest per case,
+    under distinct names."""
     import polarcomm
 
     digest = _load("output_digest")
-    cases = [*digest.functional_walk_cases(polarcomm), *digest.erasure_walk_cases(polarcomm)]
-    assert len(cases) == 204 and len({name for name, _ in cases}) == 204
+    cases = [*digest.functional_walk_cases(polarcomm), *digest.erasure_walk_cases(polarcomm),
+             *digest.run_walk_cases(polarcomm)]
+    assert len(cases) == 244 and len({name for name, _ in cases}) == 244
     for name, value in cases:
-        assert name.startswith(("walk/functional/", "walk/erasure/"))
+        assert name.startswith(("walk/functional/", "walk/erasure/", "walk/runs/"))
         assert len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 

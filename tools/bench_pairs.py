@@ -72,7 +72,11 @@ def summary(runs: list) -> str:
     the parent's median and IQR (linear quartiles), the change's median, the
     change of the medians relative to the parent's as a share of the
     metric's bound (positive is worse) and the pairs in which the change
-    reads better in the metric's direction (ties count for neither)."""
+    reads better in the metric's direction (ties count for neither). A
+    metric whose parent IQR, as a share of the parent's median, exceeds its
+    bound is marked UNRESOLVED, since its runs cannot tell a move within
+    the bound from none, unless every change run reads better than every
+    parent run."""
     metrics = end_to_end()
     out = []
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
@@ -102,9 +106,16 @@ def summary(runs: list) -> str:
             q1, q3 = np.percentile(vals["parent"], [25, 75])
             delta = med["change"] - med["parent"]
             worse = sign * delta / abs(med["parent"] or math.nan) if delta else 0.0
+            spread = (q3 - q1) / abs(med["parent"] or math.nan)
+            # a spread wider than the bound hides a move within it, unless
+            # every change run reads better than every parent run
+            apart = max(sign * c for c in vals["change"]) < min(sign * p for p in vals["parent"])
+            unresolved = spread > spec["bound"] and not apart
             out.append(f"  {name:14s} {med['parent']:10.4g} (IQR {q3 - q1:.3g}) -> "
                        f"{med['change']:10.4g}   {worse / spec['bound']:+.2f} of bound "
-                       f"{spec['bound']:g}   change better in {better}/{len(pairs)}")
+                       f"{spec['bound']:g}   change better in {better}/{len(pairs)}"
+                       + (f"  <-- UNRESOLVED: parent IQR {spread:.3g} of its median"
+                          if unresolved else ""))
     return "\n".join(out)
 
 

@@ -66,6 +66,17 @@ moved. The cases are
   * model/...     the mass bytes, every decode table and each declared
                   chain's Markov violation of the AND chains at t = 6, 8
                   and the collocated chains at m = 4 (one p_j = 1) and 5.
+  * walk/runs/...  the SC walk on protocol-shaped tag layouts at N = 64 on
+                  130 trials, whose runs of equal tags the walk decides a
+                  run at a time: a transmitter's observation runs broken by
+                  isolated prior indices, a receiver's long pinned block
+                  followed by observation runs, single-index runs, and runs
+                  of every tag from index 0 to N - 1; on the
+                  walk/functional channels, an erasure channel and a
+                  two-symbol float channel, with pins that contradict the
+                  drawn block: the drawn block, and the chain probabilities
+                  of it, of it with flipped bits and of the drawn block,
+                  under both F_d modes.
 
 Every case runs at N <= 64 and the whole script takes well under a minute.
 """
@@ -334,6 +345,55 @@ def coded_cases(pc):
     yield from erasure_profile_cases(pc, CODED_CHANNELS, "profile/coded")
 
 
+def run_layouts(pc, n_len=64):
+    """The walk/runs tag layouts at N = 64."""
+    sc = pc.sc
+    obs, prior, half, pin = (sc.OBSERVATION_CONDITIONAL, sc.PRIOR_CONDITIONAL, sc.UNIFORM_HALF,
+                             sc.PINNED)
+    tx = np.full(n_len, obs, np.uint8)
+    tx[[15, 31, 39, 47, 51, 55, 59, 60]] = prior
+    rx = np.full(n_len, obs, np.uint8)
+    rx[:40] = pin
+    rx[[44, 53]] = prior
+    rx[48:51] = half
+    rx[57] = pin
+    runs = ((half, 5), (obs, 9), (pin, 3), (obs, 1), (prior, 2), (obs, 12), (half, 1),
+            (obs, 6), (pin, 20), (obs, 1), (pin, 4))
+    mixed = np.repeat([tag for tag, _ in runs], [length for _, length in runs]).astype(np.uint8)
+    singles = np.resize(np.array([obs, pin, half, prior], np.uint8), n_len)
+    return {"tx": tx, "rx": rx, "singles": singles, "mixed": mixed}
+
+
+RUN_CHANNELS = {**FUNCTIONAL_CHANNELS, "erasure-symbol": ERASURE_CHANNELS["erasure-symbol"],
+                "two-symbol": CODED_CHANNELS["two-symbol"][0]}
+
+
+def run_walk_cases(pc):
+    """walk/runs/...: every run layout on every RUN_CHANNELS channel, drawn
+    and followed under both F_d modes."""
+    n_len, batch = 64, 130
+    rng = np.random.default_rng(71)
+    for ch_name, table in RUN_CHANNELS.items():
+        ch = pc.SymbolChannel(np.array(table))
+        u_bits, obs = _draw_cells(ch, rng, (batch, n_len))
+        mass = ch.table.sum(axis=0)
+        if np.any(mass == 0):  # rows 0 and 1 observe a zero-mass symbol once
+            obs[[0, 1], rng.integers(0, n_len, 2)] = np.flatnonzero(mass == 0)[0]
+        drawn = pc.apply_transform(u_bits)
+        pinned = drawn ^ (rng.random((batch, n_len)) < 0.01)
+        flips = rng.random((batch, n_len)) < 0.02
+        for layout, tags in run_layouts(pc).items():
+            policy = pc.SamplingPolicy(tags, pinned)
+            for fd in ("sample", "argmax"):
+                log = pc.AnomalyLog()
+                v = pc.sample_sequential(ch, obs, policy, np.random.default_rng(7),
+                                         shared_rng=np.random.default_rng(8),
+                                         fd_mode=fd, anomalies=log)
+                chains = [pc.chain_probability(ch, obs, policy, block, fd_mode=fd, anomalies=log)
+                          for block in (v, v ^ flips, drawn)]
+                yield f"walk/runs/{ch_name}/{layout}/{fd}", _digest(v, *chains, log.count)
+
+
 def profile_cases(model_name, label, plans):
     for plan in plans:
         for cond in sorted(plan.profiles):
@@ -490,6 +550,8 @@ def main(argv=None) -> int:
     for case in wide_protocol_cases(pc):
         emit(*case)
     for case in word_cases(pc):
+        emit(*case)
+    for case in run_walk_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
