@@ -806,13 +806,14 @@ def test_functional_stack_rejects_phi_moving_backwards():
         stack.pair_at(1, v)
 
 
-def protocol_layouts(n_len=64):
+def protocol_layouts():
     """Tag layouts shaped as the protocol's policies at N = 64: a
     transmitter's observation runs broken by isolated F_d (prior) indices
     and one adjacent pair; a receiver's long pinned block, then observation
     runs with isolated prior indices, a shared-half run and a lone pin;
     single-index runs of all four tags; and runs of every tag and length,
     from a shared-half run at index 0 to a pinned run ending at N - 1."""
+    n_len = 64
     obs, prior, half, pin = (OBSERVATION_CONDITIONAL, PRIOR_CONDITIONAL, UNIFORM_HALF, PINNED)
     tx = np.full(n_len, obs, np.uint8)
     tx[[15, 31, 39, 47, 51, 55, 59, 60]] = prior
@@ -824,8 +825,8 @@ def protocol_layouts(n_len=64):
     runs = ((half, 5), (obs, 9), (pin, 3), (obs, 1), (prior, 2), (obs, 12), (half, 1),
             (obs, 6), (pin, 20), (obs, 1), (pin, 4))
     mixed = np.repeat([tag for tag, _ in runs], [length for _, length in runs]).astype(np.uint8)
-    return {"tx": tx, "rx": rx, "singles": np.resize(np.array([obs, pin, half, prior], np.uint8),
-                                                     n_len), "mixed": mixed}
+    singles = np.resize(np.array([obs, pin, half, prior], np.uint8), n_len)
+    return {"tx": tx, "rx": rx, "singles": singles, "mixed": mixed}
 
 
 @pytest.mark.parametrize("table", [
@@ -848,7 +849,7 @@ def test_run_segmented_walk_equals_per_index_walks(table, layout, monkeypatch):
     rng = np.random.default_rng(40)
     n_len, batch = 64, 130
     ch = SymbolChannel(np.array(table))
-    tags = protocol_layouts(n_len)[layout]
+    tags = protocol_layouts()[layout]
     obs = _observations(rng, ch, batch, n_len).astype(np.uint8)
     positive = ch.table > 0
     star = apply_transform(positive[1][obs]) if ch.functional else np.zeros_like(obs)

@@ -73,10 +73,11 @@ moved. The cases are
                   followed by observation runs, single-index runs, and runs
                   of every tag from index 0 to N - 1; on the
                   walk/functional channels, an erasure channel and a
-                  two-symbol float channel, with pins that contradict the
-                  drawn block: the drawn block, and the chain probabilities
-                  of it, of it with flipped bits and of the drawn block,
-                  under both F_d modes.
+                  two-symbol float channel, given a block G_N(u) of u-bits
+                  drawn from the table (v* on a functional channel) and
+                  pins that flip 1% of it: the sampled block, and the chain
+                  probabilities of it, of it with flipped bits and of
+                  G_N(u), under both F_d modes.
 
 Every case runs at N <= 64 and the whole script takes well under a minute.
 """
@@ -345,9 +346,9 @@ def coded_cases(pc):
     yield from erasure_profile_cases(pc, CODED_CHANNELS, "profile/coded")
 
 
-def run_layouts(pc, n_len=64):
+def run_layouts(pc):
     """The walk/runs tag layouts at N = 64."""
-    sc = pc.sc
+    sc, n_len = pc.sc, 64
     obs, prior, half, pin = (sc.OBSERVATION_CONDITIONAL, sc.PRIOR_CONDITIONAL, sc.UNIFORM_HALF,
                              sc.PINNED)
     tx = np.full(n_len, obs, np.uint8)
