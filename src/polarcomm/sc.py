@@ -656,18 +656,25 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     return _root_finish(root, tables, v.shape[1])
 
 
+_COMPARE_BYTES = 16  # most rare symbols x symbol itemsize for which comparing beats a gather
+
+
 def _symbol_mask(table: np.ndarray, symbols: np.ndarray) -> np.ndarray:
-    """table[symbols] of a bool table over the alphabet, without a gather.
+    """table[symbols] of a bool table over the alphabet.
 
     The symbols equal to one of the rarer of table's two values are found
     by one in-place comparison per such symbol, which keeps narrow symbols
     narrow, where a gather would widen them; each position matches at most
     one symbol, so xor-ing the matches into the other value's mask sets
-    them. Over more than _COUNT_CELLS such symbols it gathers.
+    them. A comparison costs about its symbols' bytes and the gather does
+    not: at (1024, 2000) symbols the gather takes 5.9 ms on uint8, 5.5 ms on
+    uint16 and 2.5 ms on intp, a comparison 0.34, 0.43 and 0.9 ms, so it
+    compares while the rare symbols times the itemsize are at most
+    _COMPARE_BYTES and gathers above that.
     """
     common = 2 * np.count_nonzero(table) > table.size
     rare = np.flatnonzero(table != common).tolist()
-    if len(rare) > _COUNT_CELLS:
+    if len(rare) * symbols.itemsize > _COMPARE_BYTES:
         return table[symbols]
     out = np.full(symbols.shape, common)
     match = np.empty(symbols.shape, bool)
@@ -684,13 +691,14 @@ class FunctionalStack:
     v* = G_N(u*(obs)) is the only v-block of positive mass. A row is alive
     while every symbol it observes has positive mass and every decided bit
     equals v*'s; alive_at(phi, v) folds v's rows since its last call into
-    `alive` and returns it, and pair_at(phi, v) gives the indicator of
-    v*[phi] on alive rows and the uniform pair, flagged null, on the rest.
-    This is exactly PairStack's output on the same channel (module
-    docstring). obs is the (N, B) observations; phi may not move
-    backwards, since a folded row cannot be unfolded. u*(obs) and the
-    zero-mass symbols are found by comparisons (_symbol_mask), and where
-    every symbol has mass every row starts alive, unread.
+    `alive` and returns it. The root pair at phi is the indicator of
+    v*[phi] on alive rows and the uniform pair, flagged null, on the rest,
+    exactly PairStack's pair_at on the same channel (module docstring);
+    the walk reads v_star and alive_at and builds no pair. obs is the
+    (N, B) observations; phi may not move backwards, since a folded row
+    cannot be unfolded. u*(obs) and the zero-mass symbols are found by
+    _symbol_mask, and where every symbol has mass every row starts alive,
+    unread.
     """
 
     def __init__(self, ch: SymbolChannel, obs: np.ndarray):
@@ -716,16 +724,6 @@ class FunctionalStack:
         self.alive &= np.all(v[rows] == self.v_star[rows], axis=0)
         self._folded = phi
         return self.alive
-
-    def pair_at(self, phi: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Root pair at index phi, (B, 2) (uniform where null), and the null
-        mask, given the decided rows before phi of the (N, B) block v."""
-        null = ~self.alive_at(phi, v)
-        pair = np.empty((null.size, 2))
-        pair[:, 1] = self.v_star[phi]
-        pair[:, 0] = 1.0 - pair[:, 1]
-        pair[null] = 0.5
-        return pair, null
 
 
 def _stack_for(ch: SymbolChannel, obs: np.ndarray):

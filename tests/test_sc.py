@@ -4,6 +4,8 @@ The oracle here is written independently of the library's enumeration
 helpers: it builds the block joint with an explicit Kronecker-product
 transform matrix and plain loops over integer-encoded blocks.
 """
+import functools
+import importlib.util
 import itertools
 import json
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarcomm
 from polarcomm import sc
 from polarcomm.models import AndModelParams, build_and_chain
 from polarcomm.sc import (
@@ -45,6 +48,7 @@ from polarcomm.transform import apply_transform, bit_reversal_perm
 from sc_reference import ReferenceTree, conditional_pair, random_hard_table, reference_walk
 
 DATA = Path(__file__).parent / "data"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
 def naive_matrix(n):
@@ -489,9 +493,19 @@ def test_functional_stack_equals_pair_stack(seed, n, batch, size, flip, tiny):
     decided = v_star ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
         if rng.random() < 0.7:
-            got, got_null = fast.pair_at(phi, decided)
+            got, got_null = functional_pair(fast, phi, decided)
             want, want_null = ref.pair_at(phi, decided)
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+
+
+def functional_pair(stack, phi, v):
+    """The (B, 2) root pair and null mask a FunctionalStack stands for at
+    phi: the indicator of v*[phi] on alive rows, uniform on the rest."""
+    null = ~stack.alive_at(phi, v)
+    one = stack.v_star[phi].astype(float)
+    pair = np.stack((1.0 - one, one), axis=1)
+    pair[null] = 0.5
+    return pair, null
 
 
 def _walk(ch, obs, policy, fd, seeds=(7, 8)):
@@ -800,33 +814,23 @@ def test_functional_stack_rejects_phi_moving_backwards():
     ch = SymbolChannel(np.array([[0.5, 0.0], [0.0, 0.5]]))
     stack = FunctionalStack(ch, np.array([[0, 1], [1, 1], [0, 0], [1, 0]]))
     v = stack.v_star.copy()
-    stack.pair_at(2, v)
-    stack.pair_at(2, v)
+    stack.alive_at(2, v)
+    stack.alive_at(2, v)
     with pytest.raises(ValueError, match="backwards"):
-        stack.pair_at(1, v)
+        stack.alive_at(1, v)
 
 
+@functools.cache
 def protocol_layouts():
-    """Tag layouts shaped as the protocol's policies at N = 64: a
-    transmitter's observation runs broken by isolated F_d (prior) indices
-    and one adjacent pair; a receiver's long pinned block, then observation
-    runs with isolated prior indices, a shared-half run and a lone pin;
-    single-index runs of all four tags; and runs of every tag and length,
-    from a shared-half run at index 0 to a pinned run ending at N - 1."""
-    n_len = 64
-    obs, prior, half, pin = (OBSERVATION_CONDITIONAL, PRIOR_CONDITIONAL, UNIFORM_HALF, PINNED)
-    tx = np.full(n_len, obs, np.uint8)
-    tx[[15, 31, 39, 47, 51, 55, 59, 60]] = prior
-    rx = np.full(n_len, obs, np.uint8)
-    rx[:40] = pin
-    rx[[44, 53]] = prior
-    rx[48:51] = half
-    rx[57] = pin
-    runs = ((half, 5), (obs, 9), (pin, 3), (obs, 1), (prior, 2), (obs, 12), (half, 1),
-            (obs, 6), (pin, 20), (obs, 1), (pin, 4))
-    mixed = np.repeat([tag for tag, _ in runs], [length for _, length in runs]).astype(np.uint8)
-    singles = np.resize(np.array([obs, pin, half, prior], np.uint8), n_len)
-    return {"tx": tx, "rx": rx, "singles": singles, "mixed": mixed}
+    """The protocol-shaped tag layouts at N = 64 of the walk/runs digest
+    cases (tools/output_digest.py's run_layouts): a transmitter's
+    observation runs broken by isolated prior indices, a receiver's long
+    pinned block, single-index runs, and runs of every tag from index 0 to
+    N - 1."""
+    spec = importlib.util.spec_from_file_location("output_digest", TOOLS / "output_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    return digest.run_layouts(polarcomm)
 
 
 @pytest.mark.parametrize("table", [
@@ -903,15 +907,28 @@ def test_run_segmented_walk_equals_per_index_walks(table, layout, monkeypatch):
     assert any(count for _, count in fast) == bool(np.any(ch.table == 0))
 
 
+def cutover_table(rare):
+    """A functional (2, 40) table whose bit is 1 on `rare` symbols and
+    whose last `rare` symbols have no mass."""
+    table = np.zeros((2, 40))
+    table[1, :rare] = 1.0
+    table[0, rare:] = 1.0
+    table[:, 40 - rare:] = 0.0
+    return table / table.sum()
+
+
 def test_functional_stack_equals_the_gather_formulas():
-    """v* = G_N(u*(obs)) and the alive mask, found by comparisons, equal the
-    fancy-index formulas: on a zero-mass symbol, an observation-free
-    channel and a 200-symbol table whose rarer value has more symbols than
-    the comparisons take, over uint8 and intp symbols."""
+    """v* = G_N(u*(obs)) and the alive mask, found by _symbol_mask, equal
+    the fancy-index formulas over uint8 and intp symbols: on a zero-mass
+    symbol, an observation-free channel, a 200-symbol table, and tables
+    whose rare symbols sit on either side of the compare/gather cutover
+    (16 and 17 rare uint8 symbols, 2 and 3 rare intp ones)."""
     rng = np.random.default_rng(41)
     n_len, batch = 32, 70
+    assert sc._COMPARE_BYTES == 16
     for table in ([[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]], [[0.0], [1.0]],
-                  random_functional_table(rng, 200)):
+                  random_functional_table(rng, 200),
+                  *(cutover_table(rare) for rare in (2, 3, 16, 17))):
         ch = SymbolChannel(np.array(table))
         assert ch.functional
         obs = _observations(rng, ch, batch, n_len).T

@@ -347,7 +347,7 @@ def coded_cases(pc):
 
 
 def run_layouts(pc):
-    """The walk/runs tag layouts at N = 64."""
+    """The walk/runs tag layouts at N = 64, which tests/test_sc.py walks too."""
     sc, n_len = pc.sc, 64
     obs, prior, half, pin = (sc.OBSERVATION_CONDITIONAL, sc.PRIOR_CONDITIONAL, sc.UNIFORM_HALF,
                              sc.PINNED)
