@@ -844,7 +844,10 @@ def _policy_pass(
     its alive mask is that at a throughout, and where no trial is null the
     run is v*[a:b] and reads no uniform; a followed row dies at its first
     mismatch with v*, so row r is null where a trial was dead at a or left
-    v* in rows [a, r). A tag served by a PairStack is stepped one index at
+    v* in rows [a, r). A null trial draws private_u < 1/2, or takes 0 on a
+    prior run under argmax, and a followed one's factor is 1/2, so a run
+    builds no (b - a, B) float law: at 200000 trials such temporaries left
+    freed heap behind that raised a later phase's peak RSS. A tag served by a PairStack is stepped one index at
     a time. Every row counts its null trials as anomalies, and a followed
     run multiplies its factors into the chain one row at a time, in index
     order, as a per-index walk rounds them. A stack exists only if the
@@ -871,7 +874,9 @@ def _policy_pass(
     for a, b in zip(bounds, bounds[1:]):
         rows = slice(a, b)
         tag = int(tags[a])
+        argmax = tag == PRIOR_CONDITIONAL and fd_mode == "argmax"
         point = None  # the bits of an indicator law
+        uniform = None  # where a FunctionalStack's run takes the uniform pair instead
         nulls = 0
         if tag == PINNED:
             point = pinned[rows]
@@ -882,33 +887,34 @@ def _policy_pass(
             nulls = np.count_nonzero(null)
             q0, q1 = pair[:, 0], pair[:, 1]
         else:  # a FunctionalStack's run
-            star = stacks[tag].v_star[rows]
+            point = stacks[tag].v_star[rows]
             null = ~stacks[tag].alive_at(a, v_block)
             if chain is None:  # alive trials copy v*, so every row has the nulls of row a
                 nulls = np.count_nonzero(null) * (b - a)
             else:  # a row dies at its first mismatch with v*
-                null = np.logical_or.accumulate(np.vstack((null, v_block[a : b - 1] != star[:-1])),
+                null = np.logical_or.accumulate(np.vstack((null, v_block[a : b - 1] != point[:-1])),
                                                 axis=0)
                 nulls = np.count_nonzero(null)
-            if nulls:
-                q1 = np.where(null, 0.5, star)
-                q0 = 1.0 - q1
-            else:
-                point = star
+            if nulls and argmax:  # the uniform pair's more likely bit is 0
+                point = np.where(null, np.uint8(0), point)
+            elif nulls:
+                uniform = null
         if anomalies is not None:
             anomalies.add(nulls)
-        if point is None and tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
+        if point is None and argmax:
             point = (q1 > q0).astype(np.uint8)
         if chain is None:
             if point is None:
                 u = shared_u if tag == UNIFORM_HALF else private_u
                 point = u[rows] < q1
+            elif uniform is not None:
+                point = np.where(uniform, private_u[rows] < 0.5, point)
             v_block[rows] = point
         else:
             bits = v_block[rows]
             factors = bits == point if point is not None else np.where(bits == 1, q1, q0)
-            for factor in factors:
-                chain *= factor
+            for row, factor in enumerate(factors):
+                chain *= factor if uniform is None else np.where(uniform[row], 0.5, factor)
     return v_block, chain
 
 

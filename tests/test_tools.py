@@ -74,6 +74,16 @@ def test_summary_flags_differing_digests_and_failures(bench_pairs):
     assert "  parent: 0 of 20 operations failed" in text.splitlines()
 
 
+def test_summary_reads_only_pairs_run_on_both_sides(bench_pairs):
+    """A file cut short after one side of a pair, as the tool leaves it when
+    a run fails, is summarized over its whole pairs."""
+    runs = _runs([{"wall_s": 2.0}] * 3, [{"wall_s": 1.0}] * 3)
+    text = bench_pairs.summary(runs[:-1])
+    assert text.splitlines()[0] == "w seed 1, 2 pairs, digests ['aaaa1111']"
+    assert _line(text, "wall_s").endswith("change better in 2/2")
+    assert bench_pairs.summary(runs[:1]).splitlines()[0] == "w seed 1, 0 pairs, digests ['aaaa1111']"
+
+
 def test_summary_marks_a_metric_unresolved_when_the_parent_spreads_past_its_bound(bench_pairs):
     """A parent IQR wider than the bound, as a share of the parent's median,
     leaves a metric unresolved, unless every change run reads better than

@@ -68,8 +68,8 @@ def end_to_end() -> dict:
 
 def summary(runs: list) -> str:
     """Per workload and seed: failed operations, a DIGESTS DIFFER line when
-    the two sides' output digests disagree, and for each end-to-end metric
-    the parent's median and IQR (linear quartiles), the change's median, the
+    the two sides' output digests disagree, and for each end-to-end metric,
+    over the pairs run on both sides, the parent's median and IQR (linear quartiles), the change's median, the
     change of the medians relative to the parent's as a share of the
     metric's bound (positive is worse) and the pairs in which the change
     reads better in the metric's direction (ties count for neither). A
@@ -82,8 +82,9 @@ def summary(runs: list) -> str:
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
     for workload, seed in groups:
         mine = [r for r in runs if (r["workload"], r["seed"]) == (workload, seed)]
-        pairs = sorted({r["pair"] for r in mine})
         by = {(r["pair"], r["side"]): r["result"]["metrics"] for r in mine}
+        # a file cut short by a failed run may end in half a pair
+        pairs = sorted({p for p, _ in by if all((p, side) in by for side in SIDES)})
         digests = {side: sorted({r["digest"][:8] for r in mine if r["side"] == side})
                    for side in SIDES}
         out.append(f"{workload} seed {seed}, {len(pairs)} pairs, digests {digests['parent']}")
@@ -96,7 +97,7 @@ def summary(runs: list) -> str:
             out.append(f"  {side}: {failed} of {sum(r['attempted'] for r in done)} "
                        f"operations failed" + ("  <-- FAILURES" if failed else ""))
         for name, spec in metrics.items():
-            if name not in by[pairs[0], "parent"]:
+            if not pairs or name not in by[pairs[0], "parent"]:
                 continue
             vals = {side: [by[p, side][name]["value"] for p in pairs] for side in SIDES}
             # sign * (change - parent) is positive where the change is worse
