@@ -24,10 +24,12 @@ NORM_TOL = 1e-12
 
 
 def _validate_mass(mass: np.ndarray) -> None:
-    if np.any(mass < 0):
-        raise ValueError("probability masses must be nonnegative")
+    """Reject a negative or NaN mass, or a total off 1 (NaN fails both
+    checks, which are written as what a valid mass satisfies)."""
+    if not np.all(mass >= 0):
+        raise ValueError("probability masses must be nonnegative numbers")
     total = float(mass.sum())
-    if abs(total - 1.0) > NORM_TOL:
+    if not abs(total - 1.0) <= NORM_TOL:
         raise ValueError(f"masses must sum to 1 within {NORM_TOL}, got {total!r}")
 
 

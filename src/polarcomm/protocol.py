@@ -75,7 +75,7 @@ from .sc import (
     derive_rng,
     sample_sequential,
 )
-from .transform import apply_transform
+from .transform import apply_transform, check_block_length
 
 
 class ModelError(ValueError):
@@ -248,8 +248,7 @@ def plan_protocol(
     target plus `rate_margin` bits per symbol. Other policies derive no
     target, so a positive `rate_margin` raises ValueError there.
     """
-    if n_len <= 0 or n_len & (n_len - 1):
-        raise ValueError(f"N must be a power of two, got {n_len}")
+    check_block_length(n_len)
     if not rate_margin >= 0.0:
         raise ValueError(f"rate_margin must be nonnegative, got {rate_margin}")
     if rate_margin > 0.0 and (policy.mode != "target_rate" or policy.fractions is not None):

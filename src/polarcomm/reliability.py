@@ -35,7 +35,7 @@ from .sc import (
     derive_rng,
     pinned_pairs,
 )
-from .transform import apply_transform
+from .transform import apply_transform, check_block_length
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class ReliabilityProfile:
         z = np.asarray(self.z, dtype=np.float64)
         if z.shape != (self.n_len,):
             raise ValueError(f"z must have shape ({self.n_len},)")
-        if np.any(z < -1e-12) or np.any(z > 1 + 1e-9):
+        if not np.all((z >= -1e-12) & (z <= 1 + 1e-9)):  # NaN fails this
             raise ValueError("Bhattacharyya values must lie in [0, 1]")
         object.__setattr__(self, "z", np.clip(z, 0.0, 1.0))
         if self.method not in ("exact", "monte_carlo"):
@@ -123,9 +123,9 @@ class PartitionPolicy:
                 raise ValueError(f"{name} must lie in (0, 1]")
         if self.fractions is not None:
             fr = tuple(float(f) for f in self.fractions)
-            if len(fr) != 3 or any(f < 0 for f in fr):
+            if len(fr) != 3 or not all(f >= 0 for f in fr):  # NaN fails both checks
                 raise ValueError("fractions must be three nonnegative numbers")
-            if fr[0] + fr[1] + fr[2] > 1.0 + 1e-9:
+            if not fr[0] + fr[1] + fr[2] <= 1.0 + 1e-9:
                 raise ValueError("target fractions must sum to at most 1")
             object.__setattr__(self, "fractions", fr)
 
@@ -204,8 +204,7 @@ def profile_exact(
     ValueError where `exact.enumerable(ch, N)` is false; use
     profile_monte_carlo there.
     """
-    if n_len & (n_len - 1):
-        raise ValueError(f"N must be a power of two, got {n_len}")
+    check_block_length(n_len)
     z = np.zeros(n_len)
     for _, joint_v in block_joint_chunks(ch, n_len):
         for i, level in zip(range(n_len, 0, -1), _prefix_levels(joint_v, n_len)):
@@ -249,8 +248,7 @@ def profile_monte_carlo(
         raise ValueError("samples must be >= 1")
     if chunk < 1:
         raise ValueError("chunk must be >= 1")
-    if n_len & (n_len - 1):
-        raise ValueError(f"N must be a power of two, got {n_len}")
+    check_block_length(n_len)
     rng = derive_rng(*seed) if isinstance(seed, tuple) else derive_rng(seed)
     cum = np.cumsum(ch.table.reshape(-1))
     acc = np.zeros(n_len)

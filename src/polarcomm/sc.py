@@ -89,27 +89,28 @@ observed symbol has zero mass, and null otherwise. That law does not depend
 on the bits decided at the indices it serves, only on whether a trial is
 still alive, so the walk decides a whole run of them in one slice: a draw
 from the indicator is u < 1.0 or u < 0.0, so an alive trial copies v* over
-the run, stays alive and reads no uniform, and a null one stays null; a
-followed trial dies at its first mismatch with v*. A walk whose draws are
-all of this kind never draws its private uniform block
-(sample_sequential).
+the run, stays alive and reads no uniform, and a null one stays null. A
+walk whose draws are all of this kind never draws its private uniform
+block (sample_sequential).
 
-A Monte Carlo profile pins the walk to a block v it knows in advance, so no
-index waits for another's decision (genie-aided SC, Arikan, "Channel
-polarization", IEEE T-IT 2009): pinned_pairs evaluates every index's root
-pair level by level, with no per-index loop.
+A known block pins the walk, so no index waits for another's decision
+(genie-aided SC, Arikan, "Channel polarization", IEEE T-IT 2009):
+pinned_pairs evaluates every index's root pair level by level, with no
+per-index loop. A Monte Carlo profile knows its block in advance, and
+chain_probability is asked about one, so both read their pairs there.
 
-Every other walk is _policy_pass, under its two public entries on (N,) or
-(B, N) arrays, sample_sequential (draw) and chain_probability (follow), and
-their one adapter _lift. The (B, N) transposed view of a C-order (N, B)
-array, which the round loop passes, lifts to that array, with no copy. The
-walk steps over maximal runs of equal tags, as Fast-SSC decodes a
-constituent code whose law needs no traversal in one step (Sarkis et al.,
-IEEE JSAC 2014): a PINNED run copies its pins, a UNIFORM_HALF run draws its
-shared uniforms, and a FunctionalStack's run takes v* on its alive trials,
-each as one (run, B) slice. Only the indices of a tag served by a
-PairStack, whose root pair at one index depends on the bits decided at the
-last, are stepped one at a time.
+A drawn block is the one walk, sample_sequential, on (N,) or (B, N) arrays
+through the adapter _lift, which chain_probability shares. The (B, N)
+transposed view of a C-order (N, B) array, which the round loop passes,
+lifts to that array, with no copy. The walk steps over maximal runs of
+equal tags, as Fast-SSC decodes a constituent code whose law needs no
+traversal in one step (Sarkis et al., IEEE JSAC 2014): a PINNED run copies
+its pins, a UNIFORM_HALF run draws its shared uniforms, and a
+FunctionalStack's run takes v* on its alive trials, each as one (run, B)
+slice. Only the indices of a tag served by a PairStack, whose root pair at
+one index depends on the bits decided at the last, are stepped one at a
+time. Each of the walk's two streams holds one uniform block, drawn only
+when a run reads it (_DeferredBlock).
 
 Null conditioning (a prefix of probability zero given the observation,
 reachable through pinned bits or draws inconsistent with the model, or
@@ -131,7 +132,7 @@ from typing import Sequence
 import numpy as np
 
 from .probability import NORM_TOL, JointPmf
-from .transform import apply_transform
+from .transform import apply_transform, check_block_length
 
 # per-index sampling tags
 UNIFORM_HALF = 0
@@ -226,9 +227,9 @@ class SymbolChannel:
         table = np.asarray(self.table, dtype=np.float64)
         if table.ndim != 2 or table.shape[0] != 2 or table.shape[1] < 1:
             raise ValueError(f"channel table must have shape (2, M), got {table.shape}")
-        if np.any(table < 0):
-            raise ValueError("channel table entries must be nonnegative")
-        if abs(float(table.sum()) - 1.0) > NORM_TOL:
+        if not np.all(table >= 0):  # NaN fails this and the sum check
+            raise ValueError("channel table entries must be nonnegative numbers")
+        if not abs(float(table.sum()) - 1.0) <= NORM_TOL:
             raise ValueError("channel table must sum to 1")
         sizes = self.obs_sizes
         sizes = (table.shape[1],) if sizes is None else tuple(int(s) for s in sizes)
@@ -592,8 +593,7 @@ class PairStack:
         if table.ndim != 2 or table.shape[0] != 2 or codes.ndim != 2:
             raise ValueError("leaves must be a (2, K) table and (N, B) codes")
         n_len, batch = codes.shape
-        if n_len <= 0 or n_len & (n_len - 1):
-            raise ValueError(f"block length must be a power of two, got {n_len}")
+        check_block_length(n_len)
         self.batch = batch
         self.n = n_len.bit_length() - 1
         self.tables = _union_tables(table, self.n)  # tables[d] is U_(n-d)
@@ -643,7 +643,8 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
 
     Equals PairStack's pair_at(phi, v) at every phi, without a per-index
     loop: v is known up front, so no index waits for another's decision
-    (genie-aided SC). Level lam is evaluated for all its 2^(n-lam) blocks of
+    (genie-aided SC). Monte Carlo profiles and chain_probability read their
+    pairs here. Level lam is evaluated for all its 2^(n-lam) blocks of
     2^lam nodes at once, by the level rule (_new_level, _level_step) with
     blocks on the third-to-last axis; block h is f of block h >> 1 of level
     lam + 1 when h is even and g of it when h is odd, on the partial sums of
@@ -694,11 +695,12 @@ class FunctionalStack:
     `alive` and returns it. The root pair at phi is the indicator of
     v*[phi] on alive rows and the uniform pair, flagged null, on the rest,
     exactly PairStack's pair_at on the same channel (module docstring);
-    the walk reads v_star and alive_at and builds no pair. obs is the
-    (N, B) observations; phi may not move backwards, since a folded row
-    cannot be unfolded. u*(obs) and the zero-mass symbols are found by
-    _symbol_mask, and where every symbol has mass every row starts alive,
-    unread.
+    the drawing walk reads v_star and alive_at and builds no pair, and
+    chain_probability, whose block is known, reads pinned_pairs instead.
+    obs is the (N, B) observations; phi may not move backwards, since a
+    folded row cannot be unfolded. u*(obs) and the zero-mass symbols are
+    found by _symbol_mask, and where every symbol has mass every row starts
+    alive, unread.
     """
 
     def __init__(self, ch: SymbolChannel, obs: np.ndarray):
@@ -798,169 +800,61 @@ def _lift(ch: SymbolChannel, obs, policy: SamplingPolicy, *blocks) -> tuple:
 
 def _check_walk(n_len: int, fd_mode: str) -> None:
     """Reject an fd_mode other than "sample" and "argmax", or a block length
-    that is not a power of two, with ValueError: each public walk checks
-    its inputs before it defers, draws or skips a uniform block."""
+    that is not a positive power of two, with ValueError: each public walk
+    checks its inputs before either stream moves."""
     if fd_mode not in ("sample", "argmax"):
         raise ValueError(f"fd_mode must be 'sample' or 'argmax', got {fd_mode!r}")
-    if n_len & (n_len - 1):
-        raise ValueError(f"block length must be a power of two, got {n_len}")
+    check_block_length(n_len)
 
 
-def _policy_pass(
-    ch: SymbolChannel,
-    obs: np.ndarray,
-    tags: np.ndarray,
-    pinned: np.ndarray | None,
-    fd_mode: str,
-    anomalies: AnomalyLog | None,
-    *,
-    uniforms: tuple | None = None,
-    v_block: np.ndarray | None = None,
-):
-    """The SC walk: each index's sampling law, drawn from or followed, one
-    run of indices at a time.
-
-    The walk runs trial-last: obs, the pinned bits (read at PINNED indices
-    only, so other rows may hold anything), v_block and the `uniforms` =
-    (private, shared) blocks are (N, B), and row phi holds index phi of
-    every trial. The law (q0, q1) of index phi is its tag's in `tags`: the
-    observation stack's pair on OBSERVATION_CONDITIONAL, the prior stack's
-    pair on PRIOR_CONDITIONAL (under fd_mode="argmax" the indicator of its
-    more likely bit), 1/2 on UNIFORM_HALF and the indicator of the pinned
-    bit on PINNED. Given `uniforms` the walk draws bit = u < q1, with the
-    shared block on UNIFORM_HALF, and copies the bit of an indicator law,
-    which is what u < 1.0 or u < 0.0 gives, so an indicator law reads no
-    uniform; the private block may be a _DeferredBlock, drawn only if some
-    index reads it. Given `v_block` the walk follows those bits and
-    multiplies the chain probability by q[bit] (1 or 0 for an indicator
-    law). Returns ((N, B) v_block, chain), chain None when drawing.
-
-    The walk steps over maximal runs of equal tags [a, b) and decides each
-    as one (b - a, B) slice of v_block, since no law in it depends on the
-    bits decided inside it: a PINNED run copies its pins, a UNIFORM_HALF
-    run draws shared_u[a:b] < 1/2, and a run served by a FunctionalStack
-    takes the indicator of v*[a:b] on its alive trials and the uniform pair
-    on the rest (module docstring). A drawn run's alive trials copy v*, so
-    its alive mask is that at a throughout, and where no trial is null the
-    run is v*[a:b] and reads no uniform; a followed row dies at its first
-    mismatch with v*, so row r is null where a trial was dead at a or left
-    v* in rows [a, r). A null trial draws private_u < 1/2, or takes 0 on a
-    prior run under argmax, and a followed one's factor is 1/2, so a run
-    builds no (b - a, B) float law: at 200000 trials such temporaries left
-    freed heap behind that raised a later phase's peak RSS. A tag served by a PairStack is stepped one index at
-    a time. Every row counts its null trials as anomalies, and a followed
-    run multiplies its factors into the chain one row at a time, in index
-    order, as a per-index walk rounds them. A stack exists only if the
-    tags consult it and reads the bits decided so far off v_block itself;
-    a functional channel's stack is a FunctionalStack and a hard channel's
-    a packed support tree (`_stack_for`).
-    """
-    n_len, batch = obs.shape
-    stacks = {}
-    if np.any(tags == OBSERVATION_CONDITIONAL):
-        stacks[OBSERVATION_CONDITIONAL] = _stack_for(ch, obs)
-    if np.any(tags == PRIOR_CONDITIONAL):
-        stacks[PRIOR_CONDITIONAL] = _stack_for(ch.prior(), obs)
-
-    paired = [tag for tag, stack in stacks.items() if isinstance(stack, PairStack)]
-    cuts = np.flatnonzero((np.diff(tags) != 0) | np.isin(tags[1:], paired)) + 1
-    bounds = [0, *cuts.tolist(), n_len]
-    chain = None
-    if v_block is None:
-        private_u, shared_u = uniforms
-        v_block = np.empty((n_len, batch), dtype=np.uint8)
-    else:
-        chain = np.ones(batch)
-    for a, b in zip(bounds, bounds[1:]):
-        rows = slice(a, b)
-        tag = int(tags[a])
-        argmax = tag == PRIOR_CONDITIONAL and fd_mode == "argmax"
-        point = None  # the bits of an indicator law
-        uniform = None  # where a FunctionalStack's run takes the uniform pair instead
-        nulls = 0
-        if tag == PINNED:
-            point = pinned[rows]
-        elif tag == UNIFORM_HALF:
-            q0 = q1 = 0.5
-        elif tag in paired:
-            pair, null = stacks[tag].pair_at(a, v_block)
-            nulls = np.count_nonzero(null)
-            q0, q1 = pair[:, 0], pair[:, 1]
-        else:  # a FunctionalStack's run
-            point = stacks[tag].v_star[rows]
-            null = ~stacks[tag].alive_at(a, v_block)
-            if chain is None:  # alive trials copy v*, so every row has the nulls of row a
-                nulls = np.count_nonzero(null) * (b - a)
-            else:  # a row dies at its first mismatch with v*
-                null = np.logical_or.accumulate(np.vstack((null, v_block[a : b - 1] != point[:-1])),
-                                                axis=0)
-                nulls = np.count_nonzero(null)
-            if nulls and argmax:  # the uniform pair's more likely bit is 0
-                point = np.where(null, np.uint8(0), point)
-            elif nulls:
-                uniform = null
-        if anomalies is not None:
-            anomalies.add(nulls)
-        if point is None and argmax:
-            point = (q1 > q0).astype(np.uint8)
-        if chain is None:
-            if point is None:
-                u = shared_u if tag == UNIFORM_HALF else private_u
-                point = u[rows] < q1
-            elif uniform is not None:
-                point = np.where(uniform, private_u[rows] < 0.5, point)
-            v_block[rows] = point
-        else:
-            bits = v_block[rows]
-            factors = bits == point if point is not None else np.where(bits == 1, q1, q0)
-            for row, factor in enumerate(factors):
-                chain *= factor if uniform is None else np.where(uniform[row], 0.5, factor)
-    return v_block, chain
-
-
-def _uniform_block(rng: np.random.Generator, batch: int, n_len: int, keep: bool = True):
+def _uniform_block(rng: np.random.Generator, batch: int, n_len: int) -> np.ndarray:
     """The doubles of rng.random((B, N)), as an (N, B) block.
 
     They are drawn in _SLAB_ROWS-row slabs, which give the same doubles as
     one (B, N) draw, and each slab is transposed into place, so no (B, N)
-    temporary is made. With keep=False only the stream advances and None is
-    returned: a PCG64 stream holding no buffered 32-bit half is advanced by
-    B N outputs, since each double consumes exactly one 64-bit output, and
-    any other stream draws the slabs and drops them.
+    temporary is made.
     """
-    bit_gen = rng.bit_generator
-    if not keep and type(bit_gen) is np.random.PCG64 and not bit_gen.state["has_uint32"]:
-        bit_gen.advance(batch * n_len)
-        return None
-    block = np.empty((n_len, batch)) if keep else None
+    block = np.empty((n_len, batch))
     slab = np.empty((min(_SLAB_ROWS, batch), n_len))
     for start in range(0, batch, _SLAB_ROWS):
         rows = slab[: min(_SLAB_ROWS, batch - start)]
         rng.random(out=rows)
-        if keep:
-            block[:, start : start + rows.shape[0]] = rows.T
+        block[:, start : start + rows.shape[0]] = rows.T
     return block
 
 
 class _DeferredBlock:
-    """_uniform_block(rng, B, N), drawn only when first indexed.
+    """One stream's uniform block of a walk, _uniform_block(rng, B, N),
+    drawn only when a run first reads it.
 
-    rng itself is advanced past the block at once (_uniform_block with
-    keep=False), so every later draw from it is as if the block had been
-    drawn; the block is drawn from a copy of rng's state as it was, so it
-    holds the same doubles.
+    rng itself moves one block on at once, so every later draw from it is
+    as if the block had been drawn, whether or not it is read. A PCG64
+    stream holding no buffered 32-bit half is advanced by B N outputs, since
+    each double consumes exactly one 64-bit output, and the block is drawn,
+    when read, from a copy of the stream as it was; any other stream cannot
+    be advanced without drawing, so it draws the block at once and keeps it.
     """
 
     def __init__(self, rng: np.random.Generator, batch: int, n_len: int):
-        self._rng = copy.deepcopy(rng)
         self._shape = (batch, n_len)
         self._block = None
-        _uniform_block(rng, batch, n_len, keep=False)
+        bit_gen = rng.bit_generator
+        if type(bit_gen) is np.random.PCG64 and not bit_gen.state["has_uint32"]:
+            self._rng = copy.deepcopy(rng)
+            bit_gen.advance(batch * n_len)
+        else:
+            self._block = _uniform_block(rng, batch, n_len)
 
     def __getitem__(self, key):
         if self._block is None:
             self._block = _uniform_block(self._rng, *self._shape)
         return self._block[key]
+
+
+def _conditionals(ch: SymbolChannel) -> tuple:
+    """(tag, channel) of the two conditional tags: ch itself on
+    OBSERVATION_CONDITIONAL, its prior on PRIOR_CONDITIONAL."""
+    return (OBSERVATION_CONDITIONAL, ch), (PRIOR_CONDITIONAL, ch.prior())
 
 
 def sample_sequential(
@@ -978,35 +872,70 @@ def sample_sequential(
     UNIFORM_HALF indices draw Ber(1/2) from `shared_rng` (falling back to
     `rng`); PRIOR_CONDITIONAL samples P(V^i | v^{1:i-1}) with no observation;
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
-    copies the given bit. Both streams are consumed as one (B, N) uniform
-    block up front, private then shared, so outputs are reproducible for a
-    fixed seed regardless of the tag layout; an fd_mode or a block length
-    that the walk rejects raises ValueError before either stream moves. A
-    block no trial reads is skipped, not kept: the shared one when no index
-    is UNIFORM_HALF, the private one when none is OBSERVATION_CONDITIONAL
-    or, under fd_mode="sample", PRIOR_CONDITIONAL. Where some index draws,
-    the private block is deferred (_DeferredBlock) and drawn when a draw
-    first reads it: a FunctionalStack's run copies v* on the trials not
-    flagged null, so its walk reads the block only if a null trial reaches
-    a drawing run. Runs of equal tags are decided a run at a time
-    (_policy_pass), which draws the same bits as an index at a time.
-    Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
+    copies the given bit. Each stream holds one (B, N) uniform block,
+    private then shared where both come from rng, so outputs are
+    reproducible for a fixed seed regardless of the tag layout: each stream
+    moves one block on at once, whatever the tags, and its block is drawn
+    only when a run first reads it (_DeferredBlock). An fd_mode or a block
+    length that the walk rejects raises ValueError before either stream
+    moves. Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
     transposed view of the walk's C-order (N, B) block.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).
+
+    The walk runs trial-last on the (N, B) arrays _lift gives, row phi
+    holding index phi of every trial, and steps over maximal runs of equal
+    tags [a, b), each decided as one (b - a, B) slice, since no law in it
+    depends on the bits decided inside it: a PINNED run copies its pins, a
+    UNIFORM_HALF run draws shared_u[a:b] < 1/2, and a run served by a
+    FunctionalStack copies v*[a:b] on its alive trials, so its alive mask is
+    that at a throughout, and where no trial is null it reads no uniform. A
+    null trial there draws private_u < 1/2, or takes 0 on a prior run under
+    argmax, so a run builds no (b - a, B) float law: at 200000 trials such
+    temporaries left freed heap behind that raised a later phase's peak RSS.
+    A tag served by a PairStack is stepped one index at a time, drawing
+    private_u < q1 from its root pair (q0, q1), or taking the more likely
+    bit on a prior index under argmax. Every row counts its null trials as
+    anomalies. A stack exists only if the tags consult it and reads the
+    bits decided so far off the walk's block itself; a functional channel's
+    stack is a FunctionalStack and a hard channel's a packed support tree
+    (`_stack_for`).
     """
     batched, obs, pinned = _lift(ch, obs, policy)
     n_len, batch = obs.shape
     _check_walk(n_len, fd_mode)
+    private_u = _DeferredBlock(rng, batch, n_len)
+    shared_u = _DeferredBlock(shared_rng or rng, batch, n_len)
     tags = policy.tags
-    drawn = (tags == OBSERVATION_CONDITIONAL) | ((tags == PRIOR_CONDITIONAL) & (fd_mode == "sample"))
-    private_u = (_DeferredBlock(rng, batch, n_len) if np.any(drawn)
-                 else _uniform_block(rng, batch, n_len, keep=False))
-    shared_u = _uniform_block(shared_rng or rng, batch, n_len,
-                              keep=bool(np.any(tags == UNIFORM_HALF)))
-    v_block, _ = _policy_pass(ch, obs, tags, pinned, fd_mode, anomalies,
-                              uniforms=(private_u, shared_u))
+    stacks = {tag: _stack_for(served, obs) for tag, served in _conditionals(ch)
+              if np.any(tags == tag)}
+    paired = [tag for tag, stack in stacks.items() if isinstance(stack, PairStack)]
+    cuts = np.flatnonzero((np.diff(tags) != 0) | np.isin(tags[1:], paired)) + 1
+    bounds = [0, *cuts.tolist(), n_len]
+    v_block = np.empty((n_len, batch), dtype=np.uint8)
+    for a, b in zip(bounds, bounds[1:]):
+        rows = slice(a, b)
+        tag = int(tags[a])
+        argmax = tag == PRIOR_CONDITIONAL and fd_mode == "argmax"
+        nulls = 0
+        if tag == PINNED:
+            point = pinned[rows]
+        elif tag == UNIFORM_HALF:
+            point = shared_u[rows] < 0.5
+        elif tag in paired:
+            pair, null = stacks[tag].pair_at(a, v_block)
+            nulls = np.count_nonzero(null)
+            point = pair[:, 1] > pair[:, 0] if argmax else private_u[rows] < pair[:, 1]
+        else:  # a FunctionalStack's run: every row has the nulls of row a
+            point = stacks[tag].v_star[rows]
+            null = ~stacks[tag].alive_at(a, v_block)
+            nulls = np.count_nonzero(null) * (b - a)
+            if nulls:  # the uniform pair, whose more likely bit is 0
+                point = np.where(null, np.uint8(0) if argmax else private_u[rows] < 0.5, point)
+        if anomalies is not None:
+            anomalies.add(nulls)
+        v_block[rows] = point
     return v_block.T if batched else v_block[:, 0]
 
 
@@ -1019,16 +948,43 @@ def chain_probability(
     fd_mode: str = "sample",
     anomalies: AnomalyLog | None = None,
 ):
-    """Probability that the sequential sampler outputs exactly `v_block`.
+    """Probability that sample_sequential outputs exactly `v_block`.
 
-    prod_i q_i(v^i | v^{1:i-1}, obs) with the policy's branch at each index;
-    PINNED indices contribute 1 on a match and 0 otherwise. Accepts (N,) or
-    (B, N) binary blocks and returns a scalar or (B,) vector accordingly.
+    prod_i q_i(v^i | v^{1:i-1}, obs), each index's factor taken from the law
+    its tag gives it: 1/2 on UNIFORM_HALF, 1 on a PINNED match and 0
+    otherwise, and on OBSERVATION_CONDITIONAL and PRIOR_CONDITIONAL q[bit]
+    of the walk's root pair, or under fd_mode="argmax" on a prior index the
+    indicator of its more likely bit. The block is known, so those pairs
+    are the genie-aided ones, which pinned_pairs evaluates at every index
+    at once; a null trial's pair is the uniform one, and the null counts at
+    the indices of the two conditional tags are the anomalies. The factors
+    go into the chain one row at a time, in index order, so every rounding
+    is the walk's. Accepts (N,) or (B, N) binary blocks and returns a scalar
+    or (B,) vector accordingly.
     """
     v_block = np.asarray(v_block)
     if np.any((v_block != 0) & (v_block != 1)):
         raise ValueError("v_block must hold bits 0 and 1 only")
     batched, obs, pinned, v_block = _lift(ch, obs, policy, v_block.astype(np.uint8))
     _check_walk(obs.shape[0], fd_mode)
-    _, chain = _policy_pass(ch, obs, policy.tags, pinned, fd_mode, anomalies, v_block=v_block)
+    tags = policy.tags
+    factors = np.full(v_block.shape, 0.5)
+    if pinned is not None:
+        at = tags == PINNED
+        factors[at] = v_block[at] == pinned[at]
+    for tag, served in _conditionals(ch):
+        at = tags == tag
+        if not np.any(at):
+            continue
+        pair, null = pinned_pairs(served, obs, v_block)
+        if anomalies is not None:
+            anomalies.add(np.count_nonzero(null[at]))
+        q0, q1, bits = pair[0, at], pair[1, at], v_block[at]
+        if tag == PRIOR_CONDITIONAL and fd_mode == "argmax":
+            factors[at] = bits == (q1 > q0)
+        else:
+            factors[at] = np.where(bits == 1, q1, q0)
+    chain = np.ones(v_block.shape[1])
+    for row in factors:
+        chain *= row
     return chain if batched else float(chain[0])

@@ -35,6 +35,13 @@ def bit_reversal_perm(n: int) -> np.ndarray:
     return perm
 
 
+def check_block_length(n_len: int) -> None:
+    """Raise ValueError unless the block length N is a positive power of
+    two (N = 0 is not: 0 & -1 is 0)."""
+    if n_len <= 0 or n_len & (n_len - 1):
+        raise ValueError(f"block length must be a power of two, got {n_len}")
+
+
 def apply_transform(bits: np.ndarray) -> np.ndarray:
     """Right-multiply bit blocks by G_N over GF(2).
 
@@ -44,8 +51,7 @@ def apply_transform(bits: np.ndarray) -> np.ndarray:
     """
     bits = np.asarray(bits)
     n_len = bits.shape[-1]
-    if n_len <= 0 or n_len & (n_len - 1):
-        raise ValueError(f"block length must be a power of two, got {n_len}")
+    check_block_length(n_len)
     n = n_len.bit_length() - 1
     out = bits[..., bit_reversal_perm(n)].astype(np.uint8, copy=False)
     lead = out.shape[:-1]

@@ -9,7 +9,10 @@ _root_pairs) with the library, which fix the arithmetic that PairStack's
 results must equal bit for bit.
 
 reference_walk is the SC walk as a loop over single indices on
-ReferenceTrees, the law each index's tag gives it, drawn or followed.
+ReferenceTrees, the law each index's tag gives it, drawn or followed: the
+drawn walk is sample_sequential's, one run at a time there, and the
+followed one is chain_probability's, whose genie-aided pairs (pinned_pairs)
+are the ones a per-index walk along the known block reads.
 
 conditional_pair reads one index's exact conditional pair off the public
 chain_probability, for tests that compare the engine with an oracle.
@@ -101,9 +104,11 @@ class ReferenceTree:
 
 
 def reference_walk(ch, obs, tags, pinned, fd_mode, *, uniforms=None, v_block=None):
-    """(v_block, chain, anomalies) of the walk over the trial-last (N, B)
-    inputs, as _policy_pass takes them, one index at a time: the float
-    tree's pair on OBSERVATION_CONDITIONAL and PRIOR_CONDITIONAL (under
+    """(v_block, chain, anomalies) of the walk over trial-last (N, B)
+    inputs, obs, pinned bits, uniform blocks and v_block as
+    sample_sequential and chain_probability lift theirs, one index at a
+    time: the float tree's pair on OBSERVATION_CONDITIONAL and
+    PRIOR_CONDITIONAL (under
     argmax the indicator of its more likely bit), 1/2 on UNIFORM_HALF and
     the pin on PINNED. Given the (private, shared) `uniforms` it draws
     u < q1 (the shared u on UNIFORM_HALF) and copies the bit of an

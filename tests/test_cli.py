@@ -296,3 +296,24 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
             out = tmp_path / model / command
             assert main([command, "--config", cfg, "--out", str(out)]) == 0
     assert set(CONFIG_SCHEMA) - read == set()
+
+
+def test_nan_model_masses_and_fractions_exit_2(tmp_path, capsys):
+    """A model file with a NaN mass, and a NaN target fraction, are config
+    errors (exit 2), not a run that reports rates from a NaN model or fails
+    after profiling."""
+    from polarcomm.models import AndModelParams, build_and_chain
+
+    payload = json.loads(build_and_chain(AndModelParams(0.5, 0.5, 2)).to_json())
+    payload["joint"]["mass"][0] = float("nan")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path / "cfg.json", model=str(model), n=8, trials=50)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    record = _last_error(capsys)
+    assert record["error"] == "config" and "nonnegative" in record["detail"]
+    cfg = write_config(tmp_path / "fr.json", model="and", n=8, trials=4,
+                       fractions=[float("nan"), 0.1, 0.1])
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "fr")]) == 2
+    record = _last_error(capsys)
+    assert record["error"] == "config" and "fractions" in record["detail"]

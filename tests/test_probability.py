@@ -321,3 +321,16 @@ def test_decode_table_matches_cell_loop(seed, src_sizes, rounds, network, f_kind
         else:
             got = model.decode_table(which)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_nan_masses_are_rejected():
+    """A NaN mass, or one that makes the total NaN, is rejected, as a
+    negative one is: every check is written as what a valid mass meets."""
+    for mass in ([np.nan, 1.0], [0.5, 0.5, np.nan], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            Pmf(np.array(mass))
+    with pytest.raises(ValueError, match="nonnegative numbers"):
+        JointPmf((("x", 2), ("y", 2)), np.array([[0.25, np.nan], [0.25, 0.5]]))
+    with pytest.raises(ValueError, match="sum to 1"):
+        Pmf(np.array([np.inf, 0.0]))
+    Pmf(np.array([0.25, 0.75]))

@@ -369,3 +369,16 @@ def test_hard_profiles_count_what_the_float_route_sums(seed, monkeypatch):
         assert got.z.tobytes() == want.z.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
     assert any(0.0 < z < 1.0 for prof in fast for z in prof.z)  # not all 0 or 1
+
+
+def test_nan_fractions_and_z_are_rejected():
+    """NaN target fractions and NaN Bhattacharyya values are rejected when
+    the policy or profile is built, not after profiling."""
+    for fractions in ((np.nan, 0.1, 0.1), (0.1, float("nan"), 0.1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            PartitionPolicy(fractions=fractions)
+    with pytest.raises(ValueError, match="sum to at most 1"):
+        PartitionPolicy(fractions=(0.5, 0.5, np.inf))
+    with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        ReliabilityProfile(4, "none", np.array([0.1, np.nan, 0.2, 0.3]), "exact")
+    assert PartitionPolicy(fractions=(0.1, 0.1, 0.1)).fractions == (0.1, 0.1, 0.1)

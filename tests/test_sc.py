@@ -36,7 +36,6 @@ from polarcomm.sc import (
     _lift,
     _cell_index,
     _partial_sums,
-    _policy_pass,
     _uniform_block,
     _union_tables,
     chain_probability,
@@ -589,25 +588,16 @@ def test_erasure_walk_equals_float_tree_walk(table, monkeypatch):
 
 
 def test_uniform_block_matches_one_draw():
-    """Slab draws give the doubles of one (B, N) draw, and a dropped block
-    advances the stream as far: by PCG64's advance, or by drawing the
-    slabs for MT19937 and for a PCG64 stream holding a buffered 32-bit half,
-    whose next 32-bit draw stays the same."""
+    """Slab draws give the doubles of one (B, N) draw and leave the stream
+    where that draw leaves it, for PCG64 and MT19937, at B below, at and
+    above one slab."""
     for bit_generator in (np.random.PCG64, np.random.MT19937):
         for batch in (1, 64, 130):
-            want = np.random.Generator(bit_generator(3)).random((batch, 8))
+            ref = np.random.Generator(bit_generator(3))
+            want = ref.random((batch, 8))
             rng = np.random.Generator(bit_generator(3))
             assert np.array_equal(_uniform_block(rng, batch, 8), want.T)
-            skip = np.random.Generator(bit_generator(3))
-            assert _uniform_block(skip, batch, 8, keep=False) is None
-            assert skip.random() == rng.random()
-    rng, skip = np.random.default_rng(3), np.random.default_rng(3)
-    for gen in (rng, skip):
-        gen.integers(0, 10, dtype=np.int32)  # leaves half of a 64-bit output
-    _uniform_block(rng, 5, 8)
-    _uniform_block(skip, 5, 8, keep=False)
-    assert skip.integers(0, 1 << 30, dtype=np.int32) == rng.integers(0, 1 << 30, dtype=np.int32)
-    assert skip.random() == rng.random()
+            assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
@@ -637,28 +627,95 @@ def test_unread_private_block_is_skipped(bit_generator):
     assert np.array_equal(v, other)
 
 
+def _spy(monkeypatch, name) -> list:
+    """Record the arguments of every call of sc.<name> into the list."""
+    calls, real = [], getattr(sc, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(sc, name, spy)
+    return calls
+
+
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
-def test_deferred_block_is_the_block_it_skips(bit_generator):
-    """_DeferredBlock leaves rng where _uniform_block leaves it, and when
-    read holds the doubles _uniform_block would have drawn, also from a
-    stream holding a buffered 32-bit half."""
+def test_deferred_block_is_the_block_it_skips(bit_generator, monkeypatch):
+    """_DeferredBlock moves rng one (B, N) block on at once, and when read
+    holds the doubles _uniform_block would have drawn there, also from a
+    stream holding a buffered 32-bit half, whose next 32-bit draw stays the
+    same. Only a PCG64 stream holding no buffered half moves without a draw:
+    its block is drawn when first read, and once."""
+    calls = _spy(monkeypatch, "_uniform_block")
     for buffered in (False, True):
         rng, ref = np.random.Generator(bit_generator(4)), np.random.Generator(bit_generator(4))
         if buffered:
             for gen in (rng, ref):
                 gen.integers(0, 10, dtype=np.int32)
+        calls.clear()
         deferred = _DeferredBlock(rng, 130, 8)
-        want = _uniform_block(ref, 130, 8)
+        lazy = bit_generator is np.random.PCG64 and not buffered
+        assert len(calls) == (0 if lazy else 1)
+        want = sc._uniform_block(ref, 130, 8)
+        assert rng.integers(0, 1 << 30, dtype=np.int32) == ref.integers(0, 1 << 30, dtype=np.int32)
         assert rng.random() == ref.random()
+        calls.clear()
         assert np.array_equal(deferred[3], want[3]) and np.array_equal(deferred[:], want)
+        assert len(calls) == (1 if lazy else 0)
+
+
+@pytest.mark.parametrize("stream", ["PCG64", "MT19937", "buffered"])
+def test_each_stream_moves_one_block_whatever_the_tags(stream, monkeypatch):
+    """sample_sequential builds one _DeferredBlock per stream, and each
+    stream ends one (B, N) block further on whether its block is read or
+    not: under a policy of PINNED indices only, of UNIFORM_HALF only, of
+    observation draws only and of all four tags, with a shared stream and
+    without one (then both blocks come from rng, private first). A PCG64
+    stream holding no buffered 32-bit half draws only the blocks a run
+    reads."""
+    n_len, batch = 16, 70
+    ch = SymbolChannel(np.array([[0.3, 0.1, 0.05, 0.05], [0.1, 0.2, 0.1, 0.1]]))
+    obs = np.random.default_rng(2).integers(0, ch.obs_size, (batch, n_len))
+    pins = np.random.default_rng(3).integers(0, 2, (batch, n_len))
+    mixed = np.tile(np.arange(4, dtype=np.uint8), n_len // 4)
+    layouts = {"pinned": np.full(n_len, PINNED), "uniform": np.full(n_len, UNIFORM_HALF),
+               "observed": np.full(n_len, OBSERVATION_CONDITIONAL), "mixed": mixed}
+    reads = {"pinned": 0, "uniform": 1, "observed": 1, "mixed": 2}
+
+    def stream_at(seed):
+        gen = np.random.Generator((np.random.MT19937 if stream == "MT19937"
+                                   else np.random.PCG64)(seed))
+        if stream == "buffered":
+            gen.integers(0, 10, dtype=np.int32)
+        return gen
+
+    def after(gen):
+        return gen.integers(0, 1 << 30, dtype=np.int32), gen.random()
+
+    calls = _spy(monkeypatch, "_uniform_block")
+    deferred = _spy(monkeypatch, "_DeferredBlock")
+    for name, tags in layouts.items():
+        for shared in (True, False):
+            calls.clear()
+            deferred.clear()
+            rng, other = stream_at(5), stream_at(6) if shared else None
+            sample_sequential(ch, obs, SamplingPolicy(tags, pins), rng, shared_rng=other)
+            assert len(deferred) == 2
+            ref, ref_other = stream_at(5), stream_at(6)
+            ref.random((batch, n_len))
+            (ref_other if shared else ref).random((batch, n_len))
+            assert after(rng) == after(ref)
+            if shared:
+                assert after(other) == after(ref_other)
+            assert len(calls) == (reads[name] if stream == "PCG64" else 2)
 
 
 def test_functional_draws_read_no_private_block(monkeypatch):
     """Draws that all copy a FunctionalStack's v* on live trials draw no
-    private block, and still leave the stream where a (B, N) draw leaves
+    uniform block, and still leave the stream where a (B, N) draw leaves
     it; once trials die, on a zero-mass symbol or off v* after a shared
-    draw, the block is drawn when first read. Either way the bits and
-    anomaly counts equal the float-tree walk's."""
+    draw, the private block is drawn when first read. Either way the bits
+    and anomaly counts equal the float-tree walk's."""
     ch = SymbolChannel(np.array([[0.5, 0.0, 0.2, 0.0], [0.0, 0.3, 0.0, 0.0]]))
     n_len, batch = 32, 70
     rng = np.random.default_rng(17)
@@ -668,31 +725,25 @@ def test_functional_draws_read_no_private_block(monkeypatch):
     dead[4, 9] = 3  # a zero-mass symbol
     mixed = np.full(n_len, OBSERVATION_CONDITIONAL, np.uint8)
     mixed[::5] = UNIFORM_HALF
-    kept = []
-    real = sc._uniform_block
-
-    def spy(gen, b, n, keep=True):
-        kept.append(keep)
-        return real(gen, b, n, keep)
+    calls = _spy(monkeypatch, "_uniform_block")
 
     def walks():
         out = []
         for ob, tags in ((obs, np.full(n_len, OBSERVATION_CONDITIONAL)), (dead, mixed)):
-            kept.clear()
+            calls.clear()
             log, stream = AnomalyLog(), np.random.default_rng(5)
             v = sample_sequential(ch, ob, SamplingPolicy(tags), stream,
                                   shared_rng=np.random.default_rng(6), anomalies=log)
-            out.append((v, log.count, stream.random(), list(kept)))
+            out.append((v, log.count, stream.random(), len(calls)))
         return out
 
-    monkeypatch.setattr(sc, "_uniform_block", spy)
     fast = walks()
     ref_stream = np.random.default_rng(5)
     ref_stream.random((batch, n_len))
-    (v, count, after, keeps), (_, dead_count, _, dead_keeps) = fast
+    (v, count, after, draws), (_, dead_count, _, dead_draws) = fast
     assert np.array_equal(v, v_star) and count == 0 and after == ref_stream.random()
-    assert keeps == [False, False]  # private skipped, no UNIFORM_HALF: shared skipped
-    assert dead_count > 0 and dead_keeps.count(True) == 2  # shared, then the private read
+    assert draws == 0  # no null trial reads the private block, no UNIFORM_HALF the shared one
+    assert dead_count > 0 and dead_draws == 2  # shared, then the private read
     monkeypatch.setattr(SymbolChannel, "hard", property(lambda self: False))
     for (v, count, after, _), (v_r, count_r, after_r, _) in zip(fast, walks()):
         assert np.array_equal(v, v_r) and count == count_r and after == after_r
@@ -848,8 +899,9 @@ def test_run_segmented_walk_equals_per_index_walks(table, layout, monkeypatch):
     protocol-shaped layouts at B = 130 under both F_d modes, drawn and
     followed. Trials die mid-block on a zero-mass symbol, on pins that
     contradict v*, on shared draws that leave v* and, where followed, at a
-    flipped bit inside a run. A PairStack is consulted once at each index
-    its tag serves, a FunctionalStack once per run."""
+    flipped bit inside a run. A drawing walk consults a PairStack once at
+    each index its tag serves and a FunctionalStack once per run, and a
+    chain probability consults neither."""
     rng = np.random.default_rng(40)
     n_len, batch = 64, 130
     ch = SymbolChannel(np.array(table))
@@ -887,7 +939,7 @@ def test_run_segmented_walk_equals_per_index_walks(table, layout, monkeypatch):
     want += [(phi, "FunctionalStack") for phi in range(n_len)
              if tags[phi] in served and served[tags[phi]].functional
              and (phi == 0 or tags[phi - 1] != tags[phi])]
-    assert sorted(consulted) == sorted(want * 8)  # 2 F_d modes x (1 draw + 3 follows)
+    assert sorted(consulted) == sorted(want * 2)  # 2 F_d modes x 1 draw; follows read pinned_pairs
 
     lifted = (obs.T.copy(), tags, pins.T.copy())
     uniforms = tuple(_uniform_block(np.random.default_rng(seed), batch, n_len) for seed in (7, 8))
@@ -1071,11 +1123,12 @@ def test_walks_independent_of_the_symbol_dtype(table):
 ])
 @pytest.mark.parametrize("fd", ["sample", "argmax"])
 def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
-    """sample_sequential and chain_probability are adapters of the trial-last
-    walk _policy_pass: one transpose of the (B, N) inputs in, the (B, N) view
-    of its (N, B) block out, with the uniforms of one (B, N) draw per stream.
-    At B = 130 the uniforms come in three slabs, the last one partial; every
-    tag occurs, and (N,) observations are broadcast over the trials."""
+    """sample_sequential and chain_probability on (B, N) inputs equal the
+    per-index walk reference_walk on the trial-last (N, B) ones: one
+    transpose of the inputs in, the (B, N) view of a C-order (N, B) block
+    out, with the uniforms of one (B, N) draw per stream. At B = 130 the
+    uniforms come in three slabs, the last one partial; every tag occurs,
+    and (N,) observations are broadcast over the trials."""
     rng = np.random.default_rng(30)
     ch = SymbolChannel(np.array(table))
     assert (ch.functional, ch.hard) == (functional, hard)
@@ -1085,25 +1138,62 @@ def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
     tags[:4] = (UNIFORM_HALF, PRIOR_CONDITIONAL, OBSERVATION_CONDITIONAL, PINNED)
     pins = rng.integers(0, 2, (batch, n_len)).astype(np.uint8)
     policy = SamplingPolicy(tags, pins)
+    uniforms = tuple(_uniform_block(np.random.default_rng(seed), batch, n_len) for seed in (7, 8))
     for public_obs, walk_obs in ((obs, obs.T.copy()), (obs[5], np.repeat(obs[5][:, None], batch, 1))):
-        log, walk_log = AnomalyLog(), AnomalyLog()
+        log = AnomalyLog()
         v = sample_sequential(ch, public_obs, policy, np.random.default_rng(7),
                               shared_rng=np.random.default_rng(8), fd_mode=fd, anomalies=log)
-        uniforms = tuple(_uniform_block(np.random.default_rng(seed), batch, n_len)
-                         for seed in (7, 8))
-        walk_v, _ = _policy_pass(ch, walk_obs, tags, pins.T.copy(), fd, walk_log,
-                                 uniforms=uniforms)
-        assert v.shape == (batch, n_len) and v.dtype == np.uint8
-        assert walk_v.shape == (n_len, batch) and walk_v.flags.c_contiguous
-        assert np.array_equal(v, walk_v.T) and log.count == walk_log.count
+        walk_v, _, count = reference_walk(ch, walk_obs, tags, pins.T.copy(), fd, uniforms=uniforms)
+        assert v.shape == (batch, n_len) and v.dtype == np.uint8 and v.T.flags.c_contiguous
+        assert np.array_equal(v, walk_v.T) and log.count == count
         # a pin flipped on some trials drives their chain probability to 0
         v_flipped = v ^ (rng.random((batch, n_len)) < 0.01)
         for block in (v, v_flipped):
+            log = AnomalyLog()
             chain = chain_probability(ch, public_obs, policy, block, fd_mode=fd, anomalies=log)
-            _, walk_chain = _policy_pass(ch, walk_obs, tags, pins.T.copy(), fd, walk_log,
-                                         v_block=block.T.copy())
+            _, walk_chain, count = reference_walk(ch, walk_obs, tags, pins.T.copy(), fd,
+                                                  v_block=block.T.copy())
             assert chain.shape == (batch,) and np.array_equal(chain, walk_chain)
-            assert log.count == walk_log.count
+            assert log.count == count
+
+
+@pytest.mark.parametrize("case", ["no-pins", "all-pinned", "n1", "observation-free"])
+@pytest.mark.parametrize("fd", ["sample", "argmax"])
+def test_chain_probability_equals_the_per_index_walk(case, fd):
+    """chain_probability, the genie-aided product over pinned_pairs, equals
+    reference_walk's per-index chain bit for bit, with its anomaly count,
+    on drawn blocks and on blocks with flipped bits: for a policy with no
+    PINNED index (its pinned bits None), an all-PINNED one, every tag at
+    N = 1 and, on an observation-free channel, a policy of all four tags
+    with no observations given."""
+    rng = np.random.default_rng(43)
+    batch = 9
+    ch = SymbolChannel(np.array([[0.3, 0.1, 0.05, 0.05], [0.1, 0.2, 0.1, 0.1]]))
+    if case == "observation-free":
+        ch = SymbolChannel(np.array([[0.35], [0.65]]))
+    if case == "n1":
+        layouts = [np.array([tag], np.uint8) for tag in range(PINNED + 1)]
+    elif case == "all-pinned":
+        layouts = [np.full(16, PINNED, np.uint8)]
+    else:
+        layouts = [np.tile(np.arange(PINNED if case == "no-pins" else PINNED + 1,
+                                     dtype=np.uint8), 8)[:16]]
+    for tags in layouts:
+        n_len = tags.size
+        obs = rng.integers(0, ch.obs_size, (batch, n_len))
+        pins = rng.integers(0, 2, (batch, n_len)).astype(np.uint8)
+        policy = SamplingPolicy(tags, pins if PINNED in tags else None)
+        assert (policy.pinned is None) == (PINNED not in tags)
+        public_obs = None if case == "observation-free" else obs
+        drawn = sample_sequential(ch, public_obs, policy, np.random.default_rng(1),
+                                  shared_rng=np.random.default_rng(2), fd_mode=fd)
+        for block in (drawn, drawn ^ (rng.random((batch, n_len)) < 0.2)):
+            log = AnomalyLog()
+            chain = chain_probability(ch, public_obs, policy, block, fd_mode=fd, anomalies=log)
+            _, want, count = reference_walk(ch, np.zeros_like(obs.T) if public_obs is None
+                                            else obs.T.copy(), tags, pins.T.copy(), fd,
+                                            v_block=block.T.copy())
+            assert np.array_equal(chain, want) and log.count == count
 
 
 def test_lift_of_trial_last_views_makes_no_copy():
@@ -1135,3 +1225,13 @@ def test_lift_of_trial_last_views_makes_no_copy():
     want = sample_sequential(ch, obs.T.copy(), copied, np.random.default_rng(1),
                              shared_rng=np.random.default_rng(2))
     assert np.array_equal(v, want)
+
+
+def test_symbol_channel_rejects_nan_entries():
+    """A NaN entry fails the nonnegativity check and a NaN total the
+    normalization check, instead of passing both as false comparisons."""
+    for table in ([[0.5, np.nan], [0.25, 0.25]], [[np.nan], [0.5]]):
+        with pytest.raises(ValueError, match="nonnegative numbers"):
+            SymbolChannel(np.array(table))
+    with pytest.raises(ValueError, match="sum to 1"):
+        SymbolChannel(np.array([[np.inf, 0.0], [0.0, 0.0]]))

@@ -174,3 +174,56 @@ def test_output_digest_word_cases_cross_word_boundaries():
     assert {name.rsplit("-", 2)[-2] for name in profiles} == {"s1", "s65"}
     for _, value in cases:
         assert len(value) == 64 and set(value) <= set("0123456789abcdef")
+
+
+SYNTHETIC_MODULE = '''"""Module docstring,
+over two lines."""
+import os  # a trailing comment keeps its line
+
+# a comment line
+
+
+class Box:
+    """Class docstring."""
+
+    size = 3
+
+    def area(self):
+        """Function
+        docstring."""
+        text = """a multi-line string
+        that is not a docstring
+        """
+        return self.size, text
+
+
+def loose():
+    x = 1
+    """a string statement after the first is no docstring"""
+    return x
+'''
+
+
+def test_code_lines_counts_tokens_outside_comments_and_docstrings(tmp_path):
+    """Code lines of a synthetic module: docstrings, comments and blank lines
+    do not count, every line of a multi-line string that is no docstring
+    does; two trees print their per-module difference."""
+    code_lines = _load("code_lines")
+    # import, class, size, def area, text = (3 lines), return, def loose,
+    # x = 1, the late string statement, return x
+    assert code_lines.code_lines(SYNTHETIC_MODULE) == 12
+    assert code_lines.code_lines('"""Only a docstring."""\n\n# and a comment\n') == 0
+    # without x = 1 the string statement is loose's docstring
+    assert code_lines.code_lines(SYNTHETIC_MODULE.replace("    x = 1\n", "")) == 10
+    old, new = tmp_path / "old", tmp_path / "new"
+    for root in (old, new):
+        (root / "pkg").mkdir(parents=True)
+        (root / "pkg" / "a.py").write_text(SYNTHETIC_MODULE)
+    (new / "pkg" / "a.py").write_text(SYNTHETIC_MODULE.replace("    size = 3\n", ""))
+    (new / "pkg" / "b.py").write_text("y = 2\n")
+    assert code_lines.count_tree(old) == {"pkg/a.py": 12}
+    lines = code_lines.report(code_lines.count_tree(old), code_lines.count_tree(new)).splitlines()
+    assert [line.split() for line in lines] == [["pkg/a.py", "12", "11", "-1"],
+                                                ["pkg/b.py", "0", "1", "+1"],
+                                                ["TOTAL", "12", "12", "+0"]]
+    assert code_lines.report({"a.py": 5}).splitlines()[-1].split() == ["TOTAL", "5"]

@@ -101,3 +101,37 @@ def test_transform_on_non_contiguous_layouts():
         assert np.array_equal(got, (bits @ matrix) % 2), name
         assert np.array_equal(bits, before), name
     assert apply_transform(trial_last.T).T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("n_len", [0, 6])
+def test_every_public_entry_rejects_a_block_length_that_is_no_power_of_two(n_len):
+    """N = 0 and N = 6 raise ValueError at every entry that takes a block
+    length (0 & -1 is 0, so N = 0 needs its own test), and the walks raise
+    before either stream moves."""
+    from polarcomm.models import AndModelParams, build_and_chain
+    from polarcomm.protocol import plan_protocol
+    from polarcomm.reliability import PartitionPolicy, profile_exact, profile_monte_carlo
+    from polarcomm.sc import (OBSERVATION_CONDITIONAL, PairStack, SamplingPolicy, SymbolChannel,
+                              chain_probability, sample_sequential)
+
+    ch = SymbolChannel(np.array([[0.4, 0.1], [0.1, 0.4]]))
+    obs = np.zeros((3, n_len), np.uint8)
+    policy = SamplingPolicy(np.full(n_len, OBSERVATION_CONDITIONAL, np.uint8))
+    rng, shared = np.random.default_rng(1), np.random.default_rng(2)
+    calls = [
+        lambda: apply_transform(np.zeros(n_len, np.uint8)),
+        lambda: PairStack((ch.table, obs.T)),
+        lambda: plan_protocol(build_and_chain(AndModelParams(0.5, 0.5, 2)), n_len,
+                              PartitionPolicy()),
+        lambda: sample_sequential(ch, obs, policy, rng, shared_rng=shared),
+        lambda: sample_sequential(ch, obs[0], policy, rng),
+        lambda: chain_probability(ch, obs, policy, obs),
+        lambda: chain_probability(ch, obs[0], policy, obs[0]),
+        lambda: profile_exact(ch, n_len),
+        lambda: profile_monte_carlo(ch, n_len, 16, 1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="power of two"):
+            call()
+    assert rng.random() == np.random.default_rng(1).random()
+    assert shared.random() == np.random.default_rng(2).random()
