@@ -45,10 +45,6 @@ class Pmf:
             raise ValueError("Pmf mass must be a nonempty 1-D vector")
         _validate_mass(self.mass)
 
-    @property
-    def alphabet_size(self) -> int:
-        return self.mass.size
-
 
 @dataclass(frozen=True)
 class JointPmf:

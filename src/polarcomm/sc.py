@@ -109,8 +109,9 @@ its pins, a UNIFORM_HALF run draws its shared uniforms, and a
 FunctionalStack's run takes v* on its alive trials, each as one (run, B)
 slice. Only the indices of a tag served by a PairStack, whose root pair at
 one index depends on the bits decided at the last, are stepped one at a
-time. Each of the walk's two streams holds one uniform block, drawn only
-when a run reads it (_DeferredBlock).
+time. Each of the walk's two streams holds one uniform block, a single
+(B, N) draw read through its transposed (N, B) view and drawn only when a
+run reads it (_DeferredBlock).
 
 Null conditioning (a prefix of probability zero given the observation,
 reachable through pinned bits or draws inconsistent with the model, or
@@ -398,7 +399,6 @@ def _gop(left: np.ndarray, right: np.ndarray, low: np.ndarray, out: np.ndarray) 
 
 
 CODE_LIMIT = 1 << 16  # most entries of a union table whose level is held as uint16 codes
-_SLAB_ROWS = 64  # rows per uniform draw transposed into an (N, B) block
 
 
 def _union_table(table: np.ndarray) -> np.ndarray:
@@ -651,8 +651,10 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     v[(h-1) 2^lam, h 2^lam), which _partial_sums builds for every level in
     one pass, as it builds them for a PairStack's g step (packed words on
     supports). Returns the (2, N, B) float pairs, uniform where null, and
-    the (N, B) null mask.
+    the (N, B) null mask. A block length that is not a positive power of
+    two raises ValueError.
     """
+    check_block_length(v.shape[0])
     root, tables = _pinned_root(ch, obs, v)
     return _root_finish(root, tables, v.shape[1])
 
@@ -808,27 +810,18 @@ def _check_walk(n_len: int, fd_mode: str) -> None:
 
 
 def _uniform_block(rng: np.random.Generator, batch: int, n_len: int) -> np.ndarray:
-    """The doubles of rng.random((B, N)), as an (N, B) block.
-
-    They are drawn in _SLAB_ROWS-row slabs, which give the same doubles as
-    one (B, N) draw, and each slab is transposed into place, so no (B, N)
-    temporary is made.
-    """
-    block = np.empty((n_len, batch))
-    slab = np.empty((min(_SLAB_ROWS, batch), n_len))
-    for start in range(0, batch, _SLAB_ROWS):
-        rows = slab[: min(_SLAB_ROWS, batch - start)]
-        rng.random(out=rows)
-        block[:, start : start + rows.shape[0]] = rows.T
-    return block
+    """One stream's uniforms for a walk: rng.random((B, N)), read as an
+    (N, B) block through its transposed view, with no copy."""
+    return rng.random((batch, n_len)).T
 
 
 class _DeferredBlock:
-    """One stream's uniform block of a walk, _uniform_block(rng, B, N),
-    drawn only when a run first reads it.
+    """One stream's uniform block of a walk, _uniform_block(rng, B, N): the
+    (N, B) transposed view of one rng.random((B, N)) draw, drawn only when a
+    run first reads it.
 
-    rng itself moves one block on at once, so every later draw from it is
-    as if the block had been drawn, whether or not it is read. A PCG64
+    rng itself moves one (B, N) block on at once, so every later draw from
+    it is as if the block had been drawn, whether or not it is read. A PCG64
     stream holding no buffered 32-bit half is advanced by B N outputs, since
     each double consumes exactly one 64-bit output, and the block is drawn,
     when read, from a copy of the stream as it was; any other stream cannot
@@ -872,11 +865,12 @@ def sample_sequential(
     UNIFORM_HALF indices draw Ber(1/2) from `shared_rng` (falling back to
     `rng`); PRIOR_CONDITIONAL samples P(V^i | v^{1:i-1}) with no observation;
     OBSERVATION_CONDITIONAL samples the observation conditional; PINNED
-    copies the given bit. Each stream holds one (B, N) uniform block,
-    private then shared where both come from rng, so outputs are
-    reproducible for a fixed seed regardless of the tag layout: each stream
-    moves one block on at once, whatever the tags, and its block is drawn
-    only when a run first reads it (_DeferredBlock). An fd_mode or a block
+    copies the given bit. Each stream holds one uniform block, a single
+    rng.random((B, N)) draw that the walk reads through its (N, B)
+    transposed view, private then shared where both come from rng, so
+    outputs are reproducible for a fixed seed regardless of the tag layout:
+    each stream moves one block on at once, whatever the tags, and its block
+    is drawn only when a run first reads it (_DeferredBlock). An fd_mode or a block
     length that the walk rejects raises ValueError before either stream
     moves. Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
     transposed view of the walk's C-order (N, B) block.

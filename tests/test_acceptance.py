@@ -103,14 +103,15 @@ def _compare_channel_to_oracle(ch, n_len, chunk_obs=512):
             level = level.reshape(c, 1 << (i - 1), 2).sum(axis=2)
             cascades.append(level)
         cascades.reverse()  # cascades[i] = P(v^{1:i}, obs), i = 1..N
+        rows = np.repeat(np.arange(c), 1 << n_len)
+        prefix = np.zeros(v_rows.shape[0], dtype=np.int64)
         for phi in range(n_len):
             pair, _ = stack.pair_at(phi, v_rows.T)
             tab = cascades[phi].reshape(c, -1, 2)  # (obs, prefix, bit)
-            prefix = (v_rows[:, :phi] @ (1 << np.arange(phi - 1, -1, -1))
-                      if phi else np.zeros(v_rows.shape[0], dtype=np.int64))
-            rows = np.repeat(np.arange(c), 1 << n_len)
+            if phi:  # v^{1:phi} as an integer, most significant bit first
+                prefix = 2 * prefix + v_rows[:, phi - 1]
             num = tab[rows, prefix]          # (rows, 2) joint pair
-            den = num.sum(axis=1)
+            den = num[:, 0] + num[:, 1]  # the sum over the bit, without a slow axis-1 reduce
             ok = den > 0
             want = num[ok] / den[ok, None]
             worst = max(worst, np.abs(pair[ok] - want).max(initial=0.0))

@@ -587,17 +587,27 @@ def test_erasure_walk_equals_float_tree_walk(table, monkeypatch):
     assert anomalies > 0 or ch.obs_size == 1  # every block of the uniform prior has mass
 
 
-def test_uniform_block_matches_one_draw():
-    """Slab draws give the doubles of one (B, N) draw and leave the stream
-    where that draw leaves it, for PCG64 and MT19937, at B below, at and
-    above one slab."""
-    for bit_generator in (np.random.PCG64, np.random.MT19937):
-        for batch in (1, 64, 130):
-            ref = np.random.Generator(bit_generator(3))
-            want = ref.random((batch, 8))
-            rng = np.random.Generator(bit_generator(3))
-            assert np.array_equal(_uniform_block(rng, batch, 8), want.T)
-            assert rng.random() == ref.random()
+@pytest.mark.parametrize("stream", ["PCG64", "MT19937", "buffered"])
+@pytest.mark.parametrize("batch, n_len", [(1, 8), (64, 8), (130, 8), (200000, 4)])
+def test_deferred_block_is_one_transposed_draw(stream, batch, n_len):
+    """A read _DeferredBlock holds rng.random((B, N)).T of a fresh stream
+    and leaves its stream where that draw leaves it: for PCG64, MT19937 and
+    a PCG64 stream holding a buffered 32-bit half, at B on both sides of a
+    64-trial word and at oracle-n8's 200000 trials of N = 4."""
+
+    def fresh():
+        gen = np.random.Generator((np.random.MT19937 if stream == "MT19937"
+                                   else np.random.PCG64)(3))
+        if stream == "buffered":
+            gen.integers(0, 10, dtype=np.int32)
+        return gen
+
+    rng, ref = fresh(), fresh()
+    block = _DeferredBlock(rng, batch, n_len)[:]
+    want = ref.random((batch, n_len)).T
+    assert block.shape == (n_len, batch) and np.array_equal(block, want)
+    assert rng.integers(0, 1 << 30, dtype=np.int32) == ref.integers(0, 1 << 30, dtype=np.int32)
+    assert rng.random() == ref.random()
 
 
 @pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
@@ -1127,7 +1137,7 @@ def test_public_walks_equal_the_trial_last_walk(table, functional, hard, fd):
     per-index walk reference_walk on the trial-last (N, B) ones: one
     transpose of the inputs in, the (B, N) view of a C-order (N, B) block
     out, with the uniforms of one (B, N) draw per stream. At B = 130 the
-    uniforms come in three slabs, the last one partial; every tag occurs,
+    trials fill three 64-trial words, the last one partial; every tag occurs,
     and (N,) observations are broadcast over the trials."""
     rng = np.random.default_rng(30)
     ch = SymbolChannel(np.array(table))

@@ -112,7 +112,7 @@ def test_every_public_entry_rejects_a_block_length_that_is_no_power_of_two(n_len
     from polarcomm.protocol import plan_protocol
     from polarcomm.reliability import PartitionPolicy, profile_exact, profile_monte_carlo
     from polarcomm.sc import (OBSERVATION_CONDITIONAL, PairStack, SamplingPolicy, SymbolChannel,
-                              chain_probability, sample_sequential)
+                              chain_probability, pinned_pairs, sample_sequential)
 
     ch = SymbolChannel(np.array([[0.4, 0.1], [0.1, 0.4]]))
     obs = np.zeros((3, n_len), np.uint8)
@@ -127,6 +127,7 @@ def test_every_public_entry_rejects_a_block_length_that_is_no_power_of_two(n_len
         lambda: sample_sequential(ch, obs[0], policy, rng),
         lambda: chain_probability(ch, obs, policy, obs),
         lambda: chain_probability(ch, obs[0], policy, obs[0]),
+        lambda: pinned_pairs(ch, obs.T, obs.T),
         lambda: profile_exact(ch, n_len),
         lambda: profile_monte_carlo(ch, n_len, 16, 1),
     ]

@@ -14,7 +14,7 @@ moved. The cases are
                   `argmax` F_d decisions; batched and (N,) source blocks;
                   and, last of all (protocol/.../b130), the Monte Carlo
                   N = 32 runs of AND t = 2 and collocated m = 2 at 130
-                  trials, whose uniforms span three slabs, the last partial;
+                  trials, which fill three 64-trial words, the last partial;
   * walk/...      the SC walk on every round's transmitter policy and on a
                   receiver-side policy that pins I' only and draws F_r from
                   the shared stream (fixed tags, so the walk inputs stay
@@ -155,7 +155,7 @@ def protocol_cases(pc, model_name, model, label, n_len, plans, trials=6,
 
 def wide_protocol_cases(pc):
     """protocol/.../b130: the Monte Carlo N = 32 runs of both networks at 130
-    trials, whose uniform blocks span three 64-row slabs, the last partial."""
+    trials, which fill three 64-trial words, the last partial."""
     models = _models(pc)
     target = pc.PartitionPolicy(mode="target_rate")
     for name in ("and-t2", "col-m2"):
