@@ -870,10 +870,10 @@ def sample_sequential(
     transposed view, private then shared where both come from rng, so
     outputs are reproducible for a fixed seed regardless of the tag layout:
     each stream moves one block on at once, whatever the tags, and its block
-    is drawn only when a run first reads it (_DeferredBlock). An fd_mode or a block
-    length that the walk rejects raises ValueError before either stream
-    moves. Returns (B, N) blocks, squeezed to (N,) for unbatched inputs: the
-    transposed view of the walk's C-order (N, B) block.
+    is drawn only when a run first reads it (_DeferredBlock). An fd_mode or
+    a block length that the walk rejects raises ValueError before either
+    stream moves. Returns (B, N) blocks, squeezed to (N,) for unbatched
+    inputs: the transposed view of the walk's C-order (N, B) block.
 
     fd_mode="argmax" replaces the PRIOR_CONDITIONAL draw with the
     higher-probability bit (a documented deviation from the sampling rules).

@@ -587,6 +587,15 @@ def test_erasure_walk_equals_float_tree_walk(table, monkeypatch):
     assert anomalies > 0 or ch.obs_size == 1  # every block of the uniform prior has mass
 
 
+def _stream(kind: str, seed: int) -> np.random.Generator:
+    """A PCG64 or MT19937 generator, or ("buffered") a PCG64 one holding a
+    buffered 32-bit half."""
+    gen = np.random.Generator((np.random.MT19937 if kind == "MT19937" else np.random.PCG64)(seed))
+    if kind == "buffered":
+        gen.integers(0, 10, dtype=np.int32)
+    return gen
+
+
 @pytest.mark.parametrize("stream", ["PCG64", "MT19937", "buffered"])
 @pytest.mark.parametrize("batch, n_len", [(1, 8), (64, 8), (130, 8), (200000, 4)])
 def test_deferred_block_is_one_transposed_draw(stream, batch, n_len):
@@ -594,15 +603,7 @@ def test_deferred_block_is_one_transposed_draw(stream, batch, n_len):
     and leaves its stream where that draw leaves it: for PCG64, MT19937 and
     a PCG64 stream holding a buffered 32-bit half, at B on both sides of a
     64-trial word and at oracle-n8's 200000 trials of N = 4."""
-
-    def fresh():
-        gen = np.random.Generator((np.random.MT19937 if stream == "MT19937"
-                                   else np.random.PCG64)(3))
-        if stream == "buffered":
-            gen.integers(0, 10, dtype=np.int32)
-        return gen
-
-    rng, ref = fresh(), fresh()
+    rng, ref = _stream(stream, 3), _stream(stream, 3)
     block = _DeferredBlock(rng, batch, n_len)[:]
     want = ref.random((batch, n_len)).T
     assert block.shape == (n_len, batch) and np.array_equal(block, want)
@@ -692,13 +693,6 @@ def test_each_stream_moves_one_block_whatever_the_tags(stream, monkeypatch):
                "observed": np.full(n_len, OBSERVATION_CONDITIONAL), "mixed": mixed}
     reads = {"pinned": 0, "uniform": 1, "observed": 1, "mixed": 2}
 
-    def stream_at(seed):
-        gen = np.random.Generator((np.random.MT19937 if stream == "MT19937"
-                                   else np.random.PCG64)(seed))
-        if stream == "buffered":
-            gen.integers(0, 10, dtype=np.int32)
-        return gen
-
     def after(gen):
         return gen.integers(0, 1 << 30, dtype=np.int32), gen.random()
 
@@ -708,10 +702,10 @@ def test_each_stream_moves_one_block_whatever_the_tags(stream, monkeypatch):
         for shared in (True, False):
             calls.clear()
             deferred.clear()
-            rng, other = stream_at(5), stream_at(6) if shared else None
+            rng, other = _stream(stream, 5), _stream(stream, 6) if shared else None
             sample_sequential(ch, obs, SamplingPolicy(tags, pins), rng, shared_rng=other)
             assert len(deferred) == 2
-            ref, ref_other = stream_at(5), stream_at(6)
+            ref, ref_other = _stream(stream, 5), _stream(stream, 6)
             ref.random((batch, n_len))
             (ref_other if shared else ref).random((batch, n_len))
             assert after(rng) == after(ref)

@@ -108,6 +108,39 @@ def test_summary_marks_a_metric_unresolved_when_the_parent_spreads_past_its_boun
     assert "UNRESOLVED" in _line(text, "agreement")
 
 
+def test_summary_gives_the_paired_change_and_its_interval(bench_pairs, tmp_path, capsys):
+    """A uniform -10% change reads -10% with an interval that excludes 0, and
+    resolves while the control (setup_s) reads equal sides: 0% with an
+    interval that contains 0. --summarize prints the summary of a written
+    file and runs nothing."""
+    parent = [{"setup_s": 0.2 + 0.01 * k, "wall_s": 1.0 + 0.1 * k} for k in range(10)]
+    change = [{"setup_s": 0.2 + 0.01 * k, "wall_s": 0.9 * (1.0 + 0.1 * k)} for k in range(10)]
+    mid, low, high = bench_pairs.paired_change([p["wall_s"] for p in parent],
+                                               [c["wall_s"] for c in change])
+    assert mid == pytest.approx(-0.1) and high < 0
+    assert bench_pairs.paired_change([0.2, 0.3], [0.2, 0.3]) == (0.0, 0.0, 0.0)
+    assert bench_pairs.paired_change([0.0, 0.3], [0.2, 0.3]) is None
+    text = bench_pairs.summary(_runs(parent, change))
+    lines = text.splitlines()
+    assert lines[lines.index(_line(text, "wall_s")) + 1] == \
+        "    paired -10.0% [95% -10.0, -10.0]  resolved"
+    assert lines[lines.index(_line(text, "setup_s")) + 1] == \
+        "    paired +0.0% [95% +0.0, +0.0]  the control"
+    # a control that moves leaves every other metric not resolved
+    moved = [{"setup_s": 1.2 * p["setup_s"], "wall_s": c["wall_s"]}
+             for p, c in zip(parent, change)]
+    text = bench_pairs.summary(_runs(parent, moved))
+    assert _line(text, "paired").endswith("the control")
+    assert "not resolved: the control's interval excludes 0" in text
+    # equal sides contain 0 in their interval
+    text = bench_pairs.summary(_runs(parent, parent))
+    assert "    paired +0.0% [95% +0.0, +0.0]  not resolved: interval contains 0" in text
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"runs": _runs(parent, change)}))
+    assert bench_pairs.main(["--summarize", str(out)]) == 0
+    assert capsys.readouterr().out == bench_pairs.summary(_runs(parent, change)) + "\n"
+
+
 def _fake_bench(bench_pairs, monkeypatch, fail_after=None):
     """Replace the tool's export and benchmark run with stand-ins that run
     nothing: every run reports wall_s 1.0, and run number fail_after (from

@@ -2,6 +2,7 @@
 
     python tools/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
         [--seeds 1 2 ...] [--pairs K (default 10)] [--seconds S] --out BENCH_<n>.json
+    python tools/bench_pairs.py --summarize BENCH_<n>.json
 
 The parent revision and HEAD are exported with `git archive` into fresh temporary
 directories, so each side runs its committed files only, as a new checkout
@@ -16,7 +17,9 @@ disk. A summary
 (`summary`) is printed at the end: each side's failed operations, whether
 the digests differ, and per end-to-end metric of BENCHMARK.json the
 medians, the parent's IQR, the median change as a share of the metric's
-bound and the pairs the change wins in the metric's better direction.
+bound and the pairs the change wins in the metric's better direction, then
+the paired change with its bootstrap interval (see `summary`).
+`--summarize` prints the summary of a file already written, and runs nothing.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+CONTROL = "setup_s"  # fresh processes that import and build models: no planning or SC walk runs
+RESAMPLES = 10000  # bootstrap resamples of the pairs
+BOOTSTRAP_SEED = 2013  # fixed, so one file always summarizes the same
 
 
 def export(rev: str, dest: Path) -> str:
@@ -66,6 +72,20 @@ def end_to_end() -> dict:
     return {m["name"]: m for m in spec["end_to_end"]}
 
 
+def paired_change(parent: list, change: list) -> tuple | None:
+    """(median, low, high) change of pairs whose values are parent[k] and
+    change[k]: the median over pairs of log(change / parent) and its 95%
+    percentile-bootstrap interval over pairs (resampled with a fixed seed),
+    each given as the fractional change exp(x) - 1. None unless every value
+    is positive."""
+    if min(parent + change) <= 0:
+        return None
+    logs = np.log(np.asarray(change) / np.asarray(parent))
+    picks = np.random.default_rng(BOOTSTRAP_SEED).integers(0, len(logs), (RESAMPLES, len(logs)))
+    low, high = np.percentile(np.median(logs[picks], axis=1), [2.5, 97.5])
+    return tuple(np.expm1([np.median(logs), low, high]).tolist())
+
+
 def summary(runs: list) -> str:
     """Per workload and seed: failed operations, a DIGESTS DIFFER line when
     the two sides' output digests disagree, and for each end-to-end metric,
@@ -76,7 +96,16 @@ def summary(runs: list) -> str:
     metric whose parent IQR, as a share of the parent's median, exceeds its
     bound is marked UNRESOLVED, since its runs cannot tell a move within
     the bound from none, unless every change run reads better than every
-    parent run."""
+    parent run.
+
+    Under each metric whose values are positive, a `paired` line gives
+    paired_change: the median paired change and its 95% interval, in
+    percent. CONTROL's line is labelled the control: that phase plans and
+    walks nothing, so a change to either is an A/A test there (Kalibera and
+    Jones, "Rigorous benchmarking in reasonable time", ISMM 2013). Any other
+    metric is resolved when its interval excludes 0 and the control's
+    interval contains 0: a control that moves means the host drifted
+    between the sides."""
     metrics = end_to_end()
     out = []
     groups = sorted({(r["workload"], r["seed"]) for r in runs})
@@ -96,10 +125,12 @@ def summary(runs: list) -> str:
             failed = sum(r["failed"] for r in done)
             out.append(f"  {side}: {failed} of {sum(r['attempted'] for r in done)} "
                        f"operations failed" + ("  <-- FAILURES" if failed else ""))
-        for name, spec in metrics.items():
-            if not pairs or name not in by[pairs[0], "parent"]:
-                continue
-            vals = {side: [by[p, side][name]["value"] for p in pairs] for side in SIDES}
+        vals_of = {name: {side: [by[p, side][name]["value"] for p in pairs] for side in SIDES}
+                   for name in metrics if pairs and name in by[pairs[0], "parent"]}
+        control = (paired_change(vals_of[CONTROL]["parent"], vals_of[CONTROL]["change"])
+                   if CONTROL in vals_of else None)
+        for name, vals in vals_of.items():
+            spec = metrics[name]
             # sign * (change - parent) is positive where the change is worse
             sign = 1.0 if spec["better"] == "lower" else -1.0
             better = sum(sign * (c - p) < 0 for p, c in zip(vals["parent"], vals["change"]))
@@ -117,18 +148,38 @@ def summary(runs: list) -> str:
                        f"{spec['bound']:g}   change better in {better}/{len(pairs)}"
                        + (f"  <-- UNRESOLVED: parent IQR {spread:.3g} of its median"
                           if unresolved else ""))
+            paired = paired_change(vals["parent"], vals["change"])
+            if paired is None:
+                continue
+            mid, low, high = (100 * x for x in paired)
+            if name == CONTROL:
+                verdict = "the control"
+            elif low <= 0 <= high:
+                verdict = "not resolved: interval contains 0"
+            elif control is None or not control[1] <= 0 <= control[2]:
+                verdict = "not resolved: the control's interval excludes 0"
+            else:
+                verdict = "resolved"
+            out.append(f"    paired {mid:+.1f}% [95% {low:+.1f}, {high:+.1f}]  {verdict}")
     return "\n".join(out)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
-    parser.add_argument("parent", help="the parent revision")
-    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("parent", nargs="?", help="the parent revision")
+    parser.add_argument("--workload", action="append")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1])
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
-    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--out", type=Path)
+    parser.add_argument("--summarize", type=Path, metavar="FILE",
+                        help="print the summary of a file this tool wrote, and run nothing")
     args = parser.parse_args(argv)
+    if args.summarize:
+        print(summary(json.loads(args.summarize.read_text())["runs"]))
+        return 0
+    if not (args.parent and args.workload and args.out):
+        parser.error("a run needs the parent revision, --workload and --out")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
