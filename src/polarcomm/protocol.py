@@ -121,9 +121,56 @@ def round_roles(model: AuxChainModel, i: int) -> RoundRoles:
     return RoundRoles(i, transmitter, tx_src, bit_var, (tx_src,) + past, rx_obs_vars, target)
 
 
+def _profile_thunk(ch: SymbolChannel, n_len: int, conditioning: str, monte_carlo):
+    """A call that makes one profile: exact when `monte_carlo` is None,
+    else Monte Carlo with its (samples, seed). It looks the profile function
+    up in this module when it runs, as `bench/tracer.py` expects."""
+    if monte_carlo is None:
+        return lambda: profile_exact(ch, n_len, conditioning)
+    samples, seed = monte_carlo
+    return lambda: profile_monte_carlo(ch, n_len, samples, seed, conditioning)
+
+
+class _RoundProfiles(Mapping):
+    """A round's profiles by conditioning, "uncond", "tx" and "rx" in that
+    order, each made by its thunk on first read and kept."""
+
+    def __init__(self, thunks: dict):
+        self._thunks = thunks
+        self._made = {}
+
+    def __getitem__(self, key: str) -> ReliabilityProfile:
+        if key not in self._made:
+            self._made[key] = self._thunks[key]()
+        return self._made[key]
+
+    def __iter__(self):
+        return iter(self._thunks)
+
+    def __len__(self) -> int:
+        return len(self._thunks)
+
+
+@dataclass(frozen=True)
+class _UnreadProfile:
+    """Profile `key` of a round as `build_partition` takes it: the block
+    length now, the z values, and so the profile, only when they are read."""
+
+    profiles: _RoundProfiles
+    key: str
+    n_len: int
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.profiles[self.key].z
+
+
 @dataclass(frozen=True)
 class RoundPlan(RoundRoles):
-    """A round's roles plus its channels, partition and profiles."""
+    """A round's roles plus its channels, partition and profiles.
+
+    `profiles` is a read-only mapping that makes each profile on first read
+    (`plan_protocol`)."""
 
     tx_channel: SymbolChannel
     rx_channel: SymbolChannel
@@ -247,6 +294,13 @@ def plan_protocol(
     |F_d| ~ 1 - H(U^i), |F_r| ~ H(U^i | tx obs), |I'| ~ the round's rate
     target plus `rate_margin` bits per symbol. Other policies derive no
     target, so a positive `rate_margin` raises ValueError there.
+
+    A round's profiles (`RoundPlan.profiles`) are computed on first read:
+    `build_partition` reads only those it ranks by, and the rest are made
+    when a caller reads them, from the same stream, so they have the same
+    bytes. An "exact" method the channels cannot enumerate at N, or fewer
+    than one sample on a Monte Carlo round, raises ValueError here all the
+    same.
     """
     check_block_length(n_len)
     if not rate_margin >= 0.0:
@@ -268,20 +322,21 @@ def plan_protocol(
         roles = round_roles(model, i)
         tx_channel = SymbolChannel.from_joint(model.joint, roles.bit_var, roles.tx_obs_vars)
         rx_channel = SymbolChannel.from_joint(model.joint, roles.bit_var, roles.rx_obs_vars)
-        use_exact = profile_method == "exact" or (
-            profile_method == "auto"
-            and enumerable(tx_channel, n_len) and enumerable(rx_channel, n_len)
-        )
-        conditionings = (("uncond", "none", tx_channel.prior()), ("tx", "tx", tx_channel),
-                         ("rx", "rx", rx_channel))
-        prof = {}
-        for k, (key, cond, ch) in enumerate(conditionings):
-            if use_exact:
-                prof[key] = profile_exact(ch, n_len, cond)
-            else:
-                prof[key] = profile_monte_carlo(
-                    ch, n_len, profile_samples, (profile_seed, 3, i, k), cond
-                )
+        channels = {"uncond": (tx_channel.prior(), "none"), "tx": (tx_channel, "tx"),
+                    "rx": (rx_channel, "rx")}
+        # config errors raise here, whichever profiles the partition reads
+        exact_ok = all(enumerable(ch, n_len) for ch, _ in channels.values())
+        if profile_method == "exact" and not exact_ok:
+            raise ValueError(f"profile_method 'exact' cannot enumerate round {i}'s "
+                             f"channels at N={n_len}")
+        use_exact = exact_ok and profile_method != "monte_carlo"
+        if not use_exact and profile_samples < 1:
+            raise ValueError(f"profile_samples must be >= 1, got {profile_samples}")
+        prof = _RoundProfiles({
+            key: _profile_thunk(ch, n_len, cond, None if use_exact else
+                                (profile_samples, (profile_seed, 3, i, k)))
+            for k, (key, (ch, cond)) in enumerate(channels.items())
+        })
         round_policy = policy
         if policy.mode == "target_rate" and policy.fractions is None:
             f_d = 1.0 - entropy_bits(model.joint, (roles.bit_var,))
@@ -289,7 +344,8 @@ def plan_protocol(
                 model.joint, roles.tx_obs_vars
             )
             round_policy = with_fractions(policy, (f_d, f_r, roles.target_rate + rate_margin))
-        partition = build_partition(prof["uncond"], prof["tx"], prof["rx"], round_policy)
+        partition = build_partition(*(_UnreadProfile(prof, key, n_len) for key in prof),
+                                    round_policy)
         plans.append(RoundPlan(**vars(roles), tx_channel=tx_channel, rx_channel=rx_channel,
                                partition=partition, profiles=prof))
     return plans

@@ -227,8 +227,13 @@ def profile_monte_carlo(
     realized v = u G_N, and averages 2 sqrt(p0 p1) of the exact conditional
     pair at every index. Each chunk draws its own rows of sample cells from
     one stream (`derive_rng(*seed)` for a tuple seed (seed, *spawn key));
-    the stream fills rows in order, so the cells, and the result, depend only
-    on (seed, samples), never on the chunking. The cells (`sc._cell_index`)
+    the stream fills rows in order, so the cells depend only on
+    (seed, samples), never on the chunking. On a float channel the result
+    does, in its last bits, since each chunk's float sums are added to the
+    totals in turn: z moves by a few ulps, and stderr, a difference of
+    nearly equal sums where the variance is near 0, by up to about 1e-9. A
+    hard channel's integer sums (below) are free of the chunking.
+    The cells (`sc._cell_index`)
     and their split into bits and observation symbols stay in the smallest
     unsigned dtype that holds the table's size, and are held trial-last,
     (N, chunk), as the SC walk reads them.
@@ -297,13 +302,16 @@ def build_partition(
     TARGET_RATE mode uses the same algebra with membership by rank: the
     |N f_d| smallest z_uncond form F_d, the |N f_r| largest z_tx among the
     rest form F_r, and I' keeps the |N i_prime| least receiver-recoverable
-    indices of I.
+    indices of I. There a profile's z is read only where its set ranks by
+    it: z_uncond when F_d's target is positive, z_tx when F_r's is, z_rx
+    when I' takes some but not all of I. A profile whose `z` is computed on
+    read (`RoundPlan.profiles`) is not computed otherwise.
     """
     n_len = z_uncond.n_len
     if z_tx.n_len != n_len or z_rx.n_len != n_len:
         raise ValueError("profiles must share one blocklength")
-    zu, zt, zr = z_uncond.z, z_tx.z, z_rx.z
     if policy.mode == "threshold":
+        zu, zt, zr = z_uncond.z, z_tx.z, z_rx.z
         delta = policy.delta_for(n_len)
         fd_mask = zu <= delta
         fr_mask = ~fd_mask & (zt >= 1.0 - delta)
@@ -318,21 +326,28 @@ def build_partition(
     if policy.fractions is None:
         raise ValueError("target_rate mode requires policy.fractions")
     f_d_frac, f_r_frac, iprime_frac = policy.fractions
+    # a profile's z is read only where its set is ranked by it
     k_d = min(int(round(n_len * f_d_frac)), n_len)
-    if policy.fd_z_cap is not None:
-        k_d = min(k_d, int((zu <= policy.fd_z_cap).sum()))
-    order_u = np.argsort(zu, kind="stable")
-    f_d = order_u[:k_d]
+    f_d = np.arange(0)
+    if k_d:
+        zu = z_uncond.z
+        if policy.fd_z_cap is not None:
+            k_d = min(k_d, int((zu <= policy.fd_z_cap).sum()))
+        f_d = np.argsort(zu, kind="stable")[:k_d]
     rest = np.setdiff1d(np.arange(n_len), f_d)
     k_r = min(int(round(n_len * f_r_frac)), rest.size)
-    if policy.fr_z_cap is not None:
-        k_r = min(k_r, int((zt[rest] >= 1.0 - policy.fr_z_cap).sum()))
-    order_t = rest[np.argsort(zt[rest], kind="stable")]
-    f_r = order_t[rest.size - k_r:]
+    f_r = rest[:0]
+    if k_r:
+        zt = z_tx.z[rest]
+        if policy.fr_z_cap is not None:
+            k_r = min(k_r, int((zt >= 1.0 - policy.fr_z_cap).sum()))
+        f_r = rest[np.argsort(zt, kind="stable")][rest.size - k_r:]
     info = np.setdiff1d(rest, f_r)
     k_ip = min(int(round(n_len * iprime_frac)), info.size)
-    order_r = info[np.argsort(zr[info], kind="stable")]
-    i_prime = order_r[info.size - k_ip:]
+    # I' taking none or all of I needs no ranking
+    i_prime = info if k_ip == info.size else info[:0]
+    if 0 < k_ip < info.size:
+        i_prime = info[np.argsort(z_rx.z[info], kind="stable")][info.size - k_ip:]
     return IndexPartition(n_len, f_r, f_d, info, i_prime)
 
 
