@@ -210,6 +210,18 @@ def test_rate_margin_without_a_rate_target_exits_2(tmp_path, capsys):
         assert record["error"] == "config" and "rate_margin" in record["detail"]
 
 
+def test_no_profile_samples_exits_2_where_no_profile_is_read(tmp_path, capsys):
+    """profile_samples 0 on Monte Carlo rounds is a config error at plan
+    time, also under fractions whose partition reads no profile (I' takes
+    all of I); no output is left behind."""
+    cfg = write_config(tmp_path / "s.json", model="and", n=16, fractions=[0, 0, 1],
+                       profile_method="monte_carlo", profile_samples=0)
+    assert main(["plan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    record = _last_error(capsys)
+    assert record["error"] == "config" and "profile_samples" in record["detail"]
+    assert not (tmp_path / "o").exists() or not list((tmp_path / "o").iterdir())
+
+
 def test_malformed_model_file_exits_2(tmp_path, capsys):
     model = tmp_path / "model.json"
     model.write_text(json.dumps({"joint": {"variables": []}}))

@@ -390,6 +390,72 @@ def test_auto_profiles_are_exact_only_where_enumerable():
         assert all(m == {"monte_carlo"} for m in methods[2:])
 
 
+def _recorded_profiles(monkeypatch):
+    """Record the (seed, conditioning) of every Monte Carlo profile made
+    through `protocol.profile_monte_carlo`, the name plans look it up by."""
+    from polarcomm import protocol
+
+    made = []
+    original = protocol.profile_monte_carlo
+
+    def recording(ch, n_len, samples, seed, conditioning="none", **kwargs):
+        made.append((seed, conditioning))
+        return original(ch, n_len, samples, seed, conditioning, **kwargs)
+
+    monkeypatch.setattr(protocol, "profile_monte_carlo", recording)
+    return made
+
+
+def test_target_rate_plans_make_only_the_profiles_their_partitions_read(monkeypatch):
+    """The benchmark's two networks under target_rate at N = 64: round 1's
+    F_d and F_r are empty and I' takes all of I, and round 2's F_r is
+    empty, so planning makes round 2's prior and receiver profiles only.
+    Every other profile is made on its first read, once, with the bytes and
+    seed of a direct call at its spawn key (seed, 3, i, k)."""
+    from polarcomm.reliability import profile_monte_carlo
+
+    made = _recorded_profiles(monkeypatch)
+    for model in (build_and_chain(AndModelParams(0.5, 0.5, 2)),
+                  build_collocated_chain(2, [0.5, 0.5])):
+        made.clear()
+        plans = plan_protocol(model, 64, PartitionPolicy(mode="target_rate"), rate_margin=0.15,
+                              profile_method="monte_carlo", profile_samples=64,
+                              profile_seed=9)
+        assert made == [((9, 3, 2, 0), "none"), ((9, 3, 2, 2), "rx")]
+        for plan in plans:
+            assert list(plan.profiles) == ["uncond", "tx", "rx"] and len(plan.profiles) == 3
+            channels = (plan.tx_channel.prior(), plan.tx_channel, plan.rx_channel)
+            for k, (key, cond, ch) in enumerate(zip(plan.profiles, ("none", "tx", "rx"),
+                                                    channels)):
+                want = profile_monte_carlo(ch, 64, 64, (9, 3, plan.round_index, k), cond)
+                got = plan.profiles[key]
+                assert got.z.tobytes() == want.z.tobytes()
+                assert got.stderr.tobytes() == want.stderr.tobytes()
+                assert got.seed == want.seed and got.conditioning == cond
+        # every profile made once: the four unread ones on the reads above
+        assert sorted(made) == sorted({(prof.seed, prof.conditioning)
+                                       for plan in plans for prof in plan.profiles.values()})
+
+
+@pytest.mark.parametrize("policy", [ALL_TRANSMIT, PartitionPolicy(mode="threshold")])
+def test_plan_config_errors_raise_whatever_the_partition_reads(policy, monkeypatch):
+    """Fewer than one sample on a Monte Carlo round, or exact profiles on
+    channels that cannot be enumerated at N, raise at plan time, also where
+    the partition reads no profile (ALL_TRANSMIT ranks by none)."""
+    made = _recorded_profiles(monkeypatch)
+    m = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    for method in ("monte_carlo", "auto"):
+        with pytest.raises(ValueError, match="profile_samples must be >= 1"):
+            plan_protocol(m, 32, policy, profile_method=method, profile_samples=0)
+    with pytest.raises(ValueError, match="cannot enumerate round 1"):
+        plan_protocol(m, 32, policy, profile_method="exact")
+    assert made == []
+    # exact rounds draw no samples, so none are asked for
+    plan_protocol(m, 4, policy, profile_samples=0)
+    plan_protocol(m, 32, policy, profile_method="monte_carlo", profile_samples=1)
+    assert len(made) == (6 if policy.mode == "threshold" else 0)
+
+
 def test_runs_reject_symbols_outside_the_alphabet():
     """x2 = 2 would alias the receivers' flat symbol of (x2 = 0, u1 = 1); a
     run checks every block against its variable's alphabet, also with no

@@ -252,6 +252,39 @@ def test_target_rate_fraction_counts():
     assert part.i_prime.size == 32
 
 
+@pytest.mark.parametrize("fractions, read", [
+    ((0.0, 0.0, 1.0), set()),  # I' takes all of I
+    ((0.0, 0.0, 0.0), set()),  # I' takes none of it
+    ((0.25, 0.0, 1.0), {"none"}),
+    ((0.0, 0.25, 0.3), {"tx", "rx"}),
+    ((0.25, 0.25, 0.3), {"none", "tx", "rx"}),
+])
+def test_target_rate_reads_a_profile_only_where_it_ranks_by_it(fractions, read):
+    """Under target_rate, z_uncond is read only for a nonempty F_d target,
+    z_tx for a nonempty F_r target and z_rx where I' takes some but not all
+    of I; threshold mode reads all three. Skipping a read moves no set."""
+    n_len = 32
+    z = np.random.default_rng(3).random((3, n_len))
+    seen = set()
+
+    class Watched(ReliabilityProfile):
+        def __getattribute__(self, name):
+            if name == "z":
+                seen.add(object.__getattribute__(self, "conditioning"))
+            return object.__getattribute__(self, name)
+
+    def profiles(kind):
+        return [kind(n_len, c, zc, "exact") for c, zc in zip(("none", "tx", "rx"), z)]
+
+    for pol in (with_fractions(PartitionPolicy(fd_z_cap=None, fr_z_cap=None), fractions),
+                PartitionPolicy(mode="threshold", delta=0.3)):
+        watched = profiles(Watched)
+        seen.clear()  # the checks of __post_init__ read z
+        part = build_partition(*watched, pol)
+        assert seen == (read if pol.mode == "target_rate" else {"none", "tx", "rx"})
+        assert part.to_json() == build_partition(*profiles(ReliabilityProfile), pol).to_json()
+
+
 def test_reliability_caps_limit_membership():
     n_len = 16
     zu = np.linspace(0.0, 1.0, n_len)
@@ -369,6 +402,27 @@ def test_hard_profiles_count_what_the_float_route_sums(seed, monkeypatch):
         assert got.z.tobytes() == want.z.tobytes()
         assert got.stderr.tobytes() == want.stderr.tobytes()
     assert any(0.0 < z < 1.0 for prof in fast for z in prof.z)  # not all 0 or 1
+
+
+def test_monte_carlo_chunking_moves_only_float_sums():
+    """The cells never depend on the chunking. A hard channel's integer
+    sums give equal bytes at chunks 64 and 512; a float channel's sums
+    agree to within 1e-15 in z (and 1e-8 in stderr, a difference of nearly
+    equal sums), not necessarily in their last bits."""
+    model = build_and_chain(AndModelParams(0.5, 0.5, 2))
+    _, _, hard = channels(model, 2, ("y", "u1"), ("x", "u1"))  # BEC(1/2)
+    soft = SymbolChannel(np.array([[0.75], [0.25]]))
+    assert hard.hard and not soft.hard
+    for ch in (hard, soft):
+        small, whole = (profile_monte_carlo(ch, 1024, 512, (7, 3, 2, 0), chunk=c)
+                        for c in (64, 512))
+        if ch.hard:
+            assert small.z.tobytes() == whole.z.tobytes()
+            assert small.stderr.tobytes() == whole.stderr.tobytes()
+        else:
+            np.testing.assert_allclose(small.z, whole.z, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(small.stderr, whole.stderr, rtol=0, atol=1e-8)
+        assert 0.0 < whole.z.mean() < 1.0
 
 
 def test_nan_fractions_and_z_are_rejected():

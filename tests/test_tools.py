@@ -1,6 +1,7 @@
 """Tests of the scripts under tools/, imported by path."""
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -141,6 +142,35 @@ def test_summary_gives_the_paired_change_and_its_interval(bench_pairs, tmp_path,
     assert capsys.readouterr().out == bench_pairs.summary(_runs(parent, change)) + "\n"
 
 
+def test_summarize_pools_the_pairs_of_several_files(bench_pairs, tmp_path, capsys):
+    """--summarize with two files gives one summary over the pairs of both:
+    five pairs 10% faster in one file and five 10% slower in the other
+    read 10 pairs, 5 won, and a paired interval across both. Pair k of one
+    file is not merged with pair k of the other."""
+    files = []
+    for name, ratio, base in (("a.json", 0.9, 1.0), ("b.json", 1.1, 2.0)):
+        parent = [{"wall_s": base + 0.01 * k} for k in range(5)]
+        change = [{"wall_s": ratio * (base + 0.01 * k)} for k in range(5)]
+        files.append(tmp_path / name)
+        files[-1].write_text(json.dumps({"runs": _runs(parent, change)}))
+    assert bench_pairs.main(["--summarize", *map(str, files)]) == 0
+    text = capsys.readouterr().out
+    assert text == bench_pairs.summary(bench_pairs.pooled(files)) + "\n"
+    assert text.splitlines()[0] == "w seed 1, 10 pairs, digests ['aaaa1111']"
+    wall = _line(text, "wall_s")
+    assert "change better in 5/10" in wall
+    # the median of five log(0.9) and five log(1.1) is their mean
+    mid, low, high = bench_pairs.paired_change(
+        *([r["result"]["metrics"]["wall_s"]["value"] for r in bench_pairs.pooled(files)
+           if r["side"] == side] for side in ("parent", "change")))
+    assert mid == pytest.approx((0.9 * 1.1) ** 0.5 - 1) and low < 0 < high
+    lines = text.splitlines()
+    assert lines[lines.index(wall) + 1].startswith(f"    paired {100 * mid:+.1f}% [95% ")
+    # one file alone reads its own five pairs
+    assert bench_pairs.main(["--summarize", str(files[0])]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "w seed 1, 5 pairs, digests ['aaaa1111']"
+
+
 def _fake_bench(bench_pairs, monkeypatch, fail_after=None):
     """Replace the tool's export and benchmark run with stand-ins that run
     nothing: every run reports wall_s 1.0, and run number fail_after (from
@@ -176,6 +206,35 @@ def test_bench_pairs_keeps_earlier_runs_when_a_run_fails(bench_pairs, monkeypatc
         bench_pairs.main(["PARENT", "--workload", "w", "--pairs", "4", "--out", str(out)])
     runs = json.loads(out.read_text())["runs"]
     assert [(r["pair"], r["side"]) for r in runs] == [(0, "parent"), (0, "change"), (1, "change")]
+
+
+def test_tracer_sees_one_profile_span_per_profile_a_plan_reads(monkeypatch):
+    """Under `bench/tracer.py`, whose aliases require `protocol` to look its
+    profile and partition functions up by the `reliability` names, a small
+    target_rate plan records one `reliability.profile_monte_carlo` span per
+    profile its partitions read (round 2's prior and receiver), each inside
+    that round's `build_partition` span. A profile read after the tracer
+    exits is made by the untraced function."""
+    import polarcomm
+
+    spec = importlib.util.spec_from_file_location("tracer", TOOLS.parent / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "tracer", tracer)  # its dataclass looks itself up there
+    spec.loader.exec_module(tracer)
+    model = polarcomm.models.build_and_chain(polarcomm.models.AndModelParams(0.5, 0.5, 2))
+    with tracer.Tracer() as trace:
+        plans = polarcomm.plan_protocol(
+            model, 32, polarcomm.reliability.PartitionPolicy(mode="target_rate"),
+            rate_margin=0.15, profile_method="monte_carlo", profile_samples=16)
+    profile_spans = [span for span in trace.spans
+                     if span.name == "reliability.profile_monte_carlo"]
+    assert len(profile_spans) == 2
+    assert all(trace.spans[span.parent].name == "reliability.build_partition"
+               for span in profile_spans)
+    assert trace.summary()["reliability.build_partition.calls"] == len(plans) == 2
+    spans = len(trace.spans)
+    assert all(prof.z.size == 32 for plan in plans for prof in plan.profiles.values())
+    assert len(trace.spans) == spans
 
 
 def test_output_digest_walk_cases_run_on_the_library():

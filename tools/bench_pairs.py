@@ -2,7 +2,7 @@
 
     python tools/bench_pairs.py PARENT_REV --workload W [--workload W2 ...]
         [--seeds 1 2 ...] [--pairs K (default 10)] [--seconds S] --out BENCH_<n>.json
-    python tools/bench_pairs.py --summarize BENCH_<n>.json
+    python tools/bench_pairs.py --summarize BENCH_<n>.json [MORE.json ...]
 
 The parent revision and HEAD are exported with `git archive` into fresh temporary
 directories, so each side runs its committed files only, as a new checkout
@@ -19,7 +19,9 @@ the digests differ, and per end-to-end metric of BENCHMARK.json the
 medians, the parent's IQR, the median change as a share of the metric's
 bound and the pairs the change wins in the metric's better direction, then
 the paired change with its bootstrap interval (see `summary`).
-`--summarize` prints the summary of a file already written, and runs nothing.
+`--summarize` prints the summary of files already written, and runs nothing;
+given several files it pools their whole pairs into one summary per
+workload and seed, pair k of one file never meeting pair k of another.
 """
 from __future__ import annotations
 
@@ -84,6 +86,13 @@ def paired_change(parent: list, change: list) -> tuple | None:
     picks = np.random.default_rng(BOOTSTRAP_SEED).integers(0, len(logs), (RESAMPLES, len(logs)))
     low, high = np.percentile(np.median(logs[picks], axis=1), [2.5, 97.5])
     return tuple(np.expm1([np.median(logs), low, high]).tolist())
+
+
+def pooled(paths: list) -> list:
+    """The runs of the files at `paths`, each run's pair renamed (file
+    index, pair) so that pairs of different files stay apart."""
+    return [dict(run, pair=(k, run["pair"]))
+            for k, path in enumerate(paths) for run in json.loads(path.read_text())["runs"]]
 
 
 def summary(runs: list) -> str:
@@ -172,11 +181,12 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=50.0)
     parser.add_argument("--out", type=Path)
-    parser.add_argument("--summarize", type=Path, metavar="FILE",
-                        help="print the summary of a file this tool wrote, and run nothing")
+    parser.add_argument("--summarize", type=Path, nargs="+", metavar="FILE",
+                        help="print the summary of files this tool wrote, their pairs "
+                             "pooled, and run nothing")
     args = parser.parse_args(argv)
     if args.summarize:
-        print(summary(json.loads(args.summarize.read_text())["runs"]))
+        print(summary(pooled(args.summarize)))
         return 0
     if not (args.parent and args.workload and args.out):
         parser.error("a run needs the parent revision, --workload and --out")
