@@ -232,11 +232,10 @@ def profile_monte_carlo(
     does, in its last bits, since each chunk's float sums are added to the
     totals in turn: z moves by a few ulps, and stderr, a difference of
     nearly equal sums where the variance is near 0, by up to about 1e-9. A
-    hard channel's integer sums (below) are free of the chunking.
-    The cells (`sc._cell_index`)
-    and their split into bits and observation symbols stay in the smallest
-    unsigned dtype that holds the table's size, and are held trial-last,
-    (N, chunk), as the SC walk reads them.
+    hard channel's integer sums (below) are free of the chunking. The cells
+    (`sc._cell_index`) and their split into bits and observation symbols
+    stay in the smallest unsigned dtype that holds the table's size, and are
+    held trial-last, (N, chunk), as the SC walk reads them.
 
     Since v is known up front, each chunk of `chunk` samples evaluates every
     index's root pair level by level (`sc.pinned_pairs`); there is no
@@ -326,7 +325,6 @@ def build_partition(
     if policy.fractions is None:
         raise ValueError("target_rate mode requires policy.fractions")
     f_d_frac, f_r_frac, iprime_frac = policy.fractions
-    # a profile's z is read only where its set is ranked by it
     k_d = min(int(round(n_len * f_d_frac)), n_len)
     f_d = np.arange(0)
     if k_d:
