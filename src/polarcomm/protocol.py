@@ -73,6 +73,7 @@ from .sc import (
     _in_alphabet,
     _split_cells,
     derive_rng,
+    mixed_radix,
     sample_sequential,
 )
 from .transform import apply_transform, check_block_length
@@ -121,56 +122,45 @@ def round_roles(model: AuxChainModel, i: int) -> RoundRoles:
     return RoundRoles(i, transmitter, tx_src, bit_var, (tx_src,) + past, rx_obs_vars, target)
 
 
-def _profile_thunk(ch: SymbolChannel, n_len: int, conditioning: str, monte_carlo):
-    """A call that makes one profile: exact when `monte_carlo` is None,
-    else Monte Carlo with its (samples, seed). It looks the profile function
-    up in this module when it runs, as `bench/tracer.py` expects."""
-    if monte_carlo is None:
-        return lambda: profile_exact(ch, n_len, conditioning)
-    samples, seed = monte_carlo
-    return lambda: profile_monte_carlo(ch, n_len, samples, seed, conditioning)
-
-
 class _RoundProfiles(Mapping):
-    """A round's profiles by conditioning, "uncond", "tx" and "rx" in that
-    order, each made by its thunk on first read and kept."""
+    """Round i's profiles by conditioning, "uncond", "tx" and "rx" in that
+    order, each made on first read and kept: exact when `samples` is None,
+    else Monte Carlo from spawn key seed + (k,) = (profile_seed, 3, i, k) for
+    the k-th key. The profile functions are looked up in this module when a
+    profile is made, as `bench/tracer.py` expects; `in`, iteration and len
+    make none."""
 
-    def __init__(self, thunks: dict):
-        self._thunks = thunks
+    def __init__(self, channels: dict, n_len: int, samples: int | None, seed: tuple):
+        self._channels, self._n_len, self._samples, self._seed = channels, n_len, samples, seed
         self._made = {}
 
     def __getitem__(self, key: str) -> ReliabilityProfile:
         if key not in self._made:
-            self._made[key] = self._thunks[key]()
+            ch, cond = self._channels[key]
+            if self._samples is None:
+                self._made[key] = profile_exact(ch, self._n_len, cond)
+            else:
+                seed = self._seed + (list(self._channels).index(key),)
+                self._made[key] = profile_monte_carlo(ch, self._n_len, self._samples, seed, cond)
         return self._made[key]
 
+    def __contains__(self, key) -> bool:
+        return key in self._channels
+
     def __iter__(self):
-        return iter(self._thunks)
+        return iter(self._channels)
 
     def __len__(self) -> int:
-        return len(self._thunks)
-
-
-@dataclass(frozen=True)
-class _UnreadProfile:
-    """Profile `key` of a round as `build_partition` takes it: the block
-    length now, the z values, and so the profile, only when they are read."""
-
-    profiles: _RoundProfiles
-    key: str
-    n_len: int
-
-    @property
-    def z(self) -> np.ndarray:
-        return self.profiles[self.key].z
+        return len(self._channels)
 
 
 @dataclass(frozen=True)
 class RoundPlan(RoundRoles):
     """A round's roles plus its channels, partition and profiles.
 
-    `profiles` is a read-only mapping that makes each profile on first read
-    (`plan_protocol`)."""
+    `profiles` maps "uncond", "tx" and "rx" to the round's profiles, read
+    only; each is made on its first read (`plan_protocol`), and `in`,
+    iteration and len make none."""
 
     tx_channel: SymbolChannel
     rx_channel: SymbolChannel
@@ -295,12 +285,12 @@ def plan_protocol(
     target plus `rate_margin` bits per symbol. Other policies derive no
     target, so a positive `rate_margin` raises ValueError there.
 
-    A round's profiles (`RoundPlan.profiles`) are computed on first read:
-    `build_partition` reads only those it ranks by, and the rest are made
-    when a caller reads them, from the same stream, so they have the same
-    bytes. An "exact" method the channels cannot enumerate at N, or fewer
-    than one sample on a Monte Carlo round, raises ValueError here all the
-    same.
+    A round's profiles (`RoundPlan.profiles`) are made on first read:
+    `build_partition` takes N and the mapping and reads only the profiles it
+    ranks by, and the rest are made when a caller reads them, from the same
+    stream, so they have the same bytes. An "exact" method the channels
+    cannot enumerate at N, or fewer than one sample on a Monte Carlo round,
+    raises ValueError here all the same.
     """
     check_block_length(n_len)
     if not rate_margin >= 0.0:
@@ -332,11 +322,8 @@ def plan_protocol(
         use_exact = exact_ok and profile_method != "monte_carlo"
         if not use_exact and profile_samples < 1:
             raise ValueError(f"profile_samples must be >= 1, got {profile_samples}")
-        prof = _RoundProfiles({
-            key: _profile_thunk(ch, n_len, cond, None if use_exact else
-                                (profile_samples, (profile_seed, 3, i, k)))
-            for k, (key, (ch, cond)) in enumerate(channels.items())
-        })
+        prof = _RoundProfiles(channels, n_len, None if use_exact else profile_samples,
+                              (profile_seed, 3, i))
         round_policy = policy
         if policy.mode == "target_rate" and policy.fractions is None:
             f_d = 1.0 - entropy_bits(model.joint, (roles.bit_var,))
@@ -344,8 +331,7 @@ def plan_protocol(
                 model.joint, roles.tx_obs_vars
             )
             round_policy = with_fractions(policy, (f_d, f_r, roles.target_rate + rate_margin))
-        partition = build_partition(*(_UnreadProfile(prof, key, n_len) for key in prof),
-                                    round_policy)
+        partition = build_partition(n_len, prof, round_policy)
         plans.append(RoundPlan(**vars(roles), tx_channel=tx_channel, rx_channel=rx_channel,
                                partition=partition, profiles=prof))
     return plans
@@ -425,41 +411,24 @@ def compute_function(
                 raise ValueError(f"function {which} needs the {var!r} observation block")
             blocks.append(obs_block)
     table = model.decode_table(which)
-    flat = _flat_index(table.shape, args, blocks)
+    # reversed digits give the table's C-order flat index; fancy indexing
+    # casts the narrow index in buffered chunks, where `take` would first
+    # copy all of it to intp
+    flat = mixed_radix(blocks[::-1], table.shape[::-1], args[::-1])
     # -1 marks an erasure, whose output is 0
     return np.maximum(table, 0).reshape(-1)[flat], (table < 0).reshape(-1)[flat]
-
-
-def _flat_index(shape: tuple, args: Sequence[str], blocks: Sequence) -> np.ndarray:
-    """The C-order flat index into a table of `shape` of the blocks
-    (broadcast together), block k indexing axis k, in the smallest unsigned
-    dtype that holds the table's size.
-
-    A flat table read with it, `table.reshape(-1)[flat]`, is table[blocks];
-    fancy indexing casts a narrow index in buffered chunks, where `take`
-    would first copy all of it to intp. A symbol outside its axis,
-    [0, shape[k]) for the variable args[k], raises ValueError.
-    """
-    blocks = [np.asarray(b) for b in blocks]
-    dtype = np.min_scalar_type(int(np.prod(shape)))
-    flat = np.zeros(np.broadcast_shapes(*(b.shape for b in blocks)), dtype)
-    for var, block, size in zip(args, blocks, shape):
-        if not _in_alphabet(block, size):
-            raise ValueError(f"block of {var!r} has symbols outside [0, {size})")
-        flat *= dtype.type(size)
-        np.add(flat, block, out=flat, casting="unsafe")  # in range, so the cast is exact
-    return flat
 
 
 def sample_sources(
     model: AuxChainModel, n_len: int, trials: int, seed: int
 ) -> dict:
-    """Draw i.i.d. per-symbol source blocks, one (trials, N) uint8 array per
-    source.
+    """Draw i.i.d. per-symbol source blocks, one (trials, N) array per
+    source in the smallest unsigned dtype that holds its alphabet (uint8 up
+    to 256 symbols).
 
     Each symbol draws one double u and takes the cell of the flattened
     source marginal that u * total falls in (`sc._cell_index`); the cells
-    are split into per-source symbols in their own narrow dtype.
+    are split into per-source symbols in the cells' dtype, then narrowed.
     """
     src = model.source_vars
     marg = model.joint.marginal(src).mass
@@ -470,8 +439,9 @@ def sample_sources(
     cells = _cell_index(cum, x)
     out = {}
     for k in range(len(src) - 1, -1, -1):
-        cells, symbols = _split_cells(cells, model.joint.size_of(src[k]))
-        out[src[k]] = symbols.astype(np.uint8, copy=False)
+        size = model.joint.size_of(src[k])
+        cells, symbols = _split_cells(cells, size)
+        out[src[k]] = symbols.astype(np.min_scalar_type(size - 1), copy=False)
     return out
 
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -288,12 +289,13 @@ def profile_monte_carlo(
 
 
 def build_partition(
-    z_uncond: ReliabilityProfile,
-    z_tx: ReliabilityProfile,
-    z_rx: ReliabilityProfile,
+    n_len: int,
+    profiles: Mapping[str, ReliabilityProfile],
     policy: PartitionPolicy,
 ) -> IndexPartition:
-    """Construct F_r / F_d / I / I' from the three reliability profiles.
+    """Construct F_r / F_d / I / I' of [N] from a round's reliability
+    profiles, `profiles["uncond"]`, `["tx"]` and `["rx"]` (z_uncond, z_tx
+    and z_rx below).
 
     THRESHOLD mode applies the set definitions directly:
         F_d = {z_uncond <= delta},   F_r = {not F_d, z_tx >= 1 - delta},
@@ -301,16 +303,22 @@ def build_partition(
     TARGET_RATE mode uses the same algebra with membership by rank: the
     |N f_d| smallest z_uncond form F_d, the |N f_r| largest z_tx among the
     rest form F_r, and I' keeps the |N i_prime| least receiver-recoverable
-    indices of I. There a profile's z is read only where its set ranks by
-    it: z_uncond when F_d's target is positive, z_tx when F_r's is, z_rx
-    when I' takes some but not all of I. A profile whose `z` is computed on
-    read (`RoundPlan.profiles`) is not computed otherwise.
+    indices of I. There a profile is read only where its set ranks by it:
+    z_uncond when F_d's target is positive, z_tx when F_r's is, z_rx when
+    I' takes some but not all of I. So a mapping that makes each profile on
+    read (`RoundPlan.profiles`) makes only those, and N is passed rather than
+    read off a profile. A profile read at another block length raises
+    ValueError.
     """
-    n_len = z_uncond.n_len
-    if z_tx.n_len != n_len or z_rx.n_len != n_len:
-        raise ValueError("profiles must share one blocklength")
+
+    def z(key: str) -> np.ndarray:
+        prof = profiles[key]
+        if prof.n_len != n_len:
+            raise ValueError(f"profile {key!r} has block length {prof.n_len}, not {n_len}")
+        return prof.z
+
     if policy.mode == "threshold":
-        zu, zt, zr = z_uncond.z, z_tx.z, z_rx.z
+        zu, zt, zr = z("uncond"), z("tx"), z("rx")
         delta = policy.delta_for(n_len)
         fd_mask = zu <= delta
         fr_mask = ~fd_mask & (zt >= 1.0 - delta)
@@ -328,7 +336,7 @@ def build_partition(
     k_d = min(int(round(n_len * f_d_frac)), n_len)
     f_d = np.arange(0)
     if k_d:
-        zu = z_uncond.z
+        zu = z("uncond")
         if policy.fd_z_cap is not None:
             k_d = min(k_d, int((zu <= policy.fd_z_cap).sum()))
         f_d = np.argsort(zu, kind="stable")[:k_d]
@@ -336,7 +344,7 @@ def build_partition(
     k_r = min(int(round(n_len * f_r_frac)), rest.size)
     f_r = rest[:0]
     if k_r:
-        zt = z_tx.z[rest]
+        zt = z("tx")[rest]
         if policy.fr_z_cap is not None:
             k_r = min(k_r, int((zt >= 1.0 - policy.fr_z_cap).sum()))
         f_r = rest[np.argsort(zt, kind="stable")][rest.size - k_r:]
@@ -345,7 +353,7 @@ def build_partition(
     # I' taking none or all of I needs no ranking
     i_prime = info if k_ip == info.size else info[:0]
     if 0 < k_ip < info.size:
-        i_prime = info[np.argsort(z_rx.z[info], kind="stable")][info.size - k_ip:]
+        i_prime = info[np.argsort(z("rx")[info], kind="stable")][info.size - k_ip:]
     return IndexPartition(n_len, f_r, f_d, info, i_prime)
 
 

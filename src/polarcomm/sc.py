@@ -122,7 +122,8 @@ every induced distribution properly normalized.
 
 Observation alphabets for multi-variable conditionings are flattened to one
 finite alphabet with the first-listed variable fastest-varying (x fastest);
-SymbolChannel owns that layout.
+SymbolChannel owns that layout, and mixed_radix writes it, for flatten_obs
+and, digits reversed, for the C-order index of a function table.
 """
 from __future__ import annotations
 
@@ -196,6 +197,32 @@ def _in_alphabet(symbols: np.ndarray, size: int) -> bool:
     if symbols.dtype.kind not in "biu":
         return bool(np.all((symbols >= 0) & (symbols < size) & (symbols == np.floor(symbols))))
     return int(symbols.max()) < size and (symbols.dtype.kind == "u" or symbols.min() >= 0)
+
+
+def mixed_radix(digits: Sequence, sizes: Sequence[int], names=None) -> np.ndarray:
+    """The flat symbols sum_k digits[k] prod(sizes[:k]) of digit arrays
+    (broadcast together), the first digit fastest, in the smallest unsigned
+    dtype that holds prod(sizes) - 1.
+
+    The sum is formed in place by Horner steps from the last digit, so no
+    stride is formed, and every step stays below prod(sizes). Pass the
+    digits reversed for the C-order flat index into a table of shape
+    `sizes[::-1]`. A digit outside [0, sizes[k]) raises ValueError naming
+    names[k] (k when not given), since it would alias another digit.
+    """
+    digits = [np.asarray(d) for d in digits]
+    names = range(len(sizes)) if names is None else names
+    dtype = np.min_scalar_type(int(np.prod(sizes)) - 1)
+    flat = np.zeros(np.broadcast_shapes(*(d.shape for d in digits)), dtype)
+    span = 1  # the flat range so far; at 1 flat is all 0 and needs no multiply
+    for d, size, name in reversed(list(zip(digits, sizes, names))):
+        if not _in_alphabet(d, size):
+            raise ValueError(f"variable {name!r} has symbols outside [0, {size})")
+        if span > 1:
+            flat *= dtype.type(size)
+        np.add(flat, d, out=flat, casting="unsafe")  # in range, so the cast is exact
+        span *= size
+    return flat
 
 
 @dataclass
@@ -275,26 +302,16 @@ class SymbolChannel:
         return cls(marg.reshape(2, -1), tuple(j.size_of(v) for v in obs_vars))
 
     def flatten_obs(self, values: Sequence[np.ndarray]) -> np.ndarray:
-        """Flat symbols of per-variable symbol arrays (broadcast together),
-        in the smallest unsigned dtype that holds obs_size - 1.
-
-        A symbol outside its variable's alphabet [0, size) raises
-        ValueError, since it would alias another variable's symbol.
+        """Flat symbols of per-variable symbol arrays (broadcast together):
+        `mixed_radix` over obs_sizes, in the smallest unsigned dtype that
+        holds obs_size - 1. A symbol outside its variable's alphabet
+        [0, size) raises ValueError, since it would alias another
+        variable's symbol.
         """
         if len(values) != len(self.obs_sizes):
             raise ValueError(
                 f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
-        values = [np.asarray(vals) for vals in values]
-        dtype = np.min_scalar_type(self.obs_size - 1)
-        out = np.zeros(np.broadcast_shapes(*(vals.shape for vals in values)), dtype)
-        stride = 1
-        for k, (vals, size) in enumerate(zip(values, self.obs_sizes)):
-            if not _in_alphabet(vals, size):
-                raise ValueError(f"observation variable {k} has symbols outside [0, {size})")
-            if size > 1:  # a 1-symbol variable adds 0, and its stride may not fit dtype
-                out += vals.astype(dtype, copy=False) * dtype.type(stride)
-            stride *= size
-        return out
+        return mixed_radix(values, self.obs_sizes)
 
     def split_obs(self, symbols: np.ndarray) -> list:
         """Inverse of flatten_obs: one symbol array per observed variable."""

@@ -44,8 +44,8 @@ from .exact import (
     transform_permutation,
 )
 from .probability import AuxChainModel
-from .protocol import RoundPlan, _flat_index, run_collocated, run_two_terminal, sample_sources
-from .sc import SymbolChannel
+from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
+from .sc import SymbolChannel, mixed_radix
 
 EXACT_MAX_N = {1: 8, 2: 4, "agreement": 4}  # TV keyed by the rounds it compares
 
@@ -384,13 +384,14 @@ def function_error_rate(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sources, result = _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy)
-    src = model.source_vars
+    src = model.source_vars[::-1]  # reversed digits: C order over a function table
+    digits = [sources[s] for s in src]
     report: dict = {"trials": trials, "result": result}
     for which, out in result.outputs.items():
         # trial-last throughout: the (N, B) sources, and the arrays behind the
         # (B, N) output views
         table = model.functions[which]
-        truth = table.reshape(-1)[_flat_index(table.shape, src, [sources[s] for s in src])]
+        truth = table.reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
         erased = result.erasures[which].T
         bad = (out.T != truth) | erased
         block = float(bad.any(axis=0).mean())

@@ -182,7 +182,7 @@ def test_criterion_04_partition_algebra_and_inclusions():
                 with_fractions(PartitionPolicy(mode="target_rate"), (0.2, 0.3, 0.4)),
             ]
             for policy in policies:
-                part = build_partition(zu, zt, zr, policy)
+                part = build_partition(n_len, {"uncond": zu, "tx": zt, "rx": zr}, policy)
                 cover = np.sort(np.concatenate([part.f_r, part.f_d, part.info]))
                 assert np.array_equal(cover, np.arange(n_len))
                 assert np.isin(part.i_prime, part.info).all()
@@ -204,7 +204,8 @@ def test_criterion_04_partition_algebra_and_inclusions():
             PartitionPolicy(mode="threshold", beta=0.3),
             with_fractions(PartitionPolicy(mode="target_rate"), (0.3, 0.2, 0.25)),
         ):
-            part = build_partition(prof(zu, "none"), prof(zt, "tx"), prof(zr, "rx"), policy)
+            part = build_partition(n_len, {"uncond": prof(zu, "none"), "tx": prof(zt, "tx"),
+                                           "rx": prof(zr, "rx")}, policy)
             cover = np.sort(np.concatenate([part.f_r, part.f_d, part.info]))
             assert np.array_equal(cover, np.arange(n_len))
             assert np.isin(part.i_prime, part.info).all()

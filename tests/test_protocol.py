@@ -21,6 +21,7 @@ from polarcomm.protocol import (
     sample_sources,
 )
 from polarcomm.reliability import PartitionPolicy
+from polarcomm.verification import function_error_rate
 
 DATA = Path(__file__).parent / "data"
 
@@ -312,6 +313,30 @@ def test_compute_function_rejects_fractional_symbols():
     assert z.tolist() == [[1, 1]] and not erased.any()
 
 
+def test_sources_wider_than_256_symbols_keep_their_symbols():
+    """A uniform 300-symbol source is drawn in uint16 (a 2-symbol one stays
+    uint8), symbols >= 256 take their share (44/300) within a binomial
+    bound, and a run on it computes both functions."""
+    size, n_len, trials = 300, 8, 2000
+    x, y = np.ogrid[:size, :2]
+    mass = np.zeros((size, 2, 2))
+    mass[x, y, x % 2] = 0.5 / size  # u1 = x mod 2, y a fair bit of its own
+    model = AuxChainModel(
+        joint=JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
+        rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
+        functions={"f_A": x % 2 + 0 * y, "f_B": (x % 2) & y},
+    )
+    src = sample_sources(model, n_len, trials, seed=5)
+    assert src["x"].dtype == np.uint16 and src["y"].dtype == np.uint8
+    share = 44 / size
+    count, cells = int((src["x"] >= 256).sum()), n_len * trials
+    assert abs(count - share * cells) <= 5 * np.sqrt(cells * share * (1 - share))
+    plans = plan_protocol(model, n_len, ALL_TRANSMIT)
+    report = function_error_rate(model, plans, n_len, trials, seed=5)
+    assert report["trials"] == trials
+    assert report["f_A"]["block_error"] == report["f_B"]["block_error"] == 0.0
+
+
 def test_compute_function_is_per_symbol():
     """Permuting symbol positions permutes outputs (no cross-symbol coupling)."""
     m = build_and_chain(AndModelParams(0.5, 0.5, 2))
@@ -409,7 +434,8 @@ def _recorded_profiles(monkeypatch):
 def test_target_rate_plans_make_only_the_profiles_their_partitions_read(monkeypatch):
     """The benchmark's two networks under target_rate at N = 64: round 1's
     F_d and F_r are empty and I' takes all of I, and round 2's F_r is
-    empty, so planning makes round 2's prior and receiver profiles only.
+    empty, so planning makes round 2's prior and receiver profiles only,
+    and `in`, iteration and len, which answer from the keys, make none.
     Every other profile is made on its first read, once, with the bytes and
     seed of a direct call at its spawn key (seed, 3, i, k)."""
     from polarcomm.reliability import profile_monte_carlo
@@ -421,9 +447,11 @@ def test_target_rate_plans_make_only_the_profiles_their_partitions_read(monkeypa
         plans = plan_protocol(model, 64, PartitionPolicy(mode="target_rate"), rate_margin=0.15,
                               profile_method="monte_carlo", profile_samples=64,
                               profile_seed=9)
+        for plan in plans:
+            assert "tx" in plan.profiles and "none" not in plan.profiles
+            assert list(plan.profiles) == ["uncond", "tx", "rx"] and len(plan.profiles) == 3
         assert made == [((9, 3, 2, 0), "none"), ((9, 3, 2, 2), "rx")]
         for plan in plans:
-            assert list(plan.profiles) == ["uncond", "tx", "rx"] and len(plan.profiles) == 3
             channels = (plan.tx_channel.prior(), plan.tx_channel, plan.rx_channel)
             for k, (key, cond, ch) in enumerate(zip(plan.profiles, ("none", "tx", "rx"),
                                                     channels)):

@@ -193,7 +193,8 @@ def test_threshold_partition_matches_set_definitions():
     zu = profile_exact(prior, n_len, "none")
     zt = profile_exact(tx, n_len, "tx")
     zr = profile_exact(rx, n_len, "rx")
-    part = build_partition(zu, zt, zr, PartitionPolicy(mode="threshold", delta=delta))
+    part = build_partition(n_len, {"uncond": zu, "tx": zt, "rx": zr},
+                           PartitionPolicy(mode="threshold", delta=delta))
     f_d = {i for i in range(n_len) if zu.z[i] <= delta}
     f_r = {i for i in range(n_len) if i not in f_d and zt.z[i] >= 1 - delta}
     info = set(range(n_len)) - f_d - f_r
@@ -207,12 +208,11 @@ def test_threshold_partition_matches_set_definitions():
 def test_threshold_trivial_memberships():
     pol = PartitionPolicy(mode="threshold", delta=0.01)
     prof = lambda z: ReliabilityProfile(4, "x", np.asarray(z), "exact")
-    part = build_partition(
-        prof([1e-9, 0.5, 0.99, 0.6]),
-        prof([0.0, 0.5, 0.999, 0.6]),
-        prof([0.0, 0.5, 0.999, 0.6]),
-        pol,
-    )
+    part = build_partition(4, {
+        "uncond": prof([1e-9, 0.5, 0.99, 0.6]),
+        "tx": prof([0.0, 0.5, 0.999, 0.6]),
+        "rx": prof([0.0, 0.5, 0.999, 0.6]),
+    }, pol)
     assert 0 in part.f_d  # z_uncond below any sensible threshold
     assert 2 in part.f_r  # z_uncond = 0.99 with z_tx = 0.999 >= 1 - delta
 
@@ -231,7 +231,8 @@ def test_partition_disjoint_cover_randomized():
                 pol = with_fractions(PartitionPolicy(mode=mode, fd_z_cap=None,
                                                      fr_z_cap=None),
                                      (0.25, 0.25, 0.3))
-            part = build_partition(prof(zu, "none"), prof(zt, "tx"), prof(zr, "rx"), pol)
+            part = build_partition(n_len, {"uncond": prof(zu, "none"), "tx": prof(zt, "tx"),
+                                           "rx": prof(zr, "rx")}, pol)
             cover = np.concatenate([part.f_r, part.f_d, part.info])
             assert np.array_equal(np.sort(cover), np.arange(n_len))
             assert np.isin(part.i_prime, part.info).all()
@@ -246,7 +247,8 @@ def test_target_rate_fraction_counts():
         PartitionPolicy(mode="target_rate", fd_z_cap=None, fr_z_cap=None),
         (0.25, 0.125, 0.5),
     )
-    part = build_partition(prof(zu, "none"), prof(zu * 0.9, "tx"), prof(zu * 0.8, "rx"), pol)
+    part = build_partition(n_len, {"uncond": prof(zu, "none"), "tx": prof(zu * 0.9, "tx"),
+                                   "rx": prof(zu * 0.8, "rx")}, pol)
     assert part.f_d.size == 16
     assert part.f_r.size == 8
     assert part.i_prime.size == 32
@@ -255,34 +257,32 @@ def test_target_rate_fraction_counts():
 @pytest.mark.parametrize("fractions, read", [
     ((0.0, 0.0, 1.0), set()),  # I' takes all of I
     ((0.0, 0.0, 0.0), set()),  # I' takes none of it
-    ((0.25, 0.0, 1.0), {"none"}),
+    ((0.25, 0.0, 1.0), {"uncond"}),
     ((0.0, 0.25, 0.3), {"tx", "rx"}),
-    ((0.25, 0.25, 0.3), {"none", "tx", "rx"}),
+    ((0.25, 0.25, 0.3), {"uncond", "tx", "rx"}),
 ])
 def test_target_rate_reads_a_profile_only_where_it_ranks_by_it(fractions, read):
     """Under target_rate, z_uncond is read only for a nonempty F_d target,
     z_tx for a nonempty F_r target and z_rx where I' takes some but not all
-    of I; threshold mode reads all three. Skipping a read moves no set."""
+    of I; threshold mode reads all three. Reads are recorded by the mapping
+    the profiles are passed in. Skipping a read moves no set."""
     n_len = 32
-    z = np.random.default_rng(3).random((3, n_len))
+    profiles = {key: ReliabilityProfile(n_len, c, z, "exact") for key, c, z in
+                zip(("uncond", "tx", "rx"), ("none", "tx", "rx"),
+                    np.random.default_rng(3).random((3, n_len)))}
     seen = set()
 
-    class Watched(ReliabilityProfile):
-        def __getattribute__(self, name):
-            if name == "z":
-                seen.add(object.__getattribute__(self, "conditioning"))
-            return object.__getattribute__(self, name)
-
-    def profiles(kind):
-        return [kind(n_len, c, zc, "exact") for c, zc in zip(("none", "tx", "rx"), z)]
+    class Watched(dict):
+        def __getitem__(self, key):
+            seen.add(key)
+            return super().__getitem__(key)
 
     for pol in (with_fractions(PartitionPolicy(fd_z_cap=None, fr_z_cap=None), fractions),
                 PartitionPolicy(mode="threshold", delta=0.3)):
-        watched = profiles(Watched)
-        seen.clear()  # the checks of __post_init__ read z
-        part = build_partition(*watched, pol)
-        assert seen == (read if pol.mode == "target_rate" else {"none", "tx", "rx"})
-        assert part.to_json() == build_partition(*profiles(ReliabilityProfile), pol).to_json()
+        seen.clear()
+        part = build_partition(n_len, Watched(profiles), pol)
+        assert seen == (read if pol.mode == "target_rate" else {"uncond", "tx", "rx"})
+        assert part.to_json() == build_partition(n_len, profiles, pol).to_json()
 
 
 def test_reliability_caps_limit_membership():
@@ -291,7 +291,8 @@ def test_reliability_caps_limit_membership():
     prof = lambda z, c: ReliabilityProfile(n_len, c, np.clip(z, 0, 1), "exact")
     pol = with_fractions(PartitionPolicy(mode="target_rate", fd_z_cap=0.2,
                                          fr_z_cap=0.1), (0.5, 0.25, 0.2))
-    part = build_partition(prof(zu, "none"), prof(zu, "tx"), prof(zu, "rx"), pol)
+    part = build_partition(n_len, {"uncond": prof(zu, "none"), "tx": prof(zu, "tx"),
+                                   "rx": prof(zu, "rx")}, pol)
     assert np.all(zu[part.f_d] <= 0.2)
     assert np.all(zu[part.f_r] >= 0.9)
 
@@ -314,9 +315,11 @@ def test_conditioning_inclusions_exact_n8():
 
 
 def test_partition_rejects_inconsistent_input():
+    """A profile of another block length raises when it is read."""
     prof = lambda n: ReliabilityProfile(n, "none", np.full(n, 0.5), "exact")
-    with pytest.raises(ValueError):
-        build_partition(prof(4), prof(8), prof(4), PartitionPolicy(mode="threshold"))
+    with pytest.raises(ValueError, match="'tx' has block length 8, not 4"):
+        build_partition(4, {"uncond": prof(4), "tx": prof(8), "rx": prof(4)},
+                        PartitionPolicy(mode="threshold"))
     with pytest.raises(ValueError):
         IndexPartition(4, [0], [0], [1, 2, 3], [1])
     with pytest.raises(ValueError):
@@ -331,7 +334,8 @@ def test_receiver_tags_pin_exactly_the_copied_indices():
         zu, zt, zr = np.sort(rng.random(n_len)), rng.random(n_len), rng.random(n_len)
         prof = lambda z, c: ReliabilityProfile(n_len, c, z, "exact")
         pol = with_fractions(PartitionPolicy(fd_z_cap=None, fr_z_cap=None), (0.25, 0.25, 0.25))
-        part = build_partition(prof(zu, "none"), prof(zt, "tx"), prof(zr, "rx"), pol)
+        part = build_partition(n_len, {"uncond": prof(zu, "none"), "tx": prof(zt, "tx"),
+                                       "rx": prof(zr, "rx")}, pol)
         assert part.f_r.size and part.i_prime.size < part.info.size
         copied = np.sort(np.concatenate([part.f_r, part.i_prime]))
         assert np.array_equal(part.copied, copied)
@@ -361,12 +365,11 @@ def test_serialization_roundtrip():
     assert np.array_equal(back.z, prof.z)
     assert np.array_equal(back.stderr, prof.stderr)
     assert back.method == "monte_carlo"
-    part = build_partition(
-        ReliabilityProfile(4, "none", [0.9, 0.001, 0.9, 0.5], "exact"),
-        ReliabilityProfile(4, "tx", [0.99, 0.0, 0.5, 0.2], "exact"),
-        ReliabilityProfile(4, "rx", [0.995, 0.0, 0.6, 0.3], "exact"),
-        PartitionPolicy(mode="threshold", delta=0.01),
-    )
+    part = build_partition(4, {
+        "uncond": ReliabilityProfile(4, "none", [0.9, 0.001, 0.9, 0.5], "exact"),
+        "tx": ReliabilityProfile(4, "tx", [0.99, 0.0, 0.5, 0.2], "exact"),
+        "rx": ReliabilityProfile(4, "rx", [0.995, 0.0, 0.6, 0.3], "exact"),
+    }, PartitionPolicy(mode="threshold", delta=0.01))
     payload = json.loads(part.to_json())
     assert sorted(payload) == ["F_d", "F_r", "I", "I_prime", "N"]
     assert payload["N"] == 4

@@ -39,6 +39,7 @@ from polarcomm.sc import (
     _uniform_block,
     _union_tables,
     chain_probability,
+    mixed_radix,
     pinned_pairs,
     sample_sequential,
 )
@@ -1074,7 +1075,10 @@ def test_cell_index_equals_searchsorted(size):
 
 def test_flatten_obs_rejects_symbols_outside_a_variable():
     """(x2 = 2, u1 = 0) would alias (x2 = 0, u1 = 1); in-range symbols flatten
-    in the smallest unsigned dtype of the alphabet."""
+    in the smallest unsigned dtype of the alphabet. The encoder behind it,
+    `mixed_radix`, read with its digits reversed is np.ravel_multi_index,
+    the C-order index of a table (the decode and truth lookups), also where
+    the flat range passes 255."""
     ch = SymbolChannel(np.full((2, 4), 1 / 8), (2, 2))
     with pytest.raises(ValueError, match="outside"):
         ch.flatten_obs([np.array([2]), np.array([0])])
@@ -1085,6 +1089,15 @@ def test_flatten_obs_rejects_symbols_outside_a_variable():
     wide = SymbolChannel(np.full((2, 300), 1 / 600), (3, 1, 100))
     flat = wide.flatten_obs([np.array([2]), np.array([0]), np.array([99])])
     assert flat.dtype == np.uint16 and flat.tolist() == [299]
+    for shape, dtype in (((3, 1, 5, 2), np.uint8), ((3, 1, 100, 2), np.uint16)):
+        digits = np.indices(shape).reshape(len(shape), -1).astype(np.uint8)
+        flat = mixed_radix(digits[::-1], shape[::-1])
+        assert flat.dtype == dtype
+        assert np.array_equal(flat, np.ravel_multi_index(tuple(digits), shape))
+        bad = digits.copy()
+        bad[2, -1] = shape[2]
+        with pytest.raises(ValueError, match="outside"):
+            mixed_radix(bad[::-1], shape[::-1])
 
 
 @pytest.mark.parametrize("table", [
