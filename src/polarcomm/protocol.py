@@ -396,10 +396,12 @@ def compute_function(
 
     Looks up the unique value with conditional probability one given the
     argument tuple; zero-probability tuples yield an erasure flag (output 0).
-    The lookup is elementwise, so the blocks may take any layout that
-    broadcasts, (B, N) or the round loop's trial-last (N, B), and the
-    outputs take it too. A symbol outside its argument's alphabet raises
-    ValueError.
+    The decode table is gathered once, by the arguments' mixed-radix index,
+    and both outputs come from that int64 array: the erasure flags where it
+    holds -1, then the values with -1 clamped to 0 in place. The lookup is
+    elementwise, so the blocks may take any layout that broadcasts, (B, N)
+    or the round loop's trial-last (N, B), and the outputs take it too. A
+    symbol outside its argument's alphabet raises ValueError.
     """
     args = model.function_args(which)
     blocks = []
@@ -415,8 +417,10 @@ def compute_function(
     # casts the narrow index in buffered chunks, where `take` would first
     # copy all of it to intp
     flat = mixed_radix(blocks[::-1], table.shape[::-1], args[::-1])
-    # -1 marks an erasure, whose output is 0
-    return np.maximum(table, 0).reshape(-1)[flat], (table < 0).reshape(-1)[flat]
+    values = np.asarray(table.reshape(-1)[flat])  # as an array where a 0-d index gives a scalar
+    erased = values < 0  # -1 marks an erasure, whose output is 0
+    np.maximum(values, 0, out=values)
+    return values, erased
 
 
 def sample_sources(

@@ -43,7 +43,16 @@ elementwise IEEE ops (multiply, add, max, divide, xor on bit patterns) on
 the same operand values as the tree would apply to the node, and the
 gather copies it unchanged, so every pair the tree holds, and every root
 pair, draw, chain factor and null count, is bit for bit the uncoded
-tree's.
+tree's. A tree coded up to its root (N <= 8 for K_n = 1, N <= 4 for
+K_n = 2..7) decides its root by one gather, as Fast-SSC looks a node up
+instead of computing it: its root table (_root_table), built once per
+tree, is the top table with every null pair (0, 0) set to the uniform
+pair, plus the null flags, the N = 1 leaf table normalized first. Each
+entry goes through the ops the uncoded tree applies to a root holding it,
+so the root table holds that tree's root pairs bit for bit, and the codes,
+widened to intp once, gather both the pairs and the flags. A float root
+is finished in place (_root_pairs); only PairStack, whose level 0
+persists, finishes a copy.
 
 On a hard channel (SymbolChannel.hard: every observation column holds at
 most one positive entry, or two exactly equal ones, and every positive
@@ -71,7 +80,11 @@ inter-frame packing of fast software polar decoders: Le Gal, Leroux and
 Jego, IEEE T-SP 2015), and the pair ops are bitwise: f is
 (l0 & r0 | l1 & r1, l1 & r0 | l0 & r1), and g swaps l0 and l1 under the
 packed partial sums and ANDs with r. It needs no codes and no union
-tables. Only the root's two rows are unpacked into bool supports.
+tables. Only the root's two rows are unpacked, into the code s0 + 2 s1
+of each trial's support, and the root is decided by one gather from a
+fixed, read-only 4-entry table (_SUPPORT_ROOT) of the pairs (1/2, 1/2)
+flagged null, (1, 0), (0, 1) and (1/2, 1/2): the float tree's root pairs
+bit for bit, by the argument above.
 
 The level rule is written once, in _new_level, _level_step and
 _root_finish, and serves both PairStack and pinned_pairs, as
@@ -457,22 +470,43 @@ def _encode(left: np.ndarray, right: np.ndarray, k: int, low, out: np.ndarray) -
 
 
 def _root_pairs(root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Float pairs (2, ...) of root pairs or supports, and the null mask.
-
-    A normalized float pair is kept; a support maps to (1, 0), (0, 1) or
-    (1/2, 1/2). A null pair (0, 0), or an empty support, becomes the
-    uniform pair and is flagged.
+    """Float root pairs (2, ...) and their null mask, in place: a null pair
+    (0, 0) becomes the uniform pair and is flagged, a normalized pair is
+    kept. root is overwritten, so a caller whose root is a view of state it
+    keeps (PairStack's level 0) passes a copy; a root table and pinned_pairs'
+    fresh root level are passed as they are.
     """
-    if root.dtype == bool:
-        pair = root.astype(np.float64)
-        total = pair[0] + pair[1]
-        pair /= np.maximum(total, 1.0)
-    else:
-        pair = root.copy()
-        total = pair[0] + pair[1]
-    null = total <= 0.0
-    pair[:, null] = 0.5
-    return pair, null
+    null = root[0] + root[1] <= 0.0
+    root[:, null] = 0.5
+    return root, null
+
+
+# the root table of every packed support root, by the code s0 + 2 s1 of the
+# support: the float rule applied to the normalized indicators (0, 0),
+# (1, 0), (0, 1) and (1/2, 1/2), so the empty support is the null uniform pair
+_SUPPORT_ROOT = _root_pairs(np.array([[0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5]]))
+_SUPPORT_ROOT[0].flags.writeable = _SUPPORT_ROOT[1].flags.writeable = False
+
+
+def _root_table(tables: list, root: np.ndarray):
+    """The (pairs, null) table that decides the tree's root level `root`
+    by its codes, or None for a float root.
+
+    A support tree's root is decided by _SUPPORT_ROOT. A float tree coded
+    up to its root (tables U_n ... U_0) is decided by its top table with
+    every null pair (0, 0) set to the uniform pair (_root_pairs), the N = 1
+    leaf table normalized first: each entry goes through the ops the tree
+    would apply to a root holding it, so the table holds the uncoded tree's
+    root pairs bit for bit.
+    """
+    if _supports(tables):
+        return _SUPPORT_ROOT
+    if root.dtype.kind not in "ui":
+        return None
+    top = tables[-1].copy()
+    if len(tables) == 1:
+        _normalize(top)
+    return _root_pairs(top)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -545,17 +579,26 @@ def _level_step(tables: list, depth: int, child: np.ndarray, low, out: np.ndarra
     return child
 
 
-def _root_finish(root: np.ndarray, tables: list, batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """_root_pairs of level 0 for B = batch trials: unpacked to bool
-    supports on a support tree, gathered from U_0 when a float tree is
-    coded up to the root, and normalized when that root is a leaf (N = 1)."""
-    if _supports(tables):
-        root = _unpack(root, batch)
-    elif root.dtype.kind in "ui":
-        root = np.take(tables[-1], root, axis=1)
-        if len(tables) == 1:
-            _normalize(root)
-    return _root_pairs(root)
+def _root_finish(root: np.ndarray, root_table, batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """Level 0 for B = batch trials as float pairs (2, ...), uniform where
+    null, and the null mask, by the tree's root table (_root_table): packed
+    support words become the codes s0 + 2 s1 and coded nodes their codes,
+    each widened to intp once, and the codes gather both the pairs and the
+    null flags, fresh arrays. A float root (root_table None) is finished in
+    place by _root_pairs, so its caller owns the copy: PairStack, whose
+    level 0 persists, passes one, and pinned_pairs passes its fresh level.
+    """
+    if root_table is None:
+        return _root_pairs(root)
+    if root.dtype == np.uint64:
+        bits = _unpack(root, batch)
+        codes = bits[1].astype(np.intp)
+        codes <<= 1
+        codes |= bits[0]
+    else:
+        codes = root.astype(np.intp)
+    pairs, null = root_table
+    return np.take(pairs, codes, axis=1), null[codes]
 
 
 def _partial_sums(tables: list, bits: np.ndarray, top: int) -> list:
@@ -591,7 +634,10 @@ class PairStack:
     on float pairs the leaf level is the (N, B) codes, the levels near it
     codes too, pairs above. Pairs that condition on a zero-probability
     event stay (0, 0) (an empty support) and are reported through the null
-    mask of pair_at.
+    mask of pair_at. pair_at decides a packed or coded root by one gather
+    from root_table, built once here (_root_table), and finishes a float
+    root on a copy, since level 0 persists and a returned pair must not
+    change at the next consult.
 
     Evaluation is lazy, by stamps. The level-lam block that index phi reads
     is the one of stamp phi_lam = phi & ~(2^lam - 1): the f op when bit lam
@@ -617,6 +663,7 @@ class PairStack:
         self.levels = [_new_level(self.tables, self.n - lam, (1 << lam, batch))
                        for lam in range(self.n)] + [_leaf_level(self.tables, codes)]
         self.stamps = [-1] * self.n
+        self.root_table = _root_table(self.tables, self.levels[0])
 
     def pair_at(self, phi: int, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Root pair at index phi, (B, 2) (uniform where null), and the null
@@ -628,7 +675,10 @@ class PairStack:
                        if phi >> lam & 1 else None)
                 _level_step(self.tables, self.n - lam, self.levels[lam + 1], low, self.levels[lam])
                 self.stamps[lam] = stamp
-        pair, null = _root_finish(self.levels[0][..., 0, :], self.tables, self.batch)
+        root = self.levels[0][..., 0, :]
+        if self.root_table is None:  # a float level 0 persists: finish a copy
+            root = root.copy()
+        pair, null = _root_finish(root, self.root_table, self.batch)
         return pair.T, null
 
 
@@ -673,7 +723,7 @@ def pinned_pairs(ch: SymbolChannel, obs: np.ndarray, v: np.ndarray) -> tuple:
     """
     check_block_length(v.shape[0])
     root, tables = _pinned_root(ch, obs, v)
-    return _root_finish(root, tables, v.shape[1])
+    return _root_finish(root, _root_table(tables, root), v.shape[1])
 
 
 _COMPARE_BYTES = 16  # most rare symbols x symbol itemsize for which comparing beats a gather

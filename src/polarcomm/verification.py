@@ -364,6 +364,12 @@ def _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy):
     return sources, result
 
 
+def _share(mask: np.ndarray) -> float:
+    """The share of True entries of a bool array: the Python float of its
+    mean, since both divide the exact count by the size once."""
+    return int(np.count_nonzero(mask)) / mask.size
+
+
 def function_error_rate(
     model: AuxChainModel,
     plans: Sequence[RoundPlan],
@@ -376,7 +382,10 @@ def function_error_rate(
 
     block_error counts a trial as failed if any symbol differs from the true
     function value or is erased (erasures are block errors by policy);
-    symbol_error and erasure are per-symbol rates. Returns
+    symbol_error and erasure are per-symbol rates, each a Python float
+    (_share). The true values are looked up by the sources' mixed-radix
+    index in the function table narrowed to the smallest integer dtype
+    holding its minimum and maximum, so no value wraps. Returns
     {side: {"block_error", "symbol_error", "erasure", "radius_95"}, ...}
     plus the executed trials under "trials" and the ProtocolResult under
     "result".
@@ -391,14 +400,17 @@ def function_error_rate(
         # trial-last throughout: the (N, B) sources, and the arrays behind the
         # (B, N) output views
         table = model.functions[which]
-        truth = table.reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
+        # the smallest integer dtype holding [lo, hi]: a signed one holds hi >= 0 iff it holds -hi - 1
+        lo, hi = int(table.min()), int(table.max())
+        narrow = np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
+        truth = table.astype(narrow).reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
         erased = result.erasures[which].T
         bad = (out.T != truth) | erased
-        block = float(bad.any(axis=0).mean())
+        block = _share(bad.any(axis=0))
         report[which] = {
             "block_error": block,
-            "symbol_error": float(bad.mean()),
-            "erasure": float(erased.mean()),
+            "symbol_error": _share(bad),
+            "erasure": _share(erased),
             "radius_95": 1.96 * float(np.sqrt(max(block * (1 - block), 1e-12) / trials)),
         }
     return report

@@ -4,9 +4,12 @@ ReferenceTree is an uncoded SC tree: PairStack's definition without its
 codes or packed words. It holds (2, 2^lam, B) float pairs at every level and
 recomputes every level at every consulted index, with no stamps: the
 partial sums a g node reads are rebuilt each time from the decided bits,
-by its own recursion. It shares only the pair ops (_fop, _gop, _normalize,
-_root_pairs) with the library, which fix the arithmetic that PairStack's
-results must equal bit for bit.
+by its own recursion. It shares only the pair ops (_fop, _gop, _normalize)
+and the float root rule _root_pairs with the library, which fix the
+arithmetic that PairStack's results must equal bit for bit. _root_pairs
+works in place, so the tree hands it a copy of its root level; it decides
+every root by the float rule, where the library gathers a packed or coded
+root from a root table, so the tests compare the two routes.
 
 reference_walk is the SC walk as a loop over single indices on
 ReferenceTrees, the law each index's tag gives it, drawn or followed: the

@@ -316,16 +316,21 @@ def test_compute_function_rejects_fractional_symbols():
 def test_sources_wider_than_256_symbols_keep_their_symbols():
     """A uniform 300-symbol source is drawn in uint16 (a 2-symbol one stays
     uint8), symbols >= 256 take their share (44/300) within a binomial
-    bound, and a run on it computes both functions."""
+    bound, and a run on it computes both functions, also where f_A is x
+    itself, whose true values up to 299 must not wrap in the truth lookup."""
     size, n_len, trials = 300, 8, 2000
     x, y = np.ogrid[:size, :2]
     mass = np.zeros((size, 2, 2))
     mass[x, y, x % 2] = 0.5 / size  # u1 = x mod 2, y a fair bit of its own
-    model = AuxChainModel(
-        joint=JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
-        rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
-        functions={"f_A": x % 2 + 0 * y, "f_B": (x % 2) & y},
-    )
+
+    def model_of(f_a):
+        return AuxChainModel(
+            joint=JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
+            rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
+            functions={"f_A": f_a + 0 * y, "f_B": (x % 2) & y},
+        )
+
+    model = model_of(x % 2)
     src = sample_sources(model, n_len, trials, seed=5)
     assert src["x"].dtype == np.uint16 and src["y"].dtype == np.uint8
     share = 44 / size
@@ -334,6 +339,8 @@ def test_sources_wider_than_256_symbols_keep_their_symbols():
     plans = plan_protocol(model, n_len, ALL_TRANSMIT)
     report = function_error_rate(model, plans, n_len, trials, seed=5)
     assert report["trials"] == trials
+    assert report["f_A"]["block_error"] == report["f_B"]["block_error"] == 0.0
+    report = function_error_rate(model_of(x), plans, n_len, trials, seed=5)
     assert report["f_A"]["block_error"] == report["f_B"]["block_error"] == 0.0
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polarcomm
@@ -35,7 +35,11 @@ from polarcomm.sc import (
     _leaf_pairs,
     _lift,
     _cell_index,
+    _normalize,
+    _pack,
     _partial_sums,
+    _root_finish,
+    _root_pairs,
     _uniform_block,
     _union_tables,
     chain_probability,
@@ -82,6 +86,14 @@ def and_round1_channel(p=0.5, q=0.5):
 def and_round2_channel(p=0.5, q=0.5):
     m = build_and_chain(AndModelParams(p, q, 2))
     return SymbolChannel.from_joint(m.joint, "u2", ("y", "u1"))
+
+
+def oracle_n8_rx_channel():
+    """The round-2 receiver channel of the oracle-n8 benchmark workload,
+    AND(0.11, 0.4, t = 2): a 4-symbol float table with zero columns, whose
+    tree at N = 4 is coded up to a 6912-entry top table."""
+    m = build_and_chain(AndModelParams(0.11, 0.4, 2))
+    return SymbolChannel.from_joint(m.joint, "u2", ("x", "u1"))
 
 
 def test_base_case_n1():
@@ -451,14 +463,51 @@ def assert_packed_levels(stack, batch):
         assert low.dtype == np.uint64 and low.shape == (1 << lam, words)
 
 
+def assert_root_table_decides_as_root_pairs(stack):
+    """The root stage alone: the stack's root table, through _root_finish,
+    gives the pair and null flag that _root_pairs gives a fresh float copy
+    of the uncoded tree's root, bit for bit. On supports that is each of the
+    four supports, the empty one included, in rows of the stack's B trials
+    (packed words, the last one partial unless 64 divides B), against the
+    normalized indicator; on a float tree coded up to its root, every code
+    of the top table against the gathered pair, normalized first at N = 1.
+    A float root has no table."""
+    table = stack.root_table
+    if stack.tables[0].dtype == bool:
+        assert not table[0].flags.writeable and not table[1].flags.writeable
+        batch = stack.batch
+        code = (np.arange(4)[:, None] + np.arange(batch)) % 4  # row k, trial b: s0 + 2 s1
+        bits = np.stack([code & 1, code >> 1]).astype(bool)
+        got, got_null = _root_finish(_pack(bits), table, batch)
+        want, want_null = _root_pairs(bits / np.maximum(bits.sum(axis=0), 1.0))
+    elif table is None:
+        assert stack.levels[0].dtype == np.float64
+        return
+    else:
+        top = stack.tables[-1]
+        codes = np.arange(top.shape[1], dtype=np.uint16)
+        got, got_null = _root_finish(codes, table, codes.size)
+        want = np.take(top, codes, axis=1)
+        if stack.n == 0:
+            _normalize(want)
+        want, want_null = _root_pairs(want)
+    assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 6), batch=BATCHES,
        size=st.integers(1, 5), flip=st.sampled_from([0.0, 0.02, 0.2]),
        tiny=st.sampled_from([0, 150]))
+@example(seed=0, n=0, batch=1, size=4, flip=0.0, tiny=0)
+@example(seed=0, n=1, batch=63, size=4, flip=0.0, tiny=0)
+@example(seed=0, n=2, batch=64, size=4, flip=0.0, tiny=0)
+@example(seed=0, n=3, batch=65, size=4, flip=0.0, tiny=0)
+@example(seed=0, n=6, batch=130, size=4, flip=0.0, tiny=0)
 def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     """On a hard channel the packed support tree gives the uncoded float
     tree's pairs, pair for pair and null for null, at random consulted
-    indices, given drawn blocks with random flips as the decided bits."""
+    indices, given drawn blocks with random flips as the decided bits; its
+    root table decides all four supports as the float rule does."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     ch = SymbolChannel(random_hard_table(rng, size, tiny))
@@ -466,6 +515,7 @@ def test_support_tree_equals_float_tree(seed, n, batch, size, flip, tiny):
     obs = rng.integers(0, size, (batch, n_len))
     fast, ref = PairStack(_leaf_pairs(ch, obs.T)), ReferenceTree(float_leaves(ch, obs))
     assert_packed_levels(fast, batch)
+    assert_root_table_decides_as_root_pairs(fast)
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     decided = v ^ (rng.random((n_len, batch)) < flip)
     for phi in range(n_len):
@@ -787,11 +837,16 @@ def random_float_table(rng, size, zeros):
 @given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2, 3, 6]),
        batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
        flip=st.sampled_from([0.0, 0.05, 0.3]))
+@example(seed=0, n=2, batch=65, size=3, hard=False, flip=0.05)  # 259 null columns of 2187
+@example(seed=0, n=0, batch=130, size=148, hard=False, flip=0.0)  # the N = 1 leaf root
+@example(seed=0, n=3, batch=65, size=148, hard=False, flip=0.05)  # a float root
 def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
     """PairStack, coded near the leaves on float tables and packed on
     supports, gives the uncoded float tree's pairs, pair for pair and null
     for null, at random consulted indices, given drawn blocks with random
-    flips as the decided bits."""
+    flips as the decided bits. Its root table decides as the float rule
+    does, and a pair it returned is not changed by a later consult, which
+    recomputes a float root's level in place."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
     table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
@@ -808,33 +863,49 @@ def test_coded_stack_equals_uncoded_tree(seed, n, batch, size, hard, flip):
         # min(depth, n) uint16 levels sit right below the leaves, pairs above
         assert ([lvl.dtype == np.uint16 for lvl in coded.levels[:n]]
                 == [lam >= n - depth for lam in range(n)])
+    assert_root_table_decides_as_root_pairs(coded)
     ref = ReferenceTree(float_leaves(ch, obs))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T
     decided = v ^ (rng.random((n_len, batch)) < flip)
+    kept = []
     for phi in range(n_len):
         if rng.random() < 0.7:
             got, got_null = coded.pair_at(phi, decided)
             want, want_null = ref.pair_at(phi, decided)
             assert np.array_equal(got, want) and np.array_equal(got_null, want_null)
+            assert all(np.array_equal(pair, copy) for pair, copy in kept)
+            kept.append((got, got.copy()))
 
 
 @settings(max_examples=80, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 3, 6]),
-       batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]), hard=st.booleans(),
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([0, 1, 2, 3, 6]),
+       batch=BATCHES, size=st.sampled_from([1, 2, 3, 148]),
+       kind=st.sampled_from(["float", "hard", "oracle-n8-rx"]),
        flip=st.sampled_from([0.0, 0.05, 0.3]))
-def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, hard, flip):
+@example(seed=0, n=2, batch=130, size=4, kind="oracle-n8-rx", flip=0.05)
+def test_pinned_pairs_equal_stack_pairs(seed, n, batch, size, kind, flip):
     """pinned_pairs gives PairStack's pair_at(phi, v) of the same block v,
     consulted in order, pair for pair and null for null at every index,
-    on float tables and on supports, coded up to the root or not at all."""
+    on float tables and on supports, coded up to the root or not at all,
+    and on the oracle-n8 round-2 receiver's table (size 4), whose root at
+    N = 4 is decided by its 6912-entry top table."""
     rng = np.random.default_rng(seed)
     n_len = 1 << n
-    table = random_hard_table(rng, size) if hard else random_float_table(rng, size, 0.2)
-    ch = SymbolChannel(table)
+    if kind == "oracle-n8-rx":
+        ch = oracle_n8_rx_channel()
+        size = ch.obs_size
+    else:
+        hard = kind == "hard"
+        ch = SymbolChannel(random_hard_table(rng, size) if hard
+                           else random_float_table(rng, size, 0.2))
     obs = rng.integers(0, size, (batch, n_len))
     v = apply_transform(draw_supported_bits(rng, ch, obs)).T ^ (rng.random((n_len, batch)) < flip)
     pairs, null = pinned_pairs(ch, obs.T, v)
     assert pairs.shape == (2, n_len, batch) and null.shape == (n_len, batch)
     stack = PairStack(_leaf_pairs(ch, obs.T))
+    if kind == "oracle-n8-rx" and n == 2:
+        assert stack.tables[-1].shape[1] == 6912 and stack.root_table is not None
+    assert_root_table_decides_as_root_pairs(stack)
     for phi in range(n_len):
         want, want_null = stack.pair_at(phi, v)
         assert np.array_equal(pairs[:, phi].T, want) and np.array_equal(null[phi], want_null)

@@ -14,7 +14,7 @@ from polarcomm.models import (
     build_collocated_chain,
 )
 from polarcomm.probability import AuxChainModel, JointPmf
-from polarcomm.protocol import plan_protocol
+from polarcomm.protocol import plan_protocol, sample_sources
 from polarcomm.reliability import PartitionPolicy
 from polarcomm.sc import SamplingPolicy, SymbolChannel, chain_probability
 from polarcomm.verification import (
@@ -222,6 +222,29 @@ def test_function_error_with_silent_round_two():
     assert report["f_A"]["block_error"] > 0.0
     # disagreeing u2 blocks are the only error source for terminal A
     assert report["f_A"]["block_error"] <= (1 - agree) + 0.05
+
+
+@pytest.mark.parametrize("network", ["two-terminal", "collocated"])
+def test_function_error_rates_are_the_bool_means(network):
+    """Every rate is a Python float equal to the bool mean recomputed from
+    the run's outputs and erasures and the true values of the sources that
+    sample_sources draws for the same seed, on plans loose enough to err."""
+    m = (build_and_chain(AndModelParams(0.3, 0.6, 2)) if network == "two-terminal"
+         else build_collocated_chain(2, [0.5, 0.5]))
+    n_len, trials, seed = 8, 3000, 41
+    plans = plan_protocol(m, n_len, PartitionPolicy(mode="threshold", delta=0.3))
+    report = function_error_rate(m, plans, n_len, trials, seed)
+    sources = sample_sources(m, n_len, trials, seed)
+    result = report["result"]
+    for which, out in result.outputs.items():
+        truth = m.functions[which][tuple(sources[s] for s in m.source_vars)]
+        erased = result.erasures[which]
+        bad = (out != truth) | erased
+        want = {"block_error": float(bad.any(axis=1).mean()),
+                "symbol_error": float(bad.mean()), "erasure": float(erased.mean())}
+        assert want["block_error"] > 0.0
+        for key, rate in want.items():
+            assert type(report[which][key]) is float and report[which][key] == rate
 
 
 def test_collocated_function_error_all_transmit():
