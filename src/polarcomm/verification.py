@@ -400,7 +400,8 @@ def function_error_rate(
         # trial-last throughout: the (N, B) sources, and the arrays behind the
         # (B, N) output views
         table = model.functions[which]
-        # the smallest integer dtype holding [lo, hi]: a signed one holds hi >= 0 iff it holds -hi - 1
+        # the smallest integer dtype holding [lo, hi]; a signed dtype holds
+        # hi >= 0 exactly where it holds -hi - 1
         lo, hi = int(table.min()), int(table.max())
         narrow = np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
         truth = table.astype(narrow).reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
