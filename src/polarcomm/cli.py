@@ -85,10 +85,12 @@ CONFIG_SCHEMA = {
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
     "verify_rounds": (1, "rounds compared by exact TV, null (all t) or in 1..t. Exact routes "
-                         "cover two-terminal models only: 1 round at N <= 8, 2 rounds at "
-                         "N <= 4, none for 3 or more; agreement at N <= 4 within 2^24 cells "
-                         "|X|^N |Y|^N 2^(N t); under argmax fd_policy only where every F_d "
-                         "is empty. verify.json holds null for a quantity no route covers"),
+                         "cover two-terminal models only, each within 2^24 cells: TV of 1 "
+                         "round in |X|^N |Y|^N 2^N cells (N <= 8 on binary sources), of "
+                         "r >= 2 rounds in |X|^N |Y|^N 2^(2 N r) (N <= 4 at r = 2, N <= 2 "
+                         "at r = 3 or 4); agreement in |X|^N |Y|^N 2^(N t); under argmax "
+                         "fd_policy only where every F_d is empty. verify.json holds null "
+                         "for a quantity no route covers"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this "
                             "nonnegative integer; null for no limit"),
 }

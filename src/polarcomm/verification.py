@@ -1,6 +1,6 @@
 """Exact small-N oracle and Monte Carlo protocol metrics.
 
-The exact paths enumerate every block combination and build the protocol's
+The exact paths sum over every block combination and build the protocol's
 induced law Q from the sampling-rule factors computed by direct
 marginalization of the block joints (never through the SC engine, so the
 oracle stays an independent route; the engine is checked against it
@@ -18,13 +18,26 @@ transmitter's there. Reported quantities:
   * function_error_rate -- end-to-end block/symbol/erasure rates by trials;
   * measured_rates  -- per-round |I'|/N next to the closed-form targets.
 
-The exact routes and their domains (EXACT_MAX_N, applied by
-`_no_exact_route` alone): two-terminal models only; TV of round 1 at N <= 8,
-TV of the first two rounds at N <= 4, no route for three or more rounds;
-agreement at N <= 4 where its grid of source blocks and u-block histories,
-|X|^N |Y|^N 2^(N t) cells, fits exact.MAX_ENUM. The routes model the
-sampling F_d rule, which fd_policy="argmax" follows only where no round has
-an F_d index. The bounds keep runtime and memory at desk scale.
+The exact routes and their domains (applied by `_no_exact_route` alone)
+cover two-terminal models only and bound the cells they count by the source
+alphabets, each route within exact.MAX_ENUM = 2^24 cells:
+
+  * TV of round 1 streams the block joint of (x, y, u1), |X|^N |Y|^N 2^N
+    cells (N <= 8 on binary sources);
+  * TV of r >= 2 rounds contracts `_chain_operands`, the per-round factors
+    of both terminals' histories, to one side's history law, within
+    |X|^N |Y|^N 2^(2 N r) cells (N <= 4 at r = 2, N <= 2 at r = 3 or 4);
+  * agreement contracts the same factors on the common path, where both
+    terminals' blocks coincide, to a scalar, within |X|^N |Y|^N 2^(N t)
+    cells (N <= 8 at t = 1, N <= 4 at t = 2 to 4).
+
+Every intermediate of a contraction spans a subset of the axes its bound
+counts, so none exceeds that bound, and numpy's greedy einsum eliminates
+block axes one at a time (variable elimination), which keeps them far
+smaller: agreement on AND t = 4 at N = 4 peaks at 34 MiB of allocations,
+where the grid alone would take 128 MiB.
+The routes model the sampling F_d rule, which fd_policy="argmax" follows
+only where no round has an F_d index.
 """
 from __future__ import annotations
 
@@ -46,8 +59,6 @@ from .exact import (
 from .probability import AuxChainModel
 from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
 from .sc import SymbolChannel, mixed_radix
-
-EXACT_MAX_N = {1: 8, 2: 4, "agreement": 4}  # TV keyed by the rounds it compares
 
 
 @dataclass(frozen=True)
@@ -94,7 +105,7 @@ def _source_axes(model: AuxChainModel, n_len: int):
 
 
 def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: str) -> float:
-    """|| Q_{U^1-side, sources} - P ||_1 by full enumeration (N <= 8)."""
+    """|| Q_{U^1-side, sources} - P ||_1, streamed over the block joint."""
     src = model.source_vars
     joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
 
@@ -136,11 +147,12 @@ def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: st
     return float(tv)
 
 
-def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
-    """C[obs(source, history), v] of one side, over grid axes of block ints.
+def _round_factor(plan: RoundPlan, side: str) -> tuple:
+    """(C, variables): one side's sampling factor of a round and its axes.
 
-    source_ints holds the side's own source block and hist_ints the u-blocks
-    of the past rounds, each as block integers broadcast over the grid.
+    C has one axis per observed variable, over its block ints (u-blocks for
+    the past rounds), and a last axis over the round's u-block, reindexed
+    from the table's v-blocks; `variables` names the axes in order.
     """
     n_len = plan.n_len
     if side == "tx":
@@ -150,78 +162,58 @@ def _round_gather(plan: RoundPlan, side: str, source_ints, hist_ints):
         tags = plan.partition.tags_for_receiver()
         obs_vars, channel = plan.rx_obs_vars, plan.rx_channel
     table = sampled_chain_table(channel, tags, n_len)
+    k = len(obs_vars)
     digits = channel.flatten_obs([
-        ints_to_digits(hist_ints[int(var[1:]) - 1] if var.startswith("u") else source_ints,
-                       n_len, size)
-        for var, size in zip(obs_vars, channel.obs_sizes)
+        ints_to_digits(np.arange(size**n_len).reshape((-1,) + (1,) * (k - 1 - i)), n_len, size)
+        for i, size in enumerate(channel.obs_sizes)
     ])
-    return table[digits_to_ints(digits, channel.obs_size)]
+    factor = table[digits_to_ints(digits, channel.obs_size)][..., transform_permutation(n_len)]
+    return factor, obs_vars + (plan.bit_var,)
 
 
-def _exact_tv_full(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
-                   side: str) -> float:
-    """TV of the chain of one or two rounds (`_no_exact_route` admits it).
+def _chain_operands(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
+                    common: bool) -> list:
+    """einsum operands of the protocol's joint law over the sources and both
+    terminals' u-block histories through `plans`.
 
-    side="tx" compares terminal A's history law Q_{U_A^{1:t}, X, Y} to the
-    ideal, side="rx" terminal B's. Enumerates both terminals' randomness:
-    the round-1 state W[x, y, a1, b1] is the joint law of A's and B's
-    u1-blocks given the sources, and round 2 (transmitter B) extends it.
+    Label 0 is x, 1 is y, and 2j (terminal A) or 2j + 1 (terminal B) a
+    terminal's u_j-block. Each round contributes its transmitter's and its
+    receiver's factor and the match of the receiver's copied bits to the
+    transmitter's block. common=True gives both terminals the labels 2j:
+    the common path, on which every match is 1 and is left out.
     """
-    t = len(plans)
-    src, sizes, p_src = _source_axes(model, n_len)
-    n_v = 1 << n_len
+    def letter(var, end):
+        if var.startswith("u"):
+            return 2 * int(var[1:]) + (end == "B" and not common)
+        return model.source_vars.index(var)
+
+    _, _, p_src = _source_axes(model, n_len)
+    ops = [p_src, [0, 1]]
     perm = transform_permutation(n_len)
-    grid_x = np.arange(sizes[0] ** n_len)
-    grid_y = np.arange(sizes[1] ** n_len)
+    for plan in plans:
+        tx, rx = plan.transmitter, "B" if plan.transmitter == "A" else "A"
+        for side, end in (("tx", tx), ("rx", rx)):
+            factor, variables = _round_factor(plan, side)
+            ops += [factor, [letter(var, end) for var in variables]]
+        if not common:
+            pat = _pin_patterns(n_len, plan.partition.copied)[perm]
+            ops += [(pat[:, None] == pat[None, :]).astype(np.float64),
+                    [letter(plan.bit_var, tx), letter(plan.bit_var, rx)]]
+    return ops
 
-    per_sym = model.joint.marginal(tuple(src) + tuple(model.u_vars[:t])).mass
+
+def _exact_tv_chain(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
+                    side: str) -> float:
+    """TV of the chain of `plans` by one contraction of `_chain_operands`:
+    terminal A's history law Q_{X, Y, U_A^{1:t}} against the ideal for
+    side="tx", terminal B's for side="rx"."""
+    t = len(plans)
+    src, sizes, _ = _source_axes(model, n_len)
+    per_sym = model.joint.marginal(tuple(src) + model.u_vars[:t]).mass
     p_ideal = split_block_joint(per_sym, sizes + (2,) * t, n_len)
-
-    def round_pieces(plan, tx_src_ints, rx_src_ints, tx_hist, rx_hist):
-        g_tx = _round_gather(plan, "tx", tx_src_ints, tx_hist)
-        g_rx = _round_gather(plan, "rx", rx_src_ints, rx_hist)
-        pat = _pin_patterns(n_len, plan.partition.copied)
-        match = (pat[:, None] == pat[None, :]).astype(np.float64)
-        # reindex the block axes from v-ints to u-ints
-        return g_tx[..., perm], g_rx[..., perm], match[perm][:, perm]
-
-    plan1 = plans[0]
-    if plan1.transmitter != "A":
-        raise ValueError("round 1 must be transmitted by terminal A")
-    g_tx1, g_rx1, match1 = round_pieces(
-        plan1, grid_x[:, None], grid_y[None, :], [], []
-    )  # g_tx1: (Sx, 1, V); g_rx1: (1, Sy, V); match1[w_tx, v_rx]
-    w1 = (g_tx1[:, :, :, None] * g_rx1[:, :, None, :] * match1[None, None])
-    # w1[x, y, a1, b1]: joint law of (A block, B block) given the sources
-
-    if t == 1:
-        q = w1.sum(axis=3) if side == "tx" else w1.sum(axis=2)
-        return float(np.abs(p_src[:, :, None] * q - p_ideal).sum())
-
-    plan2 = plans[1]
-    if plan2.transmitter != "B":
-        raise ValueError("round 2 must be transmitted by terminal B")
-    hist_a = [np.arange(n_v).reshape(n_v, 1)]  # axes (a1, b1)
-    hist_b = [np.arange(n_v).reshape(1, n_v)]
-    g_tx2, g_rx2, match2 = round_pieces(
-        plan2,
-        grid_y.reshape(1, -1, 1, 1),  # B transmits from (y, u1_B)
-        grid_x.reshape(-1, 1, 1, 1),  # A receives with (x, u1_A)
-        [h.reshape((1, 1) + h.shape) for h in hist_b],
-        [h.reshape((1, 1) + h.shape) for h in hist_a],
-    )  # g_tx2: (1, Sy, 1, V, V2); g_rx2: (Sx, 1, V, 1, V2); match2[b2, a2]
-    full = (len(grid_x), len(grid_y), n_v, n_v)
-    g_tx2 = np.broadcast_to(g_tx2[:, :, 0, :, :], full)  # axes (x, y, b1, b2)
-    g_rx2 = np.broadcast_to(g_rx2[:, :, :, 0, :], full)  # axes (x, y, a1, a2)
-    if side == "tx":
-        # Q_A[x, y, a1, a2] = sum_{b1, b2} w1 g_tx2 g_rx2 match2[b2, a2]
-        k = np.einsum("xybw,wv->xybv", g_tx2, match2)
-        q = np.einsum("xyab,xybv,xyav->xyav", w1, k, g_rx2, optimize=True)
-    else:
-        # Q_B[x, y, b1, b2] = sum_{a1, a2} w1 g_tx2 g_rx2 match2[b2, a2]
-        k = np.einsum("xyav,wv->xyaw", g_rx2, match2)
-        q = np.einsum("xyab,xyaw,xybw->xybw", w1, k, g_tx2, optimize=True)
-    return float(np.abs(p_src[:, :, None, None] * q - p_ideal).sum())
+    own = [2 * j + (side == "rx") for j in range(1, t + 1)]
+    q = np.einsum(*_chain_operands(model, plans, n_len, False), [0, 1, *own], optimize="greedy")
+    return float(np.abs(q - p_ideal).sum())
 
 
 def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int, route,
@@ -239,14 +231,13 @@ def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int
         return "the exact routes cover two-terminal models only"
     if fd_policy == "argmax" and any(p.partition.f_d.size for p in plans):
         return "the exact routes model the sampling F_d rule; under argmax F_d must be empty"
-    if route not in EXACT_MAX_N:
-        return f"no exact TV route compares {route} rounds (1 or 2 only)"
-    if n_len > EXACT_MAX_N[route]:
-        what = route if route == "agreement" else f"TV of {route} round(s)"
-        return f"exact {what} needs N <= {EXACT_MAX_N[route]}, got N={n_len}"
     sources = math.prod(model.joint.size_of(s) ** n_len for s in model.source_vars)
-    if route == "agreement" and (sources << n_len * len(plans)) > MAX_ENUM:
-        return f"exact agreement over {len(plans)} rounds exceeds {MAX_ENUM} cells at N={n_len}"
+    if route == "agreement":
+        what, bits = f"exact agreement over {len(plans)} rounds", n_len * len(plans)
+    else:
+        what, bits = f"exact TV of {route} round(s)", n_len if route == 1 else 2 * n_len * route
+    if (sources << bits) > MAX_ENUM:
+        return f"{what} exceeds {MAX_ENUM} cells at N={n_len}"
     return None
 
 
@@ -262,9 +253,10 @@ def exact_q_tv(
     rounds=r in 1..t compares the chain of the first r rounds and
     rounds=None all t of them; other values raise. side="tx" takes the
     transmitting terminal's blocks, side="rx" the receiving terminal's (for
-    a chain of two rounds: terminal A vs terminal B histories). Routes exist
-    for two-terminal models only: r = 1 at N <= 8, r = 2 at N <= 4, none for
-    r >= 3; elsewhere ValueError.
+    a chain of two or more rounds: terminal A's vs terminal B's histories).
+    Routes exist for two-terminal models only: r = 1 within |X|^N |Y|^N 2^N
+    cells, r >= 2 within |X|^N |Y|^N 2^(2 N r), each at most
+    exact.MAX_ENUM; elsewhere ValueError.
     """
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
@@ -274,7 +266,7 @@ def exact_q_tv(
         raise ValueError(reason)
     if r == 1:
         return _exact_tv_round1(model, plans[0], n_len, side)
-    return _exact_tv_full(model, plans[:r], n_len, side)
+    return _exact_tv_chain(model, plans[:r], n_len, side)
 
 
 def agreement_probability(
@@ -288,10 +280,11 @@ def agreement_probability(
 ) -> float:
     """Pr{both terminals hold identical u-blocks after every round}.
 
-    Exact mode sums the common-path law over all source blocks and all shared
-    block histories; its route covers two-terminal models at N <= 4 with
-    |X|^N |Y|^N 2^(N t) <= exact.MAX_ENUM and, as it models the sampling F_d
-    rule, fd_policy="argmax" only where every round's F_d is empty; elsewhere
+    Exact mode contracts the common-path law over all source blocks and all
+    shared block histories to a scalar, without building their grid; its
+    route covers two-terminal models with |X|^N |Y|^N 2^(N t) <=
+    exact.MAX_ENUM and, as it models the sampling F_d rule,
+    fd_policy="argmax" only where every round's F_d is empty; elsewhere
     ValueError. Monte Carlo runs the protocol.
     """
     if mode == "exact":
@@ -301,27 +294,8 @@ def agreement_probability(
         if all(p.partition.copied.size == n_len for p in plans):
             # the receiver copies every bit: certainty
             return 1.0
-        src, sizes, p_src = _source_axes(model, n_len)
-        perm = transform_permutation(n_len)
-        grid_x = np.arange(sizes[0] ** n_len)
-        grid_y = np.arange(sizes[1] ** n_len)
-        w = p_src.copy()  # axes (x, y, u1, ..., u_{r-1}) growing per round
-        hist: list = []
-        for plan in plans:
-            tx_is_a = plan.transmitter == "A"
-            lead = w.ndim
-            x_ints = grid_x.reshape((-1,) + (1,) * (lead - 1))
-            y_ints = grid_y.reshape((1, -1) + (1,) * (lead - 2))
-            tx_src_ints = x_ints if tx_is_a else y_ints
-            rx_src_ints = y_ints if tx_is_a else x_ints
-            g_tx = _round_gather(plan, "tx", tx_src_ints, hist)
-            g_rx = _round_gather(plan, "rx", rx_src_ints, hist)
-            both = (g_tx * g_rx)[..., perm]  # common block, u-indexed
-            w = w[..., None] * np.broadcast_to(both, w.shape + (both.shape[-1],))
-            # past u-blocks keep their axes as the grid grows a trailing one
-            hist = [h[..., None] for h in hist]
-            hist.append(np.arange(1 << n_len).reshape((1,) * lead + (-1,)))
-        return float(min(max(w.sum(), 0.0), 1.0))
+        total = np.einsum(*_chain_operands(model, plans, n_len, True), [], optimize="greedy")
+        return float(min(max(total, 0.0), 1.0))
     if mode != "monte_carlo":
         raise ValueError("mode must be 'exact' or 'monte_carlo'")
     _, result = _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy)
@@ -332,7 +306,8 @@ def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
                   rounds: int | None = None, fd_policy: str = "sample") -> tuple:
     """(TV by side over `rounds` as in exact_q_tv, agreement probability) of
     the protocol run under `fd_policy`; each None where no exact route
-    covers it."""
+    covers it, as on a collocated model or beyond a route's cells, which
+    the module docstring counts from the source alphabets."""
     tv = agree = None
     r = len(plans) if rounds is None else rounds
     if _no_exact_route(model, plans, n_len, r, fd_policy) is None:

@@ -84,8 +84,9 @@ def test_verify_reports_exact_metrics(tmp_path):
 
 
 def test_verify_without_tv_route_writes_null(tmp_path):
-    """AND t = 4 comparing all rounds has no exact TV route at any N: verify
-    exits 0 with tv_value null, and still reports agreement where N <= 4."""
+    """AND t = 4 comparing all rounds has no exact TV route at N = 4 or 8:
+    verify exits 0 with tv_value null, and still reports agreement where
+    its 2^(2N) 2^(4N) cells fit exact.MAX_ENUM (N = 4)."""
     for n_len in (4, 8):
         cfg = write_config(tmp_path / f"cfg{n_len}.json", model="and", t=4, n=n_len,
                            verify_rounds=None)
@@ -98,6 +99,21 @@ def test_verify_without_tv_route_writes_null(tmp_path):
             assert 0.0 <= agree <= 1.0
         else:
             assert agree is None
+
+
+def test_verify_beyond_the_exact_domain_writes_null(tmp_path):
+    """A ternary-source model file at N = 8 has 3^8 3^8 2^8 cells, beyond
+    exact.MAX_ENUM: verify exits 0 and writes null for TV and agreement."""
+    from test_verification import ternary_model
+
+    model_path = tmp_path / "model.json"
+    model_path.write_text(ternary_model().to_json())
+    cfg = write_config(tmp_path / "cfg.json", model=str(model_path), n=8)
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    payload = json.loads((out / "verify.json").read_text())
+    assert payload["tv_value"] is None and payload["tv_by_side"] is None
+    assert payload["agreement_probability"] is None
 
 
 def test_exact_verify_under_argmax_fd_is_null(tmp_path):

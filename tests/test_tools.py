@@ -268,6 +268,17 @@ def test_output_digest_word_cases_cross_word_boundaries():
         assert len(value) == 64 and set(value) <= set("0123456789abcdef")
 
 
+def test_output_digest_chain_oracle_cases_all_have_routes():
+    """The digest tool's oracle cases past two rounds and on ternary sources
+    each find an exact route: none digests as a ValueError."""
+    import polarcomm
+
+    digest = _load("output_digest")
+    cases = list(digest.chain_oracle_cases(polarcomm))
+    assert len(cases) == 12 and len({name for name, _ in cases}) == 12
+    assert all(value != digest._digest("ValueError") for _, value in cases)
+
+
 SYNTHETIC_MODULE = '''"""Module docstring,
 over two lines."""
 import os  # a trailing comment keeps its line

@@ -18,7 +18,7 @@ from polarcomm.protocol import plan_protocol, sample_sources
 from polarcomm.reliability import PartitionPolicy
 from polarcomm.sc import SamplingPolicy, SymbolChannel, chain_probability
 from polarcomm.verification import (
-    _exact_tv_full,
+    _exact_tv_chain,
     agreement_probability,
     exact_metrics,
     exact_q_tv,
@@ -42,6 +42,22 @@ def uniform_independent_model(p_u=0.7):
         markov_specs=((("u1",), ("x",), ("y",)),),
         functions={"f_A": np.zeros((2, 2), dtype=int),
                    "f_B": np.zeros((2, 2), dtype=int)},
+    )
+
+
+def ternary_model():
+    """X uniform on {0, 1, 2}, Y = X w.p. 0.9 (else each other symbol 0.05),
+    U1 = [X = 2] sent by A in one round; both functions are 0."""
+    mass = np.zeros((3, 3, 2))
+    for x in range(3):
+        for y in range(3):
+            mass[x, y, int(x == 2)] = (0.9 if x == y else 0.05) / 3
+    return AuxChainModel(
+        joint=JointPmf((("x", 3), ("y", 3), ("u1", 2)), mass),
+        rounds=1, round_sources=("x",),
+        markov_specs=((("u1",), ("x",), ("y",)),),
+        functions={"f_A": np.zeros((3, 3), dtype=int),
+                   "f_B": np.zeros((3, 3), dtype=int)},
     )
 
 
@@ -101,7 +117,7 @@ def test_round1_tv_equals_full_chain_for_t1():
     for model, n_len in ((uniform_independent_model(0.6), 2), (build_bsc_chain(0.11, 0.2), 4)):
         plans = plan_protocol(model, n_len, PartitionPolicy(mode="threshold", delta=0.2))
         for side in ("tx", "rx"):
-            full = _exact_tv_full(model, plans, n_len, side)
+            full = _exact_tv_chain(model, plans, n_len, side)
             assert full > 0.1
             assert abs(full - exact_q_tv(model, plans, n_len, side, rounds=1)) <= 1e-15
 
@@ -156,6 +172,36 @@ def test_exact_agreement_grid_within_max_enum():
         agreement_probability(m, plans, 4, "exact")
     tv, agree = exact_metrics(m, plans, 4, rounds=1)
     assert tv is not None and agree is None
+
+
+def test_exact_domain_follows_the_source_alphabets():
+    """The routes count their cells from the source alphabets: on a ternary
+    model, round-1 TV and agreement cover N = 4 (3^4 3^4 2^4 cells) and
+    give None at N = 8 (3^8 3^8 2^8 cells exceed exact.MAX_ENUM)."""
+    m = ternary_model()
+    policy = PartitionPolicy(mode="target_rate")
+    tv, agree = exact_metrics(m, plan_protocol(m, 4, policy), 4, rounds=1)
+    assert set(tv) == {"tx", "rx"} and all(0.0 <= v <= 2.0 for v in tv.values())
+    assert tv["rx"] > 0.01 and 0.0 < agree < 1.0
+    assert exact_metrics(m, plan_protocol(m, 8, policy), 8, rounds=1) == (None, None)
+
+
+def test_exact_agreement_contracts_without_the_grid():
+    """Exact agreement on AND t = 4 at N = 4 sums its 2^24 common-path cells
+    by contraction, never holding them: its allocations peak far below the
+    128 MiB that grid alone would take."""
+    import tracemalloc
+
+    m = build_and_chain(AndModelParams(0.4, 0.5, 4))
+    plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.3))
+    tracemalloc.start()
+    try:
+        agree = agreement_probability(m, plans, 4, "exact")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert abs(agree - 0.628870836636197) < 1e-12
+    assert peak < 96 * 2**20
 
 
 def test_agreement_single_fd_index_two_draw_formula():
@@ -310,89 +356,100 @@ def test_sampled_chain_table_rows_are_laws():
 def _engine_route_full_chain_laws(model, plans, n_len):
     """Enumerate every protocol path with sc.chain_probability (engine route).
 
-    Returns (q_a, q_b, p_ideal) over (x-int, y-int, u1-int, u2-int) for a
-    two-round two-terminal model, plus axis order matching split_block_joint.
+    For a two-terminal binary model run through the t rounds of `plans`,
+    returns (q_a, q_b, p_ideal, agree): terminal A's and terminal B's
+    history laws and the ideal over (x-int, y-int, u1-int, ..., ut-int),
+    axes as in split_block_joint, and the probability that both terminals
+    hold the same u-block after every round. Each transmitter block is one
+    engine call, and the receiver's 2^N candidate blocks one batched call.
     """
     import itertools
     from polarcomm.transform import apply_transform
 
-    def ints(width, base=2):
-        return list(itertools.product(range(base), repeat=width))
-
-    def to_int(digits, base=2):
+    def to_int(digits):
         out = 0
         for d in digits:
-            out = out * base + int(d)
+            out = out * 2 + int(d)
         return out
 
-    n_v = 1 << n_len
-    q_a = np.zeros((n_v, n_v, n_v, n_v))
+    t, n_v = len(plans), 1 << n_len
+    q_a = np.zeros((n_v,) * (2 + t))
     q_b = np.zeros_like(q_a)
     p_ideal = np.zeros_like(q_a)
-    per_sym = model.joint.marginal(("x", "y", "u1", "u2")).mass
-    plan1, plan2 = plans
+    per_sym = model.joint.marginal(("x", "y") + model.u_vars[:t]).mass
+    p_xy = model.joint.marginal(("x", "y")).mass
+    us = np.array(list(itertools.product((0, 1), repeat=n_len)), dtype=np.uint8)
+    vs = apply_transform(us)  # row w: the v-block of u-block w
+    agree = 0.0
 
-    def rx_policy(plan, v_tx):
+    def walk(k, weight, known):
+        """Extend the path of weight `weight` by rounds k, ..., t."""
+        nonlocal agree
+        if k == t:
+            a_hist = [known["A"][f"u{j}"] for j in range(1, t + 1)]
+            b_hist = [known["B"][f"u{j}"] for j in range(1, t + 1)]
+            cell = (to_int(known["A"]["x"]), to_int(known["B"]["y"]))
+            q_a[cell + tuple(map(to_int, a_hist))] += weight
+            q_b[cell + tuple(map(to_int, b_hist))] += weight
+            if all(np.array_equal(a, b) for a, b in zip(a_hist, b_hist)):
+                agree += weight
+            return
+        plan = plans[k]
+        tx, rx = plan.transmitter, "B" if plan.transmitter == "A" else "A"
+        obs_tx = plan.tx_channel.flatten_obs([known[tx][var] for var in plan.tx_obs_vars])
+        obs_rx = plan.rx_channel.flatten_obs([known[rx][var] for var in plan.rx_obs_vars])
+        tx_policy = SamplingPolicy(plan.partition.tags_for_transmitter())
         copied = plan.partition.copied
-        pinned = np.zeros(n_len, dtype=np.uint8)
-        pinned[copied] = v_tx[copied]
-        return SamplingPolicy(plan.partition.tags_for_receiver(), pinned)
+        for w_tx in range(n_v):
+            c_tx = chain_probability(plan.tx_channel, obs_tx, tx_policy, vs[w_tx])
+            if weight * c_tx == 0.0:
+                continue
+            pinned = np.zeros((n_v, n_len), dtype=np.uint8)
+            pinned[:, copied] = vs[w_tx, copied]
+            rx_policy = SamplingPolicy(plan.partition.tags_for_receiver(), pinned)
+            c_rx = chain_probability(plan.rx_channel, np.tile(obs_rx, (n_v, 1)), rx_policy, vs)
+            for w_rx in np.flatnonzero(c_rx):
+                walk(k + 1, weight * c_tx * c_rx[w_rx],
+                     {tx: {**known[tx], plan.bit_var: us[w_tx]},
+                      rx: {**known[rx], plan.bit_var: us[w_rx]}})
 
-    tx1 = SamplingPolicy(plan1.partition.tags_for_transmitter())
-    tx2 = SamplingPolicy(plan2.partition.tags_for_transmitter())
-    blocks = [np.array(b, dtype=np.uint8) for b in ints(n_len)]
-    for xb in blocks:
-        for yb in blocks:
-            p_xy = np.prod([model.joint.marginal(("x", "y")).mass[xb[k], yb[k]]
-                            for k in range(n_len)])
-            for u1s in itertools.product(blocks, repeat=2):
-                u1_a, u1_b = u1s
-                v1_a, v1_b = apply_transform(u1_a), apply_transform(u1_b)
-                c_a1 = chain_probability(plan1.tx_channel, xb, tx1, v1_a)
-                c_b1 = chain_probability(plan1.rx_channel, yb,
-                                         rx_policy(plan1, v1_a), v1_b)
-                w1 = p_xy * c_a1 * c_b1
-                if w1 == 0.0:
-                    continue
-                obs_b2 = yb + 2 * u1_b  # (y, u1) flattened, y fastest
-                obs_a2 = xb + 2 * u1_a
-                for u2s in itertools.product(blocks, repeat=2):
-                    u2_b, u2_a = u2s
-                    v2_b, v2_a = apply_transform(u2_b), apply_transform(u2_a)
-                    c_b2 = chain_probability(plan2.tx_channel, obs_b2, tx2, v2_b)
-                    c_a2 = chain_probability(plan2.rx_channel, obs_a2,
-                                             rx_policy(plan2, v2_b), v2_a)
-                    w2 = w1 * c_b2 * c_a2
-                    if w2 == 0.0:
-                        continue
-                    xi, yi = to_int(xb), to_int(yb)
-                    q_a[xi, yi, to_int(u1_a), to_int(u2_a)] += w2
-                    q_b[xi, yi, to_int(u1_b), to_int(u2_b)] += w2
-            for u1 in blocks:
-                for u2 in blocks:
-                    prob = np.prod([per_sym[xb[k], yb[k], u1[k], u2[k]]
-                                    for k in range(n_len)])
-                    p_ideal[to_int(xb), to_int(yb), to_int(u1), to_int(u2)] = prob
-    return q_a, q_b, p_ideal
+    for xb in us:
+        for yb in us:
+            p_src = np.prod([p_xy[xb[i], yb[i]] for i in range(n_len)])
+            walk(0, p_src, {"A": {"x": xb}, "B": {"y": yb}})
+            for hist in itertools.product(us, repeat=t):
+                prob = np.prod([per_sym[(xb[i], yb[i]) + tuple(u[i] for u in hist)]
+                                for i in range(n_len)])
+                p_ideal[(to_int(xb), to_int(yb)) + tuple(map(to_int, hist))] = prob
+    return q_a, q_b, p_ideal, agree
 
 
 def test_full_chain_tv_matches_engine_route_enumeration():
-    """Dual route at N=2, t=2: the exact oracle equals a path-by-path
-    enumeration driven entirely through the SC engine. The first policy
-    exercises F_d and an empty I'; the second exercises the shared-F_r
-    coupling with an untransmitted information index."""
-    m = build_and_chain(AndModelParams(0.11, 0.4, 2))
-    policies = [
-        PartitionPolicy(mode="threshold", delta=0.3),
-        PartitionPolicy(mode="target_rate", fractions=(0.0, 0.5, 0.0),
-                        fd_z_cap=None, fr_z_cap=None),
-    ]
-    for policy in policies:
-        plans = plan_protocol(m, 2, policy)
-        q_a, q_b, p_ideal = _engine_route_full_chain_laws(m, plans, 2)
-        tv_a = np.abs(q_a - p_ideal).sum()
-        tv_b = np.abs(q_b - p_ideal).sum()
-        assert abs(tv_a - exact_q_tv(m, plans, 2, "tx")) < 1e-9
-        assert abs(tv_b - exact_q_tv(m, plans, 2, "rx")) < 1e-9
-        agree = agreement_probability(m, plans, 2, "exact")
-        assert 0.0 <= agree <= 1.0
+    """Dual route: exact TV of r >= 2 rounds on both sides and exact
+    agreement equal a path-by-path enumeration driven entirely through the
+    SC engine. On AND t = 2 at N = 2 (both rounds), the threshold policy
+    exercises F_d and an empty I', and the sparse one the shared-F_r
+    coupling with an untransmitted information index. On AND t = 4, three
+    and all four rounds at N = 1, whose policies put each round's one index
+    in I' or I \\ I', in F_d and in F_r, and three rounds at N = 2."""
+    threshold = PartitionPolicy(mode="threshold", delta=0.3)
+
+    def sparse(fractions):
+        return PartitionPolicy(mode="target_rate", fractions=fractions,
+                               fd_z_cap=None, fr_z_cap=None)
+
+    and_t2 = build_and_chain(AndModelParams(0.11, 0.4, 2))
+    and_t4 = build_and_chain(AndModelParams(0.4, 0.5, 4))
+    cases = [(and_t2, 2, policy, (None,)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
+    cases += [(and_t4, 1, policy, (3, None))
+              for policy in (threshold, sparse((1.0, 0.0, 0.0)), sparse((0.0, 1.0, 0.0)))]
+    cases += [(and_t4, 2, policy, (3,)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
+    for m, n_len, policy, rounds_list in cases:
+        plans = plan_protocol(m, n_len, policy)
+        for rounds in rounds_list:
+            chain = plans if rounds is None else plans[:rounds]
+            q_a, q_b, p_ideal, agree = _engine_route_full_chain_laws(m, chain, n_len)
+            for side, q in (("tx", q_a), ("rx", q_b)):
+                tv = exact_q_tv(m, plans, n_len, side, rounds=rounds)
+                assert abs(np.abs(q - p_ideal).sum() - tv) < 1e-9
+            assert abs(agree - agreement_probability(m, chain, n_len, "exact")) < 1e-9

@@ -53,6 +53,10 @@ moved. The cases are
                   at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
                   (N = 4), and exact agreement (N = 4); a call outside the
                   oracle's domain digests as its exception type;
+  * oracle/and-t4/exact-n2-..., oracle/ternary/...  `exact_q_tv` of three
+                  and of all four rounds and exact agreement on AND t = 4
+                  plans at N = 2 under both partition modes, and round-1
+                  `exact_metrics` on a ternary-source model at N = 4 and 8;
   * oracle/direct/...  `profile_exact`, `block_joint_full` and
                   `sampled_chain_table` (chunks of 2048 and 37) on a
                   3-column table at N = 8, whose 6561 observation blocks
@@ -428,6 +432,44 @@ def direct_oracle_cases(pc):
         yield f"oracle/direct/sampled_chain_table-m3-n8-c{chunk}", _digest(table)
 
 
+def _ternary_model(pc):
+    """X uniform on {0, 1, 2}, Y = X w.p. 0.9 (else each other symbol
+    0.05), U1 = [X = 2] sent by A in one round; both functions are 0."""
+    mass = np.zeros((3, 3, 2))
+    for x in range(3):
+        for y in range(3):
+            mass[x, y, int(x == 2)] = (0.9 if x == y else 0.05) / 3
+    return pc.AuxChainModel(
+        joint=pc.JointPmf((("x", 3), ("y", 3), ("u1", 2)), mass),
+        rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
+        functions={"f_A": np.zeros((3, 3), dtype=int), "f_B": np.zeros((3, 3), dtype=int)})
+
+
+def chain_oracle_cases(pc):
+    """The oracle past two rounds and on ternary sources: `exact_q_tv` of
+    three and of all four rounds on both sides and exact agreement on the
+    AND t = 4 plans at N = 2, and `exact_metrics` of round 1 on the ternary
+    model at N = 4 and 8 (3^8 3^8 2^8 cells, beyond exact.MAX_ENUM)."""
+    v = pc.verification
+    model = pc.build_and_chain(pc.AndModelParams(0.4, 0.5, 4))
+    for label, policy in (("threshold", pc.PartitionPolicy(mode="threshold", delta=0.2)),
+                          ("target", pc.PartitionPolicy(mode="target_rate"))):
+        plans = pc.plan_protocol(model, 2, policy, profile_method="exact")
+        name = f"oracle/and-t4/exact-n2-{label}"
+        for rounds in (3, None):
+            for side in ("tx", "rx"):
+                tv = _oracle_value(v.exact_q_tv, model, plans, 2, side, rounds=rounds)
+                yield f"{name}/tv-rounds{rounds}/{side}", _digest(tv)
+        agree = _oracle_value(v.agreement_probability, model, plans, 2, "exact")
+        yield f"{name}/agreement", _digest(agree)
+    ternary = _ternary_model(pc)
+    for n_len in (4, 8):
+        plans = pc.plan_protocol(ternary, n_len, pc.PartitionPolicy(mode="target_rate"),
+                                 profile_method="exact")
+        metrics = _oracle_value(v.exact_metrics, ternary, plans, n_len, rounds=1)
+        yield f"oracle/ternary/exact-n{n_len}-target/metrics-rounds1", _digest(metrics)
+
+
 ORACLE_MODELS = ("bsc-t1", "and-t2", "and-t4")
 
 
@@ -539,6 +581,8 @@ def main(argv=None) -> int:
     for case in direct_profile_cases(pc):
         emit(*case)
     for case in direct_oracle_cases(pc):
+        emit(*case)
+    for case in chain_oracle_cases(pc):
         emit(*case)
     for case in erasure_profile_cases(pc):
         emit(*case)
