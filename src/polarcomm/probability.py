@@ -23,6 +23,13 @@ import numpy as np
 NORM_TOL = 1e-12
 
 
+def function_dtype(table: np.ndarray) -> np.dtype:
+    """The narrowest signed integer dtype holding every value of a function
+    table and the erasure sentinel -1, i.e. [min(lo, -1), hi]; a signed
+    dtype holds hi >= 0 exactly where it holds -hi - 1."""
+    return np.min_scalar_type(min(int(table.min()), -int(table.max()) - 1, -1))
+
+
 def _validate_mass(mass: np.ndarray) -> None:
     """Reject a negative or NaN mass, or a total off 1 (NaN fails both
     checks, which are written as what a valid mass satisfies)."""
@@ -336,7 +343,8 @@ class AuxChainModel:
         -1 marks argument tuples with zero probability (mass <= 1e-14) under
         the per-symbol joint. A positive-probability tuple mapping to more
         than one function value violates the zero-conditional-entropy
-        invariant and raises.
+        invariant and raises. The table is built once per function and held
+        in `function_dtype` of the function table: int8 for 0/1 functions.
         """
         if which in self._decode_tables:
             return self._decode_tables[which]
@@ -350,7 +358,7 @@ class AuxChainModel:
         # the trailing unit axis keeps keys one per cell when args is empty
         keys = np.ravel_multi_index(
             tuple(cells[names.index(a)] for a in args) + (np.zeros_like(values),), shape + (1,))
-        out = np.full(shape, -1, dtype=np.int64)
+        out = np.full(shape, -1, dtype=function_dtype(self.functions[which]))
         _, first = np.unique(keys, return_index=True)  # each key takes its first cell's value
         out.flat[keys[first]] = values[first]
         clash = np.flatnonzero(out.flat[keys] != values)

@@ -32,7 +32,9 @@ zero probability are flagged as erasures, never raised.
 Every (trials, N) symbol array, from the source cells through the flat
 observations to the decode-table index, is held in the smallest unsigned
 dtype that holds its alphabet and is never widened to int64 or intp; the SC
-walk copies it only into its uint16 leaf codes.
+walk copies it only into its uint16 leaf codes. The function outputs take
+their decode table's dtype, the narrowest signed one holding the function's
+values and the erasure sentinel -1.
 
 The round loop holds every block trial-last, as a C-order (N, B) array whose
 row i is index i of every trial: the source blocks are lifted to that layout
@@ -249,7 +251,8 @@ class ProtocolResult:
     Every (B, N) array (u-blocks, outputs, erasures) and every (B, |I'|)
     message array is the transposed view of the round loop's trial-last
     array (module docstring), so it is not C-contiguous; its shape, values
-    and `tobytes()` are the trial-first ones.
+    and `tobytes()` are the trial-first ones. The outputs are in their
+    decode table's dtype (`compute_function`), int8 for every shipped model.
     """
 
     network: str
@@ -397,11 +400,13 @@ def compute_function(
     Looks up the unique value with conditional probability one given the
     argument tuple; zero-probability tuples yield an erasure flag (output 0).
     The decode table is gathered once, by the arguments' mixed-radix index,
-    and both outputs come from that int64 array: the erasure flags where it
-    holds -1, then the values with -1 clamped to 0 in place. The lookup is
-    elementwise, so the blocks may take any layout that broadcasts, (B, N)
-    or the round loop's trial-last (N, B), and the outputs take it too. A
-    symbol outside its argument's alphabet raises ValueError.
+    and both outputs come from that array, in the table's dtype
+    (`probability.function_dtype`: int8 for every shipped model): the
+    erasure flags (bool) where it holds -1, then the values with -1 clamped
+    to 0 in place. The lookup is elementwise, so the blocks may take any
+    layout that broadcasts, (B, N) or the round loop's trial-last (N, B),
+    and the outputs take it too. A symbol outside its argument's alphabet
+    raises ValueError.
     """
     args = model.function_args(which)
     blocks = []

@@ -56,7 +56,7 @@ from .exact import (
     split_block_joint,
     transform_permutation,
 )
-from .probability import AuxChainModel
+from .probability import AuxChainModel, function_dtype
 from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
 from .sc import SymbolChannel, mixed_radix
 
@@ -359,8 +359,8 @@ def function_error_rate(
     function value or is erased (erasures are block errors by policy);
     symbol_error and erasure are per-symbol rates, each a Python float
     (_share). The true values are looked up by the sources' mixed-radix
-    index in the function table narrowed to the smallest integer dtype
-    holding its minimum and maximum, so no value wraps. Returns
+    index in the function table narrowed to `probability.function_dtype`,
+    the outputs' dtype, so no value wraps. Returns
     {side: {"block_error", "symbol_error", "erasure", "radius_95"}, ...}
     plus the executed trials under "trials" and the ProtocolResult under
     "result".
@@ -375,11 +375,8 @@ def function_error_rate(
         # trial-last throughout: the (N, B) sources, and the arrays behind the
         # (B, N) output views
         table = model.functions[which]
-        # the smallest integer dtype holding [lo, hi]; a signed dtype holds
-        # hi >= 0 exactly where it holds -hi - 1
-        lo, hi = int(table.min()), int(table.max())
-        narrow = np.min_scalar_type(hi if lo >= 0 else min(lo, -hi - 1))
-        truth = table.astype(narrow).reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
+        narrow = table.astype(function_dtype(table))  # the outputs' dtype
+        truth = narrow.reshape(-1)[mixed_radix(digits, table.shape[::-1], src)]
         erased = result.erasures[which].T
         bad = (out.T != truth) | erased
         block = _share(bad.any(axis=0))

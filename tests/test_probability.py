@@ -252,7 +252,8 @@ def reference_chain_violation(j, a, b, c):
 
 
 def reference_decode_table(model, which):
-    """`AuxChainModel.decode_table` cell by cell, in C order."""
+    """`AuxChainModel.decode_table` cell by cell, in C order, in the first
+    of int8, ..., int64 holding the function's values and -1."""
     args = model.function_args(which)
     names = model.source_vars + model.u_vars
     full = model.joint.marginal(names).mass
@@ -269,7 +270,10 @@ def reference_decode_table(model, which):
                 f"function {which} is not determined by {args} at {key}: "
                 f"values {out[key]} and {z} both have positive probability"
             )
-    return out
+    f = model.functions[which]
+    lo, hi = min(int(f.min()), -1), int(f.max())
+    return out.astype(next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                           if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max))
 
 
 def sparse_mass(rng, shape):

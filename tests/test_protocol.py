@@ -313,24 +313,28 @@ def test_compute_function_rejects_fractional_symbols():
     assert z.tolist() == [[1, 1]] and not erased.any()
 
 
+def _x_model(f_x):
+    """x uniform on len(f_x) symbols, y a fair bit of its own, u1 = x mod 2
+    sent by A in one round; f_A(x, y) = f_x[x] and f_B = u1 AND y."""
+    size = len(f_x)
+    x, y = np.ogrid[:size, :2]
+    mass = np.zeros((size, 2, 2))
+    mass[x, y, x % 2] = 0.5 / size
+    return AuxChainModel(
+        joint=JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
+        rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
+        functions={"f_A": np.asarray(f_x)[x] + 0 * y, "f_B": (x % 2) & y},
+    )
+
+
 def test_sources_wider_than_256_symbols_keep_their_symbols():
     """A uniform 300-symbol source is drawn in uint16 (a 2-symbol one stays
     uint8), symbols >= 256 take their share (44/300) within a binomial
     bound, and a run on it computes both functions, also where f_A is x
-    itself, whose true values up to 299 must not wrap in the truth lookup."""
+    itself, whose true values up to 299 must not wrap in the truth lookup;
+    that run's f_A output is the x block itself, in int16, unwrapped."""
     size, n_len, trials = 300, 8, 2000
-    x, y = np.ogrid[:size, :2]
-    mass = np.zeros((size, 2, 2))
-    mass[x, y, x % 2] = 0.5 / size  # u1 = x mod 2, y a fair bit of its own
-
-    def model_of(f_a):
-        return AuxChainModel(
-            joint=JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
-            rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
-            functions={"f_A": f_a + 0 * y, "f_B": (x % 2) & y},
-        )
-
-    model = model_of(x % 2)
+    model = _x_model(np.arange(size) % 2)
     src = sample_sources(model, n_len, trials, seed=5)
     assert src["x"].dtype == np.uint16 and src["y"].dtype == np.uint8
     share = 44 / size
@@ -340,8 +344,10 @@ def test_sources_wider_than_256_symbols_keep_their_symbols():
     report = function_error_rate(model, plans, n_len, trials, seed=5)
     assert report["trials"] == trials
     assert report["f_A"]["block_error"] == report["f_B"]["block_error"] == 0.0
-    report = function_error_rate(model_of(x), plans, n_len, trials, seed=5)
+    report = function_error_rate(_x_model(np.arange(size)), plans, n_len, trials, seed=5)
     assert report["f_A"]["block_error"] == report["f_B"]["block_error"] == 0.0
+    out = report["result"].outputs["f_A"]
+    assert out.dtype == np.int16 and np.array_equal(out, src["x"]) and out.max() == size - 1
 
 
 def test_compute_function_is_per_symbol():
@@ -355,6 +361,38 @@ def test_compute_function_is_per_symbol():
     z_p, er_p = compute_function(x[:, perm], [u1[:, perm], u2[:, perm]], m, "f_A")
     assert np.array_equal(z[:, perm], z_p)
     assert np.array_equal(er[:, perm], er_p)
+
+
+@pytest.mark.parametrize("case, want", [
+    ("and-t2", np.int8), ("col-m3", np.int8), ("hi-127", np.int8), ("hi-128", np.int16),
+    ("below-minus-1", np.int16),
+])
+def test_compute_function_outputs_take_the_narrowest_signed_dtype(case, want):
+    """The outputs and the decode table take the narrowest signed dtype
+    holding [min(lo, -1), hi], lo and hi the function's extremes and -1 the
+    erasure sentinel: int8 on the shipped models and up to hi = 127, int16
+    from hi = 128 or lo = -130 on. Values and erasure flags are those of the
+    same gather and clamp on the table widened to int64."""
+    if case == "and-t2":
+        model, which = build_and_chain(AndModelParams(0.3, 0.6, 2)), "f_A"
+    elif case == "col-m3":
+        model, which = build_collocated_chain(3, [0.5, 0.4, 0.7]), "f"
+    else:
+        f_x = {"hi-127": np.arange(128), "hi-128": np.arange(129),
+               "below-minus-1": np.arange(260) - 130}[case]
+        model, which = _x_model(f_x), "f_A"
+    rng = np.random.default_rng(3)
+    args = model.function_args(which)
+    sizes = [model.joint.size_of(a) for a in args]
+    blocks = {a: rng.integers(0, size, (50, 16)).astype(np.min_scalar_type(size - 1))
+              for a, size in zip(args, sizes)}
+    obs = next((blocks[a] for a in args if not a.startswith("u")), None)
+    z, erased = compute_function(obs, [blocks[u] for u in model.u_vars], model, which)
+    table = model.decode_table(which)
+    assert z.dtype == table.dtype == want
+    wide = table.astype(np.int64)[tuple(blocks[a] for a in args)]
+    assert np.array_equal(erased, wide < 0) and np.array_equal(z, np.maximum(wide, 0))
+    assert erased.any() and z.any() and not erased.all()
 
 
 def test_collocated_all_transmit_sink_computes_and():

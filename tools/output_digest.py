@@ -81,7 +81,9 @@ moved. The cases are
                   drawn from the table (v* on a functional channel) and
                   pins that flip 1% of it: the sampled block, and the chain
                   probabilities of it, of it with flipped bits and of
-                  G_N(u), under both F_d modes.
+                  G_N(u), under both F_d modes;
+  * protocol/x300/...  a run on a 300-symbol source whose f_A is the source
+                  itself, the one case whose outputs are int16, not int8.
 
 Every case runs at N <= 64 and the whole script takes well under a minute.
 """
@@ -149,12 +151,16 @@ def protocol_cases(pc, model_name, model, label, n_len, plans, trials=6,
             else:
                 res = pc.run_collocated(model, blocks, plans, shared_seed=3, private_seed=4,
                                         fd_policy=fd)
-            parts = [res.network, res.transcript.to_json(), res.agreement, res.anomalies]
-            for key in sorted(res.outputs):
-                parts += [key, res.outputs[key], res.erasures[key]]
-            for role in sorted(res.u_blocks):
-                parts += [role, *res.u_blocks[role]]
-            yield f"protocol/{model_name}/{label}/{fd}/{shape}", _digest(*parts)
+            yield f"protocol/{model_name}/{label}/{fd}/{shape}", _result_digest(res)
+
+
+def _result_digest(res):
+    parts = [res.network, res.transcript.to_json(), res.agreement, res.anomalies]
+    for key in sorted(res.outputs):
+        parts += [key, res.outputs[key], res.erasures[key]]
+    for role in sorted(res.u_blocks):
+        parts += [role, *res.u_blocks[role]]
+    return _digest(*parts)
 
 
 def wide_protocol_cases(pc):
@@ -167,6 +173,25 @@ def wide_protocol_cases(pc):
                                  profile_method="monte_carlo", profile_samples=64, profile_seed=5)
         yield from protocol_cases(pc, name, models[name], "mc-n32-target", 32, plans,
                                   trials=130, shapes=("b130",))
+
+
+def wide_symbol_cases(pc):
+    """protocol/x300/...: a run on a uniform 300-symbol x, u1 = x mod 2 sent
+    by A, with f_A = x itself (so its outputs are int16, where every other
+    case's are int8) and f_B = u1 AND y."""
+    size = 300
+    x, y = np.ogrid[:size, :2]
+    mass = np.zeros((size, 2, 2))
+    mass[x, y, x % 2] = 0.5 / size
+    model = pc.AuxChainModel(
+        joint=pc.JointPmf((("x", size), ("y", 2), ("u1", 2)), mass),
+        rounds=1, round_sources=("x",), markov_specs=((("u1",), ("x",), ("y",)),),
+        functions={"f_A": x + 0 * y, "f_B": (x % 2) & y})
+    plans = pc.plan_protocol(model, 8, pc.PartitionPolicy(mode="target_rate"), rate_margin=0.1,
+                             profile_method="monte_carlo", profile_samples=64, profile_seed=5)
+    src = pc.sample_sources(model, 8, 6, 11)
+    res = pc.run_two_terminal(model, src["x"], src["y"], plans, shared_seed=3, private_seed=4)
+    yield "protocol/x300/mc-n8-target/sample/batched", _result_digest(res)
 
 
 def walk_cases(pc, model_name, label, n_len, plans):
@@ -597,6 +622,8 @@ def main(argv=None) -> int:
     for case in word_cases(pc):
         emit(*case)
     for case in run_walk_cases(pc):
+        emit(*case)
+    for case in wide_symbol_cases(pc):
         emit(*case)
     print(f"{total.hexdigest()}  TOTAL ({count} cases)")
     return 0
