@@ -370,8 +370,8 @@ def test_compute_function_is_per_symbol():
 def test_compute_function_outputs_take_the_narrowest_signed_dtype(case, want):
     """The outputs and the decode table take the narrowest signed dtype
     holding [min(lo, -1), hi], lo and hi the function's extremes and -1 the
-    erasure sentinel: int8 on the shipped models and up to hi = 127, int16
-    from hi = 128 or lo = -130 on. Values and erasure flags are those of the
+    erasure sentinel: int8 on the shipped models and at hi = 127, int16 at
+    hi = 128 and at lo = -130. Values and erasure flags are those of the
     same gather and clamp on the table widened to int64."""
     if case == "and-t2":
         model, which = build_and_chain(AndModelParams(0.3, 0.6, 2)), "f_A"
@@ -383,9 +383,10 @@ def test_compute_function_outputs_take_the_narrowest_signed_dtype(case, want):
         model, which = _x_model(f_x), "f_A"
     rng = np.random.default_rng(3)
     args = model.function_args(which)
-    sizes = [model.joint.size_of(a) for a in args]
-    blocks = {a: rng.integers(0, size, (50, 16)).astype(np.min_scalar_type(size - 1))
-              for a, size in zip(args, sizes)}
+    blocks = {}
+    for a in args:
+        size = model.joint.size_of(a)
+        blocks[a] = rng.integers(0, size, (50, 16)).astype(np.min_scalar_type(size - 1))
     obs = next((blocks[a] for a in args if not a.startswith("u")), None)
     z, erased = compute_function(obs, [blocks[u] for u in model.u_vars], model, which)
     table = model.decode_table(which)
