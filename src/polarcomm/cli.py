@@ -85,12 +85,11 @@ CONFIG_SCHEMA = {
     "fd_policy": ("sample", "'sample' (paper-faithful) or 'argmax' F_d decisions"),
     "verify_mode": ("exact", "'exact' (small N) or 'monte_carlo' verification"),
     "verify_rounds": (1, "rounds compared by exact TV, null (all t) or in 1..t. Exact routes "
-                         "cover two-terminal models only, each within 2^24 cells: TV of 1 "
-                         "round in |X|^N |Y|^N 2^N cells (N <= 8 on binary sources), of "
-                         "r >= 2 rounds in |X|^N |Y|^N 2^(2 N r) (N <= 4 at r = 2, N <= 2 "
-                         "at r = 3 or 4); agreement in |X|^N |Y|^N 2^(N t); under argmax "
-                         "fd_policy only where every F_d is empty. verify.json holds null "
-                         "for a quantity no route covers"),
+                         "cover two-terminal models only, within |X|^N |Y|^N 2^(N k) <= 2^24 "
+                         "cells, k the rounds TV compares and t for agreement (N <= 8 on "
+                         "binary sources at k = 1, N <= 4 at k <= 4); under argmax fd_policy "
+                         "only where every F_d is empty. verify.json holds null for a "
+                         "quantity no route covers"),
     "anomaly_limit": (None, "exit 3 if a run records more decode anomalies than this "
                             "nonnegative integer; null for no limit"),
 }

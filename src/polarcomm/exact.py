@@ -181,10 +181,24 @@ def split_block_joint(table: np.ndarray, sizes: tuple, n_len: int) -> np.ndarray
     if total > MAX_ENUM:
         raise ValueError(f"enumeration too large: {total} blocks")
     per_sym = np.asarray(table, dtype=np.float64).reshape(sizes)
-    power = np.ones(())
-    for _ in range(n_len):
-        power = np.multiply.outer(power, per_sym)
-    # power's axes run (symbol 0: every variable, symbol 1: every variable, ...)
-    k = len(sizes)
-    by_var = [pos * k + var for var in range(k) for pos in range(n_len)]
-    return power.transpose(by_var).reshape(tuple(s**n_len for s in sizes))
+    return block_product([per_sym] * n_len)
+
+
+def block_product(tables: list) -> np.ndarray:
+    """Product measure of consecutive symbol spans, one block-int axis per
+    variable.
+
+    Each table is a joint over the same variables (axes in order) of one
+    symbol or, split as `split_block_joint` returns it, of several; the
+    first table's digits are the most significant of every axis. Each step
+    multiplies the product so far, every axis followed by a unit axis, by
+    the next table, every axis preceded by one, so the grown digits land
+    below the old ones in C order and no transpose is needed; the products
+    run left to right, as the cells' values depend on that order.
+    """
+    out = tables[0]
+    k = out.ndim
+    for table in tables[1:]:
+        grown = out[(slice(None), None) * k] * table[(None, slice(None)) * k]
+        out = grown.reshape([a * b for a, b in zip(out.shape, table.shape)])
+    return out

@@ -25,9 +25,9 @@ NORM_TOL = 1e-12
 
 def function_dtype(table: np.ndarray) -> np.dtype:
     """The narrowest signed integer dtype holding every value of a function
-    table and the erasure sentinel -1, i.e. [min(lo, -1), hi]; a signed
-    dtype holds hi >= 0 exactly where it holds -hi - 1."""
-    return np.min_scalar_type(min(int(table.min()), -int(table.max()) - 1, -1))
+    table, all in [0, hi], and the erasure sentinel -1; a signed dtype holds
+    hi >= 0 exactly where it holds -hi - 1."""
+    return np.min_scalar_type(-int(table.max()) - 1)
 
 
 def _validate_mass(mass: np.ndarray) -> None:
@@ -282,8 +282,9 @@ class AuxChainModel:
         Each entry is a triple of variable-name tuples.
     functions : mapping
         Function tables keyed "f_A"/"f_B" (two-terminal) or "f" (collocated);
-        each value is an integer array over the source variables in joint
-        order, e.g. f_A[x, y].
+        each value is an array of nonnegative integers over the source
+        variables in joint order, e.g. f_A[x, y]; a negative value raises,
+        as the outputs mark erasures by -1.
     """
 
     joint: JointPmf
@@ -315,6 +316,9 @@ class AuxChainModel:
         for key, table in functions.items():
             if table.shape != tuple(self.joint.size_of(n) for n in self.source_vars):
                 raise ValueError(f"function table {key} has shape {table.shape}")
+            if table.min() < 0:
+                raise ValueError(f"function table {key} takes a negative value; "
+                                 "-1 marks an erasure")
         object.__setattr__(self, "functions", functions)
 
     @property

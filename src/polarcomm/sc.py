@@ -326,15 +326,6 @@ class SymbolChannel:
                 f"expected {len(self.obs_sizes)} observation arrays, got {len(values)}")
         return mixed_radix(values, self.obs_sizes)
 
-    def split_obs(self, symbols: np.ndarray) -> list:
-        """Inverse of flatten_obs: one symbol array per observed variable."""
-        rem = np.asarray(symbols, dtype=np.int64)
-        out = []
-        for size in self.obs_sizes:
-            out.append(rem % size)
-            rem = rem // size
-        return out
-
 
 @dataclass(frozen=True)
 class SamplingPolicy:

@@ -9,33 +9,36 @@ elsewhere). A receiver's factors are those of its tags,
 PINNED and contribute no factor, and the receiver's block matches the
 transmitter's there. Reported quantities:
 
-  * exact_q_tv      -- || Q_{induced} - P_{ideal} ||_1 (unnormalized L1) for
-                       the transmitter-side or receiver-side law;
+  * exact_q_tv      -- || Q_{induced} - P_{ideal} ||_1 (unnormalized L1) of
+                       terminal A's or terminal B's history law;
   * agreement_probability -- Pr{every round's u-blocks coincide at both
-                       terminals}, exact or Monte Carlo;
+                       terminals};
   * exact_metrics   -- both exact quantities, each None where no route
                        covers the input;
   * function_error_rate -- end-to-end block/symbol/erasure rates by trials;
   * measured_rates  -- per-round |I'|/N next to the closed-form targets.
 
-The exact routes and their domains (applied by `_no_exact_route` alone)
-cover two-terminal models only and bound the cells they count by the source
-alphabets, each route within exact.MAX_ENUM = 2^24 cells:
+Both exact routes contract `_chain_factors`, the per-round sampling factors
+of both terminals, with the source law (variable elimination: numpy's
+greedy einsum eliminates block axes one at a time). They cover two-terminal
+models only, and `_no_exact_route` alone applies their one domain: the
+sources' blocks times the compared u-blocks, |X|^N |Y|^N 2^(N k) cells, at
+most exact.MAX_ENUM = 2^24, with k the rounds compared for TV and t for
+agreement (N <= 8 on binary sources at k = 1, N <= 4 at k = 2 to 4).
 
-  * TV of round 1 streams the block joint of (x, y, u1), |X|^N |Y|^N 2^N
-    cells (N <= 8 on binary sources);
-  * TV of r >= 2 rounds contracts `_chain_operands`, the per-round factors
-    of both terminals' histories, to one side's history law, within
-    |X|^N |Y|^N 2^(2 N r) cells (N <= 4 at r = 2, N <= 2 at r = 3 or 4);
-  * agreement contracts the same factors on the common path, where both
-    terminals' blocks coincide, to a scalar, within |X|^N |Y|^N 2^(N t)
-    cells (N <= 8 at t = 1, N <= 4 at t = 2 to 4).
+  * TV of r rounds contracts to one terminal's history law one chunk of
+    x-blocks at a time and sums |Q - P| chunk by chunk, so neither Q nor
+    the ideal P is ever held whole: a chunk is the largest power of |X|
+    x-blocks within CELLS = 2^19 cells (at least one x-block), and the
+    ideal's and the source law's chunks are products of the chunk's fixed
+    leading x-symbols with one power of the trailing symbols, computed once;
+  * agreement contracts on the common path, where both terminals' blocks
+    coincide, to a scalar.
 
-Every intermediate of a contraction spans a subset of the axes its bound
-counts, so none exceeds that bound, and numpy's greedy einsum eliminates
-block axes one at a time (variable elimination), which keeps them far
-smaller: agreement on AND t = 4 at N = 4 peaks at 34 MiB of allocations,
-where the grid alone would take 128 MiB.
+Greedy einsum caps every intermediate at its largest operand or output, so
+TV holds the round factors and a few chunks: four rounds of AND at N = 4
+peak at 74 MiB of allocations, where Q alone would take 128 MiB, and round
+1 at N = 8 at 22 MiB.
 The routes model the sampling F_d rule, which fd_policy="argmax" follows
 only where no round has an F_d index.
 """
@@ -49,7 +52,7 @@ import numpy as np
 
 from .exact import (
     MAX_ENUM,
-    block_joint_chunks,
+    block_product,
     digits_to_ints,
     ints_to_digits,
     sampled_chain_table,
@@ -58,7 +61,7 @@ from .exact import (
 )
 from .probability import AuxChainModel, function_dtype
 from .protocol import RoundPlan, run_collocated, run_two_terminal, sample_sources
-from .sc import SymbolChannel, mixed_radix
+from .sc import mixed_radix
 
 
 @dataclass(frozen=True)
@@ -96,57 +99,6 @@ def _pin_patterns(n_len: int, pins: np.ndarray) -> np.ndarray:
     return digits_to_ints(bits[:, pins], 2)
 
 
-def _source_axes(model: AuxChainModel, n_len: int):
-    """Ideal product measure over the source blocks, one axis per source."""
-    src = model.source_vars
-    sizes = tuple(model.joint.size_of(s) for s in src)
-    marg = model.joint.marginal(src).mass
-    return src, sizes, split_block_joint(marg, sizes, n_len)
-
-
-def _exact_tv_round1(model: AuxChainModel, plan: RoundPlan, n_len: int, side: str) -> float:
-    """|| Q_{U^1-side, sources} - P ||_1, streamed over the block joint."""
-    src = model.source_vars
-    joint_ch = SymbolChannel.from_joint(model.joint, plan.bit_var, src)
-
-    c_tx = sampled_chain_table(plan.tx_channel, plan.partition.tags_for_transmitter(), n_len)
-    if side == "rx":
-        c_rx = sampled_chain_table(plan.rx_channel, plan.partition.tags_for_receiver(), n_len)
-        pins = plan.partition.copied
-        pat = _pin_patterns(n_len, pins)
-        n_pat = 1 << pins.size
-        a_pat = np.zeros((c_tx.shape[0], n_pat))
-        for p in range(n_pat):
-            a_pat[:, p] = c_tx[:, pat == p].sum(axis=1)
-        a_pat_v = a_pat[:, pat]  # (tx-obs blocks, v-blocks)
-
-    (tx_var,), (rx_var,) = plan.tx_obs_vars, plan.rx_obs_vars
-    # no u/v relabeling: it is a bijection and the L1 sum is coordinate-free
-    # C-contiguous buffers of the first, largest chunk's shape hold the L1
-    # terms in the layout `np.abs(p_obs[:, None] * q_cond - p_joint)` gives
-    # them, so the sum runs in the same order
-    tv, bufs = 0.0, None
-    for obs_ints, p_joint in block_joint_chunks(joint_ch, n_len):
-        digits = joint_ch.split_obs(ints_to_digits(obs_ints, n_len, joint_ch.obs_size))
-        per_var = {var: digits_to_ints(d, size)
-                   for var, d, size in zip(src, digits, joint_ch.obs_sizes)}
-        p_obs = p_joint.sum(axis=1)
-        if bufs is None:
-            bufs = np.empty((2,) + p_joint.shape)
-        buf, pat = bufs[:, : obs_ints.size]
-        if side == "tx":
-            np.take(c_tx, per_var[tx_var], axis=0, out=buf, mode="clip")
-        else:
-            np.take(c_rx, per_var[rx_var], axis=0, out=buf, mode="clip")
-            np.take(a_pat_v, per_var[tx_var], axis=0, out=pat, mode="clip")
-            buf *= pat
-        np.multiply(p_obs[:, None], buf, out=buf)
-        np.subtract(buf, p_joint, out=buf)
-        np.abs(buf, out=buf)
-        tv += buf.sum()
-    return float(tv)
-
-
 def _round_factor(plan: RoundPlan, side: str) -> tuple:
     """(C, variables): one side's sampling factor of a round and its axes.
 
@@ -171,55 +123,91 @@ def _round_factor(plan: RoundPlan, side: str) -> tuple:
     return factor, obs_vars + (plan.bit_var,)
 
 
-def _chain_operands(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
-                    common: bool) -> list:
-    """einsum operands of the protocol's joint law over the sources and both
-    terminals' u-block histories through `plans`.
+def _chain_factors(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
+                   common: bool) -> list:
+    """(factor, labels) einsum operands of the protocol's sampling factors
+    through `plans`; with the source law over labels [0, 1] they give the
+    joint law of the sources and both terminals' u-block histories.
 
     Label 0 is x, 1 is y, and 2j (terminal A) or 2j + 1 (terminal B) a
-    terminal's u_j-block. Each round contributes its transmitter's and its
-    receiver's factor and the match of the receiver's copied bits to the
-    transmitter's block. common=True gives both terminals the labels 2j:
-    the common path, on which every match is 1 and is left out.
+    terminal's u_j-block; a factor that observes a source has it first.
+    Each round contributes its transmitter's and its receiver's factor and
+    the match of the receiver's copied bits to the transmitter's block.
+    common=True gives both terminals the labels 2j: the common path, on
+    which every match is 1 and is left out.
     """
     def letter(var, end):
         if var.startswith("u"):
             return 2 * int(var[1:]) + (end == "B" and not common)
         return model.source_vars.index(var)
 
-    _, _, p_src = _source_axes(model, n_len)
-    ops = [p_src, [0, 1]]
+    ops = []
     perm = transform_permutation(n_len)
     for plan in plans:
         tx, rx = plan.transmitter, "B" if plan.transmitter == "A" else "A"
         for side, end in (("tx", tx), ("rx", rx)):
             factor, variables = _round_factor(plan, side)
-            ops += [factor, [letter(var, end) for var in variables]]
+            ops.append((factor, [letter(var, end) for var in variables]))
         if not common:
             pat = _pin_patterns(n_len, plan.partition.copied)[perm]
-            ops += [(pat[:, None] == pat[None, :]).astype(np.float64),
-                    [letter(plan.bit_var, tx), letter(plan.bit_var, rx)]]
+            ops.append(((pat[:, None] == pat[None, :]).astype(np.float64),
+                        [letter(plan.bit_var, tx), letter(plan.bit_var, rx)]))
     return ops
+
+
+# cells of one chunk of Q, and of the ideal, that the TV route holds
+CELLS = 1 << 19
+
+
+def _x_chunks(table: np.ndarray, n_len: int, tail_len: int):
+    """The blocklength product measure of the per-symbol joint `table`
+    (axes x first), split as `split_block_joint` returns it, one chunk of
+    |X|^tail_len x-blocks at a time: the chunk that fixes x's leading
+    N - tail_len symbols is their product times the power of the trailing
+    tail_len symbols, which is computed once."""
+    tail = [split_block_joint(table, table.shape, tail_len)] if tail_len else []
+    for lead in np.ndindex((table.shape[0],) * (n_len - tail_len)):
+        yield block_product([table[d:d + 1] for d in lead] + tail)
 
 
 def _exact_tv_chain(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
                     side: str) -> float:
-    """TV of the chain of `plans` by one contraction of `_chain_operands`:
-    terminal A's history law Q_{X, Y, U_A^{1:t}} against the ideal for
-    side="tx", terminal B's for side="rx"."""
-    t = len(plans)
-    src, sizes, _ = _source_axes(model, n_len)
-    per_sym = model.joint.marginal(tuple(src) + model.u_vars[:t]).mass
-    p_ideal = split_block_joint(per_sym, sizes + (2,) * t, n_len)
-    own = [2 * j + (side == "rx") for j in range(1, t + 1)]
-    q = np.einsum(*_chain_operands(model, plans, n_len, False), [0, 1, *own], optimize="greedy")
-    return float(np.abs(q - p_ideal).sum())
+    """TV of the chain of `plans`, contracted one chunk of x-blocks at a
+    time (module docstring): terminal A's history law
+    Q_{X, Y, U_A^{1:r}} against the ideal for side="tx", terminal B's for
+    side="rx"."""
+    r = len(plans)
+    src = model.source_vars
+    p_src = model.joint.marginal(src).mass
+    p_ideal = model.joint.marginal(src + model.u_vars[:r]).mass
+    x_size, y_size = p_src.shape
+    per_block = y_size**n_len << (n_len * r)
+    tail_len = 0
+    while tail_len < n_len and x_size ** (tail_len + 1) * per_block <= CELLS:
+        tail_len += 1
+    step = x_size**tail_len
+    factors = _chain_factors(model, plans, n_len, False)
+    own = [2 * j + (side == "rx") for j in range(1, r + 1)]
+    # the source law takes the ideal's chunks and product order, so where the
+    # rounds reproduce the ideal exactly (all-transmit rounds of a u that the
+    # source fixes) Q equals it bit for bit and TV is 0.0
+    chunks = zip(_x_chunks(p_src, n_len, tail_len), _x_chunks(p_ideal, n_len, tail_len))
+    tv = 0.0
+    for start, (src_chunk, ideal) in zip(range(0, x_size**n_len, step), chunks):
+        ops = [src_chunk, [0, 1]]
+        for factor, labels in factors:
+            ops += [factor[start:start + step] if labels[0] == 0 else factor, labels]
+        # C order, the ideal's: the subtraction then runs in memory order
+        q = np.einsum(*ops, [0, 1, *own], optimize="greedy", order="C")
+        q -= ideal
+        tv += np.abs(q, out=q).sum()
+    return float(tv)
 
 
 def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int, route,
                     fd_policy: str = "sample") -> str | None:
     """Why the exact route (TV of `route` rounds, or "agreement") cannot take
-    the input, or None when it can; the domains are the module docstring's.
+    the input, or None when it can; the domain is the module docstring's.
     Raises ValueError on inputs that are invalid for any route."""
     if fd_policy not in ("sample", "argmax"):
         raise ValueError(f"fd_policy must be 'sample' or 'argmax', got {fd_policy!r}")
@@ -233,10 +221,10 @@ def _no_exact_route(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int
         return "the exact routes model the sampling F_d rule; under argmax F_d must be empty"
     sources = math.prod(model.joint.size_of(s) ** n_len for s in model.source_vars)
     if route == "agreement":
-        what, bits = f"exact agreement over {len(plans)} rounds", n_len * len(plans)
+        what, rounds = f"exact agreement over {len(plans)} rounds", len(plans)
     else:
-        what, bits = f"exact TV of {route} round(s)", n_len if route == 1 else 2 * n_len * route
-    if (sources << bits) > MAX_ENUM:
+        what, rounds = f"exact TV of {route} round(s)", route
+    if (sources << (n_len * rounds)) > MAX_ENUM:
         return f"{what} exceeds {MAX_ENUM} cells at N={n_len}"
     return None
 
@@ -251,12 +239,11 @@ def exact_q_tv(
     """Exact || Q - P ||_1 between the protocol-induced law and the ideal.
 
     rounds=r in 1..t compares the chain of the first r rounds and
-    rounds=None all t of them; other values raise. side="tx" takes the
-    transmitting terminal's blocks, side="rx" the receiving terminal's (for
-    a chain of two or more rounds: terminal A's vs terminal B's histories).
-    Routes exist for two-terminal models only: r = 1 within |X|^N |Y|^N 2^N
-    cells, r >= 2 within |X|^N |Y|^N 2^(2 N r), each at most
-    exact.MAX_ENUM; elsewhere ValueError.
+    rounds=None all t of them; other values raise. side="tx" takes
+    terminal A's blocks (A transmits round 1), side="rx" terminal B's: the
+    law of the sources and that terminal's u-blocks of rounds 1..r. The
+    route covers two-terminal models within |X|^N |Y|^N 2^(N r) <=
+    exact.MAX_ENUM cells, for every r; elsewhere ValueError.
     """
     if side not in ("tx", "rx"):
         raise ValueError("side must be 'tx' or 'rx'")
@@ -264,8 +251,6 @@ def exact_q_tv(
     reason = _no_exact_route(model, plans, n_len, r)
     if reason is not None:
         raise ValueError(reason)
-    if r == 1:
-        return _exact_tv_round1(model, plans[0], n_len, side)
     return _exact_tv_chain(model, plans[:r], n_len, side)
 
 
@@ -274,46 +259,46 @@ def agreement_probability(
     plans: Sequence[RoundPlan],
     n_len: int,
     mode: str = "exact",
-    trials: int = 10000,
-    seed: int = 0,
     fd_policy: str = "sample",
 ) -> float:
-    """Pr{both terminals hold identical u-blocks after every round}.
+    """Pr{both terminals hold identical u-blocks after every round}, exact.
 
-    Exact mode contracts the common-path law over all source blocks and all
-    shared block histories to a scalar, without building their grid; its
-    route covers two-terminal models with |X|^N |Y|^N 2^(N t) <=
-    exact.MAX_ENUM and, as it models the sampling F_d rule,
-    fd_policy="argmax" only where every round's F_d is empty; elsewhere
-    ValueError. Monte Carlo runs the protocol.
+    Contracts the common-path law over all source blocks and all shared
+    block histories to a scalar, without building their grid; the route
+    covers two-terminal models with |X|^N |Y|^N 2^(N t) <= exact.MAX_ENUM
+    and, as it models the sampling F_d rule, fd_policy="argmax" only where
+    every round's F_d is empty; elsewhere ValueError. mode must be "exact"
+    (bench/workloads.py passes it positionally); a Monte Carlo estimate is
+    `function_error_rate`'s result.agreement.all(axis=0).mean().
     """
-    if mode == "exact":
-        reason = _no_exact_route(model, plans, n_len, "agreement", fd_policy)
-        if reason is not None:
-            raise ValueError(reason)
-        if all(p.partition.copied.size == n_len for p in plans):
-            # the receiver copies every bit: certainty
-            return 1.0
-        total = np.einsum(*_chain_operands(model, plans, n_len, True), [], optimize="greedy")
-        return float(min(max(total, 0.0), 1.0))
-    if mode != "monte_carlo":
-        raise ValueError("mode must be 'exact' or 'monte_carlo'")
-    _, result = _run_protocol_trials(model, plans, n_len, trials, seed, fd_policy)
-    return float(result.agreement.all(axis=0).mean())
+    if mode != "exact":
+        raise ValueError(f"mode must be 'exact', got {mode!r}")
+    reason = _no_exact_route(model, plans, n_len, "agreement", fd_policy)
+    if reason is not None:
+        raise ValueError(reason)
+    if all(p.partition.copied.size == n_len for p in plans):
+        # the receiver copies every bit: certainty
+        return 1.0
+    p_src = model.joint.marginal(model.source_vars).mass
+    ops = [split_block_joint(p_src, p_src.shape, n_len), [0, 1]]
+    for factor, labels in _chain_factors(model, plans, n_len, True):
+        ops += [factor, labels]
+    total = np.einsum(*ops, [], optimize="greedy")
+    return float(min(max(total, 0.0), 1.0))
 
 
 def exact_metrics(model: AuxChainModel, plans: Sequence[RoundPlan], n_len: int,
                   rounds: int | None = None, fd_policy: str = "sample") -> tuple:
     """(TV by side over `rounds` as in exact_q_tv, agreement probability) of
     the protocol run under `fd_policy`; each None where no exact route
-    covers it, as on a collocated model or beyond a route's cells, which
-    the module docstring counts from the source alphabets."""
+    covers it, as on a collocated model or beyond the cells the module
+    docstring counts from the source alphabets."""
     tv = agree = None
     r = len(plans) if rounds is None else rounds
     if _no_exact_route(model, plans, n_len, r, fd_policy) is None:
         tv = {side: exact_q_tv(model, plans, n_len, side, rounds=r) for side in ("tx", "rx")}
     if _no_exact_route(model, plans, n_len, "agreement", fd_policy) is None:
-        agree = agreement_probability(model, plans, n_len, "exact", fd_policy=fd_policy)
+        agree = agreement_probability(model, plans, n_len, fd_policy=fd_policy)
     return tv, agree
 
 

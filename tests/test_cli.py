@@ -84,20 +84,22 @@ def test_verify_reports_exact_metrics(tmp_path):
 
 
 def test_verify_without_tv_route_writes_null(tmp_path):
-    """AND t = 4 comparing all rounds has no exact TV route at N = 4 or 8:
-    verify exits 0 with tv_value null, and still reports agreement where
-    its 2^(2N) 2^(4N) cells fit exact.MAX_ENUM (N = 4)."""
+    """AND t = 4 comparing all rounds counts 2^(2N) 2^(4N) cells for TV and
+    for agreement: at N = 4 they fit exact.MAX_ENUM and verify reports
+    both, at N = 8 it exits 0 with both null."""
     for n_len in (4, 8):
         cfg = write_config(tmp_path / f"cfg{n_len}.json", model="and", t=4, n=n_len,
                            verify_rounds=None)
         out = tmp_path / f"out{n_len}"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "verify.json").read_text())
-        assert payload["tv_value"] is None and payload["tv_by_side"] is None
         agree = payload["agreement_probability"]
         if n_len == 4:
-            assert 0.0 <= agree <= 1.0
+            assert set(payload["tv_by_side"]) == {"tx", "rx"}
+            assert payload["tv_value"] == max(payload["tv_by_side"].values())
+            assert 0.0 < payload["tv_value"] <= 2.0 and 0.0 <= agree <= 1.0
         else:
+            assert payload["tv_value"] is None and payload["tv_by_side"] is None
             assert agree is None
 
 
@@ -114,6 +116,21 @@ def test_verify_beyond_the_exact_domain_writes_null(tmp_path):
     payload = json.loads((out / "verify.json").read_text())
     assert payload["tv_value"] is None and payload["tv_by_side"] is None
     assert payload["agreement_probability"] is None
+
+
+def test_verify_rejects_negative_function_values(tmp_path):
+    """A model file whose f_A takes the values -2, -1 and 0 is refused with
+    exit 2 (the model constructor raises), not run with those values
+    decoded as erasures."""
+    import numpy as np
+    from test_protocol import _x_model
+
+    payload = json.loads(_x_model(np.arange(3)).to_json())
+    payload["functions"]["f_A"] = np.repeat(np.arange(3) - 2, 2).tolist()
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    cfg = write_config(tmp_path / "cfg.json", model=str(model_path), n=4)
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
 def test_exact_verify_under_argmax_fd_is_null(tmp_path):

@@ -365,21 +365,19 @@ def test_compute_function_is_per_symbol():
 
 @pytest.mark.parametrize("case, want", [
     ("and-t2", np.int8), ("col-m3", np.int8), ("hi-127", np.int8), ("hi-128", np.int16),
-    ("below-minus-1", np.int16),
 ])
 def test_compute_function_outputs_take_the_narrowest_signed_dtype(case, want):
     """The outputs and the decode table take the narrowest signed dtype
-    holding [min(lo, -1), hi], lo and hi the function's extremes and -1 the
-    erasure sentinel: int8 on the shipped models and at hi = 127, int16 at
-    hi = 128 and at lo = -130. Values and erasure flags are those of the
-    same gather and clamp on the table widened to int64."""
+    holding [-1, hi], hi the function's largest value and -1 the erasure
+    sentinel: int8 on the shipped models and at hi = 127, int16 at
+    hi = 128. Values and erasure flags are those of the same gather and
+    clamp on the table widened to int64."""
     if case == "and-t2":
         model, which = build_and_chain(AndModelParams(0.3, 0.6, 2)), "f_A"
     elif case == "col-m3":
         model, which = build_collocated_chain(3, [0.5, 0.4, 0.7]), "f"
     else:
-        f_x = {"hi-127": np.arange(128), "hi-128": np.arange(129),
-               "below-minus-1": np.arange(260) - 130}[case]
+        f_x = {"hi-127": np.arange(128), "hi-128": np.arange(129)}[case]
         model, which = _x_model(f_x), "f_A"
     rng = np.random.default_rng(3)
     args = model.function_args(which)
@@ -394,6 +392,14 @@ def test_compute_function_outputs_take_the_narrowest_signed_dtype(case, want):
     wide = table.astype(np.int64)[tuple(blocks[a] for a in args)]
     assert np.array_equal(erased, wide < 0) and np.array_equal(z, np.maximum(wide, 0))
     assert erased.any() and z.any() and not erased.all()
+
+
+def test_negative_function_values_are_rejected():
+    """A negative function value could not be told from the erasure
+    sentinel, so the model constructor raises ValueError naming the
+    function."""
+    with pytest.raises(ValueError, match="f_A"):
+        _x_model(np.arange(3) - 2)
 
 
 def test_collocated_all_transmit_sink_computes_and():

@@ -18,7 +18,6 @@ from polarcomm.protocol import plan_protocol, sample_sources
 from polarcomm.reliability import PartitionPolicy
 from polarcomm.sc import SamplingPolicy, SymbolChannel, chain_probability
 from polarcomm.verification import (
-    _exact_tv_chain,
     agreement_probability,
     exact_metrics,
     exact_q_tv,
@@ -112,16 +111,6 @@ def test_tv_full_chain_caps_and_values():
         exact_q_tv(m, plans16, 16, "tx", rounds=1)
 
 
-def test_round1_tv_equals_full_chain_for_t1():
-    """At t = 1 the full-chain enumeration and the round-1 route agree."""
-    for model, n_len in ((uniform_independent_model(0.6), 2), (build_bsc_chain(0.11, 0.2), 4)):
-        plans = plan_protocol(model, n_len, PartitionPolicy(mode="threshold", delta=0.2))
-        for side in ("tx", "rx"):
-            full = _exact_tv_chain(model, plans, n_len, side)
-            assert full > 0.1
-            assert abs(full - exact_q_tv(model, plans, n_len, side, rounds=1)) <= 1e-15
-
-
 def test_exact_tv_rejects_rounds_out_of_range():
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
@@ -163,9 +152,9 @@ def test_exact_agreement_under_argmax_needs_empty_fd():
 
 
 def test_exact_agreement_grid_within_max_enum():
-    """Exact agreement holds a grid of |X|^N |Y|^N 2^(N t) cells. AND t = 6
-    at N = 4 needs 2^32 of them (34 GB) and is refused before any is
-    allocated, while round-1 TV stays available."""
+    """Exact agreement counts |X|^N |Y|^N 2^(N t) cells. AND t = 6 at N = 4
+    counts 2^32 of them and is refused before any factor is built, while
+    round-1 TV stays available."""
     m = build_and_chain(AndModelParams(0.4, 0.5, 6))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.3))
     with pytest.raises(ValueError, match="cells"):
@@ -188,20 +177,34 @@ def test_exact_domain_follows_the_source_alphabets():
 
 def test_exact_agreement_contracts_without_the_grid():
     """Exact agreement on AND t = 4 at N = 4 sums its 2^24 common-path cells
-    by contraction, never holding them: its allocations peak far below the
-    128 MiB that grid alone would take."""
+    by contraction, never holding them, and exact TV of all four rounds
+    holds one chunk of x-blocks of its 2^24-cell law at a time: on both
+    sides, each call's allocations peak below the 128 MiB that grid alone
+    would take. Round-1 TV at N = 8 on AND t = 2 under the threshold
+    policy (beta = 0.4) keeps its values within 1e-15 and peaks below
+    32 MiB, where the whole 2^24-cell law would take 128 MiB."""
     import tracemalloc
+
+    def traced(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     m = build_and_chain(AndModelParams(0.4, 0.5, 4))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.3))
-    tracemalloc.start()
-    try:
-        agree = agreement_probability(m, plans, 4, "exact")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    agree, peak = traced(agreement_probability, m, plans, 4, "exact")
     assert abs(agree - 0.628870836636197) < 1e-12
     assert peak < 96 * 2**20
+    for side, want in (("tx", 0.7386306233904166), ("rx", 0.5778108369309547)):
+        tv, peak = traced(exact_q_tv, m, plans, 4, side)
+        assert abs(tv - want) < 1e-12 and peak < 128 * 2**20
+    m = build_and_chain(AndModelParams(0.11, 0.4, 2))
+    plans = plan_protocol(m, 8, PartitionPolicy(mode="threshold", beta=0.4))
+    for side, want in (("tx", 0.009097967911712414), ("rx", 0.009097967911712464)):
+        tv, peak = traced(exact_q_tv, m, plans, 8, side, rounds=1)
+        assert abs(tv - want) <= 1e-15 and peak < 32 * 2**20
 
 
 def test_agreement_single_fd_index_two_draw_formula():
@@ -216,6 +219,12 @@ def test_agreement_single_fd_index_two_draw_formula():
     assert abs(got - (1 - 2 * p_u * (1 - p_u))) < 1e-12
 
 
+def _mc_agreement(model, plans, n_len, trials, seed):
+    """The share of trials on which both terminals agree after every round."""
+    result = function_error_rate(model, plans, n_len, trials, seed)["result"]
+    return float(result.agreement.all(axis=0).mean())
+
+
 def test_agreement_exact_vs_monte_carlo_four_rounds():
     """Past u-blocks index their own axes of the exact agreement grid: at
     t = 4 the exact value sits within 4.5 sigma of a Monte Carlo estimate."""
@@ -224,7 +233,7 @@ def test_agreement_exact_vs_monte_carlo_four_rounds():
                           profile_method="exact")
     exact = agreement_probability(m, plans, 2, "exact")
     trials = 100_000
-    mc = agreement_probability(m, plans, 2, "monte_carlo", trials=trials, seed=17)
+    mc = _mc_agreement(m, plans, 2, trials, seed=17)
     assert abs(exact - mc) <= 4.5 * np.sqrt(exact * (1 - exact) / trials)
 
 
@@ -233,7 +242,7 @@ def test_agreement_exact_vs_monte_carlo():
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
     exact = agreement_probability(m, plans, 4, "exact")
     trials = 200_000
-    mc = agreement_probability(m, plans, 4, "monte_carlo", trials=trials, seed=17)
+    mc = _mc_agreement(m, plans, 4, trials, seed=17)
     sigma = np.sqrt(max(exact * (1 - exact), 1e-12) / trials)
     assert abs(mc - exact) <= 3 * sigma + 1e-9
 
@@ -425,13 +434,16 @@ def _engine_route_full_chain_laws(model, plans, n_len):
 
 
 def test_full_chain_tv_matches_engine_route_enumeration():
-    """Dual route: exact TV of r >= 2 rounds on both sides and exact
+    """Dual route: exact TV of every round count on both sides and exact
     agreement equal a path-by-path enumeration driven entirely through the
-    SC engine. On AND t = 2 at N = 2 (both rounds), the threshold policy
+    SC engine. Round 1 alone on a model whose U1 is independent of both
+    sources (N = 2) and on the BSC chain (N = 4), each with TV above 0.1. On
+    AND t = 2 at N = 2 (one and both rounds), the threshold policy
     exercises F_d and an empty I', and the sparse one the shared-F_r
-    coupling with an untransmitted information index. On AND t = 4, three
-    and all four rounds at N = 1, whose policies put each round's one index
-    in I' or I \\ I', in F_d and in F_r, and three rounds at N = 2."""
+    coupling with an untransmitted information index. On AND t = 4, one,
+    three and all four rounds at N = 1, whose policies put each round's one
+    index in I' or I \\ I', in F_d and in F_r, and one and three rounds at
+    N = 2."""
     threshold = PartitionPolicy(mode="threshold", delta=0.3)
 
     def sparse(fractions):
@@ -440,10 +452,13 @@ def test_full_chain_tv_matches_engine_route_enumeration():
 
     and_t2 = build_and_chain(AndModelParams(0.11, 0.4, 2))
     and_t4 = build_and_chain(AndModelParams(0.4, 0.5, 4))
-    cases = [(and_t2, 2, policy, (None,)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
-    cases += [(and_t4, 1, policy, (3, None))
+    round1 = PartitionPolicy(mode="threshold", delta=0.2)
+    cases = [(uniform_independent_model(0.6), 2, round1, (1,)),
+             (build_bsc_chain(0.11, 0.2), 4, round1, (1,))]
+    cases += [(and_t2, 2, policy, (1, None)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
+    cases += [(and_t4, 1, policy, (1, 3, None))
               for policy in (threshold, sparse((1.0, 0.0, 0.0)), sparse((0.0, 1.0, 0.0)))]
-    cases += [(and_t4, 2, policy, (3,)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
+    cases += [(and_t4, 2, policy, (1, 3)) for policy in (threshold, sparse((0.0, 0.5, 0.0)))]
     for m, n_len, policy, rounds_list in cases:
         plans = plan_protocol(m, n_len, policy)
         for rounds in rounds_list:
@@ -452,4 +467,5 @@ def test_full_chain_tv_matches_engine_route_enumeration():
             for side, q in (("tx", q_a), ("rx", q_b)):
                 tv = exact_q_tv(m, plans, n_len, side, rounds=rounds)
                 assert abs(np.abs(q - p_ideal).sum() - tv) < 1e-9
+                assert m.rounds > 1 or tv > 0.1
             assert abs(agree - agreement_probability(m, chain, n_len, "exact")) < 1e-9

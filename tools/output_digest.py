@@ -50,9 +50,10 @@ moved. The cases are
                   level, at N = 4;
   * oracle/...    the exact oracle on the BSC t = 1 and AND t = 2, 4 exact
                   plans: every profile's z bytes, `exact_q_tv` on both sides
-                  at rounds = 1 (N = 4, 8), rounds = 2 and the full chain
-                  (N = 4), and exact agreement (N = 4); a call outside the
-                  oracle's domain digests as its exception type;
+                  at rounds = 1 (N = 4, 8), rounds = 2, 3 (AND t = 4) and
+                  the full chain (N = 4), and exact agreement (N = 4); a
+                  call outside the oracle's domain digests as its exception
+                  type;
   * oracle/and-t4/exact-n2-..., oracle/ternary/...  `exact_q_tv` of three
                   and of all four rounds and exact agreement on AND t = 4
                   plans at N = 2 under both partition modes, and round-1
@@ -512,7 +513,8 @@ def oracle_cases(pc, model_name, model, label, n_len, plans):
         for cond in sorted(plan.profiles):
             yield f"{name}/round{plan.round_index}/profile-{cond}", _digest(
                 plan.profiles[cond].z)
-    for rounds in (1, 2, None) if n_len <= 4 else (1,):
+    rounds_list = (1,) if n_len > 4 else (1, 2, 3, None) if model.rounds > 2 else (1, 2, None)
+    for rounds in rounds_list:
         for side in ("tx", "rx"):
             tv = _oracle_value(v.exact_q_tv, model, plans, n_len, side, rounds=rounds)
             yield f"{name}/tv-rounds{rounds}/{side}", _digest(tv)
