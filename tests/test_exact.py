@@ -5,9 +5,11 @@ import pytest
 from polarcomm.exact import (
     block_joint_chunks,
     block_joint_full,
+    block_product,
     digits_to_ints,
     ints_to_digits,
     sampled_chain_table,
+    split_block_joint,
 )
 from polarcomm.sc import OBSERVATION_CONDITIONAL, SymbolChannel
 from polarcomm.transform import apply_transform
@@ -73,3 +75,27 @@ def test_digit_codecs_round_trip_and_reject_out_of_range(base, n_len):
         wrong[..., -1] = bad
         with pytest.raises(ValueError):
             digits_to_ints(wrong, base)
+
+
+@pytest.mark.parametrize("n_len, tail_len", [(1, 1), (3, 0), (3, 2), (4, 4)])
+def test_block_product_is_the_left_to_right_product(n_len, tail_len):
+    """split_block_joint's cell (x, y, u) is the product of the per-symbol
+    cells over positions 0, 1, ..., N - 1, taken left to right, bit for bit;
+    the chunk that fixes x's leading N - tail_len symbols, built by
+    block_product from those symbols and one power of the trailing ones, is
+    that chunk of the whole to 1e-15 relative (the products associate
+    differently)."""
+    sizes = (2, 3, 2)
+    per_sym = np.random.default_rng(n_len).random(sizes)
+    per_sym /= per_sym.sum()
+    whole = split_block_joint(per_sym, sizes, n_len)
+    digits = [ints_to_digits(np.arange(s**n_len), n_len, s) for s in sizes]
+    want = np.ones(whole.shape)
+    for k in range(n_len):
+        want = want * per_sym[np.ix_(*(d[:, k] for d in digits))]
+    assert np.array_equal(whole, want)
+    tail = [split_block_joint(per_sym, sizes, tail_len)] if tail_len else []
+    step = 2**tail_len
+    for start, lead in zip(range(0, 2**n_len, step), np.ndindex((2,) * (n_len - tail_len))):
+        chunk = block_product([per_sym[d:d + 1] for d in lead] + tail)
+        assert np.allclose(chunk, whole[start:start + step], rtol=1e-15, atol=0)

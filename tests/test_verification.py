@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from polarcomm import verification
 from polarcomm.exact import (
     block_joint_full,
     sampled_chain_table,
@@ -433,7 +434,7 @@ def _engine_route_full_chain_laws(model, plans, n_len):
     return q_a, q_b, p_ideal, agree
 
 
-def test_full_chain_tv_matches_engine_route_enumeration():
+def test_full_chain_tv_matches_engine_route_enumeration(monkeypatch):
     """Dual route: exact TV of every round count on both sides and exact
     agreement equal a path-by-path enumeration driven entirely through the
     SC engine. Round 1 alone on a model whose U1 is independent of both
@@ -443,7 +444,8 @@ def test_full_chain_tv_matches_engine_route_enumeration():
     coupling with an untransmitted information index. On AND t = 4, one,
     three and all four rounds at N = 1, whose policies put each round's one
     index in I' or I \\ I', in F_d and in F_r, and one and three rounds at
-    N = 2."""
+    N = 2. TV is taken in the default chunks of x-blocks, which hold every
+    x-block at these sizes, and in chunks of one x-block."""
     threshold = PartitionPolicy(mode="threshold", delta=0.3)
 
     def sparse(fractions):
@@ -465,7 +467,10 @@ def test_full_chain_tv_matches_engine_route_enumeration():
             chain = plans if rounds is None else plans[:rounds]
             q_a, q_b, p_ideal, agree = _engine_route_full_chain_laws(m, chain, n_len)
             for side, q in (("tx", q_a), ("rx", q_b)):
-                tv = exact_q_tv(m, plans, n_len, side, rounds=rounds)
-                assert abs(np.abs(q - p_ideal).sum() - tv) < 1e-9
-                assert m.rounds > 1 or tv > 0.1
+                for cells in (verification.CELLS, 1):
+                    monkeypatch.setattr(verification, "CELLS", cells)
+                    tv = exact_q_tv(m, plans, n_len, side, rounds=rounds)
+                    assert abs(np.abs(q - p_ideal).sum() - tv) < 1e-9
+                    assert m.rounds > 1 or tv > 0.1
+                monkeypatch.undo()
             assert abs(agree - agreement_probability(m, chain, n_len, "exact")) < 1e-9
