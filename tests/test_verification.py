@@ -112,6 +112,22 @@ def test_tv_full_chain_caps_and_values():
         exact_q_tv(m, plans16, 16, "tx", rounds=1)
 
 
+def test_round1_tv_equals_full_chain_for_t1(monkeypatch):
+    """At t = 1 the full chain and round 1 are the same comparison: rounds=1,
+    rounds=None and the chain contraction itself agree, in the default chunks
+    of x-blocks and in chunks of one x-block."""
+    for model, n_len in ((uniform_independent_model(0.6), 2), (build_bsc_chain(0.11, 0.2), 4)):
+        plans = plan_protocol(model, n_len, PartitionPolicy(mode="threshold", delta=0.2))
+        for side in ("tx", "rx"):
+            full = verification._exact_tv_chain(model, plans, n_len, side)
+            assert full > 0.1
+            for cells in (verification.CELLS, 1):
+                monkeypatch.setattr(verification, "CELLS", cells)
+                for rounds in (1, None):
+                    assert abs(full - exact_q_tv(model, plans, n_len, side, rounds=rounds)) <= 1e-15
+                monkeypatch.undo()
+
+
 def test_exact_tv_rejects_rounds_out_of_range():
     m = build_and_chain(AndModelParams(0.3, 0.6, 2))
     plans = plan_protocol(m, 4, PartitionPolicy(mode="threshold", delta=0.2))
